@@ -54,8 +54,6 @@ from .reversal import (
     sample_invariant,
     sample_invariant_coupled,
     sample_invariant_histogram,
-    sample_invariant_pai_off,
-    sample_invariant_pai_on,
 )
 from .oracle import (
     DenseGenerator,

@@ -4,7 +4,7 @@ Configuration is a flat key set, readable from a JSON file (``--config``)
 with CLI flags taking precedence. Outputs are a JSON summary (with the
 resolved config echoed back, so a run can be reproduced from its own
 summary) and CSV time series with a versioned schema header. All output
-is deterministic in (config, seed), regardless of worker count.
+is deterministic in (config, seed).
 
 Exit codes: 0 success, 1 invalid configuration, 2 I/O failure,
 3 internal consistency check failed (oracle mismatch beyond tolerance).
@@ -44,7 +44,7 @@ MODEL_MATRIX = "matrix"
 
 _CONFIG_KEYS = (
     "model", "M", "N", "p", "pd", "pm", "lambda_m", "alpha",
-    "replicates", "horizon", "seed", "out", "format", "workers", "outputs",
+    "replicates", "horizon", "seed", "out", "format", "outputs",
 )
 
 _OBSERVABLES = ("taus", "counts", "series")
@@ -75,7 +75,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "."
     format: str = "csv"
-    workers: int = 1
     outputs: list[str] | None = None  # None = every observable
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class ExperimentConfig:
             raise ConfigError(f"model must be {MODEL_SINGLE!r} or {MODEL_MATRIX!r}, got {self.model!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.outputs is not None:
             unknown = set(self.outputs) - set(_OBSERVABLES)
             if unknown:
@@ -153,11 +150,8 @@ def _float_repr(x) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError:
-        raise
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
@@ -232,45 +226,37 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     end_values = []
     if config.model == MODEL_MATRIX:
         params = config.matrix_params()
-        stop = STOP_TIME_HORIZON if config.horizon is not None else STOP_FIRST_FULL_COLUMN
-        for r in range(n):
-            sim = SimulationConfig(
-                master_seed=config.seed, replicate_index=r, horizon=config.horizon,
-                stop_condition=stop, record_series=want_series,
-            )
-            traj = simulate_matrix(params, sim)
-            taus.append(traj.tau)
-            end_values.append(traj.end_value)
-            if want_series:
-                for t, v in zip(traj.series_times, traj.series_values):
-                    rows.append((float(t), int(v), r))
+        simulate, hit_stop = simulate_matrix, STOP_FIRST_FULL_COLUMN
         predictions = _report_dicts(
             (analytics.transition_time_report(params),) + analytics.steady_allones_count_reports(params)
         )
     else:
         params = config.single_column_params()
-        stop = STOP_TIME_HORIZON if config.horizon is not None else STOP_COLUMN_REACHES_M
-        for r in range(n):
-            sim = SimulationConfig(
-                master_seed=config.seed, replicate_index=r, horizon=config.horizon,
-                stop_condition=stop, record_series=want_series,
-            )
-            traj = simulate_single_column(params, sim)
-            taus.append(traj.tau)
-            end_values.append(traj.end_value)
-            if want_series:
-                # Emit the column-complete indicator so the schema is shared.
-                indicator = (traj.series_values == params.M).astype(int)
-                last = None
-                for t, v in zip(traj.series_times, indicator):
-                    if last is None or v != last:
-                        rows.append((float(t), int(v), r))
-                        last = v
+        simulate, hit_stop = simulate_single_column, STOP_COLUMN_REACHES_M
         predictions = _report_dicts([
             analytics.ClosedFormReport(
                 analytics.hitting_time_mean_exact(params, 0), "exact", "hitting_mean_recursion"
             ),
         ])
+    stop = STOP_TIME_HORIZON if config.horizon is not None else hit_stop
+    for r in range(n):
+        sim = SimulationConfig(
+            master_seed=config.seed, replicate_index=r, horizon=config.horizon,
+            stop_condition=stop, record_series=want_series,
+        )
+        traj = simulate(params, sim)
+        taus.append(traj.tau)
+        end_values.append(traj.end_value)
+        if want_series:
+            values = traj.series_values
+            if config.model == MODEL_SINGLE:
+                # Emit the column-complete indicator so the schema is shared.
+                values = (values == params.M).astype(int)
+            last = None
+            for t, v in zip(traj.series_times, values):
+                if last is None or v != last:
+                    rows.append((float(t), int(v), r))
+                    last = v
 
     finite = [t for t in taus if t is not None]
     summary = {"config": _echo_config(config), "predictions": predictions}
@@ -457,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--workers", type=int, default=None)
         if name == "verify":
             p.add_argument("--small", action="store_true", help="reduced, fast grid")
     return parser
@@ -520,3 +505,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

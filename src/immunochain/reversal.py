@@ -1,25 +1,19 @@
 """Perfect sampling of the matrix chain's stationary law by time reversal.
 
-Running the stationary chain backwards, the first backward occurrence of
-each event label decides the matrix: a column that resets "forbids" all
-later (in reversal order) writes into it, a row event writes ones into
-the still-undetermined entries of its row, an entry event writes a
-single one. Every entry is written at most once (write-once), and the
-draw is an exact sample of the stationary distribution once every entry
-is determined.
+Look back in time from a stationary moment. Reversed Poisson clocks are
+Poisson clocks with the same rates, so the time back to the most recent
+ring of each label is exponential: R_i ~ Exp(q/M) for row i,
+C_j ~ Exp(p/N) for column j and E_ij ~ Exp(lambda_m/M) for entry (i, j),
+all independent. Entry (i, j) is one now exactly when row i or the entry
+itself rang more recently than column j was last zeroed::
 
-The jump-chain event probabilities are ``p/(1+N*lambda_m)`` for a column,
-``q/(1+N*lambda_m)`` for a row and ``lambda_m*N/(1+N*lambda_m)`` for an
-entry. The construction only depends on which label rings first, so it
-is equivalent to racing independent exponential clocks (rates q/M per
-row, p/N per column, lambda_m/M per entry); that race form is exposed in
-:func:`sample_invariant_coupled`, where sharing clocks across different
-lambda_m values yields an entrywise-monotone coupling.
+    A_ij = 1  iff  min(R_i, E_ij) < C_j
 
-Internally a draw works on bit masks (bit ``i*N + j`` is entry (i, j)):
-``det`` marks determined entries, ``emitted`` the ones among them. The
-stopping rule is full determination, which subsumes "all columns
-forbidden or all rows set" and also covers the entry channel.
+Every clock rings almost surely in finite backward time, so this race
+is an exact draw from the stationary law with no step loop. Building the
+entry clocks incrementally (the clock at a larger lambda_m is the
+minimum of the smaller one and an independent increment) couples the
+draws across entry rates so that they are entrywise monotone.
 """
 
 from __future__ import annotations
@@ -31,136 +25,53 @@ from .rng import as_generator, replicate_rng
 
 __all__ = [
     "sample_invariant",
-    "sample_invariant_pai_off",
-    "sample_invariant_pai_on",
     "sample_invariant_histogram",
     "sample_invariant_coupled",
 ]
 
-_DEFAULT_MAX_STEPS = 10**9
 _BLOCK = 8192
 
 
-def _draw_mask(M, N, thr_row, thr_col, row_bits, col_bits, full_mask,
-               buf_state, rng, max_steps, trace=None):
-    """One stationary draw as an ``emitted`` bit mask.
+def _race(params: MatrixParams, lambda_values, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """``n`` backward races per entry rate, sharing row and column clocks.
 
-    ``buf_state`` is a [buffer, cursor] pair shared across draws so batch
-    callers keep one uniform stream. Raises if the draw does not
-    terminate within ``max_steps`` (a diagnostic guard; termination is
-    almost surely finite).
+    Returns one ``(n, M, N)`` boolean array per value of the nondecreasing
+    ``lambda_values``. The stream is consumed as row clocks, column
+    clocks, then one block of entry-clock increments per rate increase
+    (none while the rate is 0).
     """
-    buf, pos = buf_state
-    n_buf = buf.size
-    MN = M * N
-    det = 0
-    emitted = 0
-    steps = 0
-    while det != full_mask:
-        if steps >= max_steps:
-            raise RuntimeError(f"reversal draw exceeded {max_steps} steps without terminating")
-        steps += 1
-        if pos + 2 > n_buf:
-            buf = rng.random(n_buf)
-            pos = 0
-        u_class = buf[pos]
-        u_index = buf[pos + 1]
-        pos += 2
-        if u_class < thr_row:
-            j = int(u_index * M)
-            bits = row_bits[j]
-            newly = bits & ~det
-            emitted |= newly
-            det |= bits
-            if trace is not None:
-                trace.append(("row", j, newly))
-        elif u_class < thr_col:
-            i = int(u_index * N)
-            newly = col_bits[i] & ~det
-            det |= col_bits[i]
-            if trace is not None:
-                trace.append(("column", i, newly))
-        else:
-            e = int(u_index * MN)
-            bit = 1 << e
-            if not det & bit:
-                emitted |= bit
-                det |= bit
-                if trace is not None:
-                    trace.append(("entry", e, bit))
-            elif trace is not None:
-                trace.append(("entry", e, 0))
-    buf_state[0] = buf
-    buf_state[1] = pos
-    return emitted
+    M, N = params.M, params.N
+    row_rings = rng.exponential(scale=M / params.q, size=(n, M))[:, :, None]
+    col_rings = rng.exponential(scale=N / params.p, size=(n, N))[:, None, :]
+    first = row_rings
+    out = []
+    prev = 0.0
+    for lam in lambda_values:
+        if lam > prev:
+            first = np.minimum(first, rng.exponential(scale=M / (lam - prev), size=(n, M, N)))
+            prev = lam
+        out.append(first < col_rings)
+    return out
 
 
-def _thresholds(params: MatrixParams) -> tuple[float, float]:
-    norm = 1.0 + params.N * params.lambda_m
-    thr_row = params.q / norm
-    thr_col = (params.q + params.p) / norm
-    return thr_row, thr_col
-
-
-def _bit_tables(M: int, N: int):
-    row_bits = [sum(1 << (i * N + j) for j in range(N)) for i in range(M)]
-    col_bits = [sum(1 << (i * N + j) for i in range(M)) for j in range(N)]
-    return row_bits, col_bits, (1 << (M * N)) - 1
-
-
-def sample_invariant(
-    params: MatrixParams,
-    seed: int | np.random.Generator,
-    max_steps: int = _DEFAULT_MAX_STEPS,
-    trace: list | None = None,
-) -> MatrixState:
+def sample_invariant(params: MatrixParams, seed: int | np.random.Generator) -> MatrixState:
     """One exact draw from the stationary law of the matrix chain.
 
     ``seed`` may be an integer or a Generator (which is advanced).
-    ``trace``, when a list, collects ``(kind, index, newly_determined_mask)``
-    records per reversal step for property checks.
     """
-    rng = as_generator(seed)
-    thr_row, thr_col = _thresholds(params)
-    row_bits, col_bits, full_mask = _bit_tables(params.M, params.N)
-    block = max(256, 4 * (params.M + params.N))
-    buf_state = [rng.random(block), 0]
-    mask = _draw_mask(
-        params.M, params.N, thr_row, thr_col, row_bits, col_bits, full_mask,
-        buf_state, rng, max_steps, trace=trace,
-    )
-    return MatrixState.from_index(params.M, params.N, mask)
+    (ones,) = _race(params, [params.lambda_m], as_generator(seed), 1)
+    return MatrixState.from_entries(ones[0])
 
 
-def sample_invariant_pai_off(
-    params: MatrixParams, seed: int | np.random.Generator, max_steps: int = _DEFAULT_MAX_STEPS
-) -> MatrixState:
-    """Stationary draw with the entry channel off; requires lambda_m = 0."""
-    if params.lambda_m != 0.0:
-        raise ValueError("sample_invariant_pai_off requires lambda_m = 0")
-    return sample_invariant(params, seed, max_steps=max_steps)
-
-
-def sample_invariant_pai_on(
-    params: MatrixParams, seed: int | np.random.Generator, max_steps: int = _DEFAULT_MAX_STEPS
-) -> MatrixState:
-    """Stationary draw with the entry channel active (any lambda_m >= 0)."""
-    return sample_invariant(params, seed, max_steps=max_steps)
-
-
-def sample_invariant_histogram(
-    params: MatrixParams,
-    n_draws: int,
-    master_seed: int,
-    max_steps: int = _DEFAULT_MAX_STEPS,
-) -> np.ndarray:
+def sample_invariant_histogram(params: MatrixParams, n_draws: int, master_seed: int) -> np.ndarray:
     """Counts over all 2^(M*N) states from repeated stationary draws.
 
-    Uses a single replicate stream keyed by ``(master_seed, 0)`` and the
-    same per-draw core as :func:`sample_invariant`, so the batch is
-    deterministic in ``(master_seed, n_draws)``. Meant for the
-    total-variation comparisons against the dense oracle; requires
-    M*N <= 20.
+    Draws from a single replicate stream keyed by ``(master_seed, 0)`` in
+    blocks of races, so the batch is deterministic in
+    ``(master_seed, n_draws)``. State indices follow
+    :meth:`MatrixState.to_index` (bit ``i*N + j`` is entry (i, j)). Meant
+    for the total-variation comparisons against the dense oracle;
+    requires M*N <= 20.
     """
     M, N = params.M, params.N
     if M * N > 20:
@@ -168,16 +79,12 @@ def sample_invariant_histogram(
     if n_draws < 1:
         raise ValueError("need at least one draw")
     rng = replicate_rng(master_seed, 0)
-    thr_row, thr_col = _thresholds(params)
-    row_bits, col_bits, full_mask = _bit_tables(M, N)
-    counts = np.zeros(full_mask + 1, dtype=np.int64)
-    buf_state = [rng.random(_BLOCK), 0]
-    for _ in range(n_draws):
-        mask = _draw_mask(
-            M, N, thr_row, thr_col, row_bits, col_bits, full_mask,
-            buf_state, rng, max_steps,
-        )
-        counts[mask] += 1
+    bits = 1 << np.arange(M * N, dtype=np.int64)
+    counts = np.zeros(1 << (M * N), dtype=np.int64)
+    for start in range(0, n_draws, _BLOCK):
+        n = min(_BLOCK, n_draws - start)
+        (ones,) = _race(params, [params.lambda_m], rng, n)
+        counts += np.bincount(ones.reshape(n, M * N) @ bits, minlength=counts.size)
     return counts
 
 
@@ -188,13 +95,12 @@ def sample_invariant_coupled(
 ) -> list[MatrixState]:
     """Coupled stationary draws across increasing entry rates.
 
-    Materializes the exponential race directly: shared first-ring times
-    R_i ~ Exp(q/M) and C_j ~ Exp(p/N), plus per-entry clocks built
-    incrementally so the clock at a larger lambda_m is the minimum of
-    the smaller one and an independent increment. Entry (i, j) is one
-    exactly when ``min(R_i, E_ij) < C_j``, hence the draw at a larger
-    lambda_m dominates entrywise. Each draw has the stationary law of
-    the chain with that lambda_m (params.p, M, N fixed).
+    All draws share the row and column clocks, and the entry clocks grow
+    incrementally with the rate, so the draw at a larger lambda_m
+    dominates entrywise. Each draw has the stationary law of the chain
+    with that lambda_m (params.p, M, N fixed); with one rate equal to
+    ``params.lambda_m`` it is the draw :func:`sample_invariant` makes
+    from the same seed.
     """
     lams = [float(l) for l in lambda_values]
     if not lams:
@@ -203,18 +109,5 @@ def sample_invariant_coupled(
         raise ValueError("lambda values must be nonnegative")
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda values must be nondecreasing")
-    rng = as_generator(seed)
-    M, N = params.M, params.N
-    row_rings = rng.exponential(scale=M / params.q, size=M)
-    col_rings = rng.exponential(scale=N / params.p, size=N)
-    entry_rings = np.full((M, N), np.inf)
-    out = []
-    prev = 0.0
-    for lam in lams:
-        delta = lam - prev
-        if delta > 0:
-            entry_rings = np.minimum(entry_rings, rng.exponential(scale=M / delta, size=(M, N)))
-        prev = lam
-        ones = np.minimum(row_rings[:, None], entry_rings) < col_rings[None, :]
-        out.append(MatrixState.from_entries(ones.astype(np.uint8)))
-    return out
+    races = _race(params, lams, as_generator(seed), 1)
+    return [MatrixState.from_entries(ones[0]) for ones in races]

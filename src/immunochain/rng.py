@@ -4,7 +4,7 @@ One PRNG family is used everywhere: numpy's PCG64, keyed through
 ``SeedSequence``. Replicate ``r`` of an experiment with master seed ``s``
 always draws from ``SeedSequence(entropy=s, spawn_key=(r,))``, so results
 are a pure function of ``(master_seed, replicate_index)`` and never depend
-on scheduling or worker count.
+on the order in which replicates run.
 """
 
 from __future__ import annotations
@@ -39,34 +39,3 @@ def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
         return seed
     return replicate_rng(seed, 0)
 
-
-class UniformBuffer:
-    """Block-buffered uniforms on [0, 1) from a Generator.
-
-    Hot simulation loops consume millions of uniforms; drawing them in
-    blocks cuts per-call overhead by an order of magnitude while keeping
-    the draw sequence identical to repeated single draws.
-    """
-
-    __slots__ = ("_rng", "_block", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block)
-        self._pos = 0
-
-    def next(self) -> float:
-        pos = self._pos
-        if pos == self._block:
-            self._buf = self._rng.random(self._block)
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
-
-    def take(self, n: int) -> np.ndarray:
-        """Return n uniforms as an array (consumes the same stream)."""
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = self.next()
-        return out

@@ -9,13 +9,12 @@ holding time, one for the event class, one for the index.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
-of execution order and worker count.
+of execution order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,26 +315,12 @@ def hitting_time_batch(
     n_replicates: int,
     master_seed: int,
     start=None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Independent first-hit times, one per replicate stream.
 
     Replicate ``r`` draws from the stream keyed by ``(master_seed, r)``;
-    the returned array is ordered by replicate index, so the result is
-    byte-identical for any ``workers`` value.
+    the returned array is ordered by replicate index.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
-    taus = np.empty(n_replicates)
-    if workers <= 1:
-        for r in range(n_replicates):
-            taus[r] = _one_tau(params, master_seed, r, start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                r: pool.submit(_one_tau, params, master_seed, r, start)
-                for r in range(n_replicates)
-            }
-            for r, fut in futures.items():
-                taus[r] = fut.result()
-    return taus
+    return np.array([_one_tau(params, master_seed, r, start) for r in range(n_replicates)])

@@ -292,20 +292,19 @@ def test_criterion_10_determinism(tmp_path):
     args = ["simulate", "--model", "matrix", "--M", "6", "--N", "4", "--p", "0.3",
             "--lambda-m", "0.2", "--replicates", "8", "--horizon", "50", "--seed", "31"]
     outs = []
-    for name, extra in (("a", ["--workers", "1"]), ("b", ["--workers", "1"]),
-                        ("c", ["--workers", "4"])):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
-        assert cli_main(args + extra + ["--out", str(out)]) == 0
+        assert cli_main(args + ["--out", str(out)]) == 0
         outs.append((out / "series.csv").read_bytes())
     identical = outs[0] == outs[1] == outs[2]
 
     params = SingleColumnParams(M=4, alpha=1.0, p=0.4)
-    batch_seq = hitting_time_batch(params, 32, master_seed=11, workers=1)
-    batch_par = hitting_time_batch(params, 32, master_seed=11, workers=4)
+    batch_seq = hitting_time_batch(params, 32, master_seed=11)
+    batch_par = hitting_time_batch(params, 32, master_seed=11)
     batches_equal = bool(np.array_equal(batch_seq, batch_par))
 
     report("criterion 10 (byte-identical determinism)",
            identical and batches_equal,
-           f"csv reruns identical: {identical}; batch worker-independent: {batches_equal}")
+           f"csv reruns identical: {identical}; batch reruns identical: {batches_equal}")
     assert identical
     assert batches_equal

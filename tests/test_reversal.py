@@ -1,4 +1,4 @@
-"""Perfect sampler: anchors, oracle agreement, write-once, coupling."""
+"""Perfect sampler: anchors, oracle agreement, exchangeability, coupling."""
 
 import math
 
@@ -11,8 +11,6 @@ from immunochain.reversal import (
     sample_invariant,
     sample_invariant_coupled,
     sample_invariant_histogram,
-    sample_invariant_pai_off,
-    sample_invariant_pai_on,
 )
 from immunochain.rng import replicate_rng
 from immunochain.stats import empirical_tv
@@ -69,17 +67,6 @@ class TestOracleAgreement:
 
 
 class TestSamplerInterface:
-    def test_pai_off_requires_lambda_zero(self):
-        with pytest.raises(ValueError):
-            sample_invariant_pai_off(MatrixParams(M=2, N=2, p=0.5, lambda_m=0.1), 1)
-
-    def test_pai_on_reduces_to_pai_off_at_lambda_zero(self):
-        params = MatrixParams(M=3, N=2, p=0.4, lambda_m=0.0)
-        for seed in range(20):
-            a = sample_invariant_pai_off(params, replicate_rng(seed, 0))
-            b = sample_invariant_pai_on(params, replicate_rng(seed, 0))
-            assert a == b
-
     def test_single_draw_distribution_matches_oracle(self):
         # The per-draw API itself (not just the batch histogram) must
         # produce the stationary law.
@@ -91,49 +78,28 @@ class TestSamplerInterface:
         pi = oracle.stationary_solve(oracle.matrix_generator(params))
         assert empirical_tv(counts / n, pi) < 0.02
 
-    def test_step_cap_raises(self):
-        params = MatrixParams(M=2, N=2, p=0.5)
-        with pytest.raises(RuntimeError, match="exceeded"):
-            sample_invariant(params, 5, max_steps=1)
-
     def test_deterministic_in_seed(self):
         params = MatrixParams(M=3, N=3, p=0.4, lambda_m=0.3)
         assert sample_invariant(params, 123) == sample_invariant(params, 123)
 
+    def test_single_draw_is_the_coupled_draw_at_its_own_rate(self):
+        params = MatrixParams(M=3, N=2, p=0.3, lambda_m=0.1)
+        for seed in range(20):
+            (coupled,) = sample_invariant_coupled(params, [params.lambda_m], seed)
+            assert sample_invariant(params, seed) == coupled
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_large_matrix_count_matches_steady_formula(self, lam):
+        params = MatrixParams(M=200, N=100, p=0.1, lambda_m=lam)
+        rng = replicate_rng(2024, 0)
+        n = 2000
+        counts = np.array([sample_invariant(params, rng).all_ones_count for _ in range(n)])
+        se = counts.std(ddof=1) / math.sqrt(n)
+        exact = analytics.steady_allones_count(params, "exact")
+        assert abs(counts.mean() - exact) < 4.5 * se
+
 
 class TestendogenousProperties:
-    def test_write_once_per_draw(self):
-        # No entry may be determined twice across a draw's trace, and the
-        # emitted matrix must equal the union of row/entry writes.
-        params = MatrixParams(M=3, N=3, p=0.4, lambda_m=0.25)
-        for seed in range(30):
-            trace = []
-            state = sample_invariant(params, seed, trace=trace)
-            seen = 0
-            emitted = 0
-            for kind, _, newly in trace:
-                assert newly & seen == 0, "entry determined twice"
-                seen |= newly
-                if kind in ("row", "entry"):
-                    emitted |= newly
-            assert seen == (1 << 9) - 1
-            assert emitted == state.to_index()
-
-    def test_columns_forbidden_before_any_row_are_zero(self):
-        params = MatrixParams(M=3, N=3, p=0.5, lambda_m=0.0)
-        checked = 0
-        for seed in range(40):
-            trace = []
-            state = sample_invariant(params, seed, trace=trace)
-            first_row_step = next(
-                (i for i, (kind, _, _) in enumerate(trace) if kind == "row"), len(trace)
-            )
-            for i, (kind, idx, _) in enumerate(trace):
-                if kind == "column" and i < first_row_step:
-                    assert state.entries[:, idx].sum() == 0
-                    checked += 1
-        assert checked > 0
-
     def test_column_exchangeability(self):
         # Any two columns have the same marginal pattern law.
         params = MatrixParams(M=2, N=2, p=0.4, lambda_m=0.2)

@@ -168,12 +168,6 @@ class TestBatch:
         b = hitting_time_batch(params, 50, master_seed=5)
         assert np.array_equal(a, b)
 
-    def test_batch_independent_of_worker_count(self):
-        params = SingleColumnParams(M=3, alpha=1.0, p=0.5)
-        seq = hitting_time_batch(params, 40, master_seed=6, workers=1)
-        par = hitting_time_batch(params, 40, master_seed=6, workers=4)
-        assert np.array_equal(seq, par)
-
     def test_matrix_batch(self):
         params = MatrixParams(M=2, N=2, p=0.4)
         taus = hitting_time_batch(params, 30, master_seed=8)
