@@ -1,8 +1,9 @@
 """Continuous-time Markov models of gradual learning under resets.
 
-Exact Gillespie simulation, closed-form stationary and hitting-time
-analysis, perfect stationary sampling by time reversal, a brute-force
-validation oracle, and a Monte Carlo replication harness.
+Exact Gillespie simulation (regenerative for single-column hitting
+times), closed-form stationary and hitting-time analysis, perfect
+stationary sampling by time reversal, a brute-force validation oracle,
+and a Monte Carlo replication harness.
 """
 
 from .models import (

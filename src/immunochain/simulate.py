@@ -1,11 +1,23 @@
 """Exact event-driven simulation of both chains.
 
-True Gillespie sampling: the holding time in a state is exponential with
-the total outgoing rate and the next event is chosen proportionally to
-the individual rates. For the matrix chain the total rate
+Gillespie sampling: the holding time in a state is exponential with the
+total outgoing rate and the next event is chosen proportionally to the
+individual rates. For the matrix chain the total rate
 ``p + q + N*lambda_m`` is constant over states (event classes carry
 equal within-class rates), so each step costs O(1) draws: one for the
 holding time, one for the event class, one for the index.
+
+A single-column run that only asks for the first hitting time of M
+(stop ``column_reaches_m``, no horizon, no series) is drawn
+regeneratively instead. The walk up from 0 is a sequence of climbs that
+either reset from some level or reach M, so the hitting time is a
+geometric number of failed climbs plus one successful one; the climbs'
+top levels give the number of visits to each level, and since holding
+times are independent of which jump ends them, the time spent at a level
+is a gamma variate with that many exponential holding times. The law is
+exactly Gillespie's, at a cost that does not grow with the event count.
+Gillespie remains the path for every other run and the reference the
+tests compare against.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -15,10 +27,13 @@ of execution order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import analytics
 from .models import (
     COLUMN_ZERO,
     ENTRY_SET,
@@ -46,6 +61,11 @@ STOP_FIRST_FULL_COLUMN = "first_full_column"
 STOP_TIME_HORIZON = "time_horizon"
 
 _BLOCK = 8192
+
+# A hit-only run whose climb from 0 reaches M with smaller probability
+# than this is refused: it needs more climbs than a geometric draw (or
+# a Gillespie loop) can count, so it would be wrong or never finish.
+MIN_REACH_PROBABILITY = 1e-15
 
 
 @dataclass(frozen=True)
@@ -109,6 +129,55 @@ class Trajectory:
         return int(self.series_values[idx])
 
 
+@dataclass(frozen=True)
+class _ColumnTables:
+    """Per-level constants of the single-column chain, shared by both paths.
+
+    ``inv_total[k]`` is the mean holding time at level k and ``up_frac[k]``
+    the probability that the jump from 0 < k < M goes up. ``reach[k]`` is
+    the probability that a climb from 0 gets to level k, ``neg_reach`` its
+    negation (ascending, for bisection), and ``fail_law[k-1]`` the law of
+    a failed climb's top level k in 1..M-1.
+    """
+
+    inv_total: tuple[float, ...]
+    up_frac: tuple[float, ...]
+    reach: tuple[float, ...]
+    neg_reach: tuple[float, ...]
+    inv_total_array: np.ndarray
+    fail_law: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _column_tables(params: SingleColumnParams) -> _ColumnTables:
+    M = params.M
+    up_rate = [params.alpha * params.q * (1.0 - k / M) for k in range(M + 1)]
+    inv_total = [0.0] * (M + 1)
+    up_frac = [0.0] * (M + 1)
+    for k in range(M + 1):
+        total = up_rate[k] + (params.p if k > 0 else 0.0)
+        inv_total[k] = 1.0 / total
+        if 0 < k < M:
+            up_frac[k] = up_rate[k] * inv_total[k]
+    reach = [1.0, 1.0]
+    for k in range(1, M):
+        reach.append(reach[k] * up_frac[k])
+    fail = np.array([reach[k] * params.p * inv_total[k] for k in range(1, M)])
+    if fail.size:
+        fail /= fail.sum()
+    inv_total_array = np.array(inv_total[:M])
+    inv_total_array.flags.writeable = False
+    fail.flags.writeable = False
+    return _ColumnTables(
+        inv_total=tuple(inv_total),
+        up_frac=tuple(up_frac),
+        reach=tuple(reach),
+        neg_reach=tuple(-r for r in reach),
+        inv_total_array=inv_total_array,
+        fail_law=fail,
+    )
+
+
 def simulate_single_column(
     params: SingleColumnParams, config: SimulationConfig, start: int = 0
 ) -> Trajectory:
@@ -117,6 +186,14 @@ def simulate_single_column(
     Stops at the first hit of k = M under ``column_reaches_m`` (possibly
     capped by ``horizon``), or runs to the horizon under ``time_horizon``
     with the chain continuing through M (resets keep occurring).
+
+    A ``column_reaches_m`` run with no horizon, no series and
+    ``start < M`` is drawn regeneratively (see the module docstring):
+    the same law as the event loop, but only ``tau``, ``end_time``,
+    ``end_value`` and ``n_events`` come out. Any ``column_reaches_m`` run
+    without a horizon raises ``ValueError`` when a climb from 0 reaches M
+    with probability below ``MIN_REACH_PROBABILITY``: neither path could
+    count that many climbs.
     """
     if config.stop_condition == STOP_FIRST_FULL_COLUMN:
         raise ValueError("first_full_column applies to the matrix chain; use column_reaches_m")
@@ -127,15 +204,19 @@ def simulate_single_column(
     stop_on_hit = config.stop_condition == STOP_COLUMN_REACHES_M
     horizon = config.horizon
     rng = replicate_rng(config.master_seed, config.replicate_index)
+    tables = _column_tables(params)
+    if stop_on_hit and horizon is None and start < M:
+        if tables.reach[M] < MIN_REACH_PROBABILITY:
+            raise ValueError(
+                f"{params}: a climb from 0 reaches M with probability {tables.reach[M]:.3g} "
+                f"(< {MIN_REACH_PROBABILITY:g}); the exact mean hitting time "
+                f"{analytics.hitting_time_mean_exact(params, start):.4g} is beyond simulation"
+            )
+        if not config.record_series:
+            return _regenerative_hit(tables, M, start, rng)
 
-    up_rate = [params.alpha * params.q * (1.0 - k / M) for k in range(M + 1)]
-    inv_total = [0.0] * (M + 1)
-    up_frac = [0.0] * (M + 1)
-    for k in range(M + 1):
-        total = up_rate[k] + (params.p if k > 0 else 0.0)
-        inv_total[k] = 1.0 / total
-        if 0 < k < M:
-            up_frac[k] = up_rate[k] * inv_total[k]
+    inv_total = tables.inv_total
+    up_frac = tables.up_frac
 
     times = [0.0] if config.record_series else None
     values = [start] if config.record_series else None
@@ -184,6 +265,38 @@ def simulate_single_column(
         series_times=np.array(times) if times is not None else None,
         series_values=np.array(values, dtype=np.int64) if values is not None else None,
     )
+
+
+def _regenerative_hit(
+    tables: _ColumnTables, M: int, start: int, rng: np.random.Generator
+) -> Trajectory:
+    """First hit of M from ``start`` < M, drawn climb by climb.
+
+    The first climb, from ``start``, reaches level k with probability
+    ``reach[k] / reach[start]``, so one uniform fixes its top level. If
+    it fails, the walk restarts at 0, where ``geometric(reach[M]) - 1``
+    further climbs fail before one succeeds; a multinomial gives the
+    failed climbs' top levels, and a level is visited once by every climb
+    that gets to it. The time at a level is the sum of its visits'
+    exponential holding times, one gamma variate per level.
+    """
+    reach = tables.reach
+    x = rng.random() * reach[start]
+    if x < reach[M]:
+        # The first climb succeeds and visits each level once; a vector of
+        # exponentials costs far less per call than one of gamma variates.
+        tau = float(rng.standard_exponential(M - start) @ tables.inv_total_array[start:])
+        return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=M - start)
+    top = bisect_left(tables.neg_reach, -x) - 1
+    failed = int(rng.geometric(reach[M])) - 1
+    visits = np.ones(M, dtype=np.int64)
+    if failed:
+        tops = rng.multinomial(failed, tables.fail_law)
+        visits[0] += failed
+        visits[1:] += tops[::-1].cumsum()[::-1]
+    visits[start : top + 1] += 1
+    tau = float(rng.standard_gamma(visits) @ tables.inv_total_array)
+    return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=int(visits.sum()))
 
 
 def simulate_matrix(

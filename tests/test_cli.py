@@ -80,6 +80,11 @@ class TestExitCodes:
                     "--p", "0.5", "--out", str(blocker / "sub")])
         assert code == 2
 
+    def test_unreachable_hitting_target_is_config_error(self, tmp_path, capsys):
+        assert run(["simulate", "--model", "single-column", "--M", "64", "--p", "0.3",
+                    "--replicates", "1", "--format", "json", "--out", str(tmp_path)]) == 1
+        assert "beyond simulation" in capsys.readouterr().err
+
     def test_verify_small_passes(self, capsys):
         assert run(["verify", "--small", "--seed", "3"]) == 0
         out = capsys.readouterr().out

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from immunochain import analytics, oracle
+from immunochain import simulate as simulate_module
 from immunochain.models import (
     COLUMN_ZERO,
     ENTRY_SET,
@@ -176,6 +178,107 @@ class TestBatch:
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             hitting_time_batch(SingleColumnParams(M=2, alpha=1.0, p=0.5), 0, master_seed=1)
+
+
+class TestRegenerativeHit:
+    """Hit-only single-column runs are drawn climb by climb, not event by event.
+
+    The event loop (reached here through ``record_series=True``) is the
+    reference; every tolerance is fixed in advance.
+    """
+
+    PARAMS = SingleColumnParams(M=8, alpha=1.3, p=0.2)
+
+    def test_law_matches_event_loop(self):
+        n_fast, n_slow = 20_000, 3000
+        fast = [simulate_single_column(self.PARAMS, hit_config(606, r)) for r in range(n_fast)]
+        slow = [
+            simulate_single_column(self.PARAMS, hit_config(607, r, record_series=True))
+            for r in range(n_slow)
+        ]
+        assert fast[0].series_times is None and fast[0].end_value == self.PARAMS.M
+        assert all(t.end_time == t.tau for t in fast)
+        tau_fast = np.array([t.tau for t in fast])
+        _, p_value = ks_2samp(tau_fast, [t.tau for t in slow])
+        assert p_value > 0.001
+        exact = analytics.hitting_time_mean_exact(self.PARAMS, 0)
+        se = math.sqrt(analytics.hitting_time_variance_exact(self.PARAMS, 0) / n_fast)
+        assert abs(tau_fast.mean() - exact) < 4 * se
+        ev_fast = np.array([t.n_events for t in fast], dtype=float)
+        ev_slow = np.array([t.n_events for t in slow], dtype=float)
+        se = math.sqrt(ev_fast.var(ddof=1) / n_fast + ev_slow.var(ddof=1) / n_slow)
+        assert abs(ev_fast.mean() - ev_slow.mean()) < 4 * se
+
+    def test_visit_bookkeeping_with_scripted_draws(self):
+        # Scripted draws: the first climb from level 2 resets from level 4,
+        # then two climbs from 0 reset from levels 1 and 6, then one climb
+        # succeeds. Gamma variates return their shape, so tau is the sum
+        # of visits times mean holding times.
+        params, start = self.PARAMS, 2
+        M = params.M
+        up = [1.0] + [
+            params.alpha * params.q * (1 - k / M) / (params.alpha * params.q * (1 - k / M) + params.p)
+            for k in range(1, M)
+        ]
+        reach = np.concatenate([[1.0], np.cumprod(up)])
+
+        class Scripted:
+            def random(self):
+                return 0.5 * (reach[4] + reach[5]) / reach[start]
+
+            def geometric(self, p):
+                assert p == pytest.approx(reach[M], rel=1e-12)
+                return 3
+
+            def multinomial(self, n, pvals):
+                assert n == 2 and len(pvals) == M - 1
+                return np.array([1, 0, 0, 0, 0, 1, 0])
+
+            def standard_gamma(self, shape):
+                return np.asarray(shape, dtype=float)
+
+        visits = np.array([3, 3, 3, 3, 3, 2, 2, 1])
+        traj = simulate_module._regenerative_hit(
+            simulate_module._column_tables(params), M, start, Scripted()
+        )
+        rates = [params.alpha * params.q * (1 - k / M) + (params.p if k else 0.0) for k in range(M)]
+        assert traj.n_events == visits.sum() == 20
+        assert traj.tau == pytest.approx(float(np.sum(visits / np.array(rates))), rel=1e-12)
+        assert traj.end_value == M
+
+    @pytest.mark.parametrize("start", range(1, 8))
+    def test_mean_from_every_start(self, start):
+        n = 4000
+        taus = [
+            simulate_single_column(self.PARAMS, hit_config(700 + start, r), start=start).tau
+            for r in range(n)
+        ]
+        exact = analytics.hitting_time_mean_exact(self.PARAMS, start)
+        se = math.sqrt(analytics.hitting_time_variance_exact(self.PARAMS, start) / n)
+        assert abs(np.mean(taus) - exact) < 4 * se
+
+    def test_mean_and_variance_at_m64(self):
+        params = SingleColumnParams.with_a(64, 1.0)
+        n = 20_000
+        taus = hitting_time_batch(params, n, master_seed=6464)
+        mean = analytics.hitting_time_mean_exact(params, 0)
+        var = analytics.hitting_time_variance_exact(params, 0)
+        assert abs(taus.mean() - mean) < 4 * math.sqrt(var / n)
+        # Standard error of the sample variance from the sample's own
+        # fourth central moment: Var(s^2) ~ (m4 - s^4) / n.
+        dev = taus - taus.mean()
+        s2 = float(np.mean(dev**2))
+        se_var = math.sqrt((float(np.mean(dev**4)) - s2 * s2) / n)
+        assert abs(taus.var(ddof=1) - var) < 4 * se_var
+
+    def test_unreachable_target_fails_loudly(self):
+        # A climb from 0 reaches M=64 with probability 8.7e-24 here; the
+        # exact mean hitting time is 5.4e23.
+        params = SingleColumnParams(M=64, alpha=1.0, p=0.3)
+        with pytest.raises(ValueError, match=r"5\.447e\+23"):
+            hitting_time_batch(params, 1, master_seed=1)
+        with pytest.raises(ValueError, match="beyond simulation"):
+            simulate_single_column(params, hit_config(1, record_series=True))
 
 
 class TestMatrix:
