@@ -1,7 +1,8 @@
 """Continuous-time Markov models of gradual learning under resets.
 
-Exact Gillespie simulation (regenerative for single-column hitting
-times), closed-form stationary and hitting-time analysis, perfect
+Exact simulation (matrix runs from per-column reset epochs,
+single-column hitting times from regenerative climbs, Gillespie for the
+rest), closed-form stationary and hitting-time analysis, perfect
 stationary sampling by time reversal, a brute-force validation oracle,
 and a Monte Carlo replication harness.
 """

@@ -311,8 +311,7 @@ def steady_allones_count(params: MatrixParams, method: str = EXACT) -> float:
     if method == EXACT:
         return params.N * steady_allones_probability(params)
     if method == ASYMPTOTIC:
-        bt = params.b_tilde
-        return params.N * math.exp(gammaln(1 + bt) - bt * math.log(params.M))
+        return _power_law_count(params, math.log(params.M))
     raise ValueError(f"method must be 'exact' or 'asymptotic', got {method!r}")
 
 
@@ -320,8 +319,19 @@ def _steady_allones_count_asymptotic_rate_scaled(params: MatrixParams) -> float:
     # Variant with the rate-scaled base (M/q_tilde)^b_tilde; kept only for
     # comparison, the exact Gamma ratio arbitrates. It differs from the
     # exact value by the constant factor q_tilde^b_tilde in the limit.
+    return _power_law_count(params, math.log(params.M / params.q_tilde))
+
+
+def _power_law_count(params: MatrixParams, log_base: float) -> float:
+    """N * Gamma(1 + b_tilde) / base^b_tilde, or ``ValueError`` past double precision."""
     bt = params.b_tilde
-    return params.N * math.exp(gammaln(1 + bt) - bt * math.log(params.M / params.q_tilde))
+    try:
+        return params.N * math.exp(gammaln(1 + bt) - bt * log_base)
+    except OverflowError:
+        raise ValueError(
+            f"{params}: the power-law steady count overflows double precision at "
+            f"b_tilde = {bt:.4g}; only the exact count applies here"
+        ) from None
 
 
 def steady_allones_count_reports(params: MatrixParams) -> tuple[ClosedFormReport, ...]:

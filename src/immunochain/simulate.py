@@ -1,4 +1,4 @@
-"""Exact event-driven simulation of both chains.
+"""Exact simulation of both chains.
 
 Gillespie sampling: the holding time in a state is exponential with the
 total outgoing rate and the next event is chosen proportionally to the
@@ -14,10 +14,26 @@ either reset from some level or reach M, so the hitting time is a
 geometric number of failed climbs plus one successful one; the climbs'
 top levels give the number of visits to each level, and since holding
 times are independent of which jump ends them, the time spent at a level
-is a gamma variate with that many exponential holding times. The law is
-exactly Gillespie's, at a cost that does not grow with the event count.
-Gillespie remains the path for every other run and the reference the
-tests compare against.
+is a gamma variate with that many exponential holding times.
+
+A matrix run that does not record its events is drawn from per-column
+reset epochs. Poisson clocks are independent on disjoint intervals, so a
+column's state depends only on the row and entry clocks since its own
+last reset. Within a window of time the row rings and the column resets
+are drawn first (Poisson counts, uniform labels and times); between two
+resets of column j, entry (i, j) is set at row i's first ring or the
+entry's own first ring, whichever is earlier, and the column is full
+from the last of these M times until its next reset. Windows chain from
+each column's state at the end of the last one, which bounds the arrays
+a window needs. The event count adds the entry rings: the first one of
+each entry and epoch is drawn, the rest are Poisson in the time left.
+
+Both constructions have exactly Gillespie's law. The climbs cost a few
+draws per level whatever the event count. The epochs cost about
+``q + p*M`` array cells per unit time, against ``p + q + N*lambda_m``
+Python-loop steps for the event loop. The event loop remains the path
+for every other run (single-column series and horizon runs, matrix runs
+with ``record_events``) and the reference the tests compare against.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -60,11 +76,25 @@ STOP_COLUMN_REACHES_M = "column_reaches_m"
 STOP_FIRST_FULL_COLUMN = "first_full_column"
 STOP_TIME_HORIZON = "time_horizon"
 
+# The event loops draw uniforms in blocks that start at _FIRST_BLOCK and
+# double up to _BLOCK, so a short run does not pay for a long run's block.
+_FIRST_BLOCK = 64
 _BLOCK = 8192
 
-# A hit-only run whose climb from 0 reaches M with smaller probability
-# than this is refused: it needs more climbs than a geometric draw (or
-# a Gillespie loop) can count, so it would be wrong or never finish.
+# A matrix window spans _WINDOW_CELLS / (q + p*M) time units: about that
+# many row rings plus reset-epoch-by-row cells. Per-cell arrays are built
+# in chunks of at most _WINDOW_CELLS cells, however large N*M is. A hit
+# may come long before a window ends, so a hit run's first window holds
+# max(_FIRST_WINDOW_CELLS, N*M) such cells and each next one twice as
+# many, up to the full width.
+_WINDOW_CELLS = 1 << 14
+_FIRST_WINDOW_CELLS = 1 << 10
+
+# A hit-only run whose target is reached from a reset with smaller
+# probability than this is refused: a single-column climb from 0 to M, or
+# a matrix column filling between two of its resets. It needs more climbs
+# or epochs than a geometric draw (or an event loop) can count, so it
+# would be wrong or never finish.
 MIN_REACH_PROBABILITY = 1e-15
 
 
@@ -228,11 +258,13 @@ def simulate_single_column(
     log1p = math.log1p
 
     if not (stop_on_hit and tau is not None):
-        buf = rng.random(_BLOCK)
+        block = _FIRST_BLOCK
+        buf = rng.random(block)
         pos = 0
         while True:
-            if pos + 2 >= _BLOCK:
-                buf = rng.random(_BLOCK)
+            if pos + 2 >= block:
+                block = min(2 * block, _BLOCK)
+                buf = rng.random(block)
                 pos = 0
             dt = -log1p(-buf[pos]) * inv_total[k]
             if horizon is not None and t + dt > horizon:
@@ -306,8 +338,17 @@ def simulate_matrix(
 
     Tracks the all-ones column count; ``tau`` is the first time it
     becomes positive. The recorded series holds the count at each change.
-    With ``record_events`` the full event list and final matrix are kept
-    (intended for small cross-check runs, not production batches).
+
+    A run without ``record_events`` is drawn from per-column reset epochs
+    (see the module docstring): ``tau``, ``end_time``, ``end_value``, the
+    series and ``n_events`` have the event loop's joint law, at a cost
+    that grows with the row rings, resets and epoch-by-row cells, not with
+    the events. With ``record_events`` the event loop runs and also keeps
+    the full event list and final matrix (intended for small cross-check
+    runs, not production batches). Any ``first_full_column`` run without a
+    horizon raises ``ValueError`` when one reset epoch fills its column
+    with probability below ``MIN_REACH_PROBABILITY``: neither path could
+    count that many epochs.
     """
     if config.stop_condition == STOP_COLUMN_REACHES_M:
         raise ValueError("column_reaches_m applies to the single-column chain; use first_full_column")
@@ -316,10 +357,175 @@ def simulate_matrix(
         start = MatrixState.zeros(M, N)
     if start.M != M or start.N != N:
         raise ValueError("start state shape does not match parameters")
+    if (
+        config.stop_condition == STOP_FIRST_FULL_COLUMN
+        and config.horizon is None
+        and start.all_ones_count == 0
+    ):
+        reach = analytics.steady_allones_probability(params)
+        if reach < MIN_REACH_PROBABILITY:
+            raise ValueError(
+                f"{params}: a column fills between two of its resets with probability "
+                f"{reach:.3g} (< {MIN_REACH_PROBABILITY:g}); the first full column is "
+                "beyond simulation"
+            )
+    rng = replicate_rng(config.master_seed, config.replicate_index)
+    if config.record_events:
+        return _matrix_event_loop(params, config, start, rng)
+    return _matrix_epochs(params, config, start, rng)
 
+
+def _matrix_epochs(
+    params: MatrixParams, config: SimulationConfig, start: MatrixState, rng: np.random.Generator
+) -> Trajectory:
+    """A matrix run drawn window by window from per-column reset epochs."""
+    M = params.M
+    horizon = config.horizon
+    stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
+    cells_per_time = params.q + params.p * M
+    width = _WINDOW_CELLS / cells_per_time
+    span = min(width, max(_FIRST_WINDOW_CELLS, M * params.N) / cells_per_time) if stop_on_hit else width
+    filled = start.entries.T.astype(bool)  # filled[j, i]: entry (i, j) is one
+    full = start.all_ones_count
+    tau = 0.0 if full else None
+    t = 0.0
+    n_events = 0
+    spare_time = 0.0
+    gains: list[np.ndarray] = []
+    losses: list[np.ndarray] = []
+
+    if not (stop_on_hit and tau is not None):
+        while True:
+            t1 = t + span if horizon is None else min(t + span, horizon)
+            span = min(2 * span, width)
+            gained, lost, events, spare, filled = _epoch_window(params, rng, filled, t, t1, stop_on_hit)
+            n_events += events
+            spare_time += spare
+            gains.append(gained)
+            losses.append(lost)
+            if tau is None and gained.size:
+                tau = float(gained.min())
+                if stop_on_hit:
+                    t, full = tau, gained.size
+                    break
+            t = t1
+            if t == horizon:
+                full = int(np.count_nonzero(filled.all(axis=1)))
+                break
+    if spare_time > 0:
+        n_events += int(rng.poisson(params.lambda_m / M * spare_time))
+
+    times = values = None
+    if config.record_series:
+        times, values = _count_series(start.all_ones_count, gains, losses)
+    return Trajectory(
+        tau=tau, end_time=t, end_value=full, n_events=n_events,
+        series_times=times, series_values=values,
+    )
+
+
+def _epoch_window(
+    params: MatrixParams,
+    rng: np.random.Generator,
+    filled: np.ndarray,
+    t0: float,
+    t1: float,
+    stop_on_hit: bool,
+) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray]:
+    """One window ``[t0, t1)`` of a matrix run, from the column states ``filled`` at ``t0``.
+
+    Column j's epochs run between ``t0``, its resets and ``t1``. In an
+    epoch from s, entry (i, j) is set at the first ring of row i after s
+    or at the entry's own first ring, s + Exp(lambda_m/M), whichever is
+    earlier (at s if it is one at ``t0`` and s is ``t0``), and the column
+    is full from the last of these times to the epoch's end.
+
+    Returns the times columns became full (columns full at ``t0`` are
+    carried, not counted), the times full columns were reset, the events
+    up to the window's end, the summed time that entry clocks ran on after
+    their first ring (their further rings are Poisson in it) and the
+    column states at ``t1``. Under ``stop_on_hit`` the window ends at its
+    first full column, if any.
+    """
+    M, N = params.M, params.N
+    span = t1 - t0
+    # Labels are floor(u * count), as in the event loop, which is far
+    # cheaper per call than Generator.integers.
+    ring_t = t0 + span * np.sort(rng.random(rng.poisson(params.q * span)))
+    ring_row = (rng.random(ring_t.size) * M).astype(np.intp)
+    reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
+    reset_col = (rng.random(reset_t.size) * N).astype(np.intp)
+
+    # Epoch j < N is column j's from t0; epoch N + r is the one from reset r.
+    n_resets = reset_t.size
+    starts = np.concatenate((np.full(N, t0), reset_t))
+    cols = np.concatenate((np.arange(N), reset_col))
+    bucket = np.concatenate((np.zeros(N, dtype=np.intp), np.arange(1, n_resets + 1)))
+    order = np.argsort(cols, kind="stable")  # column by column, each in time order
+    succ = cols[order[1:]] == cols[order[:-1]]
+    ends = np.full(N + n_resets, t1)
+    ends[order[:-1][succ]] = starts[order[1:][succ]]
+    last = np.ones(N + n_resets, dtype=bool)
+    last[order[:-1][succ]] = False
+
+    # next_ring[b, i]: row i's first ring after start b (t0, then each
+    # reset): each ring goes to the last start before it, then a backward
+    # running minimum carries later rings to earlier starts.
+    next_ring = np.full((n_resets + 1, M), np.inf)
+    np.minimum.at(next_ring, (np.searchsorted(reset_t, ring_t), ring_row), ring_t)
+    next_ring = np.minimum.accumulate(next_ring[::-1], axis=0)[::-1]
+
+    fill = np.empty(N + n_resets)
+    filled_next = np.empty_like(filled)
+    entry_rings = []
+    step = max(1, _WINDOW_CELLS // M)
+    for lo in range(0, N + n_resets, step):
+        hi = min(lo + step, N + n_resets)
+        set_at = next_ring[bucket[lo:hi]]
+        if lo < N:
+            top = min(hi, N)
+            set_at[: top - lo][filled[lo:top]] = t0
+        if params.lambda_m > 0:
+            first = starts[lo:hi, None] + rng.exponential(M / params.lambda_m, size=set_at.shape)
+            np.minimum(set_at, first, out=set_at)
+            entry_rings.append((lo, hi, first))
+        fill[lo:hi] = set_at.max(axis=1)
+        keep = last[lo:hi]
+        filled_next[cols[lo:hi][keep]] = set_at[keep] < t1
+
+    valid = fill < ends
+    gained = fill[valid & (fill > t0)]
+    end = float(gained.min()) if stop_on_hit and gained.size else t1
+    gained = gained[gained <= end]
+    lost = ends[valid & (ends < end)]
+    n_events = int(np.searchsorted(ring_t, end, "right") + np.searchsorted(reset_t, end, "right"))
+    spare = 0.0
+    for lo, hi, first in entry_rings:
+        gap = np.minimum(ends[lo:hi], end)[:, None] - first
+        n_events += int(np.count_nonzero(gap >= 0))
+        spare += float(np.maximum(gap, 0.0, out=gap).sum())
+    return gained, lost, n_events, spare, filled_next
+
+
+def _count_series(initial: int, gains, losses) -> tuple[np.ndarray, np.ndarray]:
+    """The all-ones count at 0 and after each change, from the times columns
+    became full and the times full columns were reset."""
+    up = np.concatenate([np.empty(0), *gains])
+    down = np.concatenate([np.empty(0), *losses])
+    at, which = np.unique(np.concatenate((up, down)), return_inverse=True)
+    net = np.bincount(which, weights=np.repeat([1.0, -1.0], [up.size, down.size]), minlength=at.size)
+    moved = net != 0
+    values = initial + np.concatenate(([0.0], np.cumsum(net[moved])))
+    return np.concatenate(([0.0], at[moved])), values.astype(np.int64)
+
+
+def _matrix_event_loop(
+    params: MatrixParams, config: SimulationConfig, start: MatrixState, rng: np.random.Generator
+) -> Trajectory:
+    """A matrix run stepped event by event (Gillespie), keeping what ``config`` records."""
+    M, N = params.M, params.N
     stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
     horizon = config.horizon
-    rng = replicate_rng(config.master_seed, config.replicate_index)
 
     total = params.total_rate
     inv_total = 1.0 / total
@@ -341,11 +547,13 @@ def simulate_matrix(
     log1p = math.log1p
 
     if not (stop_on_hit and tau is not None):
-        buf = rng.random(_BLOCK)
+        block = _FIRST_BLOCK
+        buf = rng.random(block)
         pos = 0
         while True:
-            if pos + 3 >= _BLOCK:
-                buf = rng.random(_BLOCK)
+            if pos + 3 >= block:
+                block = min(2 * block, _BLOCK)
+                buf = rng.random(block)
                 pos = 0
             dt = -log1p(-buf[pos]) * inv_total
             u_class = buf[pos + 1]

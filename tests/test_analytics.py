@@ -352,6 +352,16 @@ class TestSteadyAllOnes:
         with pytest.raises(ValueError):
             steady_allones_count(MatrixParams(M=2, N=2, p=0.5), "guess")
 
+    def test_power_law_beyond_double_range_is_refused(self):
+        # b_tilde = 6336: the power laws exceed double precision, the exact
+        # count does not.
+        params = MatrixParams(M=64, N=1, p=0.99)
+        assert steady_allones_count(params, "exact") == pytest.approx(4.417e-155, rel=1e-3)
+        with pytest.raises(ValueError, match="overflows double precision"):
+            steady_allones_count(params, "asymptotic")
+        with pytest.raises(ValueError, match="overflows double precision"):
+            steady_allones_count_reports(params)
+
 
 class TestTransitionTime:
     def test_fig_parameter_values(self):

@@ -85,6 +85,17 @@ class TestExitCodes:
                     "--replicates", "1", "--format", "json", "--out", str(tmp_path)]) == 1
         assert "beyond simulation" in capsys.readouterr().err
 
+    def test_unreachable_matrix_target_is_config_error(self, tmp_path, capsys):
+        # The power-law steady count in the predictions overflows first; the
+        # library's own refusal is tested in test_simulate.py.
+        assert run(["simulate", "--model", "matrix", "--M", "64", "--N", "1", "--p", "0.99",
+                    "--replicates", "1", "--format", "json", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        # At p = 0.5 the predictions are finite and the simulation refuses.
+        assert run(["simulate", "--model", "matrix", "--M", "64", "--N", "1", "--p", "0.5",
+                    "--replicates", "1", "--format", "json", "--out", str(tmp_path)]) == 1
+        assert "beyond simulation" in capsys.readouterr().err
+
     def test_verify_small_passes(self, capsys):
         assert run(["verify", "--small", "--seed", "3"]) == 0
         out = capsys.readouterr().out

@@ -399,3 +399,153 @@ class TestMatrix:
         assert traj.value_at(4.0) == 2
         with pytest.raises(ValueError):
             traj.value_at(-1.0)
+
+
+def _z_means(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return abs(a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+
+
+def _var_se2(x):
+    # Squared standard error of the sample variance, from the sample's own
+    # fourth central moment: Var(s^2) ~ (m4 - s^4) / n.
+    dev = x - x.mean()
+    s2 = float(np.mean(dev**2))
+    return (float(np.mean(dev**4)) - s2 * s2) / x.size
+
+
+def _z_vars(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return abs(a.var(ddof=1) - b.var(ddof=1)) / math.sqrt(_var_se2(a) + _var_se2(b))
+
+
+def _runs(params, seed, n, start=None, **kw):
+    return [
+        simulate_matrix(params, SimulationConfig(master_seed=seed, replicate_index=r, **kw), start=start)
+        for r in range(n)
+    ]
+
+
+class TestEpochPath:
+    """Matrix runs without ``record_events`` are drawn from per-column reset epochs.
+
+    The event loop (reached through ``record_events=True``) is the
+    reference; every tolerance is fixed in advance: z < 4, KS p > 0.001.
+    """
+
+    T = 15.0
+
+    @staticmethod
+    def point(lam):
+        return MatrixParams(M=6, N=4, p=0.3, lambda_m=lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_end_count_matches_event_loop(self, lam):
+        params = self.point(lam)
+        fast = _runs(params, 5100, 6000, horizon=self.T)
+        slow = _runs(params, 5101, 2000, horizon=self.T, record_events=True)
+        assert fast[0].events is None and fast[0].final_matrix is None
+        assert all(t.end_time == self.T for t in fast)
+        ends_fast = [t.end_value for t in fast]
+        ends_slow = [t.end_value for t in slow]
+        assert _z_means(ends_fast, ends_slow) < 4
+        assert _z_vars(ends_fast, ends_slow) < 4
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_event_count_is_poisson(self, lam):
+        # Every clock rings whatever the state, so a horizon run's event
+        # count is exactly Poisson(total_rate * T).
+        params = self.point(lam)
+        n = 6000
+        events = np.array([t.n_events for t in _runs(params, 5200, n, horizon=self.T)], dtype=float)
+        mu = params.total_rate * self.T
+        assert abs(events.mean() - mu) < 4 * math.sqrt(mu / n)
+        assert abs(events.var(ddof=1) - mu) < 4 * math.sqrt((mu + 2 * mu * mu) / n)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_first_full_column_law(self, lam):
+        params = MatrixParams(M=3, N=2, p=0.45, lambda_m=lam)
+        fast = _runs(params, 5300, 4000, stop_condition=STOP_FIRST_FULL_COLUMN)
+        slow = _runs(params, 5301, 2000, stop_condition=STOP_FIRST_FULL_COLUMN, record_events=True)
+        assert all(t.end_time == t.tau and t.end_value >= 1 for t in fast)
+        _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
+        assert p_value > 0.001
+        assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
+        assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
+
+    def test_count_at_grid_times(self):
+        params = self.point(0.2)
+        fast = _runs(params, 5400, 4000, horizon=self.T, record_series=True)
+        slow = _runs(params, 5401, 2000, horizon=self.T, record_series=True, record_events=True)
+        for t in (2.5, 5.0, 7.5, 10.0, 12.5, self.T):
+            assert _z_means([r.value_at(t) for r in fast], [r.value_at(t) for r in slow]) < 4, t
+
+    def test_nonzero_start(self):
+        params = MatrixParams(M=3, N=2, p=0.3, lambda_m=0.2)
+        start = MatrixState.from_entries([[1, 1], [1, 0], [0, 1]])
+        fast = _runs(params, 5500, 4000, start=start, horizon=2.0)
+        slow = _runs(params, 5501, 2000, start=start, horizon=2.0, record_events=True)
+        assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
+        hit = dict(start=start, stop_condition=STOP_FIRST_FULL_COLUMN)
+        fast = _runs(params, 5502, 4000, **hit)
+        slow = _runs(params, 5503, 2000, record_events=True, **hit)
+        _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
+        assert p_value > 0.001
+
+    def test_full_start_column_is_carried(self):
+        params = MatrixParams(M=2, N=3, p=0.4, lambda_m=0.1)
+        start = MatrixState.from_entries([[1, 0, 1], [1, 1, 1]])
+        traj = simulate_matrix(
+            params, SimulationConfig(master_seed=3, horizon=50.0, record_series=True), start=start
+        )
+        assert traj.tau == 0.0
+        assert traj.series_times[0] == 0.0 and traj.series_values[0] == 2
+        assert (np.diff(traj.series_times) > 0).all()
+
+    def test_horizon_spanning_many_windows(self):
+        # Four windows, the last one time unit long: a window that did not
+        # start from the state the previous one ended in would show in the
+        # count at the horizon, which is stationary by then.
+        params = MatrixParams(M=3, N=2, p=0.3, lambda_m=0.2)
+        width = simulate_module._WINDOW_CELLS / (params.q + params.p * params.M)
+        horizon = 3 * width + 1.0
+        n = 300
+        runs = _runs(params, 5600, n, horizon=horizon)
+        ends = np.array([t.end_value for t in runs], dtype=float)
+        exact = params.N * analytics.steady_allones_probability(params)
+        assert abs(ends.mean() - exact) < 4 * ends.std(ddof=1) / math.sqrt(n)
+        mu = params.total_rate * horizon
+        events = np.array([t.n_events for t in runs], dtype=float)
+        assert abs(events.mean() - mu) < 4 * math.sqrt(mu / n)
+
+    def test_series_invariants(self):
+        cases = [
+            (MatrixParams(M=1, N=1, p=0.5), dict(horizon=300.0), None),
+            (MatrixParams(M=4, N=3, p=0.2, lambda_m=0.3), dict(horizon=200.0), None),
+            (MatrixParams(M=2, N=5, p=0.6), dict(horizon=100.0),
+             MatrixState.from_entries([[1, 1, 0, 0, 1], [1, 0, 1, 0, 1]])),
+            (MatrixParams(M=3, N=2, p=0.45, lambda_m=0.3),
+             dict(stop_condition=STOP_FIRST_FULL_COLUMN), None),
+            (MatrixParams(M=8, N=2, p=0.9), dict(stop_condition=STOP_FIRST_FULL_COLUMN, horizon=5.0), None),
+        ]
+        for params, kw, start in cases:
+            for traj in _runs(params, 5700, 30, start=start, record_series=True, **kw):
+                times, values = traj.series_times, traj.series_values
+                assert times[0] == 0.0
+                assert values[0] == (0 if start is None else start.all_ones_count)
+                assert (np.diff(times) > 0).all()
+                assert (np.diff(values) != 0).all()
+                assert traj.value_at(traj.end_time) == traj.end_value
+                if kw.get("stop_condition") == STOP_FIRST_FULL_COLUMN and traj.tau is not None:
+                    assert traj.tau == times[-1] == traj.end_time
+
+    def test_unreachable_target_fails_loudly(self):
+        # One reset epoch of a column fills it with probability 4.42e-155.
+        params = MatrixParams(M=64, N=1, p=0.99)
+        with pytest.raises(ValueError, match=r"4\.42e-155"):
+            hitting_time_batch(params, 1, master_seed=1)
+        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, record_events=True)
+        with pytest.raises(ValueError, match="beyond simulation"):
+            simulate_matrix(params, cfg)
+        capped = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, horizon=10.0)
+        assert simulate_matrix(params, capped).tau is None
