@@ -2,9 +2,13 @@
 
 Exact simulation (matrix runs from per-column reset epochs,
 single-column hitting times from regenerative climbs, Gillespie for the
-rest), closed-form stationary and hitting-time analysis, perfect
-stationary sampling by time reversal, a brute-force validation oracle,
-and a Monte Carlo replication harness.
+other single-column runs), closed-form stationary and hitting-time
+analysis, perfect stationary sampling by time reversal, a brute-force
+validation oracle, and a Monte Carlo replication harness.
+
+The matrix chain's Gillespie simulator, the reference the epoch path is
+tested against, is :mod:`immunochain.reference`; it is imported on its
+own, never by the package.
 """
 
 from .models import (

@@ -41,6 +41,7 @@ __all__ = [
     "steady_allones_probability",
     "steady_allones_count",
     "steady_allones_count_reports",
+    "STEADY_COUNT_FORMULAS",
     "transition_time_prediction",
     "transition_time_report",
     "identify_parameters",
@@ -334,16 +335,20 @@ def _power_law_count(params: MatrixParams, log_base: float) -> float:
         ) from None
 
 
+# Every steady-count estimate as (formula id, method, function of the
+# parameters); the power laws raise ValueError past double precision.
+STEADY_COUNT_FORMULAS = (
+    ("steady_count_gamma_ratio", EXACT, lambda params: steady_allones_count(params, EXACT)),
+    ("steady_count_power_law", ASYMPTOTIC, lambda params: steady_allones_count(params, ASYMPTOTIC)),
+    ("steady_count_power_law_rate_scaled", ASYMPTOTIC, _steady_allones_count_asymptotic_rate_scaled),
+)
+
+
 def steady_allones_count_reports(params: MatrixParams) -> tuple[ClosedFormReport, ...]:
     """All steady-count estimates, each tagged with its formula id."""
-    return (
-        ClosedFormReport(steady_allones_count(params, EXACT), EXACT, "steady_count_gamma_ratio"),
-        ClosedFormReport(steady_allones_count(params, ASYMPTOTIC), ASYMPTOTIC, "steady_count_power_law"),
-        ClosedFormReport(
-            _steady_allones_count_asymptotic_rate_scaled(params),
-            ASYMPTOTIC,
-            "steady_count_power_law_rate_scaled",
-        ),
+    return tuple(
+        ClosedFormReport(formula(params), method, formula_id)
+        for formula_id, method, formula in STEADY_COUNT_FORMULAS
     )
 
 

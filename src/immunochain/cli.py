@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -88,8 +89,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown observables {sorted(unknown)}; known: {list(_OBSERVABLES)}")
         if self.replicates is not None and self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ConfigError("horizon must be positive")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
         mixed_p = self.pd is not None and self.p is not None
         mixed_lam = self.pm is not None and (self.lambda_m is not None or self.alpha is not None)
         if mixed_p or mixed_lam:
@@ -177,6 +178,25 @@ def _report_dicts(reports) -> list[dict]:
     ]
 
 
+def _matrix_predictions(params: MatrixParams, *leading: analytics.ClosedFormReport) -> dict:
+    """Summary keys for ``leading`` and every steady all-ones count estimate.
+
+    An estimate that leaves double precision goes under
+    ``unavailable_predictions`` with the reason, so the rest are still
+    written; the key is absent when every estimate is finite.
+    """
+    reports, unavailable = list(leading), []
+    for formula_id, method, formula in analytics.STEADY_COUNT_FORMULAS:
+        try:
+            reports.append(analytics.ClosedFormReport(formula(params), method, formula_id))
+        except ValueError as exc:
+            unavailable.append({"method": method, "formula_id": formula_id, "reason": str(exc)})
+    out = {"predictions": _report_dicts(reports)}
+    if unavailable:
+        out["unavailable_predictions"] = unavailable
+    return out
+
+
 def _analyze_payload(config: ExperimentConfig) -> dict:
     out: dict = {"config": _echo_config(config)}
     if config.model == MODEL_MATRIX:
@@ -186,9 +206,7 @@ def _analyze_payload(config: ExperimentConfig) -> dict:
             "lambda_m": params.lambda_m, "q_tilde": params.q_tilde,
             "b": params.b, "b_tilde": params.b_tilde,
         }
-        out["predictions"] = _report_dicts(
-            (analytics.transition_time_report(params),) + analytics.steady_allones_count_reports(params)
-        )
+        out.update(_matrix_predictions(params, analytics.transition_time_report(params)))
         out["steady_allones_probability"] = analytics.steady_allones_probability(params)
         out["transition_time_prediction"] = analytics.transition_time_prediction(params)
     else:
@@ -227,17 +245,15 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     if config.model == MODEL_MATRIX:
         params = config.matrix_params()
         simulate, hit_stop = simulate_matrix, STOP_FIRST_FULL_COLUMN
-        predictions = _report_dicts(
-            (analytics.transition_time_report(params),) + analytics.steady_allones_count_reports(params)
-        )
+        predictions = _matrix_predictions(params, analytics.transition_time_report(params))
     else:
         params = config.single_column_params()
         simulate, hit_stop = simulate_single_column, STOP_COLUMN_REACHES_M
-        predictions = _report_dicts([
+        predictions = {"predictions": _report_dicts([
             analytics.ClosedFormReport(
                 analytics.hitting_time_mean_exact(params, 0), "exact", "hitting_mean_recursion"
             ),
-        ])
+        ])}
     stop = STOP_TIME_HORIZON if config.horizon is not None else hit_stop
     for r in range(n):
         sim = SimulationConfig(
@@ -259,7 +275,7 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
                     last = v
 
     finite = [t for t in taus if t is not None]
-    summary = {"config": _echo_config(config), "predictions": predictions}
+    summary = {"config": _echo_config(config), **predictions}
     if config.wants("taus"):
         summary["taus"] = taus
         summary["n_missing_tau"] = len(taus) - len(finite)
@@ -289,15 +305,13 @@ def _cmd_sample_steady(config: ExperimentConfig) -> int:
     for r in range(config.replicates):
         state = reversal.sample_invariant(params, replicate_rng(config.seed, r))
         counts[r] = state.all_ones_count
-    est = estimate_mean(counts, master_seed=config.seed)
-    summary = {
-        "config": _echo_config(config),
-        "predictions": _report_dicts(analytics.steady_allones_count_reports(params)),
-        "all_ones_count_mean": {
+    summary = {"config": _echo_config(config), **_matrix_predictions(params)}
+    if config.replicates >= 2:
+        est = estimate_mean(counts, master_seed=config.seed)
+        summary["all_ones_count_mean"] = {
             "point": est.point, "half_width": est.half_width,
             "level": est.level, "n": est.n, "master_seed": est.master_seed,
-        },
-    }
+        }
     out_dir = Path(config.out)
     _write_summary(out_dir / "summary.json", summary)
     if config.format == "csv":
@@ -347,9 +361,7 @@ def emit_figure_data(config: ExperimentConfig) -> int:
                ["p_m", "predicted_transition_time"], rows)
 
     summary = {"config": _echo_config(config),
-               "predictions": _report_dicts(
-                   (analytics.transition_time_report(params),)
-                   + analytics.steady_allones_count_reports(params))}
+               **_matrix_predictions(params, analytics.transition_time_report(params))}
     _write_summary(out_dir / "summary.json", summary)
     return 0
 

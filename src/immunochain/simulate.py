@@ -1,11 +1,9 @@
 """Exact simulation of both chains.
 
-Gillespie sampling: the holding time in a state is exponential with the
-total outgoing rate and the next event is chosen proportionally to the
-individual rates. For the matrix chain the total rate
-``p + q + N*lambda_m`` is constant over states (event classes carry
-equal within-class rates), so each step costs O(1) draws: one for the
-holding time, one for the event class, one for the index.
+Single-column series and horizon runs step event by event (Gillespie):
+the holding time at level k is exponential with the total outgoing rate
+and the jump goes up or resets in proportion to the two rates, one or two
+uniforms per step.
 
 A single-column run that only asks for the first hitting time of M
 (stop ``column_reaches_m``, no horizon, no series) is drawn
@@ -16,24 +14,24 @@ top levels give the number of visits to each level, and since holding
 times are independent of which jump ends them, the time spent at a level
 is a gamma variate with that many exponential holding times.
 
-A matrix run that does not record its events is drawn from per-column
-reset epochs. Poisson clocks are independent on disjoint intervals, so a
-column's state depends only on the row and entry clocks since its own
-last reset. Within a window of time the row rings and the column resets
-are drawn first (Poisson counts, uniform labels and times); between two
-resets of column j, entry (i, j) is set at row i's first ring or the
-entry's own first ring, whichever is earlier, and the column is full
-from the last of these M times until its next reset. Windows chain from
-each column's state at the end of the last one, which bounds the arrays
-a window needs. The event count adds the entry rings: the first one of
-each entry and epoch is drawn, the rest are Poisson in the time left.
+Every matrix run is drawn from per-column reset epochs. Poisson clocks
+are independent on disjoint intervals, so a column's state depends only
+on the row and entry clocks since its own last reset. Within a window of
+time the row rings and the column resets are drawn first (Poisson counts,
+uniform labels and times); between two resets of column j, entry (i, j)
+is set at row i's first ring or the entry's own first ring, whichever is
+earlier, and the column is full from the last of these M times until its
+next reset. Windows chain from each column's state at the end of the last
+one, which bounds the arrays a window needs. The event count adds the
+entry rings: the first one of each entry and epoch is drawn, the rest are
+Poisson in the time left.
 
 Both constructions have exactly Gillespie's law. The climbs cost a few
 draws per level whatever the event count. The epochs cost about
 ``q + p*M`` array cells per unit time, against ``p + q + N*lambda_m``
-Python-loop steps for the event loop. The event loop remains the path
-for every other run (single-column series and horizon runs, matrix runs
-with ``record_events``) and the reference the tests compare against.
+steps of an event loop. The matrix chain's event loop lives apart, in
+:mod:`immunochain.reference`, as the reference the tests compare the
+epochs against.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -50,15 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import analytics
-from .models import (
-    COLUMN_ZERO,
-    ENTRY_SET,
-    ROW_SET,
-    MatrixEvent,
-    MatrixParams,
-    MatrixState,
-    SingleColumnParams,
-)
+from .models import MatrixParams, MatrixState, SingleColumnParams
 from .rng import replicate_rng
 
 __all__ = [
@@ -76,7 +66,7 @@ STOP_COLUMN_REACHES_M = "column_reaches_m"
 STOP_FIRST_FULL_COLUMN = "first_full_column"
 STOP_TIME_HORIZON = "time_horizon"
 
-# The event loops draw uniforms in blocks that start at _FIRST_BLOCK and
+# The event loop draws uniforms in blocks that start at _FIRST_BLOCK and
 # double up to _BLOCK, so a short run does not pay for a long run's block.
 _FIRST_BLOCK = 64
 _BLOCK = 8192
@@ -104,9 +94,8 @@ class SimulationConfig:
 
     ``horizon`` is required for the time-horizon stop condition and acts
     as an optional cap otherwise (a run that hits the cap before its
-    stop predicate reports ``tau=None``). Series recording stores the
-    observable after every change; event recording stores full
-    timestamped events (matrix chain only) and is meant for small runs.
+    stop predicate reports ``tau=None``); when given it must be positive
+    and finite. Series recording stores the observable after every change.
     """
 
     master_seed: int
@@ -114,7 +103,6 @@ class SimulationConfig:
     horizon: float | None = None
     stop_condition: str = STOP_TIME_HORIZON
     record_series: bool = False
-    record_events: bool = False
 
     def __post_init__(self):
         if self.stop_condition not in (
@@ -123,11 +111,10 @@ class SimulationConfig:
             STOP_TIME_HORIZON,
         ):
             raise ValueError(f"unknown stop condition {self.stop_condition!r}")
-        if self.stop_condition == STOP_TIME_HORIZON:
-            if self.horizon is None or not self.horizon > 0:
-                raise ValueError("time-horizon stop requires a positive horizon")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ValueError("horizon must be positive when given")
+        if self.stop_condition == STOP_TIME_HORIZON and self.horizon is None:
+            raise ValueError("time-horizon stop requires a positive horizon")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite when given, got {self.horizon!r}")
 
 
 @dataclass
@@ -147,8 +134,6 @@ class Trajectory:
     n_events: int
     series_times: np.ndarray | None = None
     series_values: np.ndarray | None = None
-    events: list[MatrixEvent] | None = None
-    final_matrix: MatrixState | None = None
 
     def value_at(self, t: float) -> int:
         if self.series_times is None:
@@ -339,16 +324,16 @@ def simulate_matrix(
     Tracks the all-ones column count; ``tau`` is the first time it
     becomes positive. The recorded series holds the count at each change.
 
-    A run without ``record_events`` is drawn from per-column reset epochs
-    (see the module docstring): ``tau``, ``end_time``, ``end_value``, the
-    series and ``n_events`` have the event loop's joint law, at a cost
-    that grows with the row rings, resets and epoch-by-row cells, not with
-    the events. With ``record_events`` the event loop runs and also keeps
-    the full event list and final matrix (intended for small cross-check
-    runs, not production batches). Any ``first_full_column`` run without a
-    horizon raises ``ValueError`` when one reset epoch fills its column
-    with probability below ``MIN_REACH_PROBABILITY``: neither path could
-    count that many epochs.
+    Every run is drawn window by window from per-column reset epochs (see
+    the module docstring): ``tau``, ``end_time``, ``end_value``, the series
+    and ``n_events`` have the joint law of the event-by-event chain, at a
+    cost that grows with the row rings, resets and epoch-by-row cells, not
+    with the events. A run that needs the events themselves or the final
+    matrix is a job for the Gillespie reference,
+    :func:`immunochain.reference.matrix_gillespie`. Any
+    ``first_full_column`` run without a horizon raises ``ValueError`` when
+    one reset epoch fills its column with probability below
+    ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
     """
     if config.stop_condition == STOP_COLUMN_REACHES_M:
         raise ValueError("column_reaches_m applies to the single-column chain; use first_full_column")
@@ -370,21 +355,11 @@ def simulate_matrix(
                 "beyond simulation"
             )
     rng = replicate_rng(config.master_seed, config.replicate_index)
-    if config.record_events:
-        return _matrix_event_loop(params, config, start, rng)
-    return _matrix_epochs(params, config, start, rng)
-
-
-def _matrix_epochs(
-    params: MatrixParams, config: SimulationConfig, start: MatrixState, rng: np.random.Generator
-) -> Trajectory:
-    """A matrix run drawn window by window from per-column reset epochs."""
-    M = params.M
     horizon = config.horizon
     stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
     cells_per_time = params.q + params.p * M
     width = _WINDOW_CELLS / cells_per_time
-    span = min(width, max(_FIRST_WINDOW_CELLS, M * params.N) / cells_per_time) if stop_on_hit else width
+    span = min(width, max(_FIRST_WINDOW_CELLS, M * N) / cells_per_time) if stop_on_hit else width
     filled = start.entries.T.astype(bool)  # filled[j, i]: entry (i, j) is one
     full = start.all_ones_count
     tau = 0.0 if full else None
@@ -449,8 +424,8 @@ def _epoch_window(
     """
     M, N = params.M, params.N
     span = t1 - t0
-    # Labels are floor(u * count), as in the event loop, which is far
-    # cheaper per call than Generator.integers.
+    # Labels are floor(u * count), which is far cheaper per call than
+    # Generator.integers.
     ring_t = t0 + span * np.sort(rng.random(rng.poisson(params.q * span)))
     ring_row = (rng.random(ring_t.size) * M).astype(np.intp)
     reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
@@ -517,100 +492,6 @@ def _count_series(initial: int, gains, losses) -> tuple[np.ndarray, np.ndarray]:
     moved = net != 0
     values = initial + np.concatenate(([0.0], np.cumsum(net[moved])))
     return np.concatenate(([0.0], at[moved])), values.astype(np.int64)
-
-
-def _matrix_event_loop(
-    params: MatrixParams, config: SimulationConfig, start: MatrixState, rng: np.random.Generator
-) -> Trajectory:
-    """A matrix run stepped event by event (Gillespie), keeping what ``config`` records."""
-    M, N = params.M, params.N
-    stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
-    horizon = config.horizon
-
-    total = params.total_rate
-    inv_total = 1.0 / total
-    thr_row = params.q * inv_total
-    thr_col = (params.q + params.p) * inv_total
-    MN = M * N
-
-    A = start.entries.copy()
-    cc = start.column_counts.copy()
-    full = int(np.count_nonzero(cc == M))
-
-    times = [0.0] if config.record_series else None
-    values = [full] if config.record_series else None
-    events: list[MatrixEvent] | None = [] if config.record_events else None
-
-    t = 0.0
-    tau = 0.0 if full > 0 else None
-    n_events = 0
-    log1p = math.log1p
-
-    if not (stop_on_hit and tau is not None):
-        block = _FIRST_BLOCK
-        buf = rng.random(block)
-        pos = 0
-        while True:
-            if pos + 3 >= block:
-                block = min(2 * block, _BLOCK)
-                buf = rng.random(block)
-                pos = 0
-            dt = -log1p(-buf[pos]) * inv_total
-            u_class = buf[pos + 1]
-            u_index = buf[pos + 2]
-            pos += 3
-            if horizon is not None and t + dt > horizon:
-                t = horizon
-                break
-            t += dt
-            n_events += 1
-            if u_class < thr_row:
-                j = int(u_index * M)
-                row = A[j]
-                newly = row == 0
-                if newly.any():
-                    row[newly] = 1
-                    cc[newly] += 1
-                    full = int(np.count_nonzero(cc == M))
-                if events is not None:
-                    events.append(MatrixEvent(ROW_SET, row=j, time=t))
-            elif u_class < thr_col:
-                i = int(u_index * N)
-                if cc[i]:
-                    if cc[i] == M:
-                        full -= 1
-                    A[:, i] = 0
-                    cc[i] = 0
-                if events is not None:
-                    events.append(MatrixEvent(COLUMN_ZERO, col=i, time=t))
-            else:
-                e = int(u_index * MN)
-                i, j = divmod(e, N)
-                if A[i, j] == 0:
-                    A[i, j] = 1
-                    cc[j] += 1
-                    if cc[j] == M:
-                        full += 1
-                if events is not None:
-                    events.append(MatrixEvent(ENTRY_SET, row=i, col=j, time=t))
-            if times is not None and values[-1] != full:
-                times.append(t)
-                values.append(full)
-            if full > 0 and tau is None:
-                tau = t
-                if stop_on_hit:
-                    break
-
-    return Trajectory(
-        tau=tau,
-        end_time=t,
-        end_value=full,
-        n_events=n_events,
-        series_times=np.array(times) if times is not None else None,
-        series_values=np.array(values, dtype=np.int64) if values is not None else None,
-        events=events,
-        final_matrix=MatrixState.from_entries(A) if config.record_events else None,
-    )
 
 
 def _one_tau(params, master_seed: int, replicate: int, start) -> float:

@@ -86,8 +86,8 @@ class TestExitCodes:
         assert "beyond simulation" in capsys.readouterr().err
 
     def test_unreachable_matrix_target_is_config_error(self, tmp_path, capsys):
-        # The power-law steady count in the predictions overflows first; the
-        # library's own refusal is tested in test_simulate.py.
+        # The power-law steady count overflows here, but that only moves it
+        # out of the predictions; the simulator's own guard refuses the run.
         assert run(["simulate", "--model", "matrix", "--M", "64", "--N", "1", "--p", "0.99",
                     "--replicates", "1", "--format", "json", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -95,6 +95,15 @@ class TestExitCodes:
         assert run(["simulate", "--model", "matrix", "--M", "64", "--N", "1", "--p", "0.5",
                     "--replicates", "1", "--format", "json", "--out", str(tmp_path)]) == 1
         assert "beyond simulation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, model", [
+        ("simulate", "matrix"), ("simulate", "single-column"), ("figure-data", "matrix"),
+    ])
+    def test_non_finite_horizon_is_config_error(self, tmp_path, capsys, command, model):
+        assert run([command, "--model", model, "--M", "3", "--N", "2", "--p", "0.3",
+                    "--replicates", "1", "--horizon", "inf", "--format", "json",
+                    "--out", str(tmp_path)]) == 1
+        assert "positive and finite" in capsys.readouterr().err
 
     def test_verify_small_passes(self, capsys):
         assert run(["verify", "--small", "--seed", "3"]) == 0
@@ -126,6 +135,22 @@ class TestAnalyze:
         assert "steady_count_gamma_ratio" in ids
         methods = {p["method"] for p in summary["predictions"]}
         assert methods == {"exact", "asymptotic"}
+        assert "unavailable_predictions" not in summary
+
+    def test_power_law_overflow_keeps_the_exact_reports(self, tmp_path):
+        # b_tilde = 6336: the power law leaves double precision, the exact
+        # count and the transition time do not.
+        out = tmp_path / "out"
+        assert run(["analyze", "--model", "matrix", "--M", "64", "--N", "1",
+                    "--p", "0.99", "--out", str(out)]) == 0
+        summary = read_summary(out)
+        values = {p["formula_id"]: p["value"] for p in summary["predictions"]}
+        assert values["steady_count_gamma_ratio"] == pytest.approx(4.417e-155, rel=1e-3)
+        assert values["transition_time_mlogm"] == pytest.approx(64 * np.log(64) / 0.01)
+        unavailable = summary["unavailable_predictions"]
+        assert [u["formula_id"] for u in unavailable] == ["steady_count_power_law"]
+        assert "overflows double precision" in unavailable[0]["reason"]
+        assert unavailable[0]["formula_id"] not in values
 
     def test_single_column_summary(self, tmp_path):
         out = tmp_path / "out"
@@ -215,6 +240,14 @@ class TestSampleSteady:
         exact = next(p["value"] for p in summary["predictions"]
                      if p["formula_id"] == "steady_count_gamma_ratio")
         assert abs(est["point"] - exact) < 5 * (est["half_width"] / 1.96 + 1e-9) + 0.05
+
+    def test_single_replicate_writes_no_mean(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["sample-steady", "--model", "matrix", "--M", "2", "--N", "2",
+                    "--p", "0.4", "--replicates", "1", "--seed", "5",
+                    "--out", str(out)]) == 0
+        assert "all_ones_count_mean" not in read_summary(out)
+        assert len((out / "samples.csv").read_text().splitlines()) == 3
 
     def test_rejects_single_column(self, tmp_path):
         assert run(["sample-steady", "--model", "single-column", "--M", "2",

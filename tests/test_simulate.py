@@ -1,11 +1,17 @@
-"""Gillespie engine: determinism, exact-law checks, cross-module agreement."""
+"""Simulation: determinism, exact-law checks, cross-module agreement."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import ks_2samp
 
+import immunochain
 from immunochain import analytics, oracle
 from immunochain import simulate as simulate_module
 from immunochain.models import (
@@ -17,6 +23,7 @@ from immunochain.models import (
     SingleColumnParams,
     apply_event,
 )
+from immunochain.reference import matrix_gillespie
 from immunochain.simulate import (
     STOP_COLUMN_REACHES_M,
     STOP_FIRST_FULL_COLUMN,
@@ -44,6 +51,12 @@ class TestConfigValidation:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(master_seed=1, stop_condition=STOP_COLUMN_REACHES_M, horizon=-1.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    @pytest.mark.parametrize("stop", [STOP_TIME_HORIZON, STOP_COLUMN_REACHES_M, STOP_FIRST_FULL_COLUMN])
+    def test_non_finite_horizon_rejected(self, stop, horizon):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimulationConfig(master_seed=1, stop_condition=stop, horizon=horizon)
 
     def test_unknown_stop_rejected(self):
         with pytest.raises(ValueError):
@@ -284,22 +297,16 @@ class TestRegenerativeHit:
 class TestMatrix:
     def test_lambda_zero_never_sets_entries(self):
         params = MatrixParams(M=3, N=2, p=0.4, lambda_m=0.0)
-        cfg = SimulationConfig(
-            master_seed=13, stop_condition=STOP_TIME_HORIZON, horizon=200.0,
-            record_events=True,
-        )
-        traj = simulate_matrix(params, cfg)
-        assert traj.n_events > 50
-        assert all(ev.kind != ENTRY_SET for ev in traj.events)
+        cfg = SimulationConfig(master_seed=13, stop_condition=STOP_TIME_HORIZON, horizon=200.0)
+        traj, events, _ = matrix_gillespie(params, cfg)
+        assert traj.n_events == len(events) > 50
+        assert all(ev.kind != ENTRY_SET for ev in events)
 
     def test_entry_events_present_with_lambda(self):
         params = MatrixParams(M=3, N=2, p=0.4, lambda_m=0.5)
-        cfg = SimulationConfig(
-            master_seed=13, stop_condition=STOP_TIME_HORIZON, horizon=100.0,
-            record_events=True,
-        )
-        traj = simulate_matrix(params, cfg)
-        assert any(ev.kind == ENTRY_SET for ev in traj.events)
+        cfg = SimulationConfig(master_seed=13, stop_condition=STOP_TIME_HORIZON, horizon=100.0)
+        _, events, _ = matrix_gillespie(params, cfg)
+        assert any(ev.kind == ENTRY_SET for ev in events)
 
     def test_two_state_occupancy(self):
         # M = N = 1, p = 1/2: symmetric two-state chain, half time in [1].
@@ -313,28 +320,23 @@ class TestMatrix:
         assert occ[1] == pytest.approx(0.5, abs=0.02)
 
     def test_event_replay_reproduces_final_state(self):
-        # The fast in-place engine must agree with the pure event semantics.
+        # The reference's final matrix and end count are those of its events.
         for seed in (1, 2, 3):
             params = MatrixParams(M=3, N=3, p=0.3, lambda_m=0.2)
-            cfg = SimulationConfig(
-                master_seed=seed, stop_condition=STOP_TIME_HORIZON, horizon=60.0,
-                record_events=True,
-            )
-            traj = simulate_matrix(params, cfg)
+            cfg = SimulationConfig(master_seed=seed, stop_condition=STOP_TIME_HORIZON, horizon=60.0)
+            traj, events, final = matrix_gillespie(params, cfg)
             state = MatrixState.zeros(3, 3)
-            for ev in traj.events:
+            for ev in events:
                 state = apply_event(state, ev)
-            assert state == traj.final_matrix
-            assert traj.final_matrix.counts_consistent()
+            assert state == final
+            assert final.counts_consistent()
+            assert traj.end_value == final.all_ones_count
 
     def test_event_times_strictly_increase(self):
         params = MatrixParams(M=2, N=2, p=0.5, lambda_m=0.1)
-        cfg = SimulationConfig(
-            master_seed=21, stop_condition=STOP_TIME_HORIZON, horizon=100.0,
-            record_events=True,
-        )
-        traj = simulate_matrix(params, cfg)
-        times = [ev.time for ev in traj.events]
+        cfg = SimulationConfig(master_seed=21, stop_condition=STOP_TIME_HORIZON, horizon=100.0)
+        _, events, _ = matrix_gillespie(params, cfg)
+        times = [ev.time for ev in events]
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_full_column_needs_fresh_rows_after_reset(self):
@@ -342,25 +344,19 @@ class TestMatrix:
         # row set after that column's last reset.
         params = MatrixParams(M=3, N=2, p=0.45, lambda_m=0.0)
         for seed in range(6):
-            cfg = SimulationConfig(
-                master_seed=seed, stop_condition=STOP_FIRST_FULL_COLUMN,
-                record_events=True,
-            )
-            traj = simulate_matrix(params, cfg)
+            cfg = SimulationConfig(master_seed=seed, stop_condition=STOP_FIRST_FULL_COLUMN)
+            traj, events, final = matrix_gillespie(params, cfg)
             assert traj.tau is not None
-            full_cols = [
-                j for j in range(2)
-                if traj.final_matrix.column_counts[j] == params.M
-            ]
+            full_cols = [j for j in range(2) if final.column_counts[j] == params.M]
             assert full_cols
             for j in full_cols:
                 last_reset = max(
-                    (ev.time for ev in traj.events if ev.kind == COLUMN_ZERO and ev.col == j),
+                    (ev.time for ev in events if ev.kind == COLUMN_ZERO and ev.col == j),
                     default=0.0,
                 )
                 for i in range(params.M):
                     row_times = [
-                        ev.time for ev in traj.events
+                        ev.time for ev in events
                         if ev.kind == ROW_SET and ev.row == i and ev.time > last_reset
                     ]
                     assert row_times, f"row {i} never set after reset of column {j}"
@@ -426,11 +422,18 @@ def _runs(params, seed, n, start=None, **kw):
     ]
 
 
-class TestEpochPath:
-    """Matrix runs without ``record_events`` are drawn from per-column reset epochs.
+def _reference_runs(params, seed, n, start=None, **kw):
+    return [
+        matrix_gillespie(params, SimulationConfig(master_seed=seed, replicate_index=r, **kw), start=start)[0]
+        for r in range(n)
+    ]
 
-    The event loop (reached through ``record_events=True``) is the
-    reference; every tolerance is fixed in advance: z < 4, KS p > 0.001.
+
+class TestEpochPath:
+    """Matrix runs are drawn from per-column reset epochs.
+
+    The Gillespie simulator in ``immunochain.reference`` is the reference;
+    every tolerance is fixed in advance: z < 4, KS p > 0.001.
     """
 
     T = 15.0
@@ -443,8 +446,7 @@ class TestEpochPath:
     def test_end_count_matches_event_loop(self, lam):
         params = self.point(lam)
         fast = _runs(params, 5100, 6000, horizon=self.T)
-        slow = _runs(params, 5101, 2000, horizon=self.T, record_events=True)
-        assert fast[0].events is None and fast[0].final_matrix is None
+        slow = _reference_runs(params, 5101, 2000, horizon=self.T)
         assert all(t.end_time == self.T for t in fast)
         ends_fast = [t.end_value for t in fast]
         ends_slow = [t.end_value for t in slow]
@@ -466,7 +468,7 @@ class TestEpochPath:
     def test_first_full_column_law(self, lam):
         params = MatrixParams(M=3, N=2, p=0.45, lambda_m=lam)
         fast = _runs(params, 5300, 4000, stop_condition=STOP_FIRST_FULL_COLUMN)
-        slow = _runs(params, 5301, 2000, stop_condition=STOP_FIRST_FULL_COLUMN, record_events=True)
+        slow = _reference_runs(params, 5301, 2000, stop_condition=STOP_FIRST_FULL_COLUMN)
         assert all(t.end_time == t.tau and t.end_value >= 1 for t in fast)
         _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
         assert p_value > 0.001
@@ -476,7 +478,7 @@ class TestEpochPath:
     def test_count_at_grid_times(self):
         params = self.point(0.2)
         fast = _runs(params, 5400, 4000, horizon=self.T, record_series=True)
-        slow = _runs(params, 5401, 2000, horizon=self.T, record_series=True, record_events=True)
+        slow = _reference_runs(params, 5401, 2000, horizon=self.T, record_series=True)
         for t in (2.5, 5.0, 7.5, 10.0, 12.5, self.T):
             assert _z_means([r.value_at(t) for r in fast], [r.value_at(t) for r in slow]) < 4, t
 
@@ -484,11 +486,11 @@ class TestEpochPath:
         params = MatrixParams(M=3, N=2, p=0.3, lambda_m=0.2)
         start = MatrixState.from_entries([[1, 1], [1, 0], [0, 1]])
         fast = _runs(params, 5500, 4000, start=start, horizon=2.0)
-        slow = _runs(params, 5501, 2000, start=start, horizon=2.0, record_events=True)
+        slow = _reference_runs(params, 5501, 2000, start=start, horizon=2.0)
         assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
         hit = dict(start=start, stop_condition=STOP_FIRST_FULL_COLUMN)
         fast = _runs(params, 5502, 4000, **hit)
-        slow = _runs(params, 5503, 2000, record_events=True, **hit)
+        slow = _reference_runs(params, 5503, 2000, **hit)
         _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
         assert p_value > 0.001
 
@@ -544,8 +546,58 @@ class TestEpochPath:
         params = MatrixParams(M=64, N=1, p=0.99)
         with pytest.raises(ValueError, match=r"4\.42e-155"):
             hitting_time_batch(params, 1, master_seed=1)
-        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, record_events=True)
-        with pytest.raises(ValueError, match="beyond simulation"):
-            simulate_matrix(params, cfg)
         capped = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, horizon=10.0)
         assert simulate_matrix(params, capped).tau is None
+
+
+class TestTransientLaw:
+    """End laws at a fixed time against ``expm(Q*T)`` of the oracle's generator.
+
+    4000 replicates per check, started from zero; chi-square p > 0.001.
+    """
+
+    T = 3.0
+    N_REPS = 4000
+    MATRIX = MatrixParams(M=2, N=2, p=0.4, lambda_m=0.3)
+
+    def matrix_law(self):
+        return expm(oracle.matrix_generator(self.MATRIX).rate_matrix * self.T)[0]
+
+    def test_reference_final_state_histogram(self):
+        config = dict(stop_condition=STOP_TIME_HORIZON, horizon=self.T)
+        finals = [
+            matrix_gillespie(self.MATRIX, SimulationConfig(master_seed=8100, replicate_index=r, **config))[2]
+            for r in range(self.N_REPS)
+        ]
+        counts = np.bincount([s.to_index() for s in finals], minlength=16)
+        _, _, p_value = chi_square_gof(counts, self.matrix_law())
+        assert p_value > 0.001
+
+    def test_epoch_path_end_count(self):
+        M, N = self.MATRIX.M, self.MATRIX.N
+        full = [MatrixState.from_index(M, N, s).all_ones_count for s in range(1 << (M * N))]
+        law = np.bincount(full, weights=self.matrix_law(), minlength=N + 1)
+        ends = [t.end_value for t in _runs(self.MATRIX, 8200, self.N_REPS, horizon=self.T)]
+        _, _, p_value = chi_square_gof(np.bincount(ends, minlength=N + 1), law)
+        assert p_value > 0.001
+
+    def test_single_column_count(self):
+        params = SingleColumnParams(M=4, alpha=1.0, p=0.3)
+        law = expm(oracle.single_column_generator(params).rate_matrix * self.T)[0]
+        ends = [
+            simulate_single_column(params, SimulationConfig(master_seed=8300, replicate_index=r, horizon=self.T))
+            .end_value
+            for r in range(self.N_REPS)
+        ]
+        _, _, p_value = chi_square_gof(np.bincount(ends, minlength=params.M + 1), law)
+        assert p_value > 0.001
+
+
+def test_package_import_leaves_the_reference_out():
+    # The Gillespie reference must never become a production path.
+    src = str(Path(immunochain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, immunochain, immunochain.cli; print('immunochain.reference' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
