@@ -2,7 +2,8 @@
 
 Everything here favours obvious correctness over speed: dense linear
 algebra for stationary laws and first-passage moments, and exact integer
-arithmetic for the coupon-collector count. These are the references the
+arithmetic for the coupon-collector count (the Stirling recurrence, itself
+checked against full enumeration in the tests). These are the references the
 closed forms and samplers are validated against before being trusted at
 scale, so none of them share code with the quantities they check.
 """
@@ -34,9 +35,6 @@ _RESIDUAL_TOL = 1e-10
 
 # State spaces above this are too big to enumerate densely.
 _MAX_STATES = 1 << 16
-
-# Brute-force coupon enumeration is only attempted below this many tuples.
-_BRUTE_FORCE_LIMIT = 300_000
 
 
 @dataclass
@@ -303,7 +301,11 @@ def _surjection_count_dp(n_urns: int, k: int) -> int:
 
 
 def _surjection_count_brute(n_urns: int, k: int) -> int:
-    """Count surjective draw tuples by full enumeration (tiny cases only)."""
+    """Count surjective draw tuples by full enumeration (tiny cases only).
+
+    Not on any production path: it is the tests' reference for
+    :func:`_surjection_count_dp`.
+    """
     full = frozenset(range(n_urns))
     return sum(1 for tup in product(range(n_urns), repeat=k) if frozenset(tup) == full)
 
@@ -311,10 +313,11 @@ def _surjection_count_brute(n_urns: int, k: int) -> int:
 def coupon_enumerate(N: int, k: int) -> Fraction:
     """Exact probability that k uniform draws from N urns hit every urn.
 
-    Counts surjective draw sequences in exact integer arithmetic -
-    by exhaustive enumeration when ``N**k`` is tiny, otherwise through
-    the Stirling-number recurrence (still exact). Returns a Fraction;
-    floats appear only at comparison boundaries in callers.
+    Counts surjective draw sequences in exact integer arithmetic through
+    the Stirling-number recurrence, O(N*k) integer steps; the tests pin it
+    to full enumeration of the ``N**k`` draw tuples on small cases.
+    Returns a Fraction; floats appear only at comparison boundaries in
+    callers.
     """
     if N < 1 or k < 0:
         raise ValueError("need N >= 1 and k >= 0")
@@ -322,8 +325,4 @@ def coupon_enumerate(N: int, k: int) -> Fraction:
         raise ValueError("k too large for exact enumeration")
     if k < N:
         return Fraction(0)
-    if N**k <= _BRUTE_FORCE_LIMIT:
-        surj = _surjection_count_brute(N, k)
-    else:
-        surj = _surjection_count_dp(N, k)
-    return Fraction(surj, N**k)
+    return Fraction(_surjection_count_dp(N, k), N**k)

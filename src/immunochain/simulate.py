@@ -33,6 +33,10 @@ steps of an event loop. The matrix chain's event loop lives apart, in
 :mod:`immunochain.reference`, as the reference the tests compare the
 epochs against.
 
+A time-horizon run expected to take more than ``MAX_EXPECTED_EVENTS``
+events (horizon times the chain's total event rate) is refused with
+``ValueError`` before it starts, so a huge horizon fails loudly.
+
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
 of execution order.
@@ -86,6 +90,11 @@ _FIRST_WINDOW_CELLS = 1 << 10
 # or epochs than a geometric draw (or an event loop) can count, so it
 # would be wrong or never finish.
 MIN_REACH_PROBABILITY = 1e-15
+
+# A time-horizon run whose expected event count, horizon times the chain's
+# total event rate, exceeds this is refused: the epoch windows or the event
+# loop would run for hours instead of failing.
+MAX_EXPECTED_EVENTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -193,6 +202,19 @@ def _column_tables(params: SingleColumnParams) -> _ColumnTables:
     )
 
 
+def _check_event_budget(params, config: SimulationConfig, total_rate: float) -> None:
+    """Refuse a time-horizon run expected to take more than MAX_EXPECTED_EVENTS events."""
+    if config.stop_condition != STOP_TIME_HORIZON:
+        return
+    expected = config.horizon * total_rate
+    if expected > MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"{params}: horizon {config.horizon:g} at total event rate {total_rate:g} "
+            f"means {expected:.3g} expected events (> {MAX_EXPECTED_EVENTS:.0e}); "
+            "shorten the horizon"
+        )
+
+
 def simulate_single_column(
     params: SingleColumnParams, config: SimulationConfig, start: int = 0
 ) -> Trajectory:
@@ -216,6 +238,7 @@ def simulate_single_column(
     if not 0 <= start <= M:
         raise ValueError(f"start must lie in [0, {M}], got {start!r}")
 
+    _check_event_budget(params, config, params.alpha * params.q + params.p)
     stop_on_hit = config.stop_condition == STOP_COLUMN_REACHES_M
     horizon = config.horizon
     rng = replicate_rng(config.master_seed, config.replicate_index)
@@ -342,6 +365,7 @@ def simulate_matrix(
         start = MatrixState.zeros(M, N)
     if start.M != M or start.N != N:
         raise ValueError("start state shape does not match parameters")
+    _check_event_budget(params, config, params.q + params.p + params.lambda_m * N)
     if (
         config.stop_condition == STOP_FIRST_FULL_COLUMN
         and config.horizon is None

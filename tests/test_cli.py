@@ -105,9 +105,27 @@ class TestExitCodes:
                     "--out", str(tmp_path)]) == 1
         assert "positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model_args", [
+        ["--model", "matrix", "--M", "200", "--N", "100", "--p", "0.1"],
+        ["--model", "single-column", "--M", "64", "--p", "0.0154"],
+    ])
+    def test_horizon_beyond_event_cap_is_config_error(self, tmp_path, capsys, model_args):
+        assert run(["simulate", *model_args, "--replicates", "1", "--horizon", "1e12",
+                    "--format", "json", "--out", str(tmp_path)]) == 1
+        assert "expected events" in capsys.readouterr().err
+
     def test_verify_small_passes(self, capsys):
         assert run(["verify", "--small", "--seed", "3"]) == 0
         out = capsys.readouterr().out
+        assert "all checks passed" in out
+
+    def test_verify_full_grid_passes(self, capsys):
+        assert run(["verify", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        ok = [line.split(":")[0].removeprefix("verify ") for line in out.splitlines()
+              if line.startswith("verify ") and line.endswith(" ok")]
+        assert ok == ["invariant-pmf-vs-oracle", "hitting-mean-vs-oracle", "coupon-vs-enumeration",
+                      "steady-probability-vs-oracle", "reversal-sampler-tv"]
         assert "all checks passed" in out
 
     def test_module_run_executes_command(self, tmp_path):

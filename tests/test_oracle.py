@@ -149,9 +149,14 @@ class TestCouponEnumerate:
             for k in range(N, 9):
                 assert _surjection_count_brute(N, k) == _surjection_count_dp(N, k)
 
+    def test_public_count_matches_brute_force(self):
+        for N in range(1, 5):
+            for k in range(0, 9):
+                assert coupon_enumerate(N, k) == Fraction(_surjection_count_brute(N, k), N**k)
+
     def test_large_k_uses_exact_arithmetic(self):
-        # 5^12 tuples is beyond brute force; the recurrence must still be
-        # exact. Reference surjection count from inclusion-exclusion:
+        # Past the grid the brute-force tests enumerate, the recurrence must
+        # still be exact. Reference surjection count from inclusion-exclusion:
         # 5^12 - 5*4^12 + 10*3^12 - 10*2^12 + 5 = 165528000.
         assert coupon_enumerate(5, 12) == Fraction(165528000, 5**12)
 

@@ -58,6 +58,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive and finite"):
             SimulationConfig(master_seed=1, stop_condition=stop, horizon=horizon)
 
+    def test_matrix_horizon_beyond_event_cap_rejected(self):
+        # Total rate q + p + lambda_m*N = 0.5 + 0.5 + 100 = 101, so 2e6 time
+        # units are ~2e8 events; without the entry channel it would be 2e6.
+        params = MatrixParams(M=200, N=100, p=0.5, lambda_m=1.0)
+        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON, horizon=2e6)
+        with pytest.raises(ValueError, match="expected events"):
+            simulate_matrix(params, cfg)
+
+    def test_single_column_horizon_beyond_event_cap_rejected(self):
+        # Total rate alpha*q + p = 3*0.5 + 0.5 = 2, so 6e7 time units are
+        # 1.2e8 events; at q + p it would be 6e7.
+        params = SingleColumnParams(M=64, alpha=3.0, p=0.5)
+        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON, horizon=6e7)
+        with pytest.raises(ValueError, match="expected events"):
+            simulate_single_column(params, cfg)
+
+    def test_event_cap_leaves_hit_runs_alone(self):
+        # A horizon only caps a hit run, which stops at its target.
+        cfg = hit_config(1, horizon=1e12)
+        traj = simulate_single_column(SingleColumnParams(M=2, alpha=1.0, p=0.5), cfg)
+        assert traj.tau is not None
+
     def test_unknown_stop_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(master_seed=1, stop_condition="whenever")
