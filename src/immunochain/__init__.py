@@ -1,14 +1,13 @@
 """Continuous-time Markov models of gradual learning under resets.
 
 Exact simulation (matrix runs from per-column reset epochs,
-single-column hitting times from regenerative climbs, Gillespie for the
-other single-column runs), closed-form stationary and hitting-time
-analysis, perfect stationary sampling by time reversal, a brute-force
-validation oracle, and a Monte Carlo replication harness.
+single-column runs from regenerative climbs), closed-form stationary and
+hitting-time analysis, perfect stationary sampling by time reversal, a
+brute-force validation oracle, and a Monte Carlo replication harness.
 
-The matrix chain's Gillespie simulator, the reference the epoch path is
-tested against, is :mod:`immunochain.reference`; it is imported on its
-own, never by the package.
+Both chains' Gillespie simulators, the references the epochs and the
+climbs are tested against, are :mod:`immunochain.reference`; it is
+imported on its own, never by the package.
 """
 
 from .models import (

@@ -268,11 +268,11 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
             if config.model == MODEL_SINGLE:
                 # Emit the column-complete indicator so the schema is shared.
                 values = (values == params.M).astype(int)
-            last = None
-            for t, v in zip(traj.series_times, values):
-                if last is None or v != last:
-                    rows.append((float(t), int(v), r))
-                    last = v
+            changed = np.ones(values.size, dtype=bool)
+            changed[1:] = values[1:] != values[:-1]
+            rows.extend(
+                (t, v, r) for t, v in zip(traj.series_times[changed].tolist(), values[changed].tolist())
+            )
 
     finite = [t for t in taus if t is not None]
     summary = {"config": _echo_config(config), **predictions}

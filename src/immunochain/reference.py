@@ -1,28 +1,91 @@
-"""Gillespie reference simulator of the matrix chain.
+"""Gillespie reference simulators of both chains.
 
-The chain is stepped one event at a time through :func:`models.apply_event`.
-The total rate ``q + p + N*lambda_m`` is the same in every state, so each
-step draws one exponential holding time, one uniform for the event class
-(row set, column reset, entry set, in proportion to their rates) and one
-for its row, column or entry. Events that leave the matrix as it was, such
-as a reset of an empty column, are kept and counted: every clock rings
-whatever the state.
+Each chain is stepped one event at a time on its own transition rules.
 
-The library draws matrix runs from per-column reset epochs
-(:func:`simulate.simulate_matrix`); this module is the reference that path
-is checked against. It shares no simulation code with it, and the package
-does not import it.
+- The matrix chain steps through :func:`models.apply_event`. The total
+  rate ``q + p + N*lambda_m`` is the same in every state, so each step
+  draws one exponential holding time, one uniform for the event class
+  (row set, column reset, entry set, in proportion to their rates) and
+  one for its row, column or entry. Events that leave the matrix as it
+  was, such as a reset of an empty column, are kept and counted: every
+  clock rings whatever the state.
+- The single column steps on :func:`models.enumerate_rates`: an
+  exponential holding time at the total outgoing rate, then one uniform
+  picks the move in proportion to its rate.
+
+The library draws matrix runs from per-column reset epochs and
+single-column runs from regenerative climbs (:mod:`immunochain.simulate`);
+this module is the reference those paths are checked against. It shares
+no simulation code with them, and the package does not import it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .models import COLUMN_ZERO, ENTRY_SET, ROW_SET, MatrixEvent, MatrixParams, MatrixState, apply_event
+from .models import (
+    COLUMN_ZERO,
+    ENTRY_SET,
+    ROW_SET,
+    MatrixEvent,
+    MatrixParams,
+    MatrixState,
+    SingleColumnParams,
+    apply_event,
+    enumerate_rates,
+)
 from .rng import replicate_rng
 from .simulate import STOP_COLUMN_REACHES_M, STOP_FIRST_FULL_COLUMN, SimulationConfig, Trajectory
 
-__all__ = ["matrix_gillespie"]
+__all__ = ["column_gillespie", "matrix_gillespie"]
+
+
+def column_gillespie(params: SingleColumnParams, config: SimulationConfig, start: int = 0) -> Trajectory:
+    """One single-column run, stepped on :func:`models.enumerate_rates`.
+
+    ``config`` and ``start`` mean what they mean to
+    :func:`simulate.simulate_single_column`, and the run draws from the
+    stream keyed by ``(master_seed, replicate_index)``, though not the same
+    draws. A ``column_reaches_m`` run without a horizon steps until it
+    reaches M, however long that takes.
+    """
+    if config.stop_condition == STOP_FIRST_FULL_COLUMN:
+        raise ValueError("first_full_column applies to the matrix chain; use column_reaches_m")
+    if not 0 <= start <= params.M:
+        raise ValueError(f"start must lie in [0, {params.M}], got {start!r}")
+    rng = replicate_rng(config.master_seed, config.replicate_index)
+    stop_on_hit = config.stop_condition == STOP_COLUMN_REACHES_M
+
+    k, t = start, 0.0
+    tau = 0.0 if k == params.M else None
+    times, values = [0.0], [k]
+    while not (stop_on_hit and tau is not None):
+        moves = enumerate_rates(k, params)
+        total = sum(rate for _, rate in moves)
+        dt = rng.exponential(1.0 / total)
+        if config.horizon is not None and t + dt > config.horizon:
+            t = config.horizon
+            break
+        t += dt
+        u = rng.random() * total
+        for target, rate in moves:
+            if u < rate:
+                break
+            u -= rate
+        k = target
+        times.append(t)
+        values.append(k)
+        if tau is None and k == params.M:
+            tau = t
+
+    return Trajectory(
+        tau=tau,
+        end_time=t,
+        end_value=k,
+        n_events=len(times) - 1,
+        series_times=np.array(times) if config.record_series else None,
+        series_values=np.array(values, dtype=np.int64) if config.record_series else None,
+    )
 
 
 def matrix_gillespie(

@@ -1,18 +1,16 @@
 """Exact simulation of both chains.
 
-Single-column series and horizon runs step event by event (Gillespie):
-the holding time at level k is exponential with the total outgoing rate
-and the jump goes up or resets in proportion to the two rates, one or two
-uniforms per step.
-
-A single-column run that only asks for the first hitting time of M
-(stop ``column_reaches_m``, no horizon, no series) is drawn
-regeneratively instead. The walk up from 0 is a sequence of climbs that
-either reset from some level or reach M, so the hitting time is a
-geometric number of failed climbs plus one successful one; the climbs'
-top levels give the number of visits to each level, and since holding
-times are independent of which jump ends them, the time spent at a level
-is a gamma variate with that many exponential holding times.
+Every single-column run is drawn from regenerative climbs: the walk goes
+up some levels, resets to 0 (from the climb's top level, or from M), and
+climbs again. A climb from level ``lo`` gets to level k with probability
+``reach[k] / reach[lo]``, so one uniform fixes its top level, and a
+level's holding time is exponential with its total rate whichever jump
+ends it. A run that only asks for the first hit of M (no horizon, no
+series) counts its climbs: a geometric number fail before one succeeds,
+and each level's time is one gamma variate over its visits. Every other
+run lays its climbs out in windows (top levels, visited levels, one
+exponential per level, jump times by running sum), cut at the horizon or
+at the first jump to M; each window ends with a reset to 0.
 
 Every matrix run is drawn from per-column reset epochs. Poisson clocks
 are independent on disjoint intervals, so a column's state depends only
@@ -26,16 +24,19 @@ one, which bounds the arrays a window needs. The event count adds the
 entry rings: the first one of each entry and epoch is drawn, the rest are
 Poisson in the time left.
 
-Both constructions have exactly Gillespie's law. The climbs cost a few
-draws per level whatever the event count. The epochs cost about
-``q + p*M`` array cells per unit time, against ``p + q + N*lambda_m``
-steps of an event loop. The matrix chain's event loop lives apart, in
-:mod:`immunochain.reference`, as the reference the tests compare the
-epochs against.
+Both constructions have exactly Gillespie's law; the climbs are the
+column's own jump chain, drawn in another order. Counted climbs cost a few
+draws per level whatever the event count, laid-out climbs one array cell
+per event, and epochs about ``q + p*M`` cells per unit time. Both chains'
+event loops live apart, in :mod:`immunochain.reference`, as the references
+the tests compare these constructions against.
 
-A time-horizon run expected to take more than ``MAX_EXPECTED_EVENTS``
-events (horizon times the chain's total event rate) is refused with
-``ValueError`` before it starts, so a huge horizon fails loudly.
+A run expected to cost more than ``MAX_EXPECTED_EVENTS`` events or cells
+is refused with ``ValueError`` before it starts: a time-horizon run at its
+horizon times ``alpha*q + p`` (column) or the larger of
+``q + p + N*lambda_m`` and ``q + p*M`` (matrix), and a laid-out
+single-column hit run at ``alpha*q + p`` times the shorter of its horizon
+and its exact mean hitting time. Counted climbs are not capped.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -70,17 +71,14 @@ STOP_COLUMN_REACHES_M = "column_reaches_m"
 STOP_FIRST_FULL_COLUMN = "first_full_column"
 STOP_TIME_HORIZON = "time_horizon"
 
-# The event loop draws uniforms in blocks that start at _FIRST_BLOCK and
-# double up to _BLOCK, so a short run does not pay for a long run's block.
-_FIRST_BLOCK = 64
-_BLOCK = 8192
-
-# A matrix window spans _WINDOW_CELLS / (q + p*M) time units: about that
-# many row rings plus reset-epoch-by-row cells. Per-cell arrays are built
-# in chunks of at most _WINDOW_CELLS cells, however large N*M is. A hit
-# may come long before a window ends, so a hit run's first window holds
-# max(_FIRST_WINDOW_CELLS, N*M) such cells and each next one twice as
-# many, up to the full width.
+# A window holds about _WINDOW_CELLS array cells: a matrix window's row
+# rings and reset-epoch-by-row cells, so it spans _WINDOW_CELLS / (q + p*M)
+# time units and builds per-cell arrays in chunks of at most _WINDOW_CELLS,
+# however large N*M is; a single-column window's climb levels. A run may
+# end long before a window does, so a matrix hit run's first window holds
+# max(_FIRST_WINDOW_CELLS, N*M) cells, a single-column run's first window
+# _FIRST_WINDOW_CELLS, and each next one twice as many, up to the full
+# width.
 _WINDOW_CELLS = 1 << 14
 _FIRST_WINDOW_CELLS = 1 << 10
 
@@ -91,9 +89,8 @@ _FIRST_WINDOW_CELLS = 1 << 10
 # would be wrong or never finish.
 MIN_REACH_PROBABILITY = 1e-15
 
-# A time-horizon run whose expected event count, horizon times the chain's
-# total event rate, exceeds this is refused: the epoch windows or the event
-# loop would run for hours instead of failing.
+# A run expected to cost more events or epoch cells than this is refused:
+# its windows would run for hours instead of failing.
 MAX_EXPECTED_EVENTS = 10**8
 
 
@@ -157,18 +154,18 @@ class Trajectory:
 class _ColumnTables:
     """Per-level constants of the single-column chain, shared by both paths.
 
-    ``inv_total[k]`` is the mean holding time at level k and ``up_frac[k]``
-    the probability that the jump from 0 < k < M goes up. ``reach[k]`` is
-    the probability that a climb from 0 gets to level k, ``neg_reach`` its
-    negation (ascending, for bisection), and ``fail_law[k-1]`` the law of
-    a failed climb's top level k in 1..M-1.
+    ``inv_total[k]`` is the mean holding time at level k (``1/p`` at M).
+    ``reach[k]`` is the probability that a climb from 0 gets to level k,
+    ``neg_reach`` its negation (ascending, for bisection), ``neg_log_reach``
+    minus its logarithm, summed level by level so that it stays finite
+    where ``reach`` underflows to 0, and ``fail_law[k-1]`` the law of a
+    failed climb's top level k in 1..M-1.
     """
 
-    inv_total: tuple[float, ...]
-    up_frac: tuple[float, ...]
+    inv_total: np.ndarray
     reach: tuple[float, ...]
     neg_reach: tuple[float, ...]
-    inv_total_array: np.ndarray
+    neg_log_reach: np.ndarray
     fail_law: np.ndarray
 
 
@@ -176,42 +173,32 @@ class _ColumnTables:
 def _column_tables(params: SingleColumnParams) -> _ColumnTables:
     M = params.M
     up_rate = [params.alpha * params.q * (1.0 - k / M) for k in range(M + 1)]
-    inv_total = [0.0] * (M + 1)
-    up_frac = [0.0] * (M + 1)
-    for k in range(M + 1):
-        total = up_rate[k] + (params.p if k > 0 else 0.0)
-        inv_total[k] = 1.0 / total
-        if 0 < k < M:
-            up_frac[k] = up_rate[k] * inv_total[k]
+    inv_total = [1.0 / (up_rate[k] + (params.p if k > 0 else 0.0)) for k in range(M + 1)]
+    up_frac = [up_rate[k] * inv_total[k] for k in range(1, M)]
     reach = [1.0, 1.0]
-    for k in range(1, M):
-        reach.append(reach[k] * up_frac[k])
+    for frac in up_frac:
+        reach.append(reach[-1] * frac)
     fail = np.array([reach[k] * params.p * inv_total[k] for k in range(1, M)])
     if fail.size:
         fail /= fail.sum()
-    inv_total_array = np.array(inv_total[:M])
-    inv_total_array.flags.writeable = False
-    fail.flags.writeable = False
-    return _ColumnTables(
-        inv_total=tuple(inv_total),
-        up_frac=tuple(up_frac),
-        reach=tuple(reach),
-        neg_reach=tuple(-r for r in reach),
-        inv_total_array=inv_total_array,
-        fail_law=fail,
-    )
+    inv_total_array, neg_log_reach = np.array(inv_total), np.cumsum(-np.log([1.0, 1.0, *up_frac]))
+    for array in (inv_total_array, neg_log_reach, fail):
+        array.flags.writeable = False
+    return _ColumnTables(inv_total_array, tuple(reach), tuple(-r for r in reach), neg_log_reach, fail)
 
 
-def _check_event_budget(params, config: SimulationConfig, total_rate: float) -> None:
-    """Refuse a time-horizon run expected to take more than MAX_EXPECTED_EVENTS events."""
-    if config.stop_condition != STOP_TIME_HORIZON:
-        return
-    expected = config.horizon * total_rate
+# O(M) work per call; a laid-out hit run's cap reads it on every run.
+_mean_hitting_time = lru_cache(maxsize=64)(analytics.hitting_time_mean_exact)
+
+
+def _check_event_budget(params, span: float, rate: float) -> None:
+    """Refuse a run of ``span`` time units expected to take more than
+    MAX_EXPECTED_EVENTS events or cells at ``rate`` per unit time."""
+    expected = span * rate
     if expected > MAX_EXPECTED_EVENTS:
         raise ValueError(
-            f"{params}: horizon {config.horizon:g} at total event rate {total_rate:g} "
-            f"means {expected:.3g} expected events (> {MAX_EXPECTED_EVENTS:.0e}); "
-            "shorten the horizon"
+            f"{params}: {span:g} time units at {rate:g} per unit time mean "
+            f"{expected:.3g} expected events (> {MAX_EXPECTED_EVENTS:.0e}); shorten the run"
         )
 
 
@@ -225,12 +212,13 @@ def simulate_single_column(
     with the chain continuing through M (resets keep occurring).
 
     A ``column_reaches_m`` run with no horizon, no series and
-    ``start < M`` is drawn regeneratively (see the module docstring):
-    the same law as the event loop, but only ``tau``, ``end_time``,
-    ``end_value`` and ``n_events`` come out. Any ``column_reaches_m`` run
-    without a horizon raises ``ValueError`` when a climb from 0 reaches M
-    with probability below ``MIN_REACH_PROBABILITY``: neither path could
-    count that many climbs.
+    ``start < M`` counts its climbs (see the module docstring): only
+    ``tau``, ``end_time``, ``end_value`` and ``n_events`` come out; every
+    other run lays them out. Any ``column_reaches_m`` run without a
+    horizon raises ``ValueError`` when a climb from 0 reaches M with
+    probability below ``MIN_REACH_PROBABILITY`` (no run could count that
+    many climbs), and a laid-out run when it is expected to take more than
+    ``MAX_EXPECTED_EVENTS`` events.
     """
     if config.stop_condition == STOP_FIRST_FULL_COLUMN:
         raise ValueError("first_full_column applies to the matrix chain; use column_reaches_m")
@@ -238,7 +226,6 @@ def simulate_single_column(
     if not 0 <= start <= M:
         raise ValueError(f"start must lie in [0, {M}], got {start!r}")
 
-    _check_event_budget(params, config, params.alpha * params.q + params.p)
     stop_on_hit = config.stop_condition == STOP_COLUMN_REACHES_M
     horizon = config.horizon
     rng = replicate_rng(config.master_seed, config.replicate_index)
@@ -253,58 +240,12 @@ def simulate_single_column(
         if not config.record_series:
             return _regenerative_hit(tables, M, start, rng)
 
-    inv_total = tables.inv_total
-    up_frac = tables.up_frac
-
-    times = [0.0] if config.record_series else None
-    values = [start] if config.record_series else None
-
-    k = start
-    t = 0.0
-    tau = 0.0 if k == M else None
-    n_events = 0
-    log1p = math.log1p
-
-    if not (stop_on_hit and tau is not None):
-        block = _FIRST_BLOCK
-        buf = rng.random(block)
-        pos = 0
-        while True:
-            if pos + 2 >= block:
-                block = min(2 * block, _BLOCK)
-                buf = rng.random(block)
-                pos = 0
-            dt = -log1p(-buf[pos]) * inv_total[k]
-            if horizon is not None and t + dt > horizon:
-                t = horizon
-                break
-            t += dt
-            if k == 0:
-                k = 1
-                pos += 1
-            elif k == M:
-                k = 0
-                pos += 1
-            else:
-                k = k + 1 if buf[pos + 1] < up_frac[k] else 0
-                pos += 2
-            n_events += 1
-            if times is not None:
-                times.append(t)
-                values.append(k)
-            if k == M and tau is None:
-                tau = t
-                if stop_on_hit:
-                    break
-
-    return Trajectory(
-        tau=tau,
-        end_time=t,
-        end_value=k,
-        n_events=n_events,
-        series_times=np.array(times) if times is not None else None,
-        series_values=np.array(values, dtype=np.int64) if values is not None else None,
-    )
+    rate = params.alpha * params.q + params.p
+    span = horizon
+    if stop_on_hit and (horizon is None or horizon * rate > MAX_EXPECTED_EVENTS):
+        span = min(horizon or math.inf, _mean_hitting_time(params, start))
+    _check_event_budget(params, span, rate)
+    return _climbs(params, tables, start, config, rng)
 
 
 def _regenerative_hit(
@@ -325,7 +266,7 @@ def _regenerative_hit(
     if x < reach[M]:
         # The first climb succeeds and visits each level once; a vector of
         # exponentials costs far less per call than one of gamma variates.
-        tau = float(rng.standard_exponential(M - start) @ tables.inv_total_array[start:])
+        tau = float(rng.standard_exponential(M - start) @ tables.inv_total[start:M])
         return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=M - start)
     top = bisect_left(tables.neg_reach, -x) - 1
     failed = int(rng.geometric(reach[M])) - 1
@@ -335,8 +276,64 @@ def _regenerative_hit(
         visits[0] += failed
         visits[1:] += tops[::-1].cumsum()[::-1]
     visits[start : top + 1] += 1
-    tau = float(rng.standard_gamma(visits) @ tables.inv_total_array)
+    tau = float(rng.standard_gamma(visits) @ tables.inv_total[:M])
     return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=int(visits.sum()))
+
+
+def _climbs(params, tables: _ColumnTables, start: int, config: SimulationConfig, rng) -> Trajectory:
+    """A single-column run from ``start``, its climbs laid out window by window.
+
+    A window draws a batch of climbs from 0, their top levels from one
+    uniform u each (the climb from ``lo`` gets to k if ``u < reach[k] /
+    reach[lo]``, as in :func:`_regenerative_hit`, compared in log space:
+    ``-log u`` is exponential), then the levels they visit, each with an
+    exponential holding time; the jump that ends a level goes up, or to 0
+    from the climb's top. The run's first climb is one from 0 that gets
+    to ``start`` (``lo``), with the levels below ``start`` dropped. The
+    first window holds at most four times the ``horizon * (alpha*q + p)``
+    events expected.
+    """
+    M, horizon, record = params.M, config.horizon, config.record_series
+    stop_on_hit = config.stop_condition == STOP_COLUMN_REACHES_M
+    tau = 0.0 if start == M else None
+    times, values = [np.zeros(1)], [np.full(1, start, dtype=np.int64)]
+    t, end_value, n_events, lo = 0.0, start, 0, start
+    climb_levels = sum(tables.reach)  # mean levels a climb from 0 visits
+    cells = _FIRST_WINDOW_CELLS
+    if horizon is not None:
+        cells = min(cells, 4 * horizon * (params.alpha * params.q + params.p))
+    while not (stop_on_hit and tau is not None):
+        y = rng.standard_exponential(max(1, int(cells / climb_levels)))
+        cells = min(2 * cells, _WINDOW_CELLS)
+        y[0] += tables.neg_log_reach[lo]
+        lengths = np.searchsorted(tables.neg_log_reach, y)  # top + 1
+        ends = np.cumsum(lengths)
+        levels = (np.arange(ends[-1]) - np.repeat(ends - lengths, lengths))[lo:]
+        ends -= lo
+        jumps = t + np.cumsum(rng.standard_exponential(levels.size) * tables.inv_total[levels])
+        after = levels + 1
+        after[ends - 1] = 0
+        keep = levels.size if horizon is None else int(np.searchsorted(jumps, horizon, "right"))
+        if tau is None and (hits := np.flatnonzero(after[:keep] == M)).size:
+            tau = float(jumps[hits[0]])
+            if stop_on_hit:
+                keep = int(hits[0]) + 1
+        n_events += keep
+        if record:
+            times.append(jumps[:keep])
+            values.append(after[:keep])
+        if stop_on_hit and tau is not None:
+            t, end_value = tau, M
+        elif keep < levels.size:
+            t, end_value = horizon, int(levels[keep])
+            break
+        else:
+            t, end_value, lo = float(jumps[-1]), 0, 0
+    return Trajectory(
+        tau=tau, end_time=t, end_value=end_value, n_events=n_events,
+        series_times=np.concatenate(times) if record else None,
+        series_values=np.concatenate(values) if record else None,
+    )
 
 
 def simulate_matrix(
@@ -365,7 +362,9 @@ def simulate_matrix(
         start = MatrixState.zeros(M, N)
     if start.M != M or start.N != N:
         raise ValueError("start state shape does not match parameters")
-    _check_event_budget(params, config, params.q + params.p + params.lambda_m * N)
+    if config.stop_condition == STOP_TIME_HORIZON:
+        cost = max(params.q + params.p + params.lambda_m * N, params.q + params.p * M)
+        _check_event_budget(params, config.horizon, cost)
     if (
         config.stop_condition == STOP_FIRST_FULL_COLUMN
         and config.horizon is None

@@ -12,6 +12,8 @@ import pytest
 
 import immunochain
 from immunochain.cli import ExperimentConfig, main
+from immunochain.models import SingleColumnParams
+from immunochain.simulate import SimulationConfig, simulate_single_column
 
 
 def run(args):
@@ -214,6 +216,25 @@ class TestSimulateCommand:
         lines = (out / "series.csv").read_text().splitlines()
         assert lines[0].startswith("# schema=immunochain-series-v1")
         assert lines[1] == "time,all_ones_count,replicate"
+
+    def test_single_column_series_rows_are_indicator_changes(self, tmp_path):
+        # Each row is a change of the column-complete indicator, as a plain
+        # loop over the replicate's own series finds them.
+        out = tmp_path / "out"
+        assert run(["simulate", "--model", "single-column", "--M", "3", "--p", "0.3",
+                    "--replicates", "4", "--horizon", "40", "--seed", "5", "--out", str(out)]) == 0
+        params = SingleColumnParams(M=3, alpha=1.0, p=0.3)
+        expected = []
+        for r in range(4):
+            config = SimulationConfig(master_seed=5, replicate_index=r, horizon=40.0, record_series=True)
+            traj = simulate_single_column(params, config)
+            last = None
+            for t, k in zip(traj.series_times, traj.series_values):
+                if int(k == params.M) != last:
+                    last = int(k == params.M)
+                    expected.append(f"{float(t)!r},{last},{r}")
+        assert (out / "series.csv").read_text().splitlines()[2:] == expected
+        assert len(expected) > 4
 
     def test_taus_recorded(self, tmp_path):
         out = tmp_path / "out"

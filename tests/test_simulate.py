@@ -22,8 +22,9 @@ from immunochain.models import (
     MatrixState,
     SingleColumnParams,
     apply_event,
+    enumerate_rates,
 )
-from immunochain.reference import matrix_gillespie
+from immunochain.reference import column_gillespie, matrix_gillespie
 from immunochain.simulate import (
     STOP_COLUMN_REACHES_M,
     STOP_FIRST_FULL_COLUMN,
@@ -73,6 +74,26 @@ class TestConfigValidation:
         cfg = SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON, horizon=6e7)
         with pytest.raises(ValueError, match="expected events"):
             simulate_single_column(params, cfg)
+
+    def test_matrix_horizon_beyond_cell_cap_rejected(self):
+        # The epochs cost q + p*M = 0.1 + 0.9*2000 = 1800.1 cells per time
+        # unit against a total event rate of 1, so 9e7 time units are
+        # 1.6e11 cells though only 9e7 events.
+        params = MatrixParams(M=2000, N=10, p=0.9)
+        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON, horizon=9e7)
+        with pytest.raises(ValueError, match="expected events"):
+            simulate_matrix(params, cfg)
+
+    def test_single_column_climb_hit_run_beyond_event_cap_rejected(self):
+        # A climb reaches M with probability 8.3e-9, above
+        # MIN_REACH_PROBABILITY, but the mean hitting time is 1.5e9 at one
+        # event per time unit: laid out climb by climb, a hit run would
+        # take ~1.5e9 events. Counting climbs stays O(M).
+        params = SingleColumnParams.with_a(64, 6.0)
+        for cfg in (hit_config(1, record_series=True), hit_config(1, horizon=1e12)):
+            with pytest.raises(ValueError, match="expected events"):
+                simulate_single_column(params, cfg)
+        assert simulate_single_column(params, hit_config(1)).tau > 0
 
     def test_event_cap_leaves_hit_runs_alone(self):
         # A horizon only caps a hit run, which stops at its target.
@@ -216,10 +237,10 @@ class TestBatch:
 
 
 class TestRegenerativeHit:
-    """Hit-only single-column runs are drawn climb by climb, not event by event.
+    """Hit-only single-column runs count their climbs instead of laying them out.
 
-    The event loop (reached here through ``record_series=True``) is the
-    reference; every tolerance is fixed in advance.
+    The Gillespie simulator in ``immunochain.reference`` is the reference;
+    every tolerance is fixed in advance.
     """
 
     PARAMS = SingleColumnParams(M=8, alpha=1.3, p=0.2)
@@ -227,10 +248,7 @@ class TestRegenerativeHit:
     def test_law_matches_event_loop(self):
         n_fast, n_slow = 20_000, 3000
         fast = [simulate_single_column(self.PARAMS, hit_config(606, r)) for r in range(n_fast)]
-        slow = [
-            simulate_single_column(self.PARAMS, hit_config(607, r, record_series=True))
-            for r in range(n_slow)
-        ]
+        slow = [column_gillespie(self.PARAMS, hit_config(607, r)) for r in range(n_slow)]
         assert fast[0].series_times is None and fast[0].end_value == self.PARAMS.M
         assert all(t.end_time == t.tau for t in fast)
         tau_fast = np.array([t.tau for t in fast])
@@ -314,6 +332,120 @@ class TestRegenerativeHit:
             hitting_time_batch(params, 1, master_seed=1)
         with pytest.raises(ValueError, match="beyond simulation"):
             simulate_single_column(params, hit_config(1, record_series=True))
+
+
+def _column_runs(params, seed, n, start=0, **kw):
+    return [
+        simulate_single_column(params, SimulationConfig(master_seed=seed, replicate_index=r, **kw), start=start)
+        for r in range(n)
+    ]
+
+
+def _column_reference_runs(params, seed, n, start=0, **kw):
+    return [
+        column_gillespie(params, SimulationConfig(master_seed=seed, replicate_index=r, **kw), start=start)
+        for r in range(n)
+    ]
+
+
+class TestClimbPath:
+    """Single-column runs that are not hit-only lay their climbs out.
+
+    The Gillespie simulator in ``immunochain.reference`` and ``expm(Q*t)``
+    of the oracle's generator are the references; every tolerance is
+    fixed in advance: z < 4, KS p > 0.001, chi-square p > 0.001.
+    """
+
+    PARAMS = SingleColumnParams(M=5, alpha=1.2, p=0.25)
+    HIT = dict(stop_condition=STOP_COLUMN_REACHES_M)
+
+    @pytest.mark.parametrize("start", [0, 2, 5])
+    def test_series_invariants(self, start):
+        M = self.PARAMS.M
+        for kw in (dict(horizon=60.0), self.HIT, dict(self.HIT, horizon=4.0)):
+            for traj in _column_runs(self.PARAMS, 9100 + start, 30, start, record_series=True, **kw):
+                times, values = traj.series_times, traj.series_values
+                assert times[0] == 0.0 and values[0] == start
+                assert (np.diff(times) > 0).all()
+                before, after = values[:-1], values[1:]
+                assert ((after == before + 1) | ((after == 0) & (before > 0))).all()
+                assert traj.n_events == times.size - 1
+                assert traj.value_at(traj.end_time) == traj.end_value
+                reached = np.flatnonzero(values == M)
+                assert traj.tau == (times[reached[0]] if reached.size else None)
+                if "stop_condition" in kw and traj.tau is not None:
+                    assert traj.tau == times[-1] == traj.end_time and traj.end_value == M
+                else:
+                    assert traj.end_time == kw["horizon"] >= times[-1]
+
+    def test_count_law_from_nonzero_start(self):
+        params, start, n = SingleColumnParams(M=4, alpha=1.0, p=0.3), 2, 4000
+        rates = oracle.single_column_generator(params).rate_matrix
+        runs = _column_runs(params, 9200, n, start, horizon=4.0, record_series=True)
+        for t in (0.5, 1.5, 3.0, 4.0):
+            counts = np.bincount([r.value_at(t) for r in runs], minlength=params.M + 1)
+            _, _, p_value = chi_square_gof(counts, expm(rates * t)[start])
+            assert p_value > 0.001, t
+
+    def test_horizon_spanning_many_windows(self):
+        # Windows hold 2^10, 2^11, ... up to 2^14 levels, so a horizon of
+        # 3 * 2^14 expected events spans seven of them. A window that did
+        # not start from where the last one ended would show in the end law
+        # or the event count; the end is stationary by then.
+        params = SingleColumnParams(M=4, alpha=1.0, p=0.3)
+        pmf = analytics.invariant_pmf(params)
+        event_rate = sum(pmf[k] * sum(r for _, r in enumerate_rates(k, params)) for k in range(params.M + 1))
+        horizon = 3 * simulate_module._WINDOW_CELLS / event_rate
+        n = 200
+        runs = _column_runs(params, 9300, n, horizon=horizon)
+        counts = np.bincount([t.end_value for t in runs], minlength=params.M + 1)
+        _, _, p_value = chi_square_gof(counts, pmf)
+        assert p_value > 0.001
+        events = np.array([t.n_events for t in runs], dtype=float)
+        assert abs(events.mean() - event_rate * horizon) < 4 * events.std(ddof=1) / math.sqrt(n)
+
+    def test_start_where_reach_underflows(self):
+        # reach[k] underflows to 0 near k = 1075 here; the climb from 1500
+        # must still go up with probability (1 - k/M) / (2 - k/M) per level.
+        params, start = SingleColumnParams(M=2000, alpha=1.0, p=0.5), 1500
+        assert simulate_module._column_tables(params).reach[start] == 0.0
+        fast = _column_runs(params, 9700, 3000, start, horizon=2.0, record_series=True)
+        slow = _column_reference_runs(params, 9701, 2000, start, horizon=2.0)
+        for traj in fast:
+            before, after = traj.series_values[:-1], traj.series_values[1:]
+            assert ((after == before + 1) | ((after == 0) & (before > 0))).all()
+        for field in ("end_value", "n_events"):
+            a, b = [getattr(t, field) for t in fast], [getattr(t, field) for t in slow]
+            assert _z_means(a, b) < 4, field
+
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_hit_law_matches_reference(self, start):
+        fast = _column_runs(self.PARAMS, 9400 + start, 4000, start, record_series=True, **self.HIT)
+        slow = _column_reference_runs(self.PARAMS, 9410 + start, 2000, start, **self.HIT)
+        assert all(t.end_value == self.PARAMS.M and t.end_time == t.tau for t in fast)
+        _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
+        assert p_value > 0.001
+        assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
+
+    def test_horizon_law_matches_reference(self):
+        fast = _column_runs(self.PARAMS, 9500, 4000, 2, horizon=6.0)
+        slow = _column_reference_runs(self.PARAMS, 9501, 2000, 2, horizon=6.0)
+        for field in ("end_value", "n_events"):
+            a, b = [getattr(t, field) for t in fast], [getattr(t, field) for t in slow]
+            assert _z_means(a, b) < 4, field
+            assert _z_vars(a, b) < 4, field
+        reached = [[t.tau is not None for t in runs] for runs in (fast, slow)]
+        assert _z_means(*reached) < 4
+
+    def test_capped_hit_law_matches_reference(self):
+        # Capped at about the mean hitting time, so both outcomes are common.
+        horizon = analytics.hitting_time_mean_exact(self.PARAMS, 0)
+        fast = _column_runs(self.PARAMS, 9600, 4000, horizon=horizon, **self.HIT)
+        slow = _column_reference_runs(self.PARAMS, 9601, 2000, horizon=horizon, **self.HIT)
+        assert all(t.end_time == (horizon if t.tau is None else t.tau) for t in fast)
+        for field in ("end_time", "end_value", "n_events"):
+            assert _z_means([getattr(t, field) for t in fast], [getattr(t, field) for t in slow]) < 4, field
+        assert _z_means([t.tau is None for t in fast], [t.tau is None for t in slow]) < 4
 
 
 class TestMatrix:
@@ -609,6 +741,16 @@ class TestTransientLaw:
         ends = [
             simulate_single_column(params, SimulationConfig(master_seed=8300, replicate_index=r, horizon=self.T))
             .end_value
+            for r in range(self.N_REPS)
+        ]
+        _, _, p_value = chi_square_gof(np.bincount(ends, minlength=params.M + 1), law)
+        assert p_value > 0.001
+
+    def test_reference_single_column_count(self):
+        params = SingleColumnParams(M=4, alpha=1.0, p=0.3)
+        law = expm(oracle.single_column_generator(params).rate_matrix * self.T)[0]
+        ends = [
+            column_gillespie(params, SimulationConfig(master_seed=8400, replicate_index=r, horizon=self.T)).end_value
             for r in range(self.N_REPS)
         ]
         _, _, p_value = chi_square_gof(np.bincount(ends, minlength=params.M + 1), law)
