@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .models import MatrixParams, SingleColumnParams
 
@@ -79,18 +78,25 @@ def invariant_pmf(params: SingleColumnParams) -> np.ndarray:
                * p/(p + alpha*q),
 
     which solves the balance equations exactly and already sums to one;
-    a renormalization guard absorbs the accumulated float error.
+    a renormalization guard absorbs the accumulated float error, and
+    ``ArithmeticError`` is raised where double precision cannot hold it.
     """
     M = params.M
     beta = params.a
-    k = np.arange(M + 1)
-    log_pi = (
-        gammaln(M + 1)
-        - gammaln(M + 1 - k)
-        + gammaln(beta + M - k)
-        - gammaln(beta + M)
-        + math.log(params.p / params.uniformization_rate)
-    )
+    top = beta + M
+    log_scale = math.log(params.p / params.uniformization_rate)
+    try:
+        lg_m, lg_top = math.lgamma(M + 1), math.lgamma(top)
+        log_pi = [
+            lg_m - math.lgamma(M + 1 - k) + math.lgamma(top - k) - lg_top + log_scale
+            for k in range(M + 1)
+        ]
+    except (ValueError, OverflowError):
+        # lgamma overflows for a huge beta, and top - M rounds to Gamma's
+        # pole at 0 when beta is below M's last digit.
+        raise ArithmeticError(
+            f"invariant pmf: log-Gamma leaves double precision at beta = {beta:.3g}, M = {M}"
+        ) from None
     pi = np.exp(log_pi)
     total = pi.sum()
     if abs(total - 1.0) > 1e-8:
@@ -106,7 +112,7 @@ def zero_count_ratio(params: SingleColumnParams, k: int) -> float:
     if not 0 <= k <= params.M:
         raise ValueError(f"k must lie in [0, {params.M}], got {k!r}")
     beta = params.a
-    return math.exp(gammaln(beta + k) - gammaln(k + 1) - gammaln(beta))
+    return math.exp(math.lgamma(beta + k) - math.lgamma(k + 1) - math.lgamma(beta))
 
 
 def zero_count_ratio_asymptotic(params: SingleColumnParams, k: int) -> float:
@@ -114,7 +120,7 @@ def zero_count_ratio_asymptotic(params: SingleColumnParams, k: int) -> float:
     if k < 1:
         raise ValueError("asymptotic form needs k >= 1")
     a = params.a
-    return math.exp((a - 1.0) * math.log(k) - gammaln(a))
+    return math.exp((a - 1.0) * math.log(k) - math.lgamma(a))
 
 
 def _hitting_steps(params: SingleColumnParams) -> np.ndarray:
@@ -128,9 +134,12 @@ def _hitting_steps(params: SingleColumnParams) -> np.ndarray:
         1 + p'*f(0) = prod_{k=1..M} (1 + a/k)
                     = Gamma(M+1+a) / (Gamma(a+1) * Gamma(M+1)),
 
-    and a backward sweep of the one-step recursion fills in the other
-    starting states. Everything is a positive combination of positive
-    terms, so the sweep is numerically stable.
+    so f(0) = sum_k (a/p')/k * prod_{i<k} (1 + a/i), with a/p' = M + a:
+    positive terms, with no cancellation as a -> 0. The partial sums only
+    grow, so ``ValueError`` is raised as soon as one leaves double
+    precision. A backward sweep of the one-step recursion fills in the
+    other starting states. Everything is a positive combination of
+    positive terms, so the sweep is numerically stable.
     """
     M = params.M
     a = params.a
@@ -138,17 +147,17 @@ def _hitting_steps(params: SingleColumnParams) -> np.ndarray:
     p_d = params.p / lam
     q_d = params.alpha * params.q / lam
 
-    prod = 1.0
+    scale = M + a
+    f0, prod = 0.0, 1.0
     for k in range(1, M + 1):
+        f0 += scale / k * prod
+        if math.isinf(f0):
+            raise ValueError(
+                f"{params}: the exact mean hitting time overflows double precision at a = {a:.4g}"
+            )
         prod *= 1.0 + a / k
-        if math.isinf(prod):
-            break
-    if math.isinf(prod):
-        ratio_minus_1 = math.expm1(gammaln(M + 1 + a) - gammaln(a + 1) - gammaln(M + 1))
-    else:
-        ratio_minus_1 = prod - 1.0
     f = np.zeros(M + 1)
-    f[0] = ratio_minus_1 / p_d
+    f[0] = f0
     for i in range(M - 1, 0, -1):
         w = q_d * (1.0 - i / M)
         f[i] = (1.0 + p_d * f[0] + w * f[i + 1]) / (p_d + w)
@@ -180,10 +189,16 @@ def hitting_time_mean_asymptotic(params: SingleColumnParams) -> float:
 
     Valid as M grows with a = p*M/(alpha*q) held fixed. The constant is
     exact for alpha = 1; for alpha != 1 the leading order differs by a
-    factor alpha and the exact method is authoritative.
+    factor alpha and the exact method is authoritative. Raises
+    ``ValueError`` where the power law leaves double precision.
     """
     a = params.a
-    return math.exp((a + 1.0) * math.log(params.M) - gammaln(a + 1.0) - math.log(a))
+    try:
+        return math.exp((a + 1.0) * math.log(params.M) - math.lgamma(a + 1.0) - math.log(a))
+    except OverflowError:
+        raise ValueError(
+            f"{params}: the power-law mean hitting time overflows double precision at a = {a:.4g}"
+        ) from None
 
 
 def hitting_time_variance_exact(params: SingleColumnParams, start: int = 0) -> float:
@@ -285,7 +300,7 @@ def collection_time_laplace(M: int, q: float, alpha: float) -> float:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     c = M * alpha / q
-    return math.exp(gammaln(M + 1) + gammaln(1 + c) - gammaln(M + 1 + c))
+    return math.exp(math.lgamma(M + 1) + math.lgamma(1 + c) - math.lgamma(M + 1 + c))
 
 
 def steady_allones_probability(params: MatrixParams) -> float:
@@ -299,7 +314,7 @@ def steady_allones_probability(params: MatrixParams) -> float:
         Gamma(M+1) Gamma(1+c) / Gamma(M+1+c),   c = M*p/(N*q_tilde).
     """
     c = params.M * params.p / (params.N * params.q_tilde)
-    return math.exp(gammaln(params.M + 1) + gammaln(1 + c) - gammaln(params.M + 1 + c))
+    return math.exp(math.lgamma(params.M + 1) + math.lgamma(1 + c) - math.lgamma(params.M + 1 + c))
 
 
 def steady_allones_count(params: MatrixParams, method: str = EXACT) -> float:
@@ -327,7 +342,7 @@ def _power_law_count(params: MatrixParams, log_base: float) -> float:
     """N * Gamma(1 + b_tilde) / base^b_tilde, or ``ValueError`` past double precision."""
     bt = params.b_tilde
     try:
-        return params.N * math.exp(gammaln(1 + bt) - bt * log_base)
+        return params.N * math.exp(math.lgamma(1 + bt) - bt * log_base)
     except OverflowError:
         raise ValueError(
             f"{params}: the power-law steady count overflows double precision at "

@@ -178,19 +178,40 @@ def _report_dicts(reports) -> list[dict]:
     ]
 
 
-def _matrix_predictions(params: MatrixParams, *leading: analytics.ClosedFormReport) -> dict:
-    """Summary keys for ``leading`` and every steady all-ones count estimate.
+# Each model's predictions as (formula id, method, function of the
+# parameters), as in analytics.STEADY_COUNT_FORMULAS; the lambdas look the
+# analytics functions up when called.
+_MATRIX_FORMULAS = (
+    ("transition_time_mlogm", analytics.ASYMPTOTIC,
+     lambda params: analytics.transition_time_prediction(params)),
+    *analytics.STEADY_COUNT_FORMULAS,
+)
+_COLUMN_FORMULAS = (
+    ("hitting_mean_recursion", analytics.EXACT,
+     lambda params: analytics.hitting_time_mean_exact(params, 0)),
+    ("hitting_mean_power_law", analytics.ASYMPTOTIC,
+     lambda params: analytics.hitting_time_mean_asymptotic(params)),
+)
 
-    An estimate that leaves double precision goes under
-    ``unavailable_predictions`` with the reason, so the rest are still
-    written; the key is absent when every estimate is finite.
+
+def _unavailable(method: str, formula_id: str, exc: Exception) -> dict:
+    return {"method": method, "formula_id": formula_id, "reason": str(exc)}
+
+
+def _predictions(params, formulas) -> dict:
+    """Summary keys for one report per ``(formula_id, method, formula)``.
+
+    A formula that leaves double precision (``ValueError`` or
+    ``ArithmeticError``) goes under ``unavailable_predictions`` with the
+    reason, so the rest are still written; the key is absent when every
+    value is finite.
     """
-    reports, unavailable = list(leading), []
-    for formula_id, method, formula in analytics.STEADY_COUNT_FORMULAS:
+    reports, unavailable = [], []
+    for formula_id, method, formula in formulas:
         try:
             reports.append(analytics.ClosedFormReport(formula(params), method, formula_id))
-        except ValueError as exc:
-            unavailable.append({"method": method, "formula_id": formula_id, "reason": str(exc)})
+        except (ArithmeticError, ValueError) as exc:
+            unavailable.append(_unavailable(method, formula_id, exc))
     out = {"predictions": _report_dicts(reports)}
     if unavailable:
         out["unavailable_predictions"] = unavailable
@@ -206,7 +227,7 @@ def _analyze_payload(config: ExperimentConfig) -> dict:
             "lambda_m": params.lambda_m, "q_tilde": params.q_tilde,
             "b": params.b, "b_tilde": params.b_tilde,
         }
-        out.update(_matrix_predictions(params, analytics.transition_time_report(params)))
+        out.update(_predictions(params, _MATRIX_FORMULAS))
         out["steady_allones_probability"] = analytics.steady_allones_probability(params)
         out["transition_time_prediction"] = analytics.transition_time_prediction(params)
     else:
@@ -214,17 +235,14 @@ def _analyze_payload(config: ExperimentConfig) -> dict:
         out["parameters"] = {
             "M": params.M, "alpha": params.alpha, "p": params.p, "q": params.q, "a": params.a,
         }
-        reports = [
-            analytics.ClosedFormReport(
-                analytics.hitting_time_mean_exact(params, 0), "exact", "hitting_mean_recursion"
-            ),
-            analytics.ClosedFormReport(
-                analytics.hitting_time_mean_asymptotic(params), "asymptotic", "hitting_mean_power_law"
-            ),
-        ]
-        out["predictions"] = _report_dicts(reports)
+        out.update(_predictions(params, _COLUMN_FORMULAS))
         if params.M <= 512:
-            out["invariant_pmf"] = list(analytics.invariant_pmf(params))
+            try:
+                out["invariant_pmf"] = list(analytics.invariant_pmf(params))
+            except ArithmeticError as exc:
+                out.setdefault("unavailable_predictions", []).append(
+                    _unavailable(analytics.EXACT, "invariant_pmf", exc)
+                )
     return out
 
 
@@ -245,15 +263,11 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     if config.model == MODEL_MATRIX:
         params = config.matrix_params()
         simulate, hit_stop = simulate_matrix, STOP_FIRST_FULL_COLUMN
-        predictions = _matrix_predictions(params, analytics.transition_time_report(params))
+        predictions = _predictions(params, _MATRIX_FORMULAS)
     else:
         params = config.single_column_params()
         simulate, hit_stop = simulate_single_column, STOP_COLUMN_REACHES_M
-        predictions = {"predictions": _report_dicts([
-            analytics.ClosedFormReport(
-                analytics.hitting_time_mean_exact(params, 0), "exact", "hitting_mean_recursion"
-            ),
-        ])}
+        predictions = _predictions(params, _COLUMN_FORMULAS[:1])
     stop = STOP_TIME_HORIZON if config.horizon is not None else hit_stop
     for r in range(n):
         sim = SimulationConfig(
@@ -305,7 +319,7 @@ def _cmd_sample_steady(config: ExperimentConfig) -> int:
     for r in range(config.replicates):
         state = reversal.sample_invariant(params, replicate_rng(config.seed, r))
         counts[r] = state.all_ones_count
-    summary = {"config": _echo_config(config), **_matrix_predictions(params)}
+    summary = {"config": _echo_config(config), **_predictions(params, analytics.STEADY_COUNT_FORMULAS)}
     if config.replicates >= 2:
         est = estimate_mean(counts, master_seed=config.seed)
         summary["all_ones_count_mean"] = {
@@ -361,7 +375,7 @@ def emit_figure_data(config: ExperimentConfig) -> int:
                ["p_m", "predicted_transition_time"], rows)
 
     summary = {"config": _echo_config(config),
-               **_matrix_predictions(params, analytics.transition_time_report(params))}
+               **_predictions(params, _MATRIX_FORMULAS)}
     _write_summary(out_dir / "summary.json", summary)
     return 0
 

@@ -81,6 +81,8 @@ class SingleColumnParams:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must lie strictly in (0, 1), got {self.p!r}")
+        if not self.alpha * self.q > 0.0:
+            raise ValueError(f"alpha*q underflows to 0 at alpha={self.alpha!r}, p={self.p!r}")
 
     @property
     def q(self) -> float:

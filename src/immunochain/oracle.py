@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .models import MatrixParams, SingleColumnParams
 
@@ -111,21 +109,61 @@ def matrix_generator(params: MatrixParams) -> DenseGenerator:
     return DenseGenerator(states=list(range(n)), rate_matrix=Q)
 
 
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Strongly connected component label of every vertex (Tarjan).
+
+    Iterative, so a long chain of states cannot exhaust Python's
+    recursion limit. ``succ[v]`` lists the heads of the edges out of v.
+    """
+    n = len(succ)
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    counter = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, heads = work[-1]
+            for w in heads:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if label[w] < 0:  # still on the stack: same component as v
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+    return label
+
+
 def _closed_classes(Q: np.ndarray) -> tuple[int, np.ndarray]:
     """Closed communicating classes of the positive-rate digraph.
 
     Returns ``(count, member_mask)`` where the mask marks states that
     belong to some closed class (the recurrent states).
     """
-    off = Q.copy()
-    np.fill_diagonal(off, 0.0)
-    adj = csr_matrix(off > 0)
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    has_exit = np.zeros(n_comp, dtype=bool)
-    src, dst = adj.nonzero()
-    for u, v in zip(src, dst):
-        if labels[u] != labels[v]:
-            has_exit[labels[u]] = True
+    edges = Q > 0
+    np.fill_diagonal(edges, False)
+    labels = np.array(_strong_components([np.flatnonzero(row).tolist() for row in edges]))
+    src, dst = np.nonzero(edges)
+    has_exit = np.zeros(labels.max() + 1, dtype=bool)
+    has_exit[labels[src][labels[src] != labels[dst]]] = True
     closed = ~has_exit
     return int(np.count_nonzero(closed)), closed[labels]
 

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy loads ``numpy.random`` on first attribute access; importing it here
+# keeps that cost in the package import instead of a run's first replicate.
+from numpy.random import PCG64, Generator, SeedSequence
+
 _MAX_SEED = 2**64
 
 
-def replicate_rng(master_seed: int, replicate_index: int = 0) -> np.random.Generator:
+def replicate_rng(master_seed: int, replicate_index: int = 0) -> Generator:
     """Return the PCG64 stream for one replicate of an experiment.
 
     Parameters
@@ -29,13 +33,13 @@ def replicate_rng(master_seed: int, replicate_index: int = 0) -> np.random.Gener
         raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
     if not isinstance(replicate_index, (int, np.integer)) or replicate_index < 0:
         raise ValueError(f"replicate_index must be a nonnegative integer, got {replicate_index!r}")
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(replicate_index),))
-    return np.random.Generator(np.random.PCG64(ss))
+    ss = SeedSequence(entropy=int(master_seed), spawn_key=(int(replicate_index),))
+    return Generator(PCG64(ss))
 
 
-def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
+def as_generator(seed: int | Generator) -> Generator:
     """Accept either a seed or an existing Generator and return a Generator."""
-    if isinstance(seed, np.random.Generator):
+    if isinstance(seed, Generator):
         return seed
     return replicate_rng(seed, 0)
 

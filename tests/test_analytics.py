@@ -53,6 +53,15 @@ class TestInvariantPmf:
         assert abs(pi.sum() - 1.0) < 1e-12
         assert (pi >= 0).all()
 
+    @pytest.mark.parametrize("params", [
+        SingleColumnParams(M=64, alpha=1e300, p=0.5),  # beta is lost beside M
+        SingleColumnParams(M=64, alpha=1e-306, p=0.5),  # log-Gamma overflows
+        SingleColumnParams(M=512, alpha=1e-9, p=0.999999999),  # sum check fails
+    ])
+    def test_outside_double_precision_raises_arithmetic_error(self, params):
+        with pytest.raises(ArithmeticError):
+            invariant_pmf(params)
+
     def test_matches_oracle_on_grid(self):
         for M in range(1, 9):
             for alpha in ALPHAS:
@@ -140,6 +149,23 @@ class TestHittingTimeMean:
                     for start in range(M + 1):
                         assert means[start] == pytest.approx(float(ref_mean[start]), rel=1e-9)
 
+    @pytest.mark.parametrize("p", [1e-6, 1e-12, 1e-300, 1e-320])
+    def test_keeps_full_precision_as_p_vanishes(self, p):
+        # f(0) is summed from positive terms; the old (prod - 1)/p' lost
+        # every digit once 1 + a/k rounded to 1.
+        params = SingleColumnParams(M=16, alpha=1.0, p=p)
+        ref_mean, _ = oracle.single_column_hitting_moments_exact(params, with_second_moment=False)
+        means = hitting_time_means_exact(params)
+        assert means[:16] == pytest.approx([float(x) for x in ref_mean[:16]], rel=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        SingleColumnParams(M=100_000, alpha=1.0, p=0.5),
+        SingleColumnParams(M=512, alpha=1e-9, p=0.999999999),  # a = 5e20
+    ])
+    def test_overflow_raises_value_error(self, params):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            hitting_time_mean_exact(params, 0)
+
     def test_exact_oracle_agrees_with_float_oracle(self):
         # the two oracle routes must themselves agree where floats suffice
         params = SingleColumnParams(M=6, alpha=1.0, p=0.3)
@@ -179,6 +205,11 @@ class TestHittingTimeAsymptotic:
             )
         assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
         assert abs(ratios[-1] - 1.0) < 0.15
+
+
+    def test_overflow_raises_value_error(self):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            hitting_time_mean_asymptotic(SingleColumnParams(M=64, alpha=1.0, p=1e-320))
 
 
 class TestHittingTimeVariance:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import immunochain
+from immunochain.analytics import hitting_time_mean_exact
 from immunochain.cli import ExperimentConfig, main
 from immunochain.models import SingleColumnParams
 from immunochain.simulate import SimulationConfig, simulate_single_column
@@ -181,8 +182,53 @@ class TestAnalyze:
         assert summary["predictions"][0]["value"] == 10.0
         assert summary["invariant_pmf"] == pytest.approx([0.5, 1 / 3, 1 / 6])
 
+    def test_single_column_overflow_lists_both_means(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["analyze", "--model", "single-column", "--M", "100000", "--p", "0.5",
+                    "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["predictions"] == []
+        unavailable = summary["unavailable_predictions"]
+        assert [u["formula_id"] for u in unavailable] == ["hitting_mean_recursion", "hitting_mean_power_law"]
+        assert all("overflows double precision" in u["reason"] for u in unavailable)
+
+    def test_single_column_keeps_the_finite_reports(self, tmp_path):
+        # p = 1e-320: the power law overflows and the pmf loses beta beside
+        # M; the exact mean stays (its precision is pinned in test_analytics).
+        out = tmp_path / "out"
+        assert run(["analyze", "--model", "single-column", "--M", "64", "--p", "1e-320",
+                    "--out", str(out)]) == 0
+        summary = read_summary(out)
+        values = {p["formula_id"]: p["value"] for p in summary["predictions"]}
+        assert values == {"hitting_mean_recursion": hitting_time_mean_exact(
+            SingleColumnParams(M=64, alpha=1.0, p=1e-320), 0)}
+        assert [u["formula_id"] for u in summary["unavailable_predictions"]] == [
+            "hitting_mean_power_law", "invariant_pmf"]
+        assert "invariant_pmf" not in summary
+
+    def test_failed_pmf_sum_check_is_listed(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["analyze", "--model", "single-column", "--M", "64", "--p", "0.5",
+                    "--alpha", "1e300", "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert {p["formula_id"] for p in summary["predictions"]} == {
+            "hitting_mean_recursion", "hitting_mean_power_law"}
+        assert summary["unavailable_predictions"] == [{
+            "method": "exact", "formula_id": "invariant_pmf",
+            "reason": "invariant pmf: log-Gamma leaves double precision at beta = 6.4e-299, M = 64",
+        }]
+
 
 class TestSimulateCommand:
+    def test_horizon_run_needs_no_mean(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["simulate", "--model", "single-column", "--M", "100000", "--p", "0.5",
+                    "--horizon", "1", "--replicates", "1", "--format", "json", "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["predictions"] == []
+        assert [u["formula_id"] for u in summary["unavailable_predictions"]] == ["hitting_mean_recursion"]
+        assert len(summary["end_values"]) == 1
+
     def test_byte_identical_rerun(self, tmp_path):
         args = ["simulate", "--model", "matrix", "--M", "4", "--N", "3",
                 "--p", "0.4", "--replicates", "5", "--horizon", "30",
@@ -323,3 +369,43 @@ class TestFigureData:
     def test_missing_replicates_rejected(self, tmp_path):
         assert run(["figure-data", "--model", "matrix", "--M", "4", "--N", "2",
                     "--p", "0.1", "--out", str(tmp_path)]) == 1
+
+
+SINGLE = ["--model", "single-column"]
+MATRIX = ["--model", "matrix"]
+
+# (argv, exit code): points where a prediction or a run leaves double
+# precision or the simulator's caps, each of which once ended, or could
+# end, in a traceback.
+EXTREME_INPUTS = [
+    (["analyze", *SINGLE, "--M", "100000", "--p", "0.5"], 0),
+    (["simulate", *SINGLE, "--M", "100000", "--p", "0.5", "--horizon", "1", "--replicates", "1"], 0),
+    (["simulate", *SINGLE, "--M", "100000", "--p", "0.5", "--replicates", "1"], 1),
+    (["analyze", *SINGLE, "--M", "64", "--p", "1e-320"], 0),
+    (["simulate", *SINGLE, "--M", "3", "--p", "5e-324", "--replicates", "2"], 0),
+    (["analyze", *SINGLE, "--M", "64", "--p", "0.5", "--alpha", "1e300"], 0),
+    (["analyze", *SINGLE, "--M", "64", "--p", "0.5", "--alpha", "1e-306"], 0),
+    (["analyze", *SINGLE, "--M", "512", "--p", "0.999999999", "--alpha", "1e-9"], 0),
+    (["analyze", *SINGLE, "--M", "64", "--p", "0.5", "--alpha", "5e-324"], 1),
+    (["simulate", *SINGLE, "--M", "64", "--p", "0.3", "--replicates", "1"], 1),
+    (["simulate", *SINGLE, "--M", "64", "--p", "0.0154", "--replicates", "1", "--horizon", "1e12"], 1),
+    (["analyze", *MATRIX, "--M", "64", "--N", "1", "--p", "0.99"], 0),
+    (["analyze", *MATRIX, "--M", "64", "--N", "1", "--p", "1e-320"], 0),
+    (["analyze", *MATRIX, "--M", "4", "--N", "2", "--p", "0.5", "--lambda-m", "1e308"], 0),
+    (["simulate", *MATRIX, "--M", "64", "--N", "1", "--p", "0.99", "--replicates", "1"], 1),
+    (["simulate", *MATRIX, "--M", "64", "--N", "1", "--p", "0.5", "--replicates", "1"], 1),
+    (["simulate", *MATRIX, "--M", "3", "--N", "2", "--p", "0.3", "--replicates", "1", "--horizon", "inf"], 1),
+    (["simulate", *MATRIX, "--M", "200", "--N", "100", "--p", "0.1", "--replicates", "1", "--horizon", "1e12"], 1),
+    (["sample-steady", *MATRIX, "--M", "64", "--N", "1", "--p", "0.99", "--replicates", "2"], 0),
+    (["figure-data", *MATRIX, "--M", "64", "--N", "1", "--p", "0.99", "--replicates", "1", "--horizon", "10"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXTREME_INPUTS, ids=[" ".join(a) for a, _ in EXTREME_INPUTS])
+def test_extreme_inputs_never_leave_a_traceback(tmp_path, capsys, argv, code):
+    # In process: an exception escaping main() fails the test with the
+    # traceback the command line would have printed.
+    returned = main([*argv, "--out", str(tmp_path)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert returned in (0, 1, 2, 3)
+    assert returned == code

@@ -32,6 +32,7 @@ class TestParams:
             dict(M=3, alpha=1.0, p=0.0),
             dict(M=3, alpha=1.0, p=1.0),
             dict(M=3, alpha=1.0, p=1.5),
+            dict(M=3, alpha=5e-324, p=0.5),  # alpha*q underflows to 0
         ],
     )
     def test_single_column_rejects_bad_values(self, kwargs):

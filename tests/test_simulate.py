@@ -2,6 +2,7 @@
 
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -757,11 +758,49 @@ class TestTransientLaw:
         assert p_value > 0.001
 
 
-def test_package_import_leaves_the_reference_out():
-    # The Gillespie reference must never become a production path.
+def _run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter with the package on its path."""
     src = str(Path(immunochain.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, immunochain, immunochain.cli; print('immunochain.reference' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def _after_package_import(expression: str) -> str:
+    """``expression`` printed after importing the package and its CLI."""
+    return _run_fresh(f"import sys, immunochain, immunochain.cli; print({expression})")
+
+
+def test_package_import_leaves_the_reference_out():
+    # The Gillespie reference must never become a production path.
+    assert _after_package_import("'immunochain.reference' in sys.modules") == "False"
+
+
+def test_package_import_leaves_scipy_out():
+    # scipy is the tests' reference only; importing it costs ~1 s of start-up.
+    assert _after_package_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap trims")
+def test_matrix_windows_do_not_fault_their_heap_in_again():
+    # Without the threshold hint in simulate, glibc trims the heap after
+    # every window and 20 runs here take ~1800 minor page faults.
+    code = (
+        "import resource\n"
+        "from immunochain.models import MatrixParams\n"
+        "from immunochain.simulate import SimulationConfig, simulate_matrix\n"
+        "params = MatrixParams(M=200, N=100, p=0.1)\n"
+        "simulate_matrix(params, SimulationConfig(master_seed=1, horizon=1766.0))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for r in range(20):\n"
+        "    simulate_matrix(params, SimulationConfig(master_seed=1, replicate_index=r, horizon=1766.0))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    assert int(_run_fresh(code)) < 200
+
+
+def test_package_import_loads_numpy_random():
+    # numpy loads numpy.random lazily; rng imports it so that the first
+    # replicate of a run does not pay for it.
+    assert _after_package_import("'numpy.random' in sys.modules") == "True"
