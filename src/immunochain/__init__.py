@@ -57,6 +57,7 @@ from .simulate import (
 )
 from .reversal import (
     sample_invariant,
+    sample_invariant_count,
     sample_invariant_coupled,
     sample_invariant_histogram,
 )

@@ -77,31 +77,25 @@ def invariant_pmf(params: SingleColumnParams) -> np.ndarray:
         pi_k = [Gamma(M+1)/Gamma(M+1-k)] * [Gamma(beta+M-k)/Gamma(beta+M)]
                * p/(p + alpha*q),
 
-    which solves the balance equations exactly and already sums to one;
-    a renormalization guard absorbs the accumulated float error, and
-    ``ArithmeticError`` is raised where double precision cannot hold it.
+    which solves the balance equations exactly and sums to one. Successive
+    entries differ by the ratio pi_{k+1}/pi_k = (M-k)/(beta+M-1-k), which
+    is below 1 for every k when beta > 1 and above 1 when beta < 1, so the
+    law is monotone in k. It is built as a running product of ratios from
+    its largest end (k = 0 or k = M) down and normalized by its sum: each
+    entry carries a few rounding errors per factor, whatever the size of
+    beta, and only entries far below the largest underflow.
     """
     M = params.M
     beta = params.a
-    top = beta + M
-    log_scale = math.log(params.p / params.uniformization_rate)
-    try:
-        lg_m, lg_top = math.lgamma(M + 1), math.lgamma(top)
-        log_pi = [
-            lg_m - math.lgamma(M + 1 - k) + math.lgamma(top - k) - lg_top + log_scale
-            for k in range(M + 1)
-        ]
-    except (ValueError, OverflowError):
-        # lgamma overflows for a huge beta, and top - M rounds to Gamma's
-        # pole at 0 when beta is below M's last digit.
-        raise ArithmeticError(
-            f"invariant pmf: log-Gamma leaves double precision at beta = {beta:.3g}, M = {M}"
-        ) from None
-    pi = np.exp(log_pi)
-    total = pi.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise ArithmeticError(f"invariant pmf sums to {total!r}; log-space evaluation broke down")
-    return pi / total
+    j = np.arange(M, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        # M - 1 - j is exact, so a beta far below 1 is not lost beside it.
+        ratio = (M - j) / ((M - 1 - j) + beta)
+        if beta >= 1.0:
+            pi = np.concatenate(([1.0], np.cumprod(ratio)))
+        else:
+            pi = np.concatenate((np.cumprod(1.0 / ratio[::-1])[::-1], [1.0]))
+    return pi / pi.sum()
 
 
 def zero_count_ratio(params: SingleColumnParams, k: int) -> float:

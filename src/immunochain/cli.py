@@ -237,12 +237,7 @@ def _analyze_payload(config: ExperimentConfig) -> dict:
         }
         out.update(_predictions(params, _COLUMN_FORMULAS))
         if params.M <= 512:
-            try:
-                out["invariant_pmf"] = list(analytics.invariant_pmf(params))
-            except ArithmeticError as exc:
-                out.setdefault("unavailable_predictions", []).append(
-                    _unavailable(analytics.EXACT, "invariant_pmf", exc)
-                )
+            out["invariant_pmf"] = list(analytics.invariant_pmf(params))
     return out
 
 
@@ -317,8 +312,7 @@ def _cmd_sample_steady(config: ExperimentConfig) -> int:
     params = config.matrix_params()
     counts = np.empty(config.replicates, dtype=np.int64)
     for r in range(config.replicates):
-        state = reversal.sample_invariant(params, replicate_rng(config.seed, r))
-        counts[r] = state.all_ones_count
+        counts[r] = reversal.sample_invariant_count(params, replicate_rng(config.seed, r))
     summary = {"config": _echo_config(config), **_predictions(params, analytics.STEADY_COUNT_FORMULAS)}
     if config.replicates >= 2:
         est = estimate_mean(counts, master_seed=config.seed)

@@ -14,6 +14,13 @@ is an exact draw from the stationary law with no step loop. Building the
 entry clocks incrementally (the clock at a larger lambda_m is the
 minimum of the smaller one and an independent increment) couples the
 draws across entry rates so that they are entrywise monotone.
+
+A draw that needs only the all-ones count integrates the entry clocks
+out. Given the row and column clocks, the columns are independent:
+column j is full when each of the m_j rows with R_i > C_j has its own
+entry clock below C_j, with probability ``(1 - exp(-lambda_m C_j / M))^m_j``
+(1 when m_j = 0), so one uniform per column decides it after O(M + N)
+clock draws.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .rng import as_generator, replicate_rng
 
 __all__ = [
     "sample_invariant",
+    "sample_invariant_count",
     "sample_invariant_histogram",
     "sample_invariant_coupled",
 ]
@@ -61,6 +69,26 @@ def sample_invariant(params: MatrixParams, seed: int | np.random.Generator) -> M
     """
     (ones,) = _race(params, [params.lambda_m], as_generator(seed), 1)
     return MatrixState.from_entries(ones[0])
+
+
+def sample_invariant_count(params: MatrixParams, seed: int | np.random.Generator) -> int:
+    """All-ones column count of one exact stationary draw, without the matrix.
+
+    ``seed`` may be an integer or a Generator (which is advanced). The
+    stream is consumed as row clocks, column clocks, then one uniform per
+    column, so the count has the law of ``sample_invariant(...).all_ones_count``
+    but not its value for the same seed.
+    """
+    rng = as_generator(seed)
+    M, N = params.M, params.N
+    row_rings = np.sort(rng.exponential(scale=M / params.q, size=M))
+    col_rings = rng.exponential(scale=N / params.p, size=N)
+    unset = M - np.searchsorted(row_rings, col_rings, "right")  # rows older than the reset
+    # A reset clock too slow for a double draws C_j = inf: then m_j = 0, and
+    # the 0 * inf of lambda_m = 0 makes nan, whose 0th power is 1.
+    with np.errstate(over="ignore", invalid="ignore"):
+        full_prob = (-np.expm1(-params.lambda_m / M * col_rings)) ** unset
+    return int(np.count_nonzero(rng.random(N) < full_prob))
 
 
 def sample_invariant_histogram(params: MatrixParams, n_draws: int, master_seed: int) -> np.ndarray:

@@ -19,24 +19,30 @@ time the row rings and the column resets are drawn first (Poisson counts,
 uniform labels and times); between two resets of column j, entry (i, j)
 is set at row i's first ring or the entry's own first ring, whichever is
 earlier, and the column is full from the last of these M times until its
-next reset. Windows chain from each column's state at the end of the last
-one, which bounds the arrays a window needs. The event count adds the
-entry rings: the first one of each entry and epoch is drawn, the rest are
-Poisson in the time left.
+next reset. Without entry clocks (lambda_m = 0) that is the first ring
+after which every row has rung since the epoch began, and one pass over
+the window's rings gives it for every epoch: each ring's next ring of the
+same row, a prefix maximum of those, and a search for each epoch's start.
+Windows chain from each column's state at the end of the last one, which
+bounds the arrays a window needs. The event count adds the entry rings:
+the first one of each entry and epoch is drawn, the rest are Poisson in
+the time left.
 
 Both constructions have exactly Gillespie's law; the climbs are the
 column's own jump chain, drawn in another order. Counted climbs cost a few
 draws per level whatever the event count, laid-out climbs one array cell
-per event, and epochs about ``q + p*M`` cells per unit time. Both chains'
-event loops live apart, in :mod:`immunochain.reference`, as the references
-the tests compare these constructions against.
+per event, and epochs about ``q + p*M`` cells per unit time, or ``q + p``
+at lambda_m = 0. Both chains' event loops live apart, in
+:mod:`immunochain.reference`, as the references the tests compare these
+constructions against.
 
 A run expected to cost more than ``MAX_EXPECTED_EVENTS`` events or cells
 is refused with ``ValueError`` before it starts: a time-horizon run at its
-horizon times ``alpha*q + p`` (column) or the larger of
-``q + p + N*lambda_m`` and ``q + p*M`` (matrix), and a laid-out
-single-column hit run at ``alpha*q + p`` times the shorter of its horizon
-and its exact mean hitting time. Counted climbs are not capped.
+horizon times ``alpha*q + p`` (column) or, for the matrix, the larger of
+``q + p + N*lambda_m`` and the epoch cells (``q + p*M``, or ``q + p`` at
+lambda_m = 0), and a laid-out single-column hit run at ``alpha*q + p``
+times the shorter of its horizon and its exact mean hitting time. Counted
+climbs are not capped.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -74,11 +80,12 @@ STOP_TIME_HORIZON = "time_horizon"
 # A window holds about _WINDOW_CELLS array cells: a matrix window's row
 # rings and reset-epoch-by-row cells, so it spans _WINDOW_CELLS / (q + p*M)
 # time units and builds per-cell arrays in chunks of at most _WINDOW_CELLS,
-# however large N*M is; a single-column window's climb levels. A run may
-# end long before a window does, so a matrix hit run's first window holds
-# max(_FIRST_WINDOW_CELLS, N*M) cells, a single-column run's first window
-# _FIRST_WINDOW_CELLS, and each next one twice as many, up to the full
-# width.
+# however large N*M is; at lambda_m = 0 only its rings and resets, so it
+# spans _WINDOW_CELLS / (q + p); a single-column window's climb levels. A
+# run may end long before a window does, so a matrix hit run's first
+# window holds max(_FIRST_WINDOW_CELLS, N*M) cells (_FIRST_WINDOW_CELLS at
+# lambda_m = 0), a single-column run's first window _FIRST_WINDOW_CELLS,
+# and each next one twice as many, up to the full width.
 _WINDOW_CELLS = 1 << 14
 _FIRST_WINDOW_CELLS = 1 << 10
 
@@ -358,10 +365,10 @@ def simulate_matrix(
     Every run is drawn window by window from per-column reset epochs (see
     the module docstring): ``tau``, ``end_time``, ``end_value``, the series
     and ``n_events`` have the joint law of the event-by-event chain, at a
-    cost that grows with the row rings, resets and epoch-by-row cells, not
-    with the events. A run that needs the events themselves or the final
-    matrix is a job for the Gillespie reference,
-    :func:`immunochain.reference.matrix_gillespie`. Any
+    cost that grows with the row rings, the resets and, when entries have
+    clocks of their own, the epoch-by-row cells, not with the events. A
+    run that needs the events themselves or the final matrix is a job for
+    the Gillespie reference, :func:`immunochain.reference.matrix_gillespie`. Any
     ``first_full_column`` run without a horizon raises ``ValueError`` when
     one reset epoch fills its column with probability below
     ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
@@ -370,16 +377,21 @@ def simulate_matrix(
         raise ValueError("column_reaches_m applies to the single-column chain; use first_full_column")
     M, N = params.M, params.N
     if start is None:
-        start = MatrixState.zeros(M, N)
-    if start.M != M or start.N != N:
+        filled, initial = np.zeros((N, M), dtype=bool), 0  # filled[j, i]: entry (i, j) is one
+    elif start.M != M or start.N != N:
         raise ValueError("start state shape does not match parameters")
+    else:
+        filled, initial = start.entries.T.astype(bool), start.all_ones_count
+    # Epoch cells per unit time: row rings and resets, and with entry
+    # clocks an M-wide row of set times per epoch.
+    cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
     if config.stop_condition == STOP_TIME_HORIZON:
-        cost = max(params.q + params.p + params.lambda_m * N, params.q + params.p * M)
+        cost = max(params.q + params.p + params.lambda_m * N, cells_per_time)
         _check_event_budget(params, config.horizon, cost)
     if (
         config.stop_condition == STOP_FIRST_FULL_COLUMN
         and config.horizon is None
-        and start.all_ones_count == 0
+        and initial == 0
     ):
         reach = analytics.steady_allones_probability(params)
         if reach < MIN_REACH_PROBABILITY:
@@ -391,11 +403,10 @@ def simulate_matrix(
     rng = replicate_rng(config.master_seed, config.replicate_index)
     horizon = config.horizon
     stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
-    cells_per_time = params.q + params.p * M
     width = _WINDOW_CELLS / cells_per_time
-    span = min(width, max(_FIRST_WINDOW_CELLS, M * N) / cells_per_time) if stop_on_hit else width
-    filled = start.entries.T.astype(bool)  # filled[j, i]: entry (i, j) is one
-    full = start.all_ones_count
+    first_cells = max(_FIRST_WINDOW_CELLS, M * N) if params.lambda_m > 0 else _FIRST_WINDOW_CELLS
+    span = min(width, first_cells / cells_per_time) if stop_on_hit else width
+    full = initial
     tau = 0.0 if full else None
     t = 0.0
     n_events = 0
@@ -407,7 +418,9 @@ def simulate_matrix(
         while True:
             t1 = t + span if horizon is None else min(t + span, horizon)
             span = min(2 * span, width)
-            gained, lost, events, spare, filled = _epoch_window(params, rng, filled, t, t1, stop_on_hit)
+            gained, lost, events, spare, full_at_t1, filled = _epoch_window(
+                params, rng, filled, t, t1, stop_on_hit, carry=t1 != horizon
+            )
             n_events += events
             spare_time += spare
             gains.append(gained)
@@ -419,14 +432,14 @@ def simulate_matrix(
                     break
             t = t1
             if t == horizon:
-                full = int(np.count_nonzero(filled.all(axis=1)))
+                full = full_at_t1
                 break
     if spare_time > 0:
         n_events += int(rng.poisson(params.lambda_m / M * spare_time))
 
     times = values = None
     if config.record_series:
-        times, values = _count_series(start.all_ones_count, gains, losses)
+        times, values = _count_series(initial, gains, losses)
     return Trajectory(
         tau=tau, end_time=t, end_value=full, n_events=n_events,
         series_times=times, series_values=values,
@@ -440,7 +453,8 @@ def _epoch_window(
     t0: float,
     t1: float,
     stop_on_hit: bool,
-) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray]:
+    carry: bool,
+) -> tuple[np.ndarray, np.ndarray, int, float, int, np.ndarray | None]:
     """One window ``[t0, t1)`` of a matrix run, from the column states ``filled`` at ``t0``.
 
     Column j's epochs run between ``t0``, its resets and ``t1``. In an
@@ -452,16 +466,19 @@ def _epoch_window(
     Returns the times columns became full (columns full at ``t0`` are
     carried, not counted), the times full columns were reset, the events
     up to the window's end, the summed time that entry clocks ran on after
-    their first ring (their further rings are Poisson in it) and the
-    column states at ``t1``. Under ``stop_on_hit`` the window ends at its
-    first full column, if any.
+    their first ring (their further rings are Poisson in it), the number
+    of full columns at ``t1`` and, under ``carry``, the column states at
+    ``t1`` for the next window. Under ``stop_on_hit`` the window ends at
+    its first full column, if any.
     """
     M, N = params.M, params.N
     span = t1 - t0
     # Labels are floor(u * count), which is far cheaper per call than
-    # Generator.integers.
+    # Generator.integers. Row labels without entry clocks are only sorted,
+    # and numpy radix-sorts 16-bit keys.
     ring_t = t0 + span * np.sort(rng.random(rng.poisson(params.q * span)))
-    ring_row = (rng.random(ring_t.size) * M).astype(np.intp)
+    row_type = np.uint16 if params.lambda_m == 0 and M <= 1 << 16 else np.intp
+    ring_row = (rng.random(ring_t.size) * M).astype(row_type)
     reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
     reset_col = (rng.random(reset_t.size) * N).astype(np.intp)
 
@@ -469,7 +486,6 @@ def _epoch_window(
     n_resets = reset_t.size
     starts = np.concatenate((np.full(N, t0), reset_t))
     cols = np.concatenate((np.arange(N), reset_col))
-    bucket = np.concatenate((np.zeros(N, dtype=np.intp), np.arange(1, n_resets + 1)))
     order = np.argsort(cols, kind="stable")  # column by column, each in time order
     succ = cols[order[1:]] == cols[order[:-1]]
     ends = np.full(N + n_resets, t1)
@@ -477,30 +493,13 @@ def _epoch_window(
     last = np.ones(N + n_resets, dtype=bool)
     last[order[:-1][succ]] = False
 
-    # next_ring[b, i]: row i's first ring after start b (t0, then each
-    # reset): each ring goes to the last start before it, then a backward
-    # running minimum carries later rings to earlier starts.
-    next_ring = np.full((n_resets + 1, M), np.inf)
-    np.minimum.at(next_ring, (np.searchsorted(reset_t, ring_t), ring_row), ring_t)
-    next_ring = np.minimum.accumulate(next_ring[::-1], axis=0)[::-1]
-
-    fill = np.empty(N + n_resets)
-    filled_next = np.empty_like(filled)
-    entry_rings = []
-    step = max(1, _WINDOW_CELLS // M)
-    for lo in range(0, N + n_resets, step):
-        hi = min(lo + step, N + n_resets)
-        set_at = next_ring[bucket[lo:hi]]
-        if lo < N:
-            top = min(hi, N)
-            set_at[: top - lo][filled[lo:top]] = t0
-        if params.lambda_m > 0:
-            first = starts[lo:hi, None] + rng.exponential(M / params.lambda_m, size=set_at.shape)
-            np.minimum(set_at, first, out=set_at)
-            entry_rings.append((lo, hi, first))
-        fill[lo:hi] = set_at.max(axis=1)
-        keep = last[lo:hi]
-        filled_next[cols[lo:hi][keep]] = set_at[keep] < t1
+    if params.lambda_m > 0:
+        fill, filled_next, entry_rings = _entry_fill(
+            params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1
+        )
+    else:
+        fill, filled_next = _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry)
+        entry_rings = ()
 
     valid = fill < ends
     gained = fill[valid & (fill > t0)]
@@ -513,7 +512,90 @@ def _epoch_window(
         gap = np.minimum(ends[lo:hi], end)[:, None] - first
         n_events += int(np.count_nonzero(gap >= 0))
         spare += float(np.maximum(gap, 0.0, out=gap).sum())
-    return gained, lost, n_events, spare, filled_next
+    full_at_t1 = int(np.count_nonzero(fill[last] < t1))
+    return gained, lost, n_events, spare, full_at_t1, filled_next
+
+
+def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1):
+    """Fill times of a window's epochs when entries have clocks of their own.
+
+    Each epoch's M set times are built cell by cell, in chunks of at most
+    ``_WINDOW_CELLS``: row i's first ring after the epoch's start, lowered
+    to the entry's own first ring. Returns the fill times, the column
+    states at ``t1`` and, per chunk, the entry clocks' first rings.
+    """
+    M, N = params.M, params.N
+    n_epochs = starts.size
+    bucket = np.concatenate((np.zeros(N, dtype=np.intp), np.arange(1, reset_t.size + 1)))
+    # next_ring[b, i]: row i's first ring after start b (t0, then each
+    # reset): each ring goes to the last start before it, then a backward
+    # running minimum carries later rings to earlier starts.
+    next_ring = np.full((reset_t.size + 1, M), np.inf)
+    np.minimum.at(next_ring, (np.searchsorted(reset_t, ring_t), ring_row), ring_t)
+    next_ring = np.minimum.accumulate(next_ring[::-1], axis=0)[::-1]
+
+    fill = np.empty(n_epochs)
+    filled_next = np.empty_like(filled)
+    entry_rings = []
+    step = max(1, _WINDOW_CELLS // M)
+    for lo in range(0, n_epochs, step):
+        hi = min(lo + step, n_epochs)
+        set_at = next_ring[bucket[lo:hi]]
+        if lo < N:
+            top = min(hi, N)
+            set_at[: top - lo][filled[lo:top]] = t0
+        first = starts[lo:hi, None] + rng.exponential(M / params.lambda_m, size=set_at.shape)
+        np.minimum(set_at, first, out=set_at)
+        entry_rings.append((lo, hi, first))
+        fill[lo:hi] = set_at.max(axis=1)
+        keep = last[lo:hi]
+        filled_next[cols[lo:hi][keep]] = set_at[keep] < t1
+    return fill, filled_next, entry_rings
+
+
+def _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry):
+    """Fill times of a window's epochs when only row rings set entries (lambda_m = 0).
+
+    The epoch from s fills at the first ring k after which every row has
+    rung since s. Ring j's row rings again at ring ``nxt[j]``, so that
+    holds once k reaches every ``nxt[j]`` with ring j at or before s (a
+    prefix maximum read at s) and every row's first ring. A column carried
+    in with entries set waits for its unset rows' first rings only.
+    Returns the fill times and, under ``carry``, the column states at the
+    window's end: row i is set in column j if it rang after the column's
+    last start.
+    """
+    N, M = filled.shape
+    n = ring_t.size
+    order = np.argsort(ring_row, kind="stable")  # row by row, each in time order
+    rows = ring_row[order]
+    cut = np.ones(n + 1, dtype=bool)
+    np.not_equal(rows[1:], rows[:-1], out=cut[1:n])
+    bounds = np.flatnonzero(cut)  # rows[bounds[g]:bounds[g + 1]] is one row's rings
+    firsts, lasts, rung = order[bounds[:-1]], order[bounds[1:] - 1], rows[bounds[:-1]]
+    # waits[a]: the largest nxt[j] over rings j < a (0 for a = 0), where
+    # nxt[j] is the next ring of ring j's row, or n if there is none.
+    waits = np.zeros(n + 1, dtype=np.intp)
+    waits[order[:-1] + 1] = order[1:]
+    waits[lasts + 1] = n
+    np.maximum.accumulate(waits, out=waits)
+
+    ring_at = np.append(ring_t, np.inf)
+    after = np.searchsorted(ring_t, starts, "right")  # each epoch's first ring
+    fill = ring_at[np.maximum(waits[after], firsts.max() if rung.size == M else n)]
+    if filled.any():
+        first_at = np.full(M, np.inf)
+        first_at[rung] = ring_t[firsts]
+        fill[:N] = np.where(filled, t0, first_at).max(axis=1)
+    if not carry:
+        return fill, None
+    last_ring = np.full(M, -1)
+    last_ring[rung] = lasts
+    filled_next = np.empty_like(filled)
+    filled_next[cols[last]] = last_ring >= after[last, None]
+    kept = last[:N]  # columns not reset in the window
+    filled_next[kept] |= filled[kept]
+    return fill, filled_next
 
 
 def _count_series(initial: int, gains, losses) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Closed forms against hand anchors, the oracle, and each other."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,33 @@ ALPHAS = (0.5, 1.0, 2.0)
 PS = (0.1, 0.5, 0.9)
 
 
+def exact_pmf(params):
+    """The stationary law from pi_0 = p/(p + alpha*q) by the ratios
+    pi_{k+1}/pi_k = (M-k)/(beta+M-1-k), in integer arithmetic; each entry
+    is rounded to a float once."""
+    M = params.M
+    p, rate = Fraction(params.p), Fraction(params.alpha) * Fraction(params.q)
+    beta = p * M / rate
+    pi_0 = p / (p + rate)
+    num, den = pi_0.numerator, pi_0.denominator
+    out = [num / den]
+    for k in range(M):
+        num *= (M - k) * beta.denominator
+        den *= beta.numerator + (M - 1 - k) * beta.denominator
+        out.append(num / den)
+    return np.array(out)
+
+
+def assert_matches_exact_product(got, params):
+    # Relative 1e-13 wherever the exact entry is above 1e-300; below it
+    # an entry may underflow.
+    ref = exact_pmf(params)
+    live = ref > 1e-300
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref)[live] <= 1e-13 * ref[live]), params
+    assert np.all((got[~live] >= 0) & (got[~live] < 1e-290)), params
+
+
 class TestInvariantPmf:
     def test_two_state_split(self):
         pi = invariant_pmf(SingleColumnParams(M=1, alpha=1.0, p=0.5))
@@ -54,13 +82,21 @@ class TestInvariantPmf:
         assert (pi >= 0).all()
 
     @pytest.mark.parametrize("params", [
-        SingleColumnParams(M=64, alpha=1e300, p=0.5),  # beta is lost beside M
-        SingleColumnParams(M=64, alpha=1e-306, p=0.5),  # log-Gamma overflows
-        SingleColumnParams(M=512, alpha=1e-9, p=0.999999999),  # sum check fails
+        SingleColumnParams(M=64, alpha=1e300, p=0.5),  # beta = 6.4e-299, far below M's last digit
+        SingleColumnParams(M=64, alpha=1e-306, p=0.5),  # log-Gamma of beta = 6.4e307 overflows
+        SingleColumnParams(M=512, alpha=1e-9, p=0.999999999),  # log-Gamma of 5.1e20 has ulp 4e6
     ])
-    def test_outside_double_precision_raises_arithmetic_error(self, params):
-        with pytest.raises(ArithmeticError):
-            invariant_pmf(params)
+    def test_extreme_beta_keeps_the_law(self, params):
+        # Each point defeats a log-Gamma form of the law, which is still
+        # well defined there.
+        assert_matches_exact_product(invariant_pmf(params), params)
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 64, 200])
+    def test_matches_exact_product(self, M):
+        for alpha in (1e300, 1e150, 1e9, 2.0, 1.0, 0.5, 1e-9, 1e-150, 1e-300):
+            for p in (1e-9, 0.1, 0.5, 0.999999999):
+                params = SingleColumnParams(M=M, alpha=alpha, p=p)
+                assert_matches_exact_product(invariant_pmf(params), params)
 
     def test_matches_oracle_on_grid(self):
         for M in range(1, 9):

@@ -193,8 +193,8 @@ class TestAnalyze:
         assert all("overflows double precision" in u["reason"] for u in unavailable)
 
     def test_single_column_keeps_the_finite_reports(self, tmp_path):
-        # p = 1e-320: the power law overflows and the pmf loses beta beside
-        # M; the exact mean stays (its precision is pinned in test_analytics).
+        # p = 1e-320: the power law overflows; the exact mean and the pmf
+        # stay (their precision is pinned in test_analytics).
         out = tmp_path / "out"
         assert run(["analyze", "--model", "single-column", "--M", "64", "--p", "1e-320",
                     "--out", str(out)]) == 0
@@ -203,20 +203,20 @@ class TestAnalyze:
         assert values == {"hitting_mean_recursion": hitting_time_mean_exact(
             SingleColumnParams(M=64, alpha=1.0, p=1e-320), 0)}
         assert [u["formula_id"] for u in summary["unavailable_predictions"]] == [
-            "hitting_mean_power_law", "invariant_pmf"]
-        assert "invariant_pmf" not in summary
+            "hitting_mean_power_law"]
+        assert summary["invariant_pmf"][-1] == pytest.approx(1.0, rel=1e-13)
 
-    def test_failed_pmf_sum_check_is_listed(self, tmp_path):
+    def test_pmf_at_huge_alpha_is_written(self, tmp_path):
+        # beta = 6.4e-299 is far below M's last digit; nearly all the mass
+        # is at M.
         out = tmp_path / "out"
         assert run(["analyze", "--model", "single-column", "--M", "64", "--p", "0.5",
                     "--alpha", "1e300", "--out", str(out)]) == 0
         summary = read_summary(out)
         assert {p["formula_id"] for p in summary["predictions"]} == {
             "hitting_mean_recursion", "hitting_mean_power_law"}
-        assert summary["unavailable_predictions"] == [{
-            "method": "exact", "formula_id": "invariant_pmf",
-            "reason": "invariant pmf: log-Gamma leaves double precision at beta = 6.4e-299, M = 64",
-        }]
+        assert "unavailable_predictions" not in summary
+        assert summary["invariant_pmf"][-1] == pytest.approx(1.0, rel=1e-13)
 
 
 class TestSimulateCommand:

@@ -1,19 +1,21 @@
 """Perfect sampler: anchors, oracle agreement, exchangeability, coupling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from immunochain import analytics, oracle
-from immunochain.models import MatrixParams
+from immunochain.models import MatrixParams, MatrixState
 from immunochain.reversal import (
     sample_invariant,
+    sample_invariant_count,
     sample_invariant_coupled,
     sample_invariant_histogram,
 )
 from immunochain.rng import replicate_rng
-from immunochain.stats import empirical_tv
+from immunochain.stats import chi_square_gof, empirical_tv
 
 
 class TestAnchors:
@@ -97,6 +99,44 @@ class TestSamplerInterface:
         se = counts.std(ddof=1) / math.sqrt(n)
         exact = analytics.steady_allones_count(params, "exact")
         assert abs(counts.mean() - exact) < 4.5 * se
+
+
+class TestCountDraws:
+    """Counts with the entry clocks integrated out; chi-square p > 0.001, z < 4."""
+
+    @pytest.mark.parametrize("M,N,p,lam", [(2, 3, 0.4, 0.0), (3, 2, 0.3, 0.0), (2, 3, 0.4, 0.3), (3, 2, 0.3, 0.5)])
+    def test_count_law_matches_oracle(self, M, N, p, lam):
+        params = MatrixParams(M=M, N=N, p=p, lambda_m=lam)
+        pi = oracle.stationary_solve(oracle.matrix_generator(params))
+        full = [MatrixState.from_index(M, N, s).all_ones_count for s in range(1 << (M * N))]
+        law = np.bincount(full, weights=pi, minlength=N + 1)
+        n = 8000
+        counts = [sample_invariant_count(params, replicate_rng(31, r)) for r in range(n)]
+        _, _, p_value = chi_square_gof(np.bincount(counts, minlength=N + 1), law)
+        assert p_value > 0.001
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_large_matrix_count_matches_steady_formula(self, lam):
+        params = MatrixParams(M=200, N=100, p=0.1, lambda_m=lam)
+        n = 4000
+        counts = np.array([sample_invariant_count(params, replicate_rng(32, r)) for r in range(n)])
+        se = counts.std(ddof=1) / math.sqrt(n)
+        assert abs(counts.mean() - analytics.steady_allones_count(params, "exact")) < 4 * se
+
+    @pytest.mark.parametrize("params", [
+        MatrixParams(M=4, N=2, p=1e-320),  # N/p overflows: no column was ever reset
+        MatrixParams(M=4, N=2, p=0.5, lambda_m=1e308),  # every entry rang just now
+    ])
+    def test_extreme_clocks_fill_every_column_without_warnings(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_invariant_count(params, 1) == params.N
+
+    def test_deterministic_in_seed(self):
+        params = MatrixParams(M=5, N=4, p=0.3, lambda_m=0.4)
+        assert [sample_invariant_count(params, s) for s in range(20)] == [
+            sample_invariant_count(params, s) for s in range(20)
+        ]
 
 
 class TestendogenousProperties:

@@ -77,13 +77,29 @@ class TestConfigValidation:
             simulate_single_column(params, cfg)
 
     def test_matrix_horizon_beyond_cell_cap_rejected(self):
-        # The epochs cost q + p*M = 0.1 + 0.9*2000 = 1800.1 cells per time
-        # unit against a total event rate of 1, so 9e7 time units are
-        # 1.6e11 cells though only 9e7 events.
-        params = MatrixParams(M=2000, N=10, p=0.9)
+        # With entry clocks the epochs cost q + p*M = 0.1 + 0.9*2000 = 1800.1
+        # cells per time unit against a total event rate of 1.01, so 9e7
+        # time units are 1.6e11 cells though only 9.1e7 events.
+        params = MatrixParams(M=2000, N=10, p=0.9, lambda_m=1e-3)
         cfg = SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON, horizon=9e7)
         with pytest.raises(ValueError, match="expected events"):
             simulate_matrix(params, cfg)
+
+    def test_matrix_horizon_without_entry_clocks_costs_its_events(self):
+        # At lambda_m = 0 a window costs its q + p = 1 rings and resets per
+        # time unit, so 2e5 time units are 2e5 events; charged q + p*M cells
+        # they would be 2e8. No column fills between two of its resets, so
+        # the end count stays at N*P = 0 and the event count is Poisson.
+        params = MatrixParams(M=2000, N=2, p=0.5)
+        horizon, n = 2e5, 20
+        runs = _runs(params, 5050, n, horizon=horizon)
+        ends = np.array([t.end_value for t in runs], dtype=float)
+        p_full = analytics.steady_allones_probability(params)
+        se = math.sqrt(params.N * p_full * (1 - p_full) / n)
+        assert abs(ends.mean() - params.N * p_full) <= 4 * se
+        mu = params.total_rate * horizon
+        events = np.array([t.n_events for t in runs], dtype=float)
+        assert abs(events.mean() - mu) < 4 * math.sqrt(mu / n)
 
     def test_single_column_climb_hit_run_beyond_event_cap_rejected(self):
         # A climb reaches M with probability 8.3e-9, above
@@ -630,15 +646,17 @@ class TestEpochPath:
         assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
         assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
 
-    def test_count_at_grid_times(self):
-        params = self.point(0.2)
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_count_at_grid_times(self, lam):
+        params = self.point(lam)
         fast = _runs(params, 5400, 4000, horizon=self.T, record_series=True)
         slow = _reference_runs(params, 5401, 2000, horizon=self.T, record_series=True)
         for t in (2.5, 5.0, 7.5, 10.0, 12.5, self.T):
             assert _z_means([r.value_at(t) for r in fast], [r.value_at(t) for r in slow]) < 4, t
 
-    def test_nonzero_start(self):
-        params = MatrixParams(M=3, N=2, p=0.3, lambda_m=0.2)
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_nonzero_start(self, lam):
+        params = MatrixParams(M=3, N=2, p=0.3, lambda_m=lam)
         start = MatrixState.from_entries([[1, 1], [1, 0], [0, 1]])
         fast = _runs(params, 5500, 4000, start=start, horizon=2.0)
         slow = _reference_runs(params, 5501, 2000, start=start, horizon=2.0)
@@ -648,6 +666,47 @@ class TestEpochPath:
         slow = _reference_runs(params, 5503, 2000, **hit)
         _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
         assert p_value > 0.001
+
+    def test_ring_fill_matches_a_row_by_row_scan(self):
+        # At lambda_m = 0 the prefix-maximum search must give every epoch the
+        # fill time, and every column the state at the window's end, that a
+        # scan of each row's first ring after the epoch's start gives.
+        rng = np.random.default_rng(5)
+        t0, t1 = 0.0, 10.0
+        for _ in range(300):
+            M, N = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            ring_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 40))))
+            ring_row = rng.integers(0, M, ring_t.size).astype(np.uint16)
+            reset_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 6))))
+            starts = np.concatenate((np.full(N, t0), reset_t))
+            cols = np.concatenate((np.arange(N), rng.integers(0, N, reset_t.size)))
+            last = np.array([not np.any((cols == c) & (starts > s)) for s, c in zip(starts, cols)])
+            filled = rng.random((N, M)) < rng.choice([0.0, 0.5])
+            fill, carried = simulate_module._ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, True)
+            for b, (s, c) in enumerate(zip(starts, cols)):
+                set_at = [
+                    t0 if b < N and filled[b, i] else min(ring_t[(ring_row == i) & (ring_t > s)], default=math.inf)
+                    for i in range(M)
+                ]
+                assert fill[b] == max(set_at)
+                if last[b]:
+                    assert list(carried[c]) == [x < t1 for x in set_at]
+
+    def test_first_full_column_law_across_windows(self, monkeypatch):
+        # Hit windows of 16, 32, 64, 64, ... cells, each about one time unit
+        # here, against a median hit near 120: the columns' states carry
+        # through several lambda_m = 0 windows before one fills.
+        monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
+        params = MatrixParams(M=6, N=3, p=0.6)
+        fast = _runs(params, 5350, 1500, stop_condition=STOP_FIRST_FULL_COLUMN)
+        slow = _reference_runs(params, 5351, 600, stop_condition=STOP_FIRST_FULL_COLUMN)
+        taus = np.array([t.tau for t in fast])
+        assert np.mean(taus > 16 + 32) > 0.5  # past the second window
+        _, p_value = ks_2samp(taus, [t.tau for t in slow])
+        assert p_value > 0.001
+        assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
+        assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
 
     def test_full_start_column_is_carried(self):
         params = MatrixParams(M=2, N=3, p=0.4, lambda_m=0.1)
@@ -715,8 +774,8 @@ class TestTransientLaw:
     N_REPS = 4000
     MATRIX = MatrixParams(M=2, N=2, p=0.4, lambda_m=0.3)
 
-    def matrix_law(self):
-        return expm(oracle.matrix_generator(self.MATRIX).rate_matrix * self.T)[0]
+    def matrix_law(self, params=MATRIX):
+        return expm(oracle.matrix_generator(params).rate_matrix * self.T)[0]
 
     def test_reference_final_state_histogram(self):
         config = dict(stop_condition=STOP_TIME_HORIZON, horizon=self.T)
@@ -728,11 +787,13 @@ class TestTransientLaw:
         _, _, p_value = chi_square_gof(counts, self.matrix_law())
         assert p_value > 0.001
 
-    def test_epoch_path_end_count(self):
-        M, N = self.MATRIX.M, self.MATRIX.N
+    @pytest.mark.parametrize("lam", [0.0, MATRIX.lambda_m])
+    def test_epoch_path_end_count(self, lam):
+        params = MatrixParams(M=self.MATRIX.M, N=self.MATRIX.N, p=self.MATRIX.p, lambda_m=lam)
+        M, N = params.M, params.N
         full = [MatrixState.from_index(M, N, s).all_ones_count for s in range(1 << (M * N))]
-        law = np.bincount(full, weights=self.matrix_law(), minlength=N + 1)
-        ends = [t.end_value for t in _runs(self.MATRIX, 8200, self.N_REPS, horizon=self.T)]
+        law = np.bincount(full, weights=self.matrix_law(params), minlength=N + 1)
+        ends = [t.end_value for t in _runs(params, 8200, self.N_REPS, horizon=self.T)]
         _, _, p_value = chi_square_gof(np.bincount(ends, minlength=N + 1), law)
         assert p_value > 0.001
 
