@@ -7,12 +7,13 @@ formulas, the steady-state all-ones column statistics of the matrix
 chain, the transition-time prediction, and the parameter mapping from
 per-step probabilities to continuous rates.
 
-Numerics policy: every Gamma ratio is evaluated as a difference of
-log-Gamma values and exponentiated, because the raw Gamma factors
-overflow double precision already around argument 170. Where a formula
-subtracts 1 from a Gamma ratio, ``expm1`` keeps precision; small
-instances use the finite product directly so hand-checkable anchors come
-out exact.
+Numerics policy: a Gamma ratio whose arguments differ by an integer is a
+running product of its factors, since a difference of log-Gamma values
+loses about eps * lgamma(x) relative, which is everything once the
+arguments reach 1e16. The other Gamma factors, which overflow double
+precision already around argument 170, are evaluated as log-Gamma values
+and exponentiated. Where a formula subtracts 1 from a Gamma ratio,
+``expm1`` keeps precision.
 """
 
 from __future__ import annotations
@@ -101,12 +102,18 @@ def invariant_pmf(params: SingleColumnParams) -> np.ndarray:
 def zero_count_ratio(params: SingleColumnParams, k: int) -> float:
     """Stationary odds of k missing attributes relative to none missing.
 
-    Equals pi_{M-k}/pi_M = Gamma(beta+k) / (Gamma(k+1) * Gamma(beta)).
+    Equals pi_{M-k}/pi_M = Gamma(beta+k) / (Gamma(k+1) * Gamma(beta)),
+    the product of (beta + j)/(j + 1) over j < k. ``OverflowError`` is
+    raised when it leaves double precision.
     """
     if not 0 <= k <= params.M:
         raise ValueError(f"k must lie in [0, {params.M}], got {k!r}")
-    beta = params.a
-    return math.exp(math.lgamma(beta + k) - math.lgamma(k + 1) - math.lgamma(beta))
+    j = np.arange(float(k))
+    with np.errstate(over="ignore"):
+        ratio = float(np.prod((params.a + j) / (j + 1.0)))
+    if math.isinf(ratio):
+        raise OverflowError(f"{params}: the zero-count ratio at k = {k} overflows double precision")
+    return ratio
 
 
 def zero_count_ratio_asymptotic(params: SingleColumnParams, k: int) -> float:
@@ -293,8 +300,17 @@ def collection_time_laplace(M: int, q: float, alpha: float) -> float:
         raise ValueError("q must be positive")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    c = M * alpha / q
-    return math.exp(math.lgamma(M + 1) + math.lgamma(1 + c) - math.lgamma(M + 1 + c))
+    return _stage_product(M, M * alpha / q)
+
+
+def _stage_product(M: int, c: float) -> float:
+    """Gamma(M+1) Gamma(1+c) / Gamma(M+1+c) = prod_{i=1..M} i/(i+c).
+
+    The running product carries a few roundings per factor; every factor
+    is at most 1, so it underflows only where the value itself does.
+    """
+    i = np.arange(1.0, M + 1.0)
+    return float(np.prod(i / (i + c)))
 
 
 def steady_allones_probability(params: MatrixParams) -> float:
@@ -307,8 +323,7 @@ def steady_allones_probability(params: MatrixParams) -> float:
 
         Gamma(M+1) Gamma(1+c) / Gamma(M+1+c),   c = M*p/(N*q_tilde).
     """
-    c = params.M * params.p / (params.N * params.q_tilde)
-    return math.exp(math.lgamma(params.M + 1) + math.lgamma(1 + c) - math.lgamma(params.M + 1 + c))
+    return _stage_product(params.M, params.M * params.p / (params.N * params.q_tilde))
 
 
 def steady_allones_count(params: MatrixParams, method: str = EXACT) -> float:

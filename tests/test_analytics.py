@@ -149,6 +149,20 @@ class TestZeroCountRatio:
         with pytest.raises(ValueError):
             zero_count_ratio(params, 4)
 
+    @pytest.mark.parametrize("params, k", [
+        # beta = 1e22: lgamma(beta + k) - lgamma(beta) loses every digit.
+        (SingleColumnParams(M=10_000, alpha=1e-9, p=0.999999999), 10),
+        (SingleColumnParams(M=10_000, alpha=0.5, p=0.9), 40),
+    ])
+    def test_matches_exact_product(self, params, k):
+        beta = Fraction(params.a)
+        exact = math.prod((beta + j) / (j + 1) for j in range(k))
+        assert abs(Fraction(zero_count_ratio(params, k)) - exact) <= Fraction(1, 10**13) * exact
+
+    def test_overflow_is_refused(self):
+        with pytest.raises(OverflowError):
+            zero_count_ratio(SingleColumnParams(M=10_000, alpha=1e-9, p=0.999999999), 40)
+
 
 class TestHittingTimeMean:
     def test_anchor_m1(self):
@@ -352,6 +366,19 @@ class TestSteadyAllOnes:
             col0_bits = sum(1 << (i * N) for i in range(M))
             prob = sum(pi[s] for s in range(len(pi)) if s & col0_bits == col0_bits)
             assert steady_allones_probability(params) == pytest.approx(prob, rel=1e-9)
+
+    @pytest.mark.parametrize("params", [
+        MatrixParams(M=4, N=1, p=0.999999999),
+        MatrixParams(M=20, N=1, p=0.99999),
+        MatrixParams(M=200, N=100, p=0.1),
+        MatrixParams(M=200, N=100, p=0.1, lambda_m=1.0),
+    ])
+    def test_probability_matches_exact_product(self, params):
+        # prod_{i=1..M} i/(i+c) in exact rationals, at the c the library uses.
+        c = Fraction(params.M * params.p / (params.N * params.q_tilde))
+        exact = math.prod(Fraction(i) / (i + c) for i in range(1, params.M + 1))
+        got = Fraction(steady_allones_probability(params))
+        assert abs(got - exact) <= Fraction(1, 10**13) * exact
 
     def test_reduces_to_laplace_transform(self):
         for M, N, p in [(3, 2, 0.3), (5, 4, 0.6)]:

@@ -14,6 +14,7 @@ from scipy.stats import ks_2samp
 
 import immunochain
 from immunochain import analytics, oracle
+from immunochain import rng as rng_module
 from immunochain import simulate as simulate_module
 from immunochain.models import (
     COLUMN_ZERO,
@@ -236,6 +237,20 @@ class TestBatch:
         taus = hitting_time_batch(params, 1, master_seed=11)
         traj = simulate_single_column(params, hit_config(11, 0))
         assert taus[0] == traj.tau
+        # Batches spanning two blocks of replicate keys equal single runs
+        # made in the opposite order.
+        n = rng_module._BLOCK + 3
+        taus = hitting_time_batch(params, n, master_seed=12)
+        single = [simulate_single_column(params, hit_config(12, r)).tau for r in reversed(range(n))]
+        assert np.array_equal(taus, single[::-1])
+        params = MatrixParams(M=2, N=2, p=0.4)
+        taus = hitting_time_batch(params, n, master_seed=13)
+        single = [
+            simulate_matrix(params, SimulationConfig(
+                master_seed=13, replicate_index=r, stop_condition=STOP_FIRST_FULL_COLUMN)).tau
+            for r in reversed(range(n))
+        ]
+        assert np.array_equal(taus, single[::-1])
 
     def test_batch_reproducible(self):
         params = SingleColumnParams(M=3, alpha=1.0, p=0.5)
