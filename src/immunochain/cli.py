@@ -374,6 +374,16 @@ def emit_figure_data(config: ExperimentConfig) -> int:
     return 0
 
 
+def _oracle_hitting_means(params: SingleColumnParams) -> np.ndarray:
+    """The oracle's exact mean hitting times from 0..M-1, correctly rounded.
+
+    Int true division rounds correctly, so each entry equals ``float`` of
+    the oracle's Fraction without building one.
+    """
+    numerators, det = oracle._first_passage_integers(params, [1] * params.M)
+    return np.array([x / det for x in numerators])
+
+
 def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
     """Cross-check closed forms and the sampler against the oracle."""
     failures: list[str] = []
@@ -404,8 +414,7 @@ def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
             for p in ps:
                 params = SingleColumnParams(M=M, alpha=alpha, p=p)
                 means = analytics.hitting_time_means_exact(params)[:M]
-                exact, _ = oracle.single_column_hitting_moments_exact(params, with_second_moment=False)
-                ref = np.array(exact[:M], dtype=float)
+                ref = _oracle_hitting_means(params)
                 worst = max(worst, float(np.max(np.abs(means - ref) / ref)))
     check("hitting-mean-vs-oracle", worst, 1e-9)
 

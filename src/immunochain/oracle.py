@@ -2,10 +2,13 @@
 
 Everything here favours obvious correctness over speed: dense linear
 algebra for stationary laws and first-passage moments, and exact integer
-arithmetic for the coupon-collector count (the Stirling recurrence, itself
-checked against full enumeration in the tests). These are the references the
-closed forms and samplers are validated against before being trusted at
-scale, so none of them share code with the quantities they check.
+arithmetic for the single-column first passage (the elimination a dense
+solve would do, on the generator scaled to integer rates, checked against
+plain Fraction elimination in the tests) and for the coupon-collector
+count (the Stirling recurrence, itself checked against full enumeration in
+the tests). These are the references the closed forms and samplers are
+validated against before being trusted at scale, so none of them share
+code with the quantities they check.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import numpy as np
 
@@ -33,6 +37,10 @@ _RESIDUAL_TOL = 1e-10
 
 # State spaces above this are too big to enumerate densely.
 _MAX_STATES = 1 << 16
+
+# The exact first passage is refused above this M: its integers grow
+# linearly in M and its cost about as M**3, to hours at M = 10**4.
+_MAX_EXACT_M = 512
 
 
 @dataclass
@@ -274,52 +282,75 @@ def hitting_moments(generator: DenseGenerator, target_set) -> tuple[np.ndarray, 
     return mean, second
 
 
+def _first_passage_integers(params: SingleColumnParams, rhs: list[int]) -> tuple[list[int], int]:
+    """Solve ``-Q x = rhs`` off the target M in integers: ``x_i = X[i] / det``.
+
+    ``rhs`` holds an integer right-hand side for each start state 0..M-1.
+    The float rates are taken at their exact dyadic values, and scaling the
+    generator by ``S = den(alpha) * den(p) * M`` makes every rate an
+    integer: ``U_k = num(alpha) * (den(p) - num(p)) * (M - k)`` up from k
+    and ``P = num(p) * den(alpha) * M`` back to 0. Eliminating from M-1
+    downward gives ``x_i = (C_i + D_i * x_0) / Den_i``, closed by the
+    equation at 0, with integer ``C_i``, ``D_i`` over the running product
+    ``Den_i = prod_{j >= i} (U_j + P)``. The product of the pivots is the
+    determinant ``det = U_0 * (Den_1 - D_1)`` of the scaled system, so by
+    Cramer's rule every ``X[i] = det * x_i`` is an integer; the equations
+    read upward from 0 give each one by an exact division by ``U_i``. No
+    step takes a gcd, and the same equations give ``X[M] = 0`` as a check.
+    """
+    M = int(params.M)
+    if M > _MAX_EXACT_M:
+        raise ValueError(f"M={M} exceeds {_MAX_EXACT_M} for the exact first-passage solve")
+    an, ad = Fraction(params.alpha).as_integer_ratio()
+    pn, pd = Fraction(params.p).as_integer_ratio()
+    b = [ad * pd * M * r for r in rhs]
+    up = [an * (pd - pn) * (M - k) for k in range(M)]
+    reset = pn * ad * M
+    C, D, Den = 0, 0, 1
+    for i in range(M - 1, 0, -1):
+        C, D, Den = b[i] * Den + up[i] * C, up[i] * D + reset * Den, (up[i] + reset) * Den
+    det = up[0] * (Den - D)
+    X = [b[0] * Den + up[0] * C]
+    X.append(X[0] - b[0] * (Den - D))  # U_0 * (x_0 - x_1) = b_0, times det / U_0
+    for i in range(1, M):
+        X.append(((up[i] + reset) * X[i] - reset * X[0] - b[i] * det) // up[i])
+    if X.pop() != 0:
+        raise ArithmeticError("exact first-passage solve does not reach 0 at M")
+    return X, det
+
+
 def single_column_hitting_moments_exact(
     params: SingleColumnParams, with_second_moment: bool = True
 ) -> tuple[list[Fraction], list[Fraction] | None]:
     """Exact first-passage moments of the single-column chain, to state M.
 
-    Gaussian elimination of the continuous-time systems ``Q m = -1`` and
-    ``Q s = -2m`` in exact rational arithmetic (the float rates are taken
-    at their exact dyadic values). Eliminating from state M-1 downward
-    expresses every unknown as ``c_i + d_i * x_0`` with one closing
-    equation at 0, so the solve is O(M) with no roundoff at all - this
-    is the reference for regimes where the moments overflow what a
-    double-precision dense solve can certify.
+    Solves the continuous-time systems ``Q m = -1`` and ``Q s = -2m`` with
+    no roundoff at all (the float rates are taken at their exact dyadic
+    values), by fraction-free integer elimination (Bareiss 1968) of the
+    generator scaled to integer rates: O(M) steps from state M-1 downward
+    and one closing equation at 0, then every unknown as an integer over
+    the system's determinant (see ``_first_passage_integers``). Only the
+    returned entries are reduced to lowest terms. This is the reference
+    for regimes where the moments overflow what a double-precision dense
+    solve can certify.
 
     Returns ``(means, second_moments)`` as Fractions indexed by start
     state 0..M (zero at the absorbed state M). The second-moment solve
-    roughly doubles the cost and can be skipped when only means are
-    compared.
+    puts ``2m`` over the lcm of the means' denominators; it roughly
+    doubles the cost and can be skipped when only means are compared.
+    The integers grow linearly in M, so the cost grows about as M**3:
+    M above ``_MAX_EXACT_M`` raises ``ValueError`` at once.
     """
     M = params.M
-    alpha = Fraction(params.alpha)
-    q = Fraction(1) - Fraction(params.p)
-    p = Fraction(params.p)
-    up = [alpha * q * (M - k) / M for k in range(M)]
-
-    def solve(rhs: list[Fraction]) -> list[Fraction]:
-        # x_i = c_i + d_i * x_0 for i >= 1, closed by the equation at 0.
-        c = [Fraction(0)] * (M + 1)
-        d = [Fraction(0)] * (M + 1)
-        for i in range(M - 1, 0, -1):
-            denom = up[i] + p
-            c[i] = (rhs[i] + up[i] * c[i + 1]) / denom
-            d[i] = (up[i] * d[i + 1] + p) / denom
-        if M == 1:
-            x0 = rhs[0] / up[0]
-        else:
-            x0 = (rhs[0] / up[0] + c[1]) / (1 - d[1])
-        out = [Fraction(0)] * (M + 1)
-        out[0] = x0
-        for i in range(1, M):
-            out[i] = c[i] + d[i] * x0
-        return out
-
-    means = solve([Fraction(1)] * M)
+    X, det = _first_passage_integers(params, [1] * M)
+    means = [Fraction(x, det) for x in X] + [Fraction(0)]
     if not with_second_moment:
         return means, None
-    seconds = solve([2 * means[i] for i in range(M)])
+    common = lcm(*(m.denominator for m in means))
+    rhs = [2 * m.numerator * (common // m.denominator) for m in means[:M]]
+    Y, det = _first_passage_integers(params, rhs)
+    den = det * common
+    seconds = [Fraction(y, den) for y in Y] + [Fraction(0)]
     return means, seconds
 
 

@@ -40,8 +40,10 @@ A run expected to cost more than ``MAX_EXPECTED_EVENTS`` events or cells
 is refused with ``ValueError`` before it starts: a time-horizon run at its
 horizon times ``alpha*q + p`` (column) or, for the matrix, the larger of
 ``q + p + N*lambda_m`` and the epoch cells (``q + p*M``, or ``q + p`` at
-lambda_m = 0), and a laid-out single-column hit run at ``alpha*q + p``
-times the shorter of its horizon and its exact mean hitting time. Counted
+lambda_m = 0), a laid-out single-column hit run at ``alpha*q + p``
+times the shorter of its horizon and its exact mean hitting time, and a
+matrix hit run from the empty matrix at its epoch cells times the shorter
+of its horizon and a lower bound on its median hitting time. Counted
 climbs are not capped.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
@@ -371,7 +373,11 @@ def simulate_matrix(
     the Gillespie reference, :func:`immunochain.reference.matrix_gillespie`. Any
     ``first_full_column`` run without a horizon raises ``ValueError`` when
     one reset epoch fills its column with probability below
-    ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
+    ``MIN_REACH_PROBABILITY``: no run could count that many epochs. One
+    from the empty matrix also raises it when the epoch cells it would
+    chain up to the lower bound ``(1/(2*P_fill) - N)/p`` on the median of
+    ``tau`` (or up to its horizon, if sooner) exceed
+    ``MAX_EXPECTED_EVENTS``, where ``P_fill`` is that fill probability.
     """
     if config.stop_condition == STOP_COLUMN_REACHES_M:
         raise ValueError("column_reaches_m applies to the single-column chain; use first_full_column")
@@ -388,21 +394,23 @@ def simulate_matrix(
     if config.stop_condition == STOP_TIME_HORIZON:
         cost = max(params.q + params.p + params.lambda_m * N, cells_per_time)
         _check_event_budget(params, config.horizon, cost)
-    if (
-        config.stop_condition == STOP_FIRST_FULL_COLUMN
-        and config.horizon is None
-        and initial == 0
-    ):
+    horizon = config.horizon
+    stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
+    if stop_on_hit and initial == 0:
         reach = analytics.steady_allones_probability(params)
-        if reach < MIN_REACH_PROBABILITY:
+        if horizon is None and reach < MIN_REACH_PROBABILITY:
             raise ValueError(
                 f"{params}: a column fills between two of its resets with probability "
                 f"{reach:.3g} (< {MIN_REACH_PROBABILITY:g}); the first full column is "
                 "beyond simulation"
             )
+        if not filled.any():
+            # By time t at most N + Poisson(p*t) epochs have started, each
+            # filling with probability reach, so P(tau <= t) <= (N + p*t)*reach
+            # and the median of tau is at least (1/(2*reach) - N)/p.
+            median_floor = (0.5 / reach - N) / params.p if reach > 0 else math.inf
+            _check_event_budget(params, min(horizon or math.inf, median_floor), cells_per_time)
     rng = replicate_rng(config.master_seed, config.replicate_index)
-    horizon = config.horizon
-    stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
     width = _WINDOW_CELLS / cells_per_time
     first_cells = max(_FIRST_WINDOW_CELLS, M * N) if params.lambda_m > 0 else _FIRST_WINDOW_CELLS
     span = min(width, first_cells / cells_per_time) if stop_on_hit else width

@@ -1,10 +1,13 @@
 """Tests of the brute-force ground-truth module itself."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from immunochain import analytics
+from immunochain.cli import _oracle_hitting_means, main
 from immunochain.models import MatrixParams, SingleColumnParams
 from immunochain.oracle import (
     DenseGenerator,
@@ -14,6 +17,7 @@ from immunochain.oracle import (
     hitting_moments,
     matrix_generator,
     single_column_generator,
+    single_column_hitting_moments_exact,
     stationary_solve,
 )
 
@@ -131,6 +135,98 @@ class TestHittingMoments:
         gen = single_column_generator(SingleColumnParams(M=2, alpha=1.0, p=0.5))
         with pytest.raises(ValueError):
             hitting_moments(gen, set())
+
+
+def fraction_hitting_moments(params: SingleColumnParams):
+    """The exact first passage by plain Fraction elimination.
+
+    The reference for the integer solve: eliminate from M-1 downward to
+    ``x_i = c_i + d_i * x_0``, close at 0, every step a reduced Fraction.
+    """
+    M = params.M
+    alpha = Fraction(params.alpha)
+    q = Fraction(1) - Fraction(params.p)
+    p = Fraction(params.p)
+    up = [alpha * q * (M - k) / M for k in range(M)]
+
+    def solve(rhs):
+        c = [Fraction(0)] * (M + 1)
+        d = [Fraction(0)] * (M + 1)
+        for i in range(M - 1, 0, -1):
+            denom = up[i] + p
+            c[i] = (rhs[i] + up[i] * c[i + 1]) / denom
+            d[i] = (up[i] * d[i + 1] + p) / denom
+        if M == 1:
+            x0 = rhs[0] / up[0]
+        else:
+            x0 = (rhs[0] / up[0] + c[1]) / (1 - d[1])
+        return [x0] + [c[i] + d[i] * x0 for i in range(1, M)] + [Fraction(0)]
+
+    means = solve([Fraction(1)] * M)
+    return means, solve([2 * means[i] for i in range(M)])
+
+
+REF_ALPHAS = (1e-9, 0.5, 1.0, 7.3, 1e9)
+REF_PS = (1e-320, 1e-12, 0.1, 0.5, 0.9, 1 - 1e-9)
+# Every (alpha, p) pair at small M. With p = 1e-320 the integers run to
+# ~70k bits at M=64, and the reference, which takes a gcd after every
+# step, needs ~11 s a point there and ~110 s at M=128; so that p runs at
+# M <= 16 only. M=128 pairs each alpha with one other p.
+REF_POINTS = [
+    *((M, alpha, p) for M in (1, 2, 3, 5) for alpha in REF_ALPHAS for p in REF_PS),
+    *((16, alpha, 1e-320) for alpha in REF_ALPHAS),
+    *((64, alpha, p) for alpha in REF_ALPHAS for p in REF_PS[1:]),
+    *((128, alpha, p) for alpha, p in zip(REF_ALPHAS, REF_PS[1:])),
+]
+
+# verify's hitting-mean grid (cli._cmd_verify without --small).
+VERIFY_POINTS = [
+    (M, alpha, p) for M in (1, 2, 4, 8, 16, 32, 64) for alpha in (0.5, 1.0, 2.0) for p in (0.1, 0.5, 0.9)
+]
+
+
+class TestExactHittingMoments:
+    @pytest.mark.parametrize("M", sorted({M for M, _, _ in REF_POINTS}))
+    def test_equals_fraction_elimination(self, M):
+        for _, alpha, p in (pt for pt in REF_POINTS if pt[0] == M):
+            params = SingleColumnParams(M=M, alpha=alpha, p=p)
+            ref_mean, ref_second = fraction_hitting_moments(params)
+            means, seconds = single_column_hitting_moments_exact(params)
+            assert means == ref_mean, (alpha, p)
+            assert seconds == ref_second, (alpha, p)
+            assert single_column_hitting_moments_exact(params, with_second_moment=False) == (means, None)
+
+    def test_verify_reads_correctly_rounded_means(self):
+        for M, alpha, p in VERIFY_POINTS:
+            params = SingleColumnParams(M=M, alpha=alpha, p=p)
+            exact, _ = single_column_hitting_moments_exact(params, with_second_moment=False)
+            read = _oracle_hitting_means(params)
+            assert read.tolist() == [float(x) for x in exact[:M]], (M, alpha, p)
+
+    def test_verify_reports_the_fraction_error(self, capsys):
+        worst = 0.0
+        for M, alpha, p in VERIFY_POINTS:
+            params = SingleColumnParams(M=M, alpha=alpha, p=p)
+            means = analytics.hitting_time_means_exact(params)[:M]
+            exact, _ = single_column_hitting_moments_exact(params, with_second_moment=False)
+            ref = np.array([float(x) for x in exact[:M]])
+            worst = max(worst, float(np.max(np.abs(means - ref) / ref)))
+        assert main(["verify", "--seed", "3"]) == 0
+        line = f"verify hitting-mean-vs-oracle: max_err={worst:.3e} tol=1e-09 ok"
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_large_m_refused_at_once(self):
+        params = SingleColumnParams(M=10_000, alpha=1.0, p=0.5)
+        for call in (
+            lambda: single_column_hitting_moments_exact(params),
+            lambda: _oracle_hitting_means(params),
+        ):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="exceeds 512"):
+                call()
+            assert time.perf_counter() - t0 < 0.05
+        means, _ = single_column_hitting_moments_exact(SingleColumnParams(M=512, alpha=1.0, p=0.5), False)
+        assert len(means) == 513 and means[0] > means[511] > 0
 
 
 class TestCouponEnumerate:

@@ -113,6 +113,28 @@ class TestConfigValidation:
                 simulate_single_column(params, cfg)
         assert simulate_single_column(params, hit_config(1)).tau > 0
 
+    def test_rare_matrix_hit_run_beyond_cell_cap_rejected(self):
+        # One epoch fills the column with probability P_fill = 1.66e-9, above
+        # MIN_REACH_PROBABILITY. P(tau <= t) <= (N + p*t)*P_fill puts the
+        # median of tau above (1/(2*P_fill) - N)/p = 6.0e8 time units, at
+        # q + p = 1 cell per time unit. A horizon sooner than that is
+        # charged instead.
+        params = MatrixParams(M=16, N=1, p=0.5)
+        for horizon in (None, 1e12):
+            cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, horizon=horizon)
+            with pytest.raises(ValueError, match="expected events"):
+                simulate_matrix(params, cfg)
+        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, horizon=1e3)
+        assert simulate_matrix(params, cfg).end_time == 1e3
+
+    def test_rare_matrix_hit_run_within_cell_cap_runs(self):
+        # P_fill = 7.8e-5: the median bound is 1.3e4 cells, and a run ends
+        # at its first full column.
+        params = MatrixParams(M=8, N=1, p=0.5)
+        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN)
+        traj = simulate_matrix(params, cfg)
+        assert traj.tau is not None and traj.end_value == 1
+
     def test_event_cap_leaves_hit_runs_alone(self):
         # A horizon only caps a hit run, which stops at its target.
         cfg = hit_config(1, horizon=1e12)
