@@ -5,27 +5,13 @@ single-column runs from regenerative climbs), closed-form stationary and
 hitting-time analysis, perfect stationary sampling by time reversal, a
 brute-force validation oracle, and a Monte Carlo replication harness.
 
-Both chains' Gillespie simulators, the references the epochs and the
-climbs are tested against, are :mod:`immunochain.reference`; it is
-imported on its own, never by the package.
+The chains' step semantics (events, rates, closed-form event
+composition) and both Gillespie simulators, the references the epochs
+and the climbs are tested against, are :mod:`immunochain.reference`; it
+is imported on its own, never by the package.
 """
 
-from .models import (
-    COLUMN_ZERO,
-    ENTRY_SET,
-    ROW_SET,
-    ColumnState,
-    MatrixEvent,
-    MatrixParams,
-    MatrixState,
-    SingleColumnParams,
-    apply_event,
-    column_zero,
-    compose_closed_form,
-    entry_set,
-    enumerate_rates,
-    row_set,
-)
+from .models import MatrixParams, MatrixState, SingleColumnParams
 from .analytics import (
     ClosedFormReport,
     collection_time_laplace,
@@ -67,6 +53,7 @@ from .oracle import (
     hitting_moments,
     matrix_generator,
     single_column_generator,
+    single_column_hitting_means,
     single_column_hitting_moments_exact,
     stationary_solve,
 )

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,15 @@ _CONFIG_KEYS = (
 
 _OBSERVABLES = ("taus", "counts", "series")
 
+# Config fields by type. A JSON config file can hold a string or a bool
+# where a number is due; a bool is refused as a number.
+_FIELD_TYPES = (
+    (("M", "N", "replicates", "seed"), Integral, "an integer"),
+    (("p", "pd", "pm", "lambda_m", "alpha", "horizon"), Real, "a number"),
+    (("model", "format", "out"), str, "a string"),
+    (("outputs",), list, "a list of strings"),
+)
+
 
 class ConfigError(ValueError):
     pass
@@ -79,6 +89,13 @@ class ExperimentConfig:
     outputs: list[str] | None = None  # None = every observable
 
     def __post_init__(self):
+        for names, kind, what in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if self.outputs is not None and not all(isinstance(o, str) for o in self.outputs):
+            raise ConfigError(f"outputs must be a list of strings, got {self.outputs!r}")
         if self.model not in (MODEL_SINGLE, MODEL_MATRIX):
             raise ConfigError(f"model must be {MODEL_SINGLE!r} or {MODEL_MATRIX!r}, got {self.model!r}")
         if self.format not in ("csv", "json"):
@@ -374,16 +391,6 @@ def emit_figure_data(config: ExperimentConfig) -> int:
     return 0
 
 
-def _oracle_hitting_means(params: SingleColumnParams) -> np.ndarray:
-    """The oracle's exact mean hitting times from 0..M-1, correctly rounded.
-
-    Int true division rounds correctly, so each entry equals ``float`` of
-    the oracle's Fraction without building one.
-    """
-    numerators, det = oracle._first_passage_integers(params, [1] * params.M)
-    return np.array([x / det for x in numerators])
-
-
 def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
     """Cross-check closed forms and the sampler against the oracle."""
     failures: list[str] = []
@@ -414,7 +421,7 @@ def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
             for p in ps:
                 params = SingleColumnParams(M=M, alpha=alpha, p=p)
                 means = analytics.hitting_time_means_exact(params)[:M]
-                ref = _oracle_hitting_means(params)
+                ref = oracle.single_column_hitting_means(params)
                 worst = max(worst, float(np.max(np.abs(means - ref) / ref)))
     check("hitting-mean-vs-oracle", worst, 1e-9)
 

@@ -28,6 +28,7 @@ __all__ = [
     "matrix_generator",
     "stationary_solve",
     "hitting_moments",
+    "single_column_hitting_means",
     "single_column_hitting_moments_exact",
     "coupon_enumerate",
 ]
@@ -317,6 +318,17 @@ def _first_passage_integers(params: SingleColumnParams, rhs: list[int]) -> tuple
     if X.pop() != 0:
         raise ArithmeticError("exact first-passage solve does not reach 0 at M")
     return X, det
+
+
+def single_column_hitting_means(params: SingleColumnParams) -> np.ndarray:
+    """Exact mean hitting times of M from starts 0..M-1, correctly rounded.
+
+    The same integer solve as :func:`single_column_hitting_moments_exact`,
+    read as doubles: int true division rounds correctly, so each entry
+    equals ``float`` of the exact Fraction without building one.
+    """
+    numerators, det = _first_passage_integers(params, [1] * params.M)
+    return np.array([x / det for x in numerators])
 
 
 def single_column_hitting_moments_exact(

@@ -371,6 +371,29 @@ class TestFigureData:
                     "--p", "0.1", "--out", str(tmp_path)]) == 1
 
 
+# (model, key, value): JSON values of the wrong type, each of which once
+# ended ``simulate --config`` in a TypeError traceback (``M: true`` ran as M=1).
+WRONG_TYPED_CONFIGS = [
+    ("matrix", "replicates", 2.5),
+    ("matrix", "p", "0.3"),
+    ("matrix", "lambda_m", "1"),
+    ("single-column", "alpha", "1"),
+    ("matrix", "M", True),
+]
+
+
+@pytest.mark.parametrize("model, key, value", WRONG_TYPED_CONFIGS)
+def test_wrong_typed_config_value_is_config_error(tmp_path, capsys, model, key, value):
+    config = {"model": model, "M": 3, "N": 2, "p": 0.3, "replicates": 2, "horizon": 5.0, key: value}
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(config))
+    returned = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert returned == 1
+    assert err.startswith(f"error: {key} must be")
+    assert "Traceback" not in err
+
+
 SINGLE = ["--model", "single-column"]
 MATRIX = ["--model", "matrix"]
 

@@ -1,19 +1,9 @@
-"""Contract tests for parameter records, states, events, and composition."""
+"""Contract tests for parameter records and matrix states."""
 
 import numpy as np
 import pytest
 
-from immunochain.models import (
-    MatrixParams,
-    MatrixState,
-    SingleColumnParams,
-    apply_event,
-    column_zero,
-    compose_closed_form,
-    entry_set,
-    enumerate_rates,
-    row_set,
-)
+from immunochain.models import MatrixParams, MatrixState, SingleColumnParams
 
 
 class TestParams:
@@ -68,91 +58,6 @@ class TestParams:
             MatrixParams(**kwargs)
 
 
-class TestEnumerateRates:
-    def test_from_zero(self):
-        params = SingleColumnParams(M=2, alpha=1.0, p=0.5)
-        assert enumerate_rates(0, params) == [(1, 0.5)]
-
-    def test_interior_state(self):
-        params = SingleColumnParams(M=2, alpha=1.0, p=0.5)
-        assert enumerate_rates(1, params) == [(2, 0.25), (0, 0.5)]
-
-    def test_from_top_only_reset(self):
-        for M, alpha, p in [(2, 1.0, 0.5), (5, 2.0, 0.3)]:
-            params = SingleColumnParams(M=M, alpha=alpha, p=p)
-            assert enumerate_rates(M, params) == [(0, p)]
-
-    def test_rate_sum_matches_formula(self):
-        params = SingleColumnParams(M=7, alpha=1.7, p=0.35)
-        for k in range(params.M + 1):
-            total = sum(rate for _, rate in enumerate_rates(k, params))
-            expected = params.alpha * params.q * (1 - k / params.M) * (k < params.M)
-            expected += params.p * (k > 0)
-            assert total == pytest.approx(expected, rel=1e-15)
-
-    def test_rejects_out_of_range_state(self):
-        params = SingleColumnParams(M=3, alpha=1.0, p=0.5)
-        with pytest.raises(ValueError):
-            enumerate_rates(4, params)
-        with pytest.raises(ValueError):
-            enumerate_rates(-1, params)
-
-
-class TestApplyEvent:
-    def test_row_set(self):
-        s = MatrixState.zeros(2, 2)
-        out = apply_event(s, row_set(0))
-        assert out.entries.tolist() == [[1, 1], [0, 0]]
-        assert out.column_counts.tolist() == [1, 1]
-
-    def test_column_zero(self):
-        s = MatrixState.from_entries([[1, 1], [0, 0]])
-        out = apply_event(s, column_zero(1))
-        assert out.entries.tolist() == [[1, 0], [0, 0]]
-        assert out.column_counts.tolist() == [1, 0]
-
-    def test_entry_set(self):
-        s = MatrixState.zeros(2, 2)
-        out = apply_event(s, entry_set(1, 0))
-        assert out.entries.tolist() == [[0, 0], [1, 0]]
-
-    def test_rejects_out_of_range(self):
-        s = MatrixState.zeros(2, 3)
-        with pytest.raises(ValueError):
-            apply_event(s, row_set(2))
-        with pytest.raises(ValueError):
-            apply_event(s, column_zero(3))
-        with pytest.raises(ValueError):
-            apply_event(s, entry_set(0, 3))
-
-    def test_row_and_column_events_idempotent(self):
-        rng = np.random.default_rng(4)
-        s = MatrixState.from_entries(rng.integers(0, 2, size=(3, 4)))
-        for ev in (row_set(1), column_zero(2)):
-            once = apply_event(s, ev)
-            twice = apply_event(once, ev)
-            assert once == twice
-
-    def test_cached_counts_survive_random_sequences(self):
-        rng = np.random.default_rng(11)
-        state = MatrixState.zeros(4, 5)
-        for _ in range(300):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                ev = row_set(int(rng.integers(0, 4)))
-            elif kind == 1:
-                ev = column_zero(int(rng.integers(0, 5)))
-            else:
-                ev = entry_set(int(rng.integers(0, 4)), int(rng.integers(0, 5)))
-            state = apply_event(state, ev)
-            assert state.counts_consistent()
-
-    def test_original_state_untouched(self):
-        s = MatrixState.zeros(2, 2)
-        apply_event(s, row_set(0))
-        assert s.entries.sum() == 0
-
-
 class TestIndexRoundTrip:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -161,53 +66,7 @@ class TestIndexRoundTrip:
             s = MatrixState.from_entries(rng.integers(0, 2, size=(M, N)))
             assert MatrixState.from_index(M, N, s.to_index()) == s
 
-
-class TestComposeClosedForm:
-    def test_single_add_then_delete(self):
-        s = MatrixState.zeros(2, 2)
-        out = compose_closed_form(s, additions=[{0}], deletions=[{1}])
-        assert out.entries.tolist() == [[1, 0], [0, 0]]
-
-    def test_identity_on_empty_steps(self):
-        rng = np.random.default_rng(9)
-        s = MatrixState.from_entries(rng.integers(0, 2, size=(3, 3)))
-        assert compose_closed_form(s, [set()], [set()]) == s
-
-    def test_all_columns_deleted(self):
-        s = MatrixState.from_entries([[1, 1], [1, 1]])
-        out = compose_closed_form(s, additions=[set(), set()], deletions=[{0}, {1}])
-        assert out.entries.sum() == 0
-
-    def test_length_mismatch_rejected(self):
-        s = MatrixState.zeros(2, 2)
-        with pytest.raises(ValueError):
-            compose_closed_form(s, [{0}], [])
-
-    def test_out_of_range_rejected(self):
-        s = MatrixState.zeros(2, 2)
-        with pytest.raises(ValueError):
-            compose_closed_form(s, [{2}], [set()])
-        with pytest.raises(ValueError):
-            compose_closed_form(s, [set()], [{5}])
-
-    def test_matches_sequential_replay(self):
-        # Random (row-set, column-zero) step sequences, checked bit-exactly
-        # against event-by-event application.
-        rng = np.random.default_rng(123)
-        for trial in range(60):
-            M = int(rng.integers(1, 7))
-            N = int(rng.integers(1, 7))
-            T = int(rng.integers(0, 26))  # up to 25 steps = 50 set-events
-            start = MatrixState.from_entries(rng.integers(0, 2, size=(M, N)))
-            additions, deletions = [], []
-            for _ in range(T):
-                additions.append({int(j) for j in rng.integers(0, M, size=rng.integers(0, 3))})
-                deletions.append({int(i) for i in rng.integers(0, N, size=rng.integers(0, 3))})
-            replay = start
-            for add, delete in zip(additions, deletions):
-                for j in sorted(add):
-                    replay = apply_event(replay, row_set(j))
-                for i in sorted(delete):
-                    replay = apply_event(replay, column_zero(i))
-            closed = compose_closed_form(start, additions, deletions)
-            assert closed == replay, f"trial {trial}: composition disagrees with replay"
+    def test_empty_shapes_refused(self):
+        for M, N in ((0, 3), (3, 0), (0, 0)):
+            with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+                MatrixState.from_index(M, N, 0)

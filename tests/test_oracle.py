@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from immunochain import analytics
-from immunochain.cli import _oracle_hitting_means, main
+from immunochain.cli import main
 from immunochain.models import MatrixParams, SingleColumnParams
 from immunochain.oracle import (
     DenseGenerator,
@@ -17,6 +17,7 @@ from immunochain.oracle import (
     hitting_moments,
     matrix_generator,
     single_column_generator,
+    single_column_hitting_means,
     single_column_hitting_moments_exact,
     stationary_solve,
 )
@@ -200,7 +201,7 @@ class TestExactHittingMoments:
         for M, alpha, p in VERIFY_POINTS:
             params = SingleColumnParams(M=M, alpha=alpha, p=p)
             exact, _ = single_column_hitting_moments_exact(params, with_second_moment=False)
-            read = _oracle_hitting_means(params)
+            read = single_column_hitting_means(params)
             assert read.tolist() == [float(x) for x in exact[:M]], (M, alpha, p)
 
     def test_verify_reports_the_fraction_error(self, capsys):
@@ -219,7 +220,7 @@ class TestExactHittingMoments:
         params = SingleColumnParams(M=10_000, alpha=1.0, p=0.5)
         for call in (
             lambda: single_column_hitting_moments_exact(params),
-            lambda: _oracle_hitting_means(params),
+            lambda: single_column_hitting_means(params),
         ):
             t0 = time.perf_counter()
             with pytest.raises(ValueError, match="exceeds 512"):
