@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -452,7 +453,27 @@ def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call."""
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in (
+        ("--config", dict(type=str, help="JSON config file")),
+        ("--model", dict(choices=[MODEL_SINGLE, MODEL_MATRIX])),
+        ("--M", dict(type=int, help="rows / attributes")),
+        ("--N", dict(type=int, help="columns / components")),
+        ("--p", dict(type=float, help="reset rate in (0,1)")),
+        ("--pd", dict(type=float, help="per-step deletion probability")),
+        ("--pm", dict(type=float, help="per-step entry probability")),
+        ("--lambda-m", dict(dest="lambda_m", type=float)),
+        ("--alpha", dict(type=float, help="single-column update speed")),
+        ("--replicates", dict(type=int)),
+        ("--horizon", dict(type=float)),
+        ("--seed", dict(type=int)),
+        ("--out", dict(type=str, help="output directory")),
+        ("--format", dict(choices=["csv", "json"])),
+    ):
+        common.add_argument(flag, default=None, **kwargs)
     parser = argparse.ArgumentParser(
         prog="immunochain",
         description="Simulate and analyze the immune-learning Markov chain models.",
@@ -465,21 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "cross-check closed forms and sampler against the oracle"),
         ("figure-data", "emit CSV data for the count-vs-time and tau-vs-pm figures"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--model", choices=[MODEL_SINGLE, MODEL_MATRIX], default=None)
-        p.add_argument("--M", type=int, default=None, help="rows / attributes")
-        p.add_argument("--N", type=int, default=None, help="columns / components")
-        p.add_argument("--p", type=float, default=None, help="reset rate in (0,1)")
-        p.add_argument("--pd", type=float, default=None, help="per-step deletion probability")
-        p.add_argument("--pm", type=float, default=None, help="per-step entry probability")
-        p.add_argument("--lambda-m", dest="lambda_m", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None, help="single-column update speed")
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "verify":
             p.add_argument("--small", action="store_true", help="reduced, fast grid")
     return parser

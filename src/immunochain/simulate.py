@@ -24,17 +24,21 @@ after which every row has rung since the epoch began, and one pass over
 the window's rings gives it for every epoch: each ring's next ring of the
 same row, a prefix maximum of those, and a search for each epoch's start.
 Windows chain from each column's state at the end of the last one, which
-bounds the arrays a window needs. The event count adds the entry rings:
-the first one of each entry and epoch is drawn, the rest are Poisson in
-the time left.
+bounds the arrays a window needs. An entry set when a window begins stays
+set until its column's next reset, so with entry clocks a window builds
+cells only for the entries still unset at its start, and M per reset. The
+event count adds the entry rings: the first one of each built cell is
+drawn; the rest, and every ring of an entry set at the window's start,
+are Poisson in the time left.
 
 Both constructions have exactly Gillespie's law; the climbs are the
 column's own jump chain, drawn in another order. Counted climbs cost a few
 draws per level whatever the event count, laid-out climbs one array cell
-per event, and epochs about ``q + p*M`` cells per unit time, or ``q + p``
-at lambda_m = 0. Both chains' event loops live apart, in
-:mod:`immunochain.reference`, as the references the tests compare these
-constructions against.
+per event, and epochs about ``q + p*M`` cells per unit time plus, per
+window, one per entry unset at its start (all ``N*M`` in a run's first
+window from the empty matrix), or ``q + p`` at lambda_m = 0. Both chains'
+event loops live apart, in :mod:`immunochain.reference`, as the references
+the tests compare these constructions against.
 
 A run expected to cost more than ``MAX_EXPECTED_EVENTS`` events or cells
 is refused with ``ValueError`` before it starts: a time-horizon run at its
@@ -43,8 +47,9 @@ horizon times ``alpha*q + p`` (column) or, for the matrix, the larger of
 lambda_m = 0), a laid-out single-column hit run at ``alpha*q + p``
 times the shorter of its horizon and its exact mean hitting time, and a
 matrix hit run from the empty matrix at its epoch cells times the shorter
-of its horizon and a lower bound on its median hitting time. Counted
-climbs are not capped.
+of its horizon and a lower bound on its median hitting time. A matrix run
+is charged at least its ``N*M`` state cells, before any is allocated.
+Counted climbs are not capped.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -378,22 +383,30 @@ def simulate_matrix(
     chain up to the lower bound ``(1/(2*P_fill) - N)/p`` on the median of
     ``tau`` (or up to its horizon, if sooner) exceed
     ``MAX_EXPECTED_EVENTS``, where ``P_fill`` is that fill probability.
+    Every run raises it when ``N*M`` alone exceeds ``MAX_EXPECTED_EVENTS``.
     """
     if config.stop_condition == STOP_COLUMN_REACHES_M:
         raise ValueError("column_reaches_m applies to the single-column chain; use first_full_column")
     M, N = params.M, params.N
-    if start is None:
-        filled, initial = np.zeros((N, M), dtype=bool), 0  # filled[j, i]: entry (i, j) is one
-    elif start.M != M or start.N != N:
+    if start is not None and (start.M != M or start.N != N):
         raise ValueError("start state shape does not match parameters")
-    else:
-        filled, initial = start.entries.T.astype(bool), start.all_ones_count
+    if M * N > MAX_EXPECTED_EVENTS:
+        # Every window holds the N x M state, and at lambda_m > 0 the first
+        # one builds a cell per entry.
+        raise ValueError(
+            f"{params}: the {M} x {N} state alone holds {M * N:.3g} cells "
+            f"(> {MAX_EXPECTED_EVENTS:.0e}); shrink M or N"
+        )
     # Epoch cells per unit time: row rings and resets, and with entry
     # clocks an M-wide row of set times per epoch.
     cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
     if config.stop_condition == STOP_TIME_HORIZON:
         cost = max(params.q + params.p + params.lambda_m * N, cells_per_time)
         _check_event_budget(params, config.horizon, cost)
+    if start is None:
+        filled, initial = np.zeros((N, M), dtype=bool), 0  # filled[j, i]: entry (i, j) is one
+    else:
+        filled, initial = start.entries.T.astype(bool), start.all_ones_count
     horizon = config.horizon
     stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
     if stop_on_hit and initial == 0:
@@ -471,11 +484,15 @@ def _epoch_window(
     earlier (at s if it is one at ``t0`` and s is ``t0``), and the column
     is full from the last of these times to the epoch's end.
 
+    With entry clocks the window builds one cell per entry unset at ``t0``
+    and M per reset epoch (see :func:`_entry_fill`); without them, none.
+
     Returns the times columns became full (columns full at ``t0`` are
     carried, not counted), the times full columns were reset, the events
-    up to the window's end, the summed time that entry clocks ran on after
-    their first ring (their further rings are Poisson in it), the number
-    of full columns at ``t1`` and, under ``carry``, the column states at
+    up to the window's end, the summed time that entry clocks ran on
+    without a drawn ring (after their first ring, or from ``t0`` for the
+    entries set then; their rings there are Poisson in it), the number of
+    full columns at ``t1`` and, under ``carry``, the column states at
     ``t1`` for the next window. Under ``stop_on_hit`` the window ends at
     its first full column, if any.
     """
@@ -502,12 +519,12 @@ def _epoch_window(
     last[order[:-1][succ]] = False
 
     if params.lambda_m > 0:
-        fill, filled_next, entry_rings = _entry_fill(
-            params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1
+        fill, filled_next, entry_rings, set_rows = _entry_fill(
+            params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, carry
         )
     else:
         fill, filled_next = _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry)
-        entry_rings = ()
+        entry_rings, set_rows = (), None
 
     valid = fill < ends
     gained = fill[valid & (fill > t0)]
@@ -515,24 +532,37 @@ def _epoch_window(
     gained = gained[gained <= end]
     lost = ends[valid & (ends < end)]
     n_events = int(np.searchsorted(ring_t, end, "right") + np.searchsorted(reset_t, end, "right"))
-    spare = 0.0
-    for lo, hi, first in entry_rings:
-        gap = np.minimum(ends[lo:hi], end)[:, None] - first
+    # A set entry's clock changes nothing until its column's first reset:
+    # all its rings from t0 on are Poisson in that time.
+    spare = 0.0 if set_rows is None else float(set_rows @ (np.minimum(ends[:N], end) - t0))
+    for epoch, first in entry_rings:
+        gap = np.minimum(ends[epoch], end) - first
         n_events += int(np.count_nonzero(gap >= 0))
         spare += float(np.maximum(gap, 0.0, out=gap).sum())
     full_at_t1 = int(np.count_nonzero(fill[last] < t1))
     return gained, lost, n_events, spare, full_at_t1, filled_next
 
 
-def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1):
+def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, carry):
     """Fill times of a window's epochs when entries have clocks of their own.
 
-    Each epoch's M set times are built cell by cell, in chunks of at most
-    ``_WINDOW_CELLS``: row i's first ring after the epoch's start, lowered
-    to the entry's own first ring. Returns the fill times, the column
-    states at ``t1`` and, per chunk, the entry clocks' first rings.
+    An entry's set time is row i's first ring after its epoch's start,
+    lowered to the entry's own first ring. A reset epoch builds all M set
+    times, in chunks of at most ``_WINDOW_CELLS`` cells. A carried epoch
+    builds them only for the entries unset at ``t0`` (all N*M of them when
+    none is set, as in a run's first window from the empty matrix): one
+    flat index over them, column by column, whose segment maxima are the
+    fill times; a column with every entry set fills at ``t0``. So a window
+    costs its unset carried cells plus M per reset.
+
+    Returns the fill times; under ``carry``, the column states at ``t1``;
+    per block of cells, the epoch of each cell (broadcastable) and the
+    entry clocks' first rings; and the number of entries set at ``t0`` in
+    each carried column (``None`` when there is none), whose clocks draw
+    no first ring.
     """
     M, N = params.M, params.N
+    scale = M / params.lambda_m
     n_epochs = starts.size
     bucket = np.concatenate((np.zeros(N, dtype=np.intp), np.arange(1, reset_t.size + 1)))
     # next_ring[b, i]: row i's first ring after start b (t0, then each
@@ -543,22 +573,37 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, la
     next_ring = np.minimum.accumulate(next_ring[::-1], axis=0)[::-1]
 
     fill = np.empty(n_epochs)
-    filled_next = np.empty_like(filled)
+    filled_next = filled.copy() if carry else None
     entry_rings = []
+    set_rows = None
+    dense_from = 0
+    if filled.any():
+        unset = np.flatnonzero(~filled)  # column by column
+        bounds = np.searchsorted(unset, np.arange(N + 1) * M)  # column j: unset[bounds[j]:bounds[j + 1]]
+        n_unset = np.diff(bounds)
+        col, row = np.divmod(unset, M)
+        first = t0 + rng.exponential(scale, size=unset.size)
+        set_at = np.minimum(next_ring[0, row], first)
+        fill[:N] = t0
+        some = n_unset > 0
+        fill[:N][some] = np.maximum.reduceat(set_at, bounds[:N][some])
+        entry_rings.append((col, first))
+        set_rows = M - n_unset
+        if carry:
+            filled_next.reshape(-1)[unset] = set_at < t1
+        dense_from = N
     step = max(1, _WINDOW_CELLS // M)
-    for lo in range(0, n_epochs, step):
+    for lo in range(dense_from, n_epochs, step):
         hi = min(lo + step, n_epochs)
         set_at = next_ring[bucket[lo:hi]]
-        if lo < N:
-            top = min(hi, N)
-            set_at[: top - lo][filled[lo:top]] = t0
-        first = starts[lo:hi, None] + rng.exponential(M / params.lambda_m, size=set_at.shape)
+        first = starts[lo:hi, None] + rng.exponential(scale, size=set_at.shape)
         np.minimum(set_at, first, out=set_at)
-        entry_rings.append((lo, hi, first))
+        entry_rings.append((np.arange(lo, hi)[:, None], first))
         fill[lo:hi] = set_at.max(axis=1)
-        keep = last[lo:hi]
-        filled_next[cols[lo:hi][keep]] = set_at[keep] < t1
-    return fill, filled_next, entry_rings
+        if carry:
+            keep = last[lo:hi]
+            filled_next[cols[lo:hi][keep]] = set_at[keep] < t1
+    return fill, filled_next, entry_rings, set_rows
 
 
 def _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry):

@@ -1,10 +1,12 @@
 """CLI contract: exit codes, determinism, file schemas, round-trips."""
 
+import argparse
 import json
 import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 import immunochain
 from immunochain.analytics import hitting_time_mean_exact
-from immunochain.cli import ExperimentConfig, main
+from immunochain.cli import ExperimentConfig, build_parser, main
 from immunochain.models import SingleColumnParams
 from immunochain.simulate import SimulationConfig, simulate_single_column
 
@@ -432,3 +434,43 @@ def test_extreme_inputs_never_leave_a_traceback(tmp_path, capsys, argv, code):
     assert "Traceback" not in capsys.readouterr().err
     assert returned in (0, 1, 2, 3)
     assert returned == code
+
+
+def test_state_beyond_the_cell_cap_is_refused_at_once(tmp_path, capsys):
+    # Three entries by 10^8 columns: about 5 expected events to the
+    # horizon, but the state alone is 3e8 cells.
+    argv = ["simulate", *MATRIX, "--M", "3", "--N", "100000000", "--p", "0.3",
+            "--replicates", "2", "--horizon", "5", "--out", str(tmp_path)]
+    began = time.perf_counter()
+    returned = main(argv)
+    elapsed = time.perf_counter() - began
+    err = capsys.readouterr().err
+    assert returned == 1
+    assert elapsed < 1.0
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+SHARED_FLAGS = [
+    "-h", "--help", "--config", "--model", "--M", "--N", "--p", "--pd", "--pm", "--lambda-m",
+    "--alpha", "--replicates", "--horizon", "--seed", "--out", "--format",
+]
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_subcommand_options(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["simulate", "sample-steady", "analyze", "verify", "figure-data"]
+        for name, parser in sub.choices.items():
+            options = [s for action in parser._actions for s in action.option_strings]
+            assert options == SHARED_FLAGS + (["--small"] if name == "verify" else []), name
+
+    def test_bad_flag_leaves_the_parser_usable(self, tmp_path, capsys):
+        assert main(["analyze", "--bogus", "1"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["analyze", *MATRIX, "--M", "4", "--N", "2", "--p", "0.3",
+                     "--out", str(tmp_path)]) == 0
+        assert read_summary(tmp_path)["config"]["M"] == 4

@@ -85,6 +85,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="expected events"):
             simulate_matrix(params, cfg)
 
+    def test_matrix_state_beyond_cell_cap_rejected(self):
+        # About 5 expected events to the horizon, but the 3 x 10^8 state
+        # alone is 3e8 cells; refused before any of it is allocated.
+        params = MatrixParams(M=3, N=10**8, p=0.3)
+        for kw in (dict(horizon=5.0), dict(stop_condition=STOP_FIRST_FULL_COLUMN)):
+            with pytest.raises(ValueError, match="state alone"):
+                simulate_matrix(params, SimulationConfig(master_seed=1, **kw))
+
     def test_matrix_horizon_without_entry_clocks_costs_its_events(self):
         # At lambda_m = 0 a window costs its q + p = 1 rings and resets per
         # time unit, so 2e5 time units are 2e5 events; charged q + p*M cells
@@ -742,6 +750,105 @@ class TestEpochPath:
         assert p_value > 0.001
         assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
         assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
+
+    def test_first_full_column_law_across_entry_clock_windows(self, monkeypatch):
+        # As above with entry clocks: hit windows of 4.5, 9 and 16 time
+        # units against a median hit near 27, so most runs carry set
+        # entries into a third window or later.
+        monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
+        params = MatrixParams(M=6, N=3, p=0.6, lambda_m=0.3)
+        fast = _runs(params, 5360, 1500, stop_condition=STOP_FIRST_FULL_COLUMN)
+        slow = _reference_runs(params, 5361, 600, stop_condition=STOP_FIRST_FULL_COLUMN)
+        taus = np.array([t.tau for t in fast])
+        assert np.mean(taus > 4.5 + 9) > 0.5  # past the second window
+        _, p_value = ks_2samp(taus, [t.tau for t in slow])
+        assert p_value > 0.001
+        assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
+        assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
+
+    def test_horizon_law_across_entry_clock_windows(self, monkeypatch):
+        # Windows of 16 cells, 8.4 time units here, to a horizon of 40: the
+        # count at grid times on both sides of the window bounds, and the
+        # event count, which is exactly Poisson(total_rate * T) and so pins
+        # the rings of entries already set when a window begins.
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 16)
+        params = MatrixParams(M=4, N=3, p=0.3, lambda_m=0.3)
+        horizon = 40.0
+        assert horizon > 4 * 16 / (params.q + params.p * params.M)
+        fast = _runs(params, 5370, 1500, horizon=horizon, record_series=True)
+        slow = _reference_runs(params, 5371, 750, horizon=horizon, record_series=True)
+        for t in (4.0, 8.0, 9.0, 17.5, 25.0, 33.0, horizon):
+            assert _z_means([r.value_at(t) for r in fast], [r.value_at(t) for r in slow]) < 4, t
+        n = len(fast)
+        events = np.array([t.n_events for t in fast], dtype=float)
+        mu = params.total_rate * horizon
+        assert abs(events.mean() - mu) < 4 * math.sqrt(mu / n)
+        assert abs(events.var(ddof=1) - mu) < 4 * math.sqrt((mu + 2 * mu * mu) / n)
+
+    def test_entry_fill_matches_a_row_by_row_scan(self):
+        # Scripted entry clocks: the stub hands out exponentials and keeps
+        # them in order. Cells are the entries unset at t0 of each carried
+        # column, column by column, then M per reset epoch; a set entry
+        # draws no first ring. Every epoch's fill time, and every column's
+        # state at the window's end, must be those of a scan of each row's
+        # first ring after the epoch's start.
+        class Script:
+            def __init__(self, seed):
+                self.gen, self.drawn = np.random.default_rng(seed), []
+
+            def exponential(self, scale, size):
+                draws = scale * self.gen.standard_exponential(size)
+                self.drawn.append(draws.ravel())
+                return draws
+
+        rng = np.random.default_rng(6)
+        t0, t1 = 2.0, 12.0
+        for trial in range(300):
+            M, N = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            params = MatrixParams(M=M, N=N, p=0.3, lambda_m=float(rng.uniform(0.2, 3.0)))
+            ring_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 40))))
+            ring_row = rng.integers(0, M, ring_t.size)
+            reset_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 6))))
+            starts = np.concatenate((np.full(N, t0), reset_t))
+            cols = np.concatenate((np.arange(N), rng.integers(0, N, reset_t.size)))
+            last = np.array([not np.any((cols == c) & (starts > s)) for s, c in zip(starts, cols)])
+            filled = rng.random((N, M)) < rng.choice([0.0, 0.5, 1.0])
+            script = Script(trial)
+            fill, carried, entry_rings, set_rows = simulate_module._entry_fill(
+                params, script, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, True
+            )
+            draws = iter(np.concatenate([np.empty(0), *script.drawn]).tolist())
+            firsts = np.concatenate([np.empty(0)] + [f.ravel() for _, f in entry_rings])
+            epochs = np.concatenate([np.empty(0, dtype=np.intp)] + [
+                np.broadcast_to(e, f.shape).ravel() for e, f in entry_rings
+            ])
+            scanned, scanned_epochs = [], []
+            for b, (s, c) in enumerate(zip(starts, cols)):
+                set_at = []
+                for i in range(M):
+                    if b < N and filled[b, i]:
+                        set_at.append(t0)
+                        continue
+                    first = s + next(draws)
+                    scanned.append(first)
+                    scanned_epochs.append(b)
+                    row_first = min(ring_t[(ring_row == i) & (ring_t > s)], default=math.inf)
+                    set_at.append(min(row_first, first))
+                assert fill[b] == max(set_at)
+                if last[b]:
+                    assert list(carried[c]) == [x < t1 for x in set_at]
+            assert next(draws, None) is None
+            assert firsts.tolist() == scanned
+            assert epochs.tolist() == scanned_epochs
+            if filled.any():
+                assert list(set_rows) == list(filled.sum(axis=1))
+            else:
+                assert set_rows is None
+            no_carry = simulate_module._entry_fill(
+                params, Script(trial), filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, False
+            )
+            assert no_carry[1] is None and np.array_equal(no_carry[0], fill)
 
     def test_full_start_column_is_carried(self):
         params = MatrixParams(M=2, N=3, p=0.4, lambda_m=0.1)
