@@ -455,7 +455,11 @@ def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every call."""
+    """The command-line parser, built once per process and shared by every call.
+
+    The cache serves only callers that run :func:`main` several times in
+    one process; the parser it returns must not be changed.
+    """
     common = argparse.ArgumentParser(add_help=False)
     for flag, kwargs in (
         ("--config", dict(type=str, help="JSON config file")),

@@ -524,7 +524,7 @@ def _epoch_window(
         )
     else:
         fill, filled_next = _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry)
-        entry_rings, set_rows = (), None
+        entry_rings, set_rows = (), np.zeros(N)  # no entry clocks run
 
     valid = fill < ends
     gained = fill[valid & (fill > t0)]
@@ -534,9 +534,10 @@ def _epoch_window(
     n_events = int(np.searchsorted(ring_t, end, "right") + np.searchsorted(reset_t, end, "right"))
     # A set entry's clock changes nothing until its column's first reset:
     # all its rings from t0 on are Poisson in that time.
-    spare = 0.0 if set_rows is None else float(set_rows @ (np.minimum(ends[:N], end) - t0))
-    for epoch, first in entry_rings:
-        gap = np.minimum(ends[epoch], end) - first
+    spare = float(set_rows @ (np.minimum(ends[:N], end) - t0))
+    for lo, hi, cells, first in entry_rings:
+        gap = np.repeat(np.minimum(ends[lo:hi], end), cells)
+        gap -= first
         n_events += int(np.count_nonzero(gap >= 0))
         spare += float(np.maximum(gap, 0.0, out=gap).sum())
     full_at_t1 = int(np.count_nonzero(fill[last] < t1))
@@ -547,24 +548,22 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, la
     """Fill times of a window's epochs when entries have clocks of their own.
 
     An entry's set time is row i's first ring after its epoch's start,
-    lowered to the entry's own first ring. A reset epoch builds all M set
-    times, in chunks of at most ``_WINDOW_CELLS`` cells. A carried epoch
-    builds them only for the entries unset at ``t0`` (all N*M of them when
-    none is set, as in a run's first window from the empty matrix): one
-    flat index over them, column by column, whose segment maxima are the
-    fill times; a column with every entry set fills at ``t0``. So a window
-    costs its unset carried cells plus M per reset.
+    lowered to the entry's own first ring. A carried epoch builds set times
+    only for its entries unset at ``t0`` and fills at the last of them (at
+    ``t0`` if it has none); a reset epoch builds all M. Epochs go in blocks
+    of ``_WINDOW_CELLS // M`` (one at least), so a block holds at most
+    ``_WINDOW_CELLS`` cells however large N*M is; a block of carried epochs
+    is one flat index over its unset entries, column by column, whose
+    segment maxima are the fill times. So a window costs its unset carried
+    cells plus M per reset, and keeps one first ring per cell.
 
     Returns the fill times; under ``carry``, the column states at ``t1``;
-    per block of cells, the epoch of each cell (broadcastable) and the
-    entry clocks' first rings; and the number of entries set at ``t0`` in
-    each carried column (``None`` when there is none), whose clocks draw
-    no first ring.
+    per block, its epochs ``lo:hi``, the cells of each and the entry
+    clocks' first rings, one per cell; and the number of entries set at
+    ``t0`` in each carried column, whose clocks draw no first ring.
     """
     M, N = params.M, params.N
     scale = M / params.lambda_m
-    n_epochs = starts.size
-    bucket = np.concatenate((np.zeros(N, dtype=np.intp), np.arange(1, reset_t.size + 1)))
     # next_ring[b, i]: row i's first ring after start b (t0, then each
     # reset): each ring goes to the last start before it, then a backward
     # running minimum carries later rings to earlier starts.
@@ -572,33 +571,31 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, la
     np.minimum.at(next_ring, (np.searchsorted(reset_t, ring_t), ring_row), ring_t)
     next_ring = np.minimum.accumulate(next_ring[::-1], axis=0)[::-1]
 
-    fill = np.empty(n_epochs)
+    fill = np.full(starts.size, t0)
     filled_next = filled.copy() if carry else None
+    set_rows = np.empty(N, dtype=np.intp)
     entry_rings = []
-    set_rows = None
-    dense_from = 0
-    if filled.any():
-        unset = np.flatnonzero(~filled)  # column by column
-        bounds = np.searchsorted(unset, np.arange(N + 1) * M)  # column j: unset[bounds[j]:bounds[j + 1]]
-        n_unset = np.diff(bounds)
-        col, row = np.divmod(unset, M)
-        first = t0 + rng.exponential(scale, size=unset.size)
-        set_at = np.minimum(next_ring[0, row], first)
-        fill[:N] = t0
-        some = n_unset > 0
-        fill[:N][some] = np.maximum.reduceat(set_at, bounds[:N][some])
-        entry_rings.append((col, first))
-        set_rows = M - n_unset
-        if carry:
-            filled_next.reshape(-1)[unset] = set_at < t1
-        dense_from = N
     step = max(1, _WINDOW_CELLS // M)
-    for lo in range(dense_from, n_epochs, step):
-        hi = min(lo + step, n_epochs)
-        set_at = next_ring[bucket[lo:hi]]
-        first = starts[lo:hi, None] + rng.exponential(scale, size=set_at.shape)
+    tiled = np.tile(next_ring[0], min(step, N))  # next_ring[0] at each flat cell of a block
+    for lo in range(0, N, step):
+        hi = min(lo + step, N)
+        unset = np.flatnonzero(~filled[lo:hi])  # the block's cells, column by column
+        at = np.searchsorted(unset, np.arange(hi - lo + 1) * M)  # column lo + k: unset[at[k]:at[k + 1]]
+        cells = np.diff(at)
+        first = t0 + rng.exponential(scale, size=unset.size)
+        set_at = tiled[unset]
         np.minimum(set_at, first, out=set_at)
-        entry_rings.append((np.arange(lo, hi)[:, None], first))
+        some = cells > 0
+        fill[lo:hi][some] = np.maximum.reduceat(set_at, at[:-1][some])
+        entry_rings.append((lo, hi, cells, first))
+        set_rows[lo:hi] = M - cells
+        if carry:
+            filled_next[lo:hi].reshape(-1)[unset] = set_at < t1
+    for lo in range(N, starts.size, step):
+        hi = min(lo + step, starts.size)
+        first = starts[lo:hi, None] + rng.exponential(scale, size=(hi - lo, M))
+        set_at = np.minimum(next_ring[lo - N + 1 : hi - N + 1], first)
+        entry_rings.append((lo, hi, M, first.reshape(-1)))
         fill[lo:hi] = set_at.max(axis=1)
         if carry:
             keep = last[lo:hi]

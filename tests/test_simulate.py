@@ -786,13 +786,14 @@ class TestEpochPath:
         assert abs(events.mean() - mu) < 4 * math.sqrt(mu / n)
         assert abs(events.var(ddof=1) - mu) < 4 * math.sqrt((mu + 2 * mu * mu) / n)
 
-    def test_entry_fill_matches_a_row_by_row_scan(self):
+    def test_entry_fill_matches_a_row_by_row_scan(self, monkeypatch):
         # Scripted entry clocks: the stub hands out exponentials and keeps
         # them in order. Cells are the entries unset at t0 of each carried
         # column, column by column, then M per reset epoch; a set entry
         # draws no first ring. Every epoch's fill time, and every column's
         # state at the window's end, must be those of a scan of each row's
-        # first ring after the epoch's start.
+        # first ring after the epoch's start. Small windows split the cells
+        # into blocks of whole epochs, one epoch at least.
         class Script:
             def __init__(self, seed):
                 self.gen, self.drawn = np.random.default_rng(seed), []
@@ -805,7 +806,9 @@ class TestEpochPath:
         rng = np.random.default_rng(6)
         t0, t1 = 2.0, 12.0
         for trial in range(300):
-            M, N = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            window = int(rng.choice([4, 10, 1 << 14]))
+            monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", window)
+            M, N = int(rng.integers(1, 8)), int(rng.integers(1, 7))
             params = MatrixParams(M=M, N=N, p=0.3, lambda_m=float(rng.uniform(0.2, 3.0)))
             ring_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 40))))
             ring_row = rng.integers(0, M, ring_t.size)
@@ -818,10 +821,14 @@ class TestEpochPath:
             fill, carried, entry_rings, set_rows = simulate_module._entry_fill(
                 params, script, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, True
             )
+            spans = [(lo, hi) for lo, hi, *_ in entry_rings]
+            assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == starts.size and all(hi <= N or lo >= N for lo, hi in spans)
+            assert all(hi - lo == 1 or f.size <= window for lo, hi, _, f in entry_rings)
             draws = iter(np.concatenate([np.empty(0), *script.drawn]).tolist())
-            firsts = np.concatenate([np.empty(0)] + [f.ravel() for _, f in entry_rings])
+            firsts = np.concatenate([np.empty(0)] + [f for *_, f in entry_rings])
             epochs = np.concatenate([np.empty(0, dtype=np.intp)] + [
-                np.broadcast_to(e, f.shape).ravel() for e, f in entry_rings
+                np.repeat(np.arange(lo, hi), cells) for lo, hi, cells, _ in entry_rings
             ])
             scanned, scanned_epochs = [], []
             for b, (s, c) in enumerate(zip(starts, cols)):
@@ -841,10 +848,7 @@ class TestEpochPath:
             assert next(draws, None) is None
             assert firsts.tolist() == scanned
             assert epochs.tolist() == scanned_epochs
-            if filled.any():
-                assert list(set_rows) == list(filled.sum(axis=1))
-            else:
-                assert set_rows is None
+            assert list(set_rows) == list(filled.sum(axis=1))
             no_carry = simulate_module._entry_fill(
                 params, Script(trial), filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, False
             )
