@@ -32,9 +32,6 @@ from .analytics import (
     zero_count_ratio_asymptotic,
 )
 from .simulate import (
-    STOP_COLUMN_REACHES_M,
-    STOP_FIRST_FULL_COLUMN,
-    STOP_TIME_HORIZON,
     SimulationConfig,
     Trajectory,
     hitting_time_batch,

@@ -26,14 +26,7 @@ import numpy as np
 from . import analytics, oracle, reversal
 from .models import MatrixParams, SingleColumnParams
 from .rng import replicate_rng
-from .simulate import (
-    STOP_COLUMN_REACHES_M,
-    STOP_FIRST_FULL_COLUMN,
-    STOP_TIME_HORIZON,
-    SimulationConfig,
-    simulate_matrix,
-    simulate_single_column,
-)
+from .simulate import SimulationConfig, simulate_matrix, simulate_single_column
 from .stats import empirical_tv, estimate_mean
 
 __all__ = ["ExperimentConfig", "main", "run_experiment", "emit_figure_data"]
@@ -185,17 +178,6 @@ def _write_summary(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _echo_config(config: ExperimentConfig) -> dict:
-    return asdict(config)
-
-
-def _report_dicts(reports) -> list[dict]:
-    return [
-        {"value": r.value, "method": r.method, "formula_id": r.formula_id}
-        for r in reports
-    ]
-
-
 # Each model's predictions as (formula id, method, function of the
 # parameters), as in analytics.STEADY_COUNT_FORMULAS; the lambdas look the
 # analytics functions up when called.
@@ -230,14 +212,14 @@ def _predictions(params, formulas) -> dict:
             reports.append(analytics.ClosedFormReport(formula(params), method, formula_id))
         except (ArithmeticError, ValueError) as exc:
             unavailable.append(_unavailable(method, formula_id, exc))
-    out = {"predictions": _report_dicts(reports)}
+    out = {"predictions": [asdict(r) for r in reports]}
     if unavailable:
         out["unavailable_predictions"] = unavailable
     return out
 
 
 def _analyze_payload(config: ExperimentConfig) -> dict:
-    out: dict = {"config": _echo_config(config)}
+    out: dict = {"config": asdict(config)}
     if config.model == MODEL_MATRIX:
         params = config.matrix_params()
         out["parameters"] = {
@@ -275,17 +257,16 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     end_values = []
     if config.model == MODEL_MATRIX:
         params = config.matrix_params()
-        simulate, hit_stop = simulate_matrix, STOP_FIRST_FULL_COLUMN
+        simulate = simulate_matrix
         predictions = _predictions(params, _MATRIX_FORMULAS)
     else:
         params = config.single_column_params()
-        simulate, hit_stop = simulate_single_column, STOP_COLUMN_REACHES_M
+        simulate = simulate_single_column
         predictions = _predictions(params, _COLUMN_FORMULAS[:1])
-    stop = STOP_TIME_HORIZON if config.horizon is not None else hit_stop
     for r in range(n):
         sim = SimulationConfig(
             master_seed=config.seed, replicate_index=r, horizon=config.horizon,
-            stop_condition=stop, record_series=want_series,
+            record_series=want_series,
         )
         traj = simulate(params, sim)
         taus.append(traj.tau)
@@ -302,16 +283,12 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
             )
 
     finite = [t for t in taus if t is not None]
-    summary = {"config": _echo_config(config), **predictions}
+    summary = {"config": asdict(config), **predictions}
     if config.wants("taus"):
         summary["taus"] = taus
         summary["n_missing_tau"] = len(taus) - len(finite)
         if len(finite) >= 2:
-            est = estimate_mean(finite, master_seed=config.seed)
-            summary["tau_mean"] = {
-                "point": est.point, "half_width": est.half_width,
-                "level": est.level, "n": est.n, "master_seed": est.master_seed,
-            }
+            summary["tau_mean"] = asdict(estimate_mean(finite, master_seed=config.seed))
     if config.wants("counts"):
         summary["end_values"] = end_values
     out_dir = Path(config.out)
@@ -331,13 +308,9 @@ def _cmd_sample_steady(config: ExperimentConfig) -> int:
     counts = np.empty(config.replicates, dtype=np.int64)
     for r in range(config.replicates):
         counts[r] = reversal.sample_invariant_count(params, replicate_rng(config.seed, r))
-    summary = {"config": _echo_config(config), **_predictions(params, analytics.STEADY_COUNT_FORMULAS)}
+    summary = {"config": asdict(config), **_predictions(params, analytics.STEADY_COUNT_FORMULAS)}
     if config.replicates >= 2:
-        est = estimate_mean(counts, master_seed=config.seed)
-        summary["all_ones_count_mean"] = {
-            "point": est.point, "half_width": est.half_width,
-            "level": est.level, "n": est.n, "master_seed": est.master_seed,
-        }
+        summary["all_ones_count_mean"] = asdict(estimate_mean(counts, master_seed=config.seed))
     out_dir = Path(config.out)
     _write_summary(out_dir / "summary.json", summary)
     if config.format == "csv":
@@ -359,10 +332,7 @@ def emit_figure_data(config: ExperimentConfig) -> int:
     grid = np.linspace(0.0, horizon, n_grid)
     mean_counts = np.zeros(n_grid)
     for r in range(config.replicates):
-        sim = SimulationConfig(
-            master_seed=config.seed, replicate_index=r, horizon=horizon,
-            stop_condition=STOP_TIME_HORIZON, record_series=True,
-        )
+        sim = SimulationConfig(master_seed=config.seed, replicate_index=r, horizon=horizon, record_series=True)
         traj = simulate_matrix(params, sim)
         idx = np.searchsorted(traj.series_times, grid, side="right") - 1
         mean_counts += traj.series_values[idx]
@@ -386,8 +356,7 @@ def emit_figure_data(config: ExperimentConfig) -> int:
     _write_csv(out_dir / "figure_transition_vs_pm.csv", FIGURE_PM_SCHEMA,
                ["p_m", "predicted_transition_time"], rows)
 
-    summary = {"config": _echo_config(config),
-               **_predictions(params, _MATRIX_FORMULAS)}
+    summary = {"config": asdict(config), **_predictions(params, _MATRIX_FORMULAS)}
     _write_summary(out_dir / "summary.json", summary)
     return 0
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .models import MatrixParams, MatrixState, SingleColumnParams
 from .rng import replicate_rng
-from .simulate import STOP_COLUMN_REACHES_M, STOP_FIRST_FULL_COLUMN, SimulationConfig, Trajectory
+from .simulate import SimulationConfig, Trajectory
 
 __all__ = [
     "MatrixEvent",
@@ -191,20 +191,17 @@ def column_gillespie(params: SingleColumnParams, config: SimulationConfig, start
     ``config`` and ``start`` mean what they mean to
     :func:`simulate.simulate_single_column`, and the run draws from the
     stream keyed by ``(master_seed, replicate_index)``, though not the same
-    draws. A ``column_reaches_m`` run without a horizon steps until it
-    reaches M, however long that takes.
+    draws. A run without a horizon steps until it reaches M, however long
+    that takes; one with a horizon steps to the horizon.
     """
-    if config.stop_condition == STOP_FIRST_FULL_COLUMN:
-        raise ValueError("first_full_column applies to the matrix chain; use column_reaches_m")
     if not 0 <= start <= params.M:
         raise ValueError(f"start must lie in [0, {params.M}], got {start!r}")
     rng = replicate_rng(config.master_seed, config.replicate_index)
-    stop_on_hit = config.stop_condition == STOP_COLUMN_REACHES_M
 
     k, t = start, 0.0
     tau = 0.0 if k == params.M else None
     times, values = [0.0], [k]
-    while not (stop_on_hit and tau is not None):
+    while config.horizon is not None or tau is None:
         moves = enumerate_rates(k, params)
         total = sum(rate for _, rate in moves)
         dt = rng.exponential(1.0 / total)
@@ -241,17 +238,14 @@ def matrix_gillespie(
     ``config`` and ``start`` mean what they mean to
     :func:`simulate.simulate_matrix`, and the run draws from the stream
     keyed by ``(master_seed, replicate_index)``, though not the same draws.
-    A ``first_full_column`` run without a horizon steps until a column
-    fills, however long that takes.
+    A run without a horizon steps until a column fills, however long that
+    takes; one with a horizon steps to the horizon.
     """
-    if config.stop_condition == STOP_COLUMN_REACHES_M:
-        raise ValueError("column_reaches_m applies to the single-column chain; use first_full_column")
     M, N = params.M, params.N
     state = MatrixState.zeros(M, N) if start is None else start
     if (state.M, state.N) != (M, N):
         raise ValueError("start state shape does not match parameters")
     rng = replicate_rng(config.master_seed, config.replicate_index)
-    stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
     total = params.total_rate
     row_share = params.q / total
     row_or_reset_share = (params.q + params.p) / total
@@ -260,7 +254,7 @@ def matrix_gillespie(
     tau = 0.0 if state.all_ones_count else None
     events: list[MatrixEvent] = []
     times, values = [0.0], [state.all_ones_count]
-    while not (stop_on_hit and tau is not None):
+    while config.horizon is not None or tau is None:
         dt = rng.exponential(1.0 / total)
         if config.horizon is not None and t + dt > config.horizon:
             t = config.horizon

@@ -29,6 +29,7 @@ import numpy as np
 
 from .models import MatrixParams, MatrixState
 from .rng import as_generator, replicate_rng
+from .simulate import MAX_EXPECTED_EVENTS
 
 __all__ = [
     "sample_invariant",
@@ -77,10 +78,16 @@ def sample_invariant_count(params: MatrixParams, seed: int | np.random.Generator
     ``seed`` may be an integer or a Generator (which is advanced). The
     stream is consumed as row clocks, column clocks, then one uniform per
     column, so the count has the law of ``sample_invariant(...).all_ones_count``
-    but not its value for the same seed.
+    but not its value for the same seed. A draw whose ``M + N`` clocks
+    exceed ``MAX_EXPECTED_EVENTS`` raises ``ValueError`` before any clock
+    is drawn.
     """
-    rng = as_generator(seed)
     M, N = params.M, params.N
+    if M + N > MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"{params}: a draw takes {M + N:.3g} clocks (> {MAX_EXPECTED_EVENTS:.0e}); shrink M or N"
+        )
+    rng = as_generator(seed)
     row_rings = np.sort(rng.exponential(scale=M / params.q, size=M))
     col_rings = rng.exponential(scale=N / params.p, size=N)
     unset = M - np.searchsorted(row_rings, col_rings, "right")  # rows older than the reset

@@ -1,13 +1,18 @@
 """Exact simulation of both chains.
 
+The horizon decides what a run is. A run without one stops at its
+chain's first hit: level M for the single column, a first all-ones column
+for the matrix. A run with one goes on to the horizon, through any hit,
+and reports the first hit on the way (or none).
+
 Every single-column run is drawn from regenerative climbs: the walk goes
 up some levels, resets to 0 (from the climb's top level, or from M), and
 climbs again. A climb from level ``lo`` gets to level k with probability
 ``reach[k] / reach[lo]``, so one uniform fixes its top level, and a
 level's holding time is exponential with its total rate whichever jump
-ends it. A run that only asks for the first hit of M (no horizon, no
-series) counts its climbs: a geometric number fail before one succeeds,
-and each level's time is one gamma variate over its visits. Every other
+ends it. A hit run without a series counts its climbs: a geometric
+number fail before one succeeds, and each level's time is one gamma
+variate over its visits. Every other
 run lays its climbs out in windows (top levels, visited levels, one
 exponential per level, jump times by running sum), cut at the horizon or
 at the first jump to M; each window ends with a reset to 0.
@@ -41,15 +46,14 @@ event loops live apart, in :mod:`immunochain.reference`, as the references
 the tests compare these constructions against.
 
 A run expected to cost more than ``MAX_EXPECTED_EVENTS`` events or cells
-is refused with ``ValueError`` before it starts: a time-horizon run at its
+is refused with ``ValueError`` before it starts: a horizon run at its
 horizon times ``alpha*q + p`` (column) or, for the matrix, the larger of
 ``q + p + N*lambda_m`` and the epoch cells (``q + p*M``, or ``q + p`` at
 lambda_m = 0), a laid-out single-column hit run at ``alpha*q + p``
-times the shorter of its horizon and its exact mean hitting time, and a
-matrix hit run from the empty matrix at its epoch cells times the shorter
-of its horizon and a lower bound on its median hitting time. A matrix run
-is charged at least its ``N*M`` state cells, before any is allocated.
-Counted climbs are not capped.
+times its exact mean hitting time, and a matrix hit run from the empty
+matrix at its epoch cells times a lower bound on its median hitting
+time. A matrix run is charged at least its ``N*M`` state cells, before
+any is allocated. Counted climbs are not capped.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -70,19 +74,12 @@ from .models import MatrixParams, MatrixState, SingleColumnParams
 from .rng import replicate_rng
 
 __all__ = [
-    "STOP_COLUMN_REACHES_M",
-    "STOP_FIRST_FULL_COLUMN",
-    "STOP_TIME_HORIZON",
     "SimulationConfig",
     "Trajectory",
     "simulate_single_column",
     "simulate_matrix",
     "hitting_time_batch",
 ]
-
-STOP_COLUMN_REACHES_M = "column_reaches_m"
-STOP_FIRST_FULL_COLUMN = "first_full_column"
-STOP_TIME_HORIZON = "time_horizon"
 
 # A window holds about _WINDOW_CELLS array cells: a matrix window's row
 # rings and reset-epoch-by-row cells, so it spans _WINDOW_CELLS / (q + p*M)
@@ -107,7 +104,7 @@ _FIRST_WINDOW_CELLS = 1 << 10
 # it costs no page faults. Other allocators are unaffected.
 np.empty(16 * _WINDOW_CELLS)
 
-# A hit-only run whose target is reached from a reset with smaller
+# A hit run whose target is reached from a reset with smaller
 # probability than this is refused: a single-column climb from 0 to M, or
 # a matrix column filling between two of its resets. It needs more climbs
 # or epochs than a geometric draw (or an event loop) can count, so it
@@ -121,29 +118,20 @@ MAX_EXPECTED_EVENTS = 10**8
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """What to simulate, when to stop, and what to record.
+    """Which stream to draw from, when to stop, and what to record.
 
-    ``horizon`` is required for the time-horizon stop condition and acts
-    as an optional cap otherwise (a run that hits the cap before its
-    stop predicate reports ``tau=None``); when given it must be positive
-    and finite. Series recording stores the observable after every change.
+    Without a ``horizon`` a run stops at its chain's first hit; with one
+    it runs to the horizon and reports the first hit on the way, or
+    ``tau=None``. A horizon must be positive and finite. Series recording
+    stores the observable after every change.
     """
 
     master_seed: int
     replicate_index: int = 0
     horizon: float | None = None
-    stop_condition: str = STOP_TIME_HORIZON
     record_series: bool = False
 
     def __post_init__(self):
-        if self.stop_condition not in (
-            STOP_COLUMN_REACHES_M,
-            STOP_FIRST_FULL_COLUMN,
-            STOP_TIME_HORIZON,
-        ):
-            raise ValueError(f"unknown stop condition {self.stop_condition!r}")
-        if self.stop_condition == STOP_TIME_HORIZON and self.horizon is None:
-            raise ValueError("time-horizon stop requires a positive horizon")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite when given, got {self.horizon!r}")
 
@@ -152,11 +140,11 @@ class SimulationConfig:
 class Trajectory:
     """Observables of one simulation run.
 
-    ``tau`` is the first time the stop predicate's target was reached
-    (absorption at M, or a first all-ones column), ``None`` if it never
-    happened within the run. The series, when recorded, is piecewise
-    constant: ``series_values[i]`` holds on
-    ``[series_times[i], series_times[i+1])``.
+    ``tau`` is the first time the chain's target was reached (level M,
+    or a first all-ones column), where a run without a horizon ends; in a
+    run with one, ``None`` if it never happened by the horizon. The
+    series, when recorded, is piecewise constant: ``series_values[i]``
+    holds on ``[series_times[i], series_times[i+1])``.
     """
 
     tau: float | None
@@ -232,30 +220,26 @@ def simulate_single_column(
 ) -> Trajectory:
     """Exact trajectory of the single-column chain.
 
-    Stops at the first hit of k = M under ``column_reaches_m`` (possibly
-    capped by ``horizon``), or runs to the horizon under ``time_horizon``
-    with the chain continuing through M (resets keep occurring).
+    Without a horizon the run stops at the first hit of k = M; with one it
+    runs to the horizon, the chain continuing through M (resets keep
+    occurring).
 
-    A ``column_reaches_m`` run with no horizon, no series and
-    ``start < M`` counts its climbs (see the module docstring): only
-    ``tau``, ``end_time``, ``end_value`` and ``n_events`` come out; every
-    other run lays them out. Any ``column_reaches_m`` run without a
-    horizon raises ``ValueError`` when a climb from 0 reaches M with
-    probability below ``MIN_REACH_PROBABILITY`` (no run could count that
-    many climbs), and a laid-out run when it is expected to take more than
-    ``MAX_EXPECTED_EVENTS`` events.
+    A run with no horizon, no series and ``start < M`` counts its climbs
+    (see the module docstring): only ``tau``, ``end_time``, ``end_value``
+    and ``n_events`` come out; every other run lays them out. A run
+    without a horizon raises ``ValueError`` when a climb from 0 reaches M
+    with probability below ``MIN_REACH_PROBABILITY`` (no run could count
+    that many climbs), and a laid-out run when it is expected to take more
+    than ``MAX_EXPECTED_EVENTS`` events.
     """
-    if config.stop_condition == STOP_FIRST_FULL_COLUMN:
-        raise ValueError("first_full_column applies to the matrix chain; use column_reaches_m")
     M = params.M
     if not 0 <= start <= M:
         raise ValueError(f"start must lie in [0, {M}], got {start!r}")
 
-    stop_on_hit = config.stop_condition == STOP_COLUMN_REACHES_M
     horizon = config.horizon
     rng = replicate_rng(config.master_seed, config.replicate_index)
     tables = _column_tables(params)
-    if stop_on_hit and horizon is None and start < M:
+    if horizon is None and start < M:
         if tables.reach[M] < MIN_REACH_PROBABILITY:
             raise ValueError(
                 f"{params}: a climb from 0 reaches M with probability {tables.reach[M]:.3g} "
@@ -265,11 +249,8 @@ def simulate_single_column(
         if not config.record_series:
             return _regenerative_hit(tables, M, start, rng)
 
-    rate = params.alpha * params.q + params.p
-    span = horizon
-    if stop_on_hit and (horizon is None or horizon * rate > MAX_EXPECTED_EVENTS):
-        span = min(horizon or math.inf, _mean_hitting_time(params, start))
-    _check_event_budget(params, span, rate)
+    span = _mean_hitting_time(params, start) if horizon is None else horizon
+    _check_event_budget(params, span, params.alpha * params.q + params.p)
     return _climbs(params, tables, start, config, rng)
 
 
@@ -319,7 +300,6 @@ def _climbs(params, tables: _ColumnTables, start: int, config: SimulationConfig,
     events expected.
     """
     M, horizon, record = params.M, config.horizon, config.record_series
-    stop_on_hit = config.stop_condition == STOP_COLUMN_REACHES_M
     tau = 0.0 if start == M else None
     times, values = [np.zeros(1)], [np.full(1, start, dtype=np.int64)]
     t, end_value, n_events, lo = 0.0, start, 0, start
@@ -327,7 +307,7 @@ def _climbs(params, tables: _ColumnTables, start: int, config: SimulationConfig,
     cells = _FIRST_WINDOW_CELLS
     if horizon is not None:
         cells = min(cells, 4 * horizon * (params.alpha * params.q + params.p))
-    while not (stop_on_hit and tau is not None):
+    while horizon is not None or tau is None:
         y = rng.standard_exponential(max(1, int(cells / climb_levels)))
         cells = min(2 * cells, _WINDOW_CELLS)
         y[0] += tables.neg_log_reach[lo]
@@ -341,13 +321,13 @@ def _climbs(params, tables: _ColumnTables, start: int, config: SimulationConfig,
         keep = levels.size if horizon is None else int(np.searchsorted(jumps, horizon, "right"))
         if tau is None and (hits := np.flatnonzero(after[:keep] == M)).size:
             tau = float(jumps[hits[0]])
-            if stop_on_hit:
+            if horizon is None:
                 keep = int(hits[0]) + 1
         n_events += keep
         if record:
             times.append(jumps[:keep])
             values.append(after[:keep])
-        if stop_on_hit and tau is not None:
+        if horizon is None and tau is not None:
             t, end_value = tau, M
         elif keep < levels.size:
             t, end_value = horizon, int(levels[keep])
@@ -367,7 +347,9 @@ def simulate_matrix(
     """Exact trajectory of the matrix chain.
 
     Tracks the all-ones column count; ``tau`` is the first time it
-    becomes positive. The recorded series holds the count at each change.
+    becomes positive. Without a horizon the run stops there; with one it
+    runs to the horizon. The recorded series holds the count at each
+    change.
 
     Every run is drawn window by window from per-column reset epochs (see
     the module docstring): ``tau``, ``end_time``, ``end_value``, the series
@@ -375,18 +357,17 @@ def simulate_matrix(
     cost that grows with the row rings, the resets and, when entries have
     clocks of their own, the epoch-by-row cells, not with the events. A
     run that needs the events themselves or the final matrix is a job for
-    the Gillespie reference, :func:`immunochain.reference.matrix_gillespie`. Any
-    ``first_full_column`` run without a horizon raises ``ValueError`` when
-    one reset epoch fills its column with probability below
-    ``MIN_REACH_PROBABILITY``: no run could count that many epochs. One
-    from the empty matrix also raises it when the epoch cells it would
+    the Gillespie reference, :func:`immunochain.reference.matrix_gillespie`. A
+    run without a horizon and no full column at its start raises
+    ``ValueError`` when one reset epoch fills its column with probability
+    below ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
+    One from the empty matrix also raises it when the epoch cells it would
     chain up to the lower bound ``(1/(2*P_fill) - N)/p`` on the median of
-    ``tau`` (or up to its horizon, if sooner) exceed
-    ``MAX_EXPECTED_EVENTS``, where ``P_fill`` is that fill probability.
-    Every run raises it when ``N*M`` alone exceeds ``MAX_EXPECTED_EVENTS``.
+    ``tau`` exceed ``MAX_EXPECTED_EVENTS``, where ``P_fill`` is that fill
+    probability; a run with a horizon when the cells or events up to it
+    do. Every run raises it when ``N*M`` alone exceeds
+    ``MAX_EXPECTED_EVENTS``.
     """
-    if config.stop_condition == STOP_COLUMN_REACHES_M:
-        raise ValueError("column_reaches_m applies to the single-column chain; use first_full_column")
     M, N = params.M, params.N
     if start is not None and (start.M != M or start.N != N):
         raise ValueError("start state shape does not match parameters")
@@ -400,18 +381,18 @@ def simulate_matrix(
     # Epoch cells per unit time: row rings and resets, and with entry
     # clocks an M-wide row of set times per epoch.
     cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
-    if config.stop_condition == STOP_TIME_HORIZON:
+    horizon = config.horizon
+    if horizon is not None:
         cost = max(params.q + params.p + params.lambda_m * N, cells_per_time)
-        _check_event_budget(params, config.horizon, cost)
+        _check_event_budget(params, horizon, cost)
     if start is None:
         filled, initial = np.zeros((N, M), dtype=bool), 0  # filled[j, i]: entry (i, j) is one
     else:
         filled, initial = start.entries.T.astype(bool), start.all_ones_count
-    horizon = config.horizon
-    stop_on_hit = config.stop_condition == STOP_FIRST_FULL_COLUMN
+    stop_on_hit = horizon is None
     if stop_on_hit and initial == 0:
         reach = analytics.steady_allones_probability(params)
-        if horizon is None and reach < MIN_REACH_PROBABILITY:
+        if reach < MIN_REACH_PROBABILITY:
             raise ValueError(
                 f"{params}: a column fills between two of its resets with probability "
                 f"{reach:.3g} (< {MIN_REACH_PROBABILITY:g}); the first full column is "
@@ -422,7 +403,7 @@ def simulate_matrix(
             # filling with probability reach, so P(tau <= t) <= (N + p*t)*reach
             # and the median of tau is at least (1/(2*reach) - N)/p.
             median_floor = (0.5 / reach - N) / params.p if reach > 0 else math.inf
-            _check_event_budget(params, min(horizon or math.inf, median_floor), cells_per_time)
+            _check_event_budget(params, median_floor, cells_per_time)
     rng = replicate_rng(config.master_seed, config.replicate_index)
     width = _WINDOW_CELLS / cells_per_time
     first_cells = max(_FIRST_WINDOW_CELLS, M * N) if params.lambda_m > 0 else _FIRST_WINDOW_CELLS
@@ -661,21 +642,10 @@ def _count_series(initial: int, gains, losses) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _one_tau(params, master_seed: int, replicate: int, start) -> float:
+    config = SimulationConfig(master_seed=master_seed, replicate_index=replicate)
     if isinstance(params, SingleColumnParams):
-        config = SimulationConfig(
-            master_seed=master_seed,
-            replicate_index=replicate,
-            stop_condition=STOP_COLUMN_REACHES_M,
-        )
-        traj = simulate_single_column(params, config, start=0 if start is None else start)
-    else:
-        config = SimulationConfig(
-            master_seed=master_seed,
-            replicate_index=replicate,
-            stop_condition=STOP_FIRST_FULL_COLUMN,
-        )
-        traj = simulate_matrix(params, config, start=start)
-    return math.nan if traj.tau is None else traj.tau
+        return simulate_single_column(params, config, start=0 if start is None else start).tau
+    return simulate_matrix(params, config, start=start).tau
 
 
 def hitting_time_batch(

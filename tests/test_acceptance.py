@@ -23,7 +23,6 @@ from immunochain.cli import main as cli_main
 from immunochain.models import MatrixParams, SingleColumnParams
 from immunochain.rng import replicate_rng
 from immunochain.simulate import (
-    STOP_TIME_HORIZON,
     SimulationConfig,
     Trajectory,
     hitting_time_batch,
@@ -176,10 +175,7 @@ def test_criterion_07_steady_state_count():
         t_end = 1.5 * params.M * math.log(params.M) / params.q_tilde
         finals = np.empty(R)
         for r in range(R):
-            cfg = SimulationConfig(
-                master_seed=12345, replicate_index=r,
-                stop_condition=STOP_TIME_HORIZON, horizon=t_end,
-            )
+            cfg = SimulationConfig(master_seed=12345, replicate_index=r, horizon=t_end)
             finals[r] = simulate_matrix(params, cfg).end_value
         mean = float(finals.mean())
         se = float(finals.std(ddof=1) / math.sqrt(R))

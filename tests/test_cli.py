@@ -436,11 +436,7 @@ def test_extreme_inputs_never_leave_a_traceback(tmp_path, capsys, argv, code):
     assert returned == code
 
 
-def test_state_beyond_the_cell_cap_is_refused_at_once(tmp_path, capsys):
-    # Three entries by 10^8 columns: about 5 expected events to the
-    # horizon, but the state alone is 3e8 cells.
-    argv = ["simulate", *MATRIX, "--M", "3", "--N", "100000000", "--p", "0.3",
-            "--replicates", "2", "--horizon", "5", "--out", str(tmp_path)]
+def _assert_refused_at_once(argv, capsys):
     began = time.perf_counter()
     returned = main(argv)
     elapsed = time.perf_counter() - began
@@ -449,6 +445,19 @@ def test_state_beyond_the_cell_cap_is_refused_at_once(tmp_path, capsys):
     assert elapsed < 1.0
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_state_beyond_the_cell_cap_is_refused_at_once(tmp_path, capsys):
+    # Three entries by 10^8 columns: about 5 expected events to the
+    # horizon, but the state alone is 3e8 cells.
+    _assert_refused_at_once(["simulate", *MATRIX, "--M", "3", "--N", "100000000", "--p", "0.3",
+                             "--replicates", "2", "--horizon", "5", "--out", str(tmp_path)], capsys)
+
+
+def test_steady_draw_beyond_the_clock_cap_is_refused_at_once(tmp_path, capsys):
+    # Three rows by 10^9 columns: a draw would take about 29 GB of clocks.
+    _assert_refused_at_once(["sample-steady", *MATRIX, "--M", "3", "--N", "1000000000", "--p", "0.3",
+                             "--replicates", "2", "--out", str(tmp_path)], capsys)
 
 
 SHARED_FLAGS = [

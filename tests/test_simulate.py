@@ -1,5 +1,6 @@
 """Simulation: determinism, exact-law checks, cross-module agreement."""
 
+import dataclasses
 import math
 import os
 import platform
@@ -27,9 +28,6 @@ from immunochain.reference import (
     matrix_gillespie,
 )
 from immunochain.simulate import (
-    STOP_COLUMN_REACHES_M,
-    STOP_FIRST_FULL_COLUMN,
-    STOP_TIME_HORIZON,
     SimulationConfig,
     Trajectory,
     hitting_time_batch,
@@ -40,31 +38,53 @@ from immunochain.stats import chi_square_gof, empirical_tv, occupation_fractions
 
 
 def hit_config(seed, r=0, **kw):
-    return SimulationConfig(
-        master_seed=seed, replicate_index=r, stop_condition=STOP_COLUMN_REACHES_M, **kw
+    return SimulationConfig(master_seed=seed, replicate_index=r, **kw)
+
+
+def test_the_horizon_decides_the_run():
+    # No option picks a run's kind. Without a horizon each chain and its
+    # reference stop at the first hit; with one they run to the horizon,
+    # here about the mean hitting time, and report the first hit on the way.
+    assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+        "master_seed", "replicate_index", "horizon", "record_series"
+    ]
+    assert [name for name in dir(immunochain) if name.startswith("STOP_")] == []
+    column, matrix = SingleColumnParams(M=3, alpha=1.0, p=0.3), MatrixParams(M=2, N=2, p=0.4, lambda_m=0.2)
+    chains = (
+        (column, 15.0, lambda values: values == column.M, (simulate_single_column, column_gillespie)),
+        (matrix, 3.0, lambda values: values > 0, (simulate_matrix, lambda *a: matrix_gillespie(*a)[0])),
     )
+    for params, horizon, reached, runners in chains:
+        for run in runners:
+            outcomes = set()
+            for r in range(20):
+                hit = run(params, SimulationConfig(master_seed=70, replicate_index=r, record_series=True))
+                assert hit.tau is not None and hit.tau == hit.end_time == hit.series_times[-1]
+                assert reached(hit.series_values[-1:]).all()
+                traj = run(params, SimulationConfig(
+                    master_seed=71, replicate_index=r, horizon=horizon, record_series=True))
+                assert traj.end_time == horizon
+                first = np.flatnonzero(reached(traj.series_values))
+                assert traj.tau == (traj.series_times[first[0]] if first.size else None)
+                outcomes.add(traj.tau is None)
+            assert outcomes == {True, False}
 
 
 class TestConfigValidation:
-    def test_time_horizon_needs_horizon(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON)
-
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
-            SimulationConfig(master_seed=1, stop_condition=STOP_COLUMN_REACHES_M, horizon=-1.0)
+            SimulationConfig(master_seed=1, horizon=-1.0)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
-    @pytest.mark.parametrize("stop", [STOP_TIME_HORIZON, STOP_COLUMN_REACHES_M, STOP_FIRST_FULL_COLUMN])
-    def test_non_finite_horizon_rejected(self, stop, horizon):
+    def test_non_finite_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="positive and finite"):
-            SimulationConfig(master_seed=1, stop_condition=stop, horizon=horizon)
+            SimulationConfig(master_seed=1, horizon=horizon)
 
     def test_matrix_horizon_beyond_event_cap_rejected(self):
         # Total rate q + p + lambda_m*N = 0.5 + 0.5 + 100 = 101, so 2e6 time
         # units are ~2e8 events; without the entry channel it would be 2e6.
         params = MatrixParams(M=200, N=100, p=0.5, lambda_m=1.0)
-        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON, horizon=2e6)
+        cfg = SimulationConfig(master_seed=1, horizon=2e6)
         with pytest.raises(ValueError, match="expected events"):
             simulate_matrix(params, cfg)
 
@@ -72,7 +92,7 @@ class TestConfigValidation:
         # Total rate alpha*q + p = 3*0.5 + 0.5 = 2, so 6e7 time units are
         # 1.2e8 events; at q + p it would be 6e7.
         params = SingleColumnParams(M=64, alpha=3.0, p=0.5)
-        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON, horizon=6e7)
+        cfg = SimulationConfig(master_seed=1, horizon=6e7)
         with pytest.raises(ValueError, match="expected events"):
             simulate_single_column(params, cfg)
 
@@ -81,7 +101,7 @@ class TestConfigValidation:
         # cells per time unit against a total event rate of 1.01, so 9e7
         # time units are 1.6e11 cells though only 9.1e7 events.
         params = MatrixParams(M=2000, N=10, p=0.9, lambda_m=1e-3)
-        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_TIME_HORIZON, horizon=9e7)
+        cfg = SimulationConfig(master_seed=1, horizon=9e7)
         with pytest.raises(ValueError, match="expected events"):
             simulate_matrix(params, cfg)
 
@@ -89,7 +109,7 @@ class TestConfigValidation:
         # About 5 expected events to the horizon, but the 3 x 10^8 state
         # alone is 3e8 cells; refused before any of it is allocated.
         params = MatrixParams(M=3, N=10**8, p=0.3)
-        for kw in (dict(horizon=5.0), dict(stop_condition=STOP_FIRST_FULL_COLUMN)):
+        for kw in (dict(horizon=5.0), dict()):
             with pytest.raises(ValueError, match="state alone"):
                 simulate_matrix(params, SimulationConfig(master_seed=1, **kw))
 
@@ -113,7 +133,8 @@ class TestConfigValidation:
         # A climb reaches M with probability 8.3e-9, above
         # MIN_REACH_PROBABILITY, but the mean hitting time is 1.5e9 at one
         # event per time unit: laid out climb by climb, a hit run would
-        # take ~1.5e9 events. Counting climbs stays O(M).
+        # take ~1.5e9 events, and a run to a horizon of 1e12 about 1e12.
+        # Counting climbs stays O(M).
         params = SingleColumnParams.with_a(64, 6.0)
         for cfg in (hit_config(1, record_series=True), hit_config(1, horizon=1e12)):
             with pytest.raises(ValueError, match="expected events"):
@@ -124,42 +145,23 @@ class TestConfigValidation:
         # One epoch fills the column with probability P_fill = 1.66e-9, above
         # MIN_REACH_PROBABILITY. P(tau <= t) <= (N + p*t)*P_fill puts the
         # median of tau above (1/(2*P_fill) - N)/p = 6.0e8 time units, at
-        # q + p = 1 cell per time unit. A horizon sooner than that is
-        # charged instead.
+        # q + p = 1 cell per time unit. A run with a horizon is charged its
+        # horizon instead.
         params = MatrixParams(M=16, N=1, p=0.5)
         for horizon in (None, 1e12):
-            cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, horizon=horizon)
+            cfg = SimulationConfig(master_seed=1, horizon=horizon)
             with pytest.raises(ValueError, match="expected events"):
                 simulate_matrix(params, cfg)
-        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, horizon=1e3)
+        cfg = SimulationConfig(master_seed=1, horizon=1e3)
         assert simulate_matrix(params, cfg).end_time == 1e3
 
     def test_rare_matrix_hit_run_within_cell_cap_runs(self):
         # P_fill = 7.8e-5: the median bound is 1.3e4 cells, and a run ends
         # at its first full column.
         params = MatrixParams(M=8, N=1, p=0.5)
-        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN)
+        cfg = SimulationConfig(master_seed=1)
         traj = simulate_matrix(params, cfg)
         assert traj.tau is not None and traj.end_value == 1
-
-    def test_event_cap_leaves_hit_runs_alone(self):
-        # A horizon only caps a hit run, which stops at its target.
-        cfg = hit_config(1, horizon=1e12)
-        traj = simulate_single_column(SingleColumnParams(M=2, alpha=1.0, p=0.5), cfg)
-        assert traj.tau is not None
-
-    def test_unknown_stop_rejected(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(master_seed=1, stop_condition="whenever")
-
-    def test_stop_conditions_are_model_specific(self):
-        params = SingleColumnParams(M=2, alpha=1.0, p=0.5)
-        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN)
-        with pytest.raises(ValueError):
-            simulate_single_column(params, cfg)
-        mparams = MatrixParams(M=2, N=2, p=0.5)
-        with pytest.raises(ValueError):
-            simulate_matrix(mparams, hit_config(1))
 
 
 class TestSingleColumn:
@@ -187,9 +189,7 @@ class TestSingleColumn:
 
     def test_horizon_caps_run(self):
         params = SingleColumnParams(M=50, alpha=1.0, p=0.9)
-        cfg = SimulationConfig(
-            master_seed=5, stop_condition=STOP_COLUMN_REACHES_M, horizon=10.0
-        )
+        cfg = SimulationConfig(master_seed=5, horizon=10.0)
         traj = simulate_single_column(params, cfg)
         assert traj.tau is None
         assert traj.end_time == 10.0
@@ -212,10 +212,7 @@ class TestSingleColumn:
         # P(up | move) = q'(1-k/M) / (q'(1-k/M) + p'); empirical
         # frequencies must match within 4 sigma per state.
         params = SingleColumnParams(M=4, alpha=1.3, p=0.35)
-        cfg = SimulationConfig(
-            master_seed=31, stop_condition=STOP_TIME_HORIZON, horizon=40_000.0,
-            record_series=True,
-        )
+        cfg = SimulationConfig(master_seed=31, horizon=40_000.0, record_series=True)
         traj = simulate_single_column(params, cfg)
         states = traj.series_values
         lam = params.uniformization_rate
@@ -233,10 +230,7 @@ class TestSingleColumn:
         for M in (1, 4, 8):
             params = SingleColumnParams(M=M, alpha=1.0, p=0.3)
             horizon = 1_000_000.0 / params.uniformization_rate
-            cfg = SimulationConfig(
-                master_seed=M, stop_condition=STOP_TIME_HORIZON, horizon=horizon,
-                record_series=True,
-            )
+            cfg = SimulationConfig(master_seed=M, horizon=horizon, record_series=True)
             traj = simulate_single_column(params, cfg)
             occ = occupation_fractions(traj, M + 1)
             tv = empirical_tv(occ, analytics.invariant_pmf(params))
@@ -247,10 +241,7 @@ class TestSingleColumn:
         # pooled chi-square must not reject at the 99% level.
         params = SingleColumnParams(M=8, alpha=1.0, p=0.3)
         spacing, n_samples = 25.0, 4000
-        cfg = SimulationConfig(
-            master_seed=88, stop_condition=STOP_TIME_HORIZON,
-            horizon=spacing * (n_samples + 1), record_series=True,
-        )
+        cfg = SimulationConfig(master_seed=88, horizon=spacing * (n_samples + 1), record_series=True)
         traj = simulate_single_column(params, cfg)
         sample_times = spacing * np.arange(1, n_samples + 1)
         idx = np.searchsorted(traj.series_times, sample_times, side="right") - 1
@@ -275,8 +266,7 @@ class TestBatch:
         params = MatrixParams(M=2, N=2, p=0.4)
         taus = hitting_time_batch(params, n, master_seed=13)
         single = [
-            simulate_matrix(params, SimulationConfig(
-                master_seed=13, replicate_index=r, stop_condition=STOP_FIRST_FULL_COLUMN)).tau
+            simulate_matrix(params, SimulationConfig(master_seed=13, replicate_index=r)).tau
             for r in reversed(range(n))
         ]
         assert np.array_equal(taus, single[::-1])
@@ -418,12 +408,11 @@ class TestClimbPath:
     """
 
     PARAMS = SingleColumnParams(M=5, alpha=1.2, p=0.25)
-    HIT = dict(stop_condition=STOP_COLUMN_REACHES_M)
 
     @pytest.mark.parametrize("start", [0, 2, 5])
     def test_series_invariants(self, start):
         M = self.PARAMS.M
-        for kw in (dict(horizon=60.0), self.HIT, dict(self.HIT, horizon=4.0)):
+        for kw in (dict(horizon=60.0), dict(), dict(horizon=4.0)):
             for traj in _column_runs(self.PARAMS, 9100 + start, 30, start, record_series=True, **kw):
                 times, values = traj.series_times, traj.series_values
                 assert times[0] == 0.0 and values[0] == start
@@ -434,7 +423,7 @@ class TestClimbPath:
                 assert traj.value_at(traj.end_time) == traj.end_value
                 reached = np.flatnonzero(values == M)
                 assert traj.tau == (times[reached[0]] if reached.size else None)
-                if "stop_condition" in kw and traj.tau is not None:
+                if "horizon" not in kw:
                     assert traj.tau == times[-1] == traj.end_time and traj.end_value == M
                 else:
                     assert traj.end_time == kw["horizon"] >= times[-1]
@@ -481,8 +470,8 @@ class TestClimbPath:
 
     @pytest.mark.parametrize("start", [0, 3])
     def test_hit_law_matches_reference(self, start):
-        fast = _column_runs(self.PARAMS, 9400 + start, 4000, start, record_series=True, **self.HIT)
-        slow = _column_reference_runs(self.PARAMS, 9410 + start, 2000, start, **self.HIT)
+        fast = _column_runs(self.PARAMS, 9400 + start, 4000, start, record_series=True)
+        slow = _column_reference_runs(self.PARAMS, 9410 + start, 2000, start)
         assert all(t.end_value == self.PARAMS.M and t.end_time == t.tau for t in fast)
         _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
         assert p_value > 0.001
@@ -498,13 +487,14 @@ class TestClimbPath:
         reached = [[t.tau is not None for t in runs] for runs in (fast, slow)]
         assert _z_means(*reached) < 4
 
-    def test_capped_hit_law_matches_reference(self):
-        # Capped at about the mean hitting time, so both outcomes are common.
+    def test_horizon_law_at_the_mean_hitting_time(self):
+        # A horizon at about the mean hitting time, so runs that hit by it
+        # and runs that do not are both common.
         horizon = analytics.hitting_time_mean_exact(self.PARAMS, 0)
-        fast = _column_runs(self.PARAMS, 9600, 4000, horizon=horizon, **self.HIT)
-        slow = _column_reference_runs(self.PARAMS, 9601, 2000, horizon=horizon, **self.HIT)
-        assert all(t.end_time == (horizon if t.tau is None else t.tau) for t in fast)
-        for field in ("end_time", "end_value", "n_events"):
+        fast = _column_runs(self.PARAMS, 9600, 4000, horizon=horizon)
+        slow = _column_reference_runs(self.PARAMS, 9601, 2000, horizon=horizon)
+        assert all(t.end_time == horizon for t in fast)
+        for field in ("end_value", "n_events"):
             assert _z_means([getattr(t, field) for t in fast], [getattr(t, field) for t in slow]) < 4, field
         assert _z_means([t.tau is None for t in fast], [t.tau is None for t in slow]) < 4
 
@@ -512,24 +502,21 @@ class TestClimbPath:
 class TestMatrix:
     def test_lambda_zero_never_sets_entries(self):
         params = MatrixParams(M=3, N=2, p=0.4, lambda_m=0.0)
-        cfg = SimulationConfig(master_seed=13, stop_condition=STOP_TIME_HORIZON, horizon=200.0)
+        cfg = SimulationConfig(master_seed=13, horizon=200.0)
         traj, events, _ = matrix_gillespie(params, cfg)
         assert traj.n_events == len(events) > 50
         assert all(ev.kind != ENTRY_SET for ev in events)
 
     def test_entry_events_present_with_lambda(self):
         params = MatrixParams(M=3, N=2, p=0.4, lambda_m=0.5)
-        cfg = SimulationConfig(master_seed=13, stop_condition=STOP_TIME_HORIZON, horizon=100.0)
+        cfg = SimulationConfig(master_seed=13, horizon=100.0)
         _, events, _ = matrix_gillespie(params, cfg)
         assert any(ev.kind == ENTRY_SET for ev in events)
 
     def test_two_state_occupancy(self):
         # M = N = 1, p = 1/2: symmetric two-state chain, half time in [1].
         params = MatrixParams(M=1, N=1, p=0.5)
-        cfg = SimulationConfig(
-            master_seed=3, stop_condition=STOP_TIME_HORIZON, horizon=200_000.0,
-            record_series=True,
-        )
+        cfg = SimulationConfig(master_seed=3, horizon=200_000.0, record_series=True)
         traj = simulate_matrix(params, cfg)
         occ = occupation_fractions(traj, 2)
         assert occ[1] == pytest.approx(0.5, abs=0.02)
@@ -538,7 +525,7 @@ class TestMatrix:
         # The reference's final matrix and end count are those of its events.
         for seed in (1, 2, 3):
             params = MatrixParams(M=3, N=3, p=0.3, lambda_m=0.2)
-            cfg = SimulationConfig(master_seed=seed, stop_condition=STOP_TIME_HORIZON, horizon=60.0)
+            cfg = SimulationConfig(master_seed=seed, horizon=60.0)
             traj, events, final = matrix_gillespie(params, cfg)
             state = MatrixState.zeros(3, 3)
             for ev in events:
@@ -548,7 +535,7 @@ class TestMatrix:
 
     def test_event_times_strictly_increase(self):
         params = MatrixParams(M=2, N=2, p=0.5, lambda_m=0.1)
-        cfg = SimulationConfig(master_seed=21, stop_condition=STOP_TIME_HORIZON, horizon=100.0)
+        cfg = SimulationConfig(master_seed=21, horizon=100.0)
         _, events, _ = matrix_gillespie(params, cfg)
         times = [ev.time for ev in events]
         assert all(b > a for a, b in zip(times, times[1:]))
@@ -558,7 +545,7 @@ class TestMatrix:
         # row set after that column's last reset.
         params = MatrixParams(M=3, N=2, p=0.45, lambda_m=0.0)
         for seed in range(6):
-            cfg = SimulationConfig(master_seed=seed, stop_condition=STOP_FIRST_FULL_COLUMN)
+            cfg = SimulationConfig(master_seed=seed)
             traj, events, final = matrix_gillespie(params, cfg)
             assert traj.tau is not None
             full_cols = [j for j in range(2) if final.column_counts[j] == params.M]
@@ -578,7 +565,7 @@ class TestMatrix:
     def test_start_with_full_column_tau_zero(self):
         params = MatrixParams(M=2, N=2, p=0.4)
         start = MatrixState.from_entries([[1, 0], [1, 0]])
-        cfg = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN)
+        cfg = SimulationConfig(master_seed=1)
         traj = simulate_matrix(params, cfg, start=start)
         assert traj.tau == 0.0
 
@@ -590,10 +577,7 @@ class TestMatrix:
         horizon = 80.0
         hits = []
         for r in range(1500):
-            cfg = SimulationConfig(
-                master_seed=909, replicate_index=r,
-                stop_condition=STOP_TIME_HORIZON, horizon=horizon,
-            )
+            cfg = SimulationConfig(master_seed=909, replicate_index=r, horizon=horizon)
             traj = simulate_matrix(params, cfg)
             hits.append(traj.end_value / params.N)
         hits = np.array(hits)
@@ -681,8 +665,8 @@ class TestEpochPath:
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_first_full_column_law(self, lam):
         params = MatrixParams(M=3, N=2, p=0.45, lambda_m=lam)
-        fast = _runs(params, 5300, 4000, stop_condition=STOP_FIRST_FULL_COLUMN)
-        slow = _reference_runs(params, 5301, 2000, stop_condition=STOP_FIRST_FULL_COLUMN)
+        fast = _runs(params, 5300, 4000)
+        slow = _reference_runs(params, 5301, 2000)
         assert all(t.end_time == t.tau and t.end_value >= 1 for t in fast)
         _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
         assert p_value > 0.001
@@ -704,9 +688,8 @@ class TestEpochPath:
         fast = _runs(params, 5500, 4000, start=start, horizon=2.0)
         slow = _reference_runs(params, 5501, 2000, start=start, horizon=2.0)
         assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
-        hit = dict(start=start, stop_condition=STOP_FIRST_FULL_COLUMN)
-        fast = _runs(params, 5502, 4000, **hit)
-        slow = _reference_runs(params, 5503, 2000, **hit)
+        fast = _runs(params, 5502, 4000, start=start)
+        slow = _reference_runs(params, 5503, 2000, start=start)
         _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
         assert p_value > 0.001
 
@@ -742,8 +725,8 @@ class TestEpochPath:
         monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
         params = MatrixParams(M=6, N=3, p=0.6)
-        fast = _runs(params, 5350, 1500, stop_condition=STOP_FIRST_FULL_COLUMN)
-        slow = _reference_runs(params, 5351, 600, stop_condition=STOP_FIRST_FULL_COLUMN)
+        fast = _runs(params, 5350, 1500)
+        slow = _reference_runs(params, 5351, 600)
         taus = np.array([t.tau for t in fast])
         assert np.mean(taus > 16 + 32) > 0.5  # past the second window
         _, p_value = ks_2samp(taus, [t.tau for t in slow])
@@ -758,8 +741,8 @@ class TestEpochPath:
         monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
         params = MatrixParams(M=6, N=3, p=0.6, lambda_m=0.3)
-        fast = _runs(params, 5360, 1500, stop_condition=STOP_FIRST_FULL_COLUMN)
-        slow = _reference_runs(params, 5361, 600, stop_condition=STOP_FIRST_FULL_COLUMN)
+        fast = _runs(params, 5360, 1500)
+        slow = _reference_runs(params, 5361, 600)
         taus = np.array([t.tau for t in fast])
         assert np.mean(taus > 4.5 + 9) > 0.5  # past the second window
         _, p_value = ks_2samp(taus, [t.tau for t in slow])
@@ -886,9 +869,8 @@ class TestEpochPath:
             (MatrixParams(M=4, N=3, p=0.2, lambda_m=0.3), dict(horizon=200.0), None),
             (MatrixParams(M=2, N=5, p=0.6), dict(horizon=100.0),
              MatrixState.from_entries([[1, 1, 0, 0, 1], [1, 0, 1, 0, 1]])),
-            (MatrixParams(M=3, N=2, p=0.45, lambda_m=0.3),
-             dict(stop_condition=STOP_FIRST_FULL_COLUMN), None),
-            (MatrixParams(M=8, N=2, p=0.9), dict(stop_condition=STOP_FIRST_FULL_COLUMN, horizon=5.0), None),
+            (MatrixParams(M=3, N=2, p=0.45, lambda_m=0.3), dict(), None),
+            (MatrixParams(M=8, N=2, p=0.9), dict(horizon=5.0), None),
         ]
         for params, kw, start in cases:
             for traj in _runs(params, 5700, 30, start=start, record_series=True, **kw):
@@ -898,16 +880,17 @@ class TestEpochPath:
                 assert (np.diff(times) > 0).all()
                 assert (np.diff(values) != 0).all()
                 assert traj.value_at(traj.end_time) == traj.end_value
-                if kw.get("stop_condition") == STOP_FIRST_FULL_COLUMN and traj.tau is not None:
+                if "horizon" not in kw:
                     assert traj.tau == times[-1] == traj.end_time
+                else:
+                    assert traj.end_time == kw["horizon"] >= times[-1]
 
     def test_unreachable_target_fails_loudly(self):
         # One reset epoch of a column fills it with probability 4.42e-155.
         params = MatrixParams(M=64, N=1, p=0.99)
         with pytest.raises(ValueError, match=r"4\.42e-155"):
             hitting_time_batch(params, 1, master_seed=1)
-        capped = SimulationConfig(master_seed=1, stop_condition=STOP_FIRST_FULL_COLUMN, horizon=10.0)
-        assert simulate_matrix(params, capped).tau is None
+        assert simulate_matrix(params, SimulationConfig(master_seed=1, horizon=10.0)).tau is None
 
 
 class TestTransientLaw:
@@ -924,7 +907,7 @@ class TestTransientLaw:
         return expm(oracle.matrix_generator(params).rate_matrix * self.T)[0]
 
     def test_reference_final_state_histogram(self):
-        config = dict(stop_condition=STOP_TIME_HORIZON, horizon=self.T)
+        config = dict(horizon=self.T)
         finals = [
             matrix_gillespie(self.MATRIX, SimulationConfig(master_seed=8100, replicate_index=r, **config))[2]
             for r in range(self.N_REPS)
