@@ -26,7 +26,7 @@ import numpy as np
 from . import analytics, oracle, reversal
 from .models import MatrixParams, SingleColumnParams
 from .rng import replicate_rng
-from .simulate import SimulationConfig, simulate_matrix, simulate_single_column
+from .simulate import MAX_EXPECTED_EVENTS, SimulationConfig, simulate_matrix, simulate_single_column
 from .stats import empirical_tv, estimate_mean
 
 __all__ = ["ExperimentConfig", "main", "run_experiment", "emit_figure_data"]
@@ -247,10 +247,21 @@ def _cmd_analyze(config: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_simulate(config: ExperimentConfig) -> int:
+def _replicates(config: ExperimentConfig, command: str) -> int:
+    """The batch size of ``command``, refused before the first run when it
+    exceeds MAX_EXPECTED_EVENTS: every replicate costs at least one event."""
     if config.replicates is None:
-        raise ConfigError("simulate needs replicates")
-    n = config.replicates
+        raise ConfigError(f"{command} needs replicates")
+    if config.replicates > MAX_EXPECTED_EVENTS:
+        raise ConfigError(
+            f"replicates {config.replicates} exceeds {MAX_EXPECTED_EVENTS:.0e}, "
+            "and every replicate costs at least one event; split the batch"
+        )
+    return config.replicates
+
+
+def _cmd_simulate(config: ExperimentConfig) -> int:
+    n = _replicates(config, "simulate")
     want_series = config.format == "csv" and config.wants("series")
     taus: list[float | None] = []
     rows = []
@@ -302,14 +313,13 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
 def _cmd_sample_steady(config: ExperimentConfig) -> int:
     if config.model != MODEL_MATRIX:
         raise ConfigError("sample-steady applies to the matrix model")
-    if config.replicates is None:
-        raise ConfigError("sample-steady needs replicates")
+    n = _replicates(config, "sample-steady")
     params = config.matrix_params()
-    counts = np.empty(config.replicates, dtype=np.int64)
-    for r in range(config.replicates):
+    counts = np.empty(n, dtype=np.int64)
+    for r in range(n):
         counts[r] = reversal.sample_invariant_count(params, replicate_rng(config.seed, r))
     summary = {"config": asdict(config), **_predictions(params, analytics.STEADY_COUNT_FORMULAS)}
-    if config.replicates >= 2:
+    if n >= 2:
         summary["all_ones_count_mean"] = asdict(estimate_mean(counts, master_seed=config.seed))
     out_dir = Path(config.out)
     _write_summary(out_dir / "summary.json", summary)
@@ -324,19 +334,18 @@ def emit_figure_data(config: ExperimentConfig) -> int:
     """Write the two figure CSVs: count-vs-time and predicted-tau-vs-pm."""
     if config.model != MODEL_MATRIX:
         raise ConfigError("figure-data applies to the matrix model")
-    if config.replicates is None:
-        raise ConfigError("figure-data needs replicates")
+    n = _replicates(config, "figure-data")
     params = config.matrix_params()
     horizon = config.horizon if config.horizon is not None else 2500.0
     n_grid = 201
     grid = np.linspace(0.0, horizon, n_grid)
     mean_counts = np.zeros(n_grid)
-    for r in range(config.replicates):
+    for r in range(n):
         sim = SimulationConfig(master_seed=config.seed, replicate_index=r, horizon=horizon, record_series=True)
         traj = simulate_matrix(params, sim)
         idx = np.searchsorted(traj.series_times, grid, side="right") - 1
         mean_counts += traj.series_values[idx]
-    mean_counts /= config.replicates
+    mean_counts /= n
 
     t_pred = analytics.transition_time_prediction(params)
     steady = analytics.steady_allones_count(params, "exact")

@@ -31,10 +31,14 @@ same row, a prefix maximum of those, and a search for each epoch's start.
 Windows chain from each column's state at the end of the last one, which
 bounds the arrays a window needs. An entry set when a window begins stays
 set until its column's next reset, so with entry clocks a window builds
-cells only for the entries still unset at its start, and M per reset. The
-event count adds the entry rings: the first one of each built cell is
-drawn; the rest, and every ring of an entry set at the window's start,
-are Poisson in the time left.
+cells only for the entries still unset at its start, and M per reset,
+streamed through blocks of at most ``_WINDOW_CELLS`` cells. The event count
+adds the entry rings: the first one of each built cell is drawn; the rest,
+and every ring of an entry set at the window's start, are Poisson in the
+time left. A window that runs to its end sums those terms block by block;
+one that may stop at a hit keeps its first rings until the hit time is
+known. So at every lambda_m a horizon window is bounded by its rings and
+resets alone, while a hit window's span is bounded by its cells.
 
 Both constructions have exactly Gillespie's law; the climbs are the
 column's own jump chain, drawn in another order. Counted climbs cost a few
@@ -53,7 +57,9 @@ lambda_m = 0), a laid-out single-column hit run at ``alpha*q + p``
 times its exact mean hitting time, and a matrix hit run from the empty
 matrix at its epoch cells times a lower bound on its median hitting
 time. A matrix run is charged at least its ``N*M`` state cells, before
-any is allocated. Counted climbs are not capped.
+any is allocated. Counted climbs are not capped. A batch of more than
+``MAX_EXPECTED_EVENTS`` replicates is refused too, since each costs at
+least one event.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -81,15 +87,18 @@ __all__ = [
     "hitting_time_batch",
 ]
 
-# A window holds about _WINDOW_CELLS array cells: a matrix window's row
-# rings and reset-epoch-by-row cells, so it spans _WINDOW_CELLS / (q + p*M)
-# time units and builds per-cell arrays in chunks of at most _WINDOW_CELLS,
-# however large N*M is; at lambda_m = 0 only its rings and resets, so it
-# spans _WINDOW_CELLS / (q + p); a single-column window's climb levels. A
-# run may end long before a window does, so a matrix hit run's first
-# window holds max(_FIRST_WINDOW_CELLS, N*M) cells (_FIRST_WINDOW_CELLS at
-# lambda_m = 0), a single-column run's first window _FIRST_WINDOW_CELLS,
-# and each next one twice as many, up to the full width.
+# A window holds about _WINDOW_CELLS array cells. A matrix horizon window's
+# row rings and resets bound it at every lambda_m, so it spans
+# _WINDOW_CELLS / (q + p) time units; its entry cells (M per reset) stream
+# through blocks of at most _WINDOW_CELLS cells, however large N*M is and
+# however many resets it holds. A matrix hit window keeps its entry-clock
+# first rings until the hit, so at lambda_m > 0 its cells bound it too and
+# it spans _WINDOW_CELLS / (q + p*M). A single-column window holds its climb
+# levels. A run may end long before a window does, so a matrix hit run's
+# first window holds max(_FIRST_WINDOW_CELLS, N*M) cells
+# (_FIRST_WINDOW_CELLS at lambda_m = 0), a single-column run's first window
+# _FIRST_WINDOW_CELLS, and each next one twice as many, up to the full
+# width.
 _WINDOW_CELLS = 1 << 14
 _FIRST_WINDOW_CELLS = 1 << 10
 
@@ -405,9 +414,12 @@ def simulate_matrix(
             median_floor = (0.5 / reach - N) / params.p if reach > 0 else math.inf
             _check_event_budget(params, median_floor, cells_per_time)
     rng = replicate_rng(config.master_seed, config.replicate_index)
-    width = _WINDOW_CELLS / cells_per_time
-    first_cells = max(_FIRST_WINDOW_CELLS, M * N) if params.lambda_m > 0 else _FIRST_WINDOW_CELLS
-    span = min(width, first_cells / cells_per_time) if stop_on_hit else width
+    if stop_on_hit:
+        width = _WINDOW_CELLS / cells_per_time
+        first_cells = max(_FIRST_WINDOW_CELLS, M * N) if params.lambda_m > 0 else _FIRST_WINDOW_CELLS
+        span = min(width, first_cells / cells_per_time)
+    else:
+        width = span = _WINDOW_CELLS / (params.q + params.p)
     full = initial
     tau = 0.0 if full else None
     t = 0.0
@@ -500,12 +512,13 @@ def _epoch_window(
     last[order[:-1][succ]] = False
 
     if params.lambda_m > 0:
-        fill, filled_next, entry_rings, set_rows = _entry_fill(
-            params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, carry
+        fill, filled_next, blocks, set_rows = _entry_fill(
+            params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, carry,
+            None if stop_on_hit else ends,
         )
     else:
         fill, filled_next = _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry)
-        entry_rings, set_rows = (), np.zeros(N)  # no entry clocks run
+        blocks, set_rows = (), np.zeros(N)  # no entry clocks run
 
     valid = fill < ends
     gained = fill[valid & (fill > t0)]
@@ -516,48 +529,60 @@ def _epoch_window(
     # A set entry's clock changes nothing until its column's first reset:
     # all its rings from t0 on are Poisson in that time.
     spare = float(set_rows @ (np.minimum(ends[:N], end) - t0))
-    for lo, hi, cells, first in entry_rings:
-        gap = np.repeat(np.minimum(ends[lo:hi], end), cells)
-        gap -= first
-        n_events += int(np.count_nonzero(gap >= 0))
-        spare += float(np.maximum(gap, 0.0, out=gap).sum())
+    for lo, hi, *terms in blocks:
+        if stop_on_hit:  # a hit window's blocks keep their first rings until its end is known
+            terms = _ring_terms(np.minimum(ends[lo:hi], end), *terms)
+        n_events += terms[0]
+        spare += terms[1]
     full_at_t1 = int(np.count_nonzero(fill[last] < t1))
     return gained, lost, n_events, spare, full_at_t1, filled_next
 
 
-def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, carry):
+def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, carry, ends=None):
     """Fill times of a window's epochs when entries have clocks of their own.
 
     An entry's set time is row i's first ring after its epoch's start,
     lowered to the entry's own first ring. A carried epoch builds set times
     only for its entries unset at ``t0`` and fills at the last of them (at
     ``t0`` if it has none); a reset epoch builds all M. Epochs go in blocks
-    of ``_WINDOW_CELLS // M`` (one at least), so a block holds at most
-    ``_WINDOW_CELLS`` cells however large N*M is; a block of carried epochs
-    is one flat index over its unset entries, column by column, whose
-    segment maxima are the fill times. So a window costs its unset carried
-    cells plus M per reset, and keeps one first ring per cell.
+    of ``_WINDOW_CELLS // M`` (one at least), and every per-cell array
+    lives in one block, so a block holds at most ``_WINDOW_CELLS`` cells
+    however large N*M is and however many resets the window has. A block
+    of carried epochs is one flat index over its unset entries, column by
+    column, whose segment maxima are the fill times. A block of reset
+    epochs builds only its own rows of next rings: from the window's rings
+    between its first and last reset, plus a seed, each row's first ring
+    after its last reset, one M-wide minimum over the rings after it. So a
+    window costs its unset carried cells plus M per reset, and one pass
+    over its rings per block.
+
+    ``ends``, when given, are the epochs' ends in a window that runs to its
+    end ``t1`` (a horizon window): each block then sums its entry-ring
+    terms (see :func:`_ring_terms`) as it is drawn and keeps no first ring.
 
     Returns the fill times; under ``carry``, the column states at ``t1``;
-    per block, its epochs ``lo:hi``, the cells of each and the entry
-    clocks' first rings, one per cell; and the number of entries set at
-    ``t0`` in each carried column, whose clocks draw no first ring.
+    per block, its epochs ``lo:hi`` and either the cells of each and the
+    entry clocks' first rings, one per cell, or, given ``ends``, its terms;
+    and the number of entries set at ``t0`` in each carried column, whose
+    clocks draw no first ring.
     """
     M, N = params.M, params.N
     scale = M / params.lambda_m
-    # next_ring[b, i]: row i's first ring after start b (t0, then each
-    # reset): each ring goes to the last start before it, then a backward
-    # running minimum carries later rings to earlier starts.
-    next_ring = np.full((reset_t.size + 1, M), np.inf)
-    np.minimum.at(next_ring, (np.searchsorted(reset_t, ring_t), ring_row), ring_t)
-    next_ring = np.minimum.accumulate(next_ring[::-1], axis=0)[::-1]
+
+    def first_rings(c):  # each row's first ring of index c or later: the rings are in time order
+        first = np.full(M, np.inf)
+        np.minimum.at(first, ring_row[c:], ring_t[c:])
+        return first
+
+    def block(lo, hi, cells, first):  # as kept: its first rings or, given ends, its terms
+        return (lo, hi, cells, first) if ends is None else (lo, hi, *_ring_terms(ends[lo:hi], cells, first))
 
     fill = np.full(starts.size, t0)
     filled_next = filled.copy() if carry else None
     set_rows = np.empty(N, dtype=np.intp)
-    entry_rings = []
+    blocks = []
     step = max(1, _WINDOW_CELLS // M)
-    tiled = np.tile(next_ring[0], min(step, N))  # next_ring[0] at each flat cell of a block
+    tiled = np.tile(first_rings(0), min(step, N))  # each row's first ring at each flat cell of a block
     for lo in range(0, N, step):
         hi = min(lo + step, N)
         unset = np.flatnonzero(~filled[lo:hi])  # the block's cells, column by column
@@ -568,20 +593,42 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, la
         np.minimum(set_at, first, out=set_at)
         some = cells > 0
         fill[lo:hi][some] = np.maximum.reduceat(set_at, at[:-1][some])
-        entry_rings.append((lo, hi, cells, first))
+        blocks.append(block(lo, hi, cells, first))
         set_rows[lo:hi] = M - cells
         if carry:
             filled_next[lo:hi].reshape(-1)[unset] = set_at < t1
+    after = np.searchsorted(ring_t, reset_t, "right")  # each reset's first ring
     for lo in range(N, starts.size, step):
         hi = min(lo + step, starts.size)
+        a, b = lo - N, hi - N  # the block's resets
+        # next_ring[k, i]: row i's first ring after reset a + k. Each ring
+        # between resets a and b - 1 goes to the last reset before it, the
+        # seed (the first rings after reset b - 1) to reset b - 1, and a
+        # backward running minimum carries later rings to earlier resets.
+        next_ring = np.full((b - a, M), np.inf)
+        inside = slice(after[a], after[b - 1])
+        np.minimum.at(
+            next_ring, (np.searchsorted(reset_t[a + 1 : b], ring_t[inside]), ring_row[inside]), ring_t[inside]
+        )
+        next_ring[-1] = first_rings(after[b - 1])
+        np.minimum.accumulate(next_ring[::-1], axis=0, out=next_ring[::-1])
         first = starts[lo:hi, None] + rng.exponential(scale, size=(hi - lo, M))
-        set_at = np.minimum(next_ring[lo - N + 1 : hi - N + 1], first)
-        entry_rings.append((lo, hi, M, first.reshape(-1)))
+        set_at = np.minimum(next_ring, first, out=next_ring)
+        blocks.append(block(lo, hi, M, first.reshape(-1)))
         fill[lo:hi] = set_at.max(axis=1)
         if carry:
             keep = last[lo:hi]
             filled_next[cols[lo:hi][keep]] = set_at[keep] < t1
-    return fill, filled_next, entry_rings, set_rows
+    return fill, filled_next, blocks, set_rows
+
+
+def _ring_terms(ends, cells, first):
+    """Entry clocks' first rings before their epochs' ``ends`` (``cells``
+    per epoch), and the summed time after those rings, in which their
+    further rings are Poisson."""
+    gap = np.repeat(ends, cells)
+    gap -= first
+    return int(np.count_nonzero(gap >= 0)), float(np.maximum(gap, 0.0, out=gap).sum())
 
 
 def _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry):
@@ -657,8 +704,15 @@ def hitting_time_batch(
     """Independent first-hit times, one per replicate stream.
 
     Replicate ``r`` draws from the stream keyed by ``(master_seed, r)``;
-    the returned array is ordered by replicate index.
+    the returned array is ordered by replicate index. Every replicate costs
+    at least one event, so a batch of more than ``MAX_EXPECTED_EVENTS`` is
+    refused with ``ValueError`` before its first run.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
+    if n_replicates > MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"{n_replicates} replicates exceed {MAX_EXPECTED_EVENTS:.0e}, and every replicate "
+            "costs at least one event; split the batch"
+        )
     return np.array([_one_tau(params, master_seed, r, start) for r in range(n_replicates)])

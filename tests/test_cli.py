@@ -460,6 +460,23 @@ def test_steady_draw_beyond_the_clock_cap_is_refused_at_once(tmp_path, capsys):
                              "--replicates", "2", "--out", str(tmp_path)], capsys)
 
 
+@pytest.mark.parametrize("command", ["simulate", "sample-steady", "figure-data"])
+def test_batch_beyond_the_event_cap_is_refused_at_once(tmp_path, capsys, command):
+    # Every replicate costs at least one event, so 10^12 of them are
+    # refused before the first run (sample-steady used to fail in np.empty).
+    _assert_refused_at_once([command, *MATRIX, "--M", "3", "--N", "2", "--p", "0.3", "--horizon", "5",
+                             "--replicates", str(10**12), "--out", str(tmp_path)], capsys)
+
+
+def test_batch_beyond_the_event_cap_in_a_config_file_is_refused_at_once(tmp_path, capsys):
+    # A config file's integers are unbounded: 10^20 replicates used to loop
+    # until the process was killed.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "matrix", "M": 3, "N": 2, "p": 0.3, "horizon": 5,
+                                  "replicates": 10**20}))
+    _assert_refused_at_once(["simulate", "--config", str(config), "--out", str(tmp_path)], capsys)
+
+
 SHARED_FLAGS = [
     "-h", "--help", "--config", "--model", "--M", "--N", "--p", "--pd", "--pm", "--lambda-m",
     "--alpha", "--replicates", "--horizon", "--seed", "--out", "--format",

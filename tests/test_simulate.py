@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,12 @@ class TestBatch:
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             hitting_time_batch(SingleColumnParams(M=2, alpha=1.0, p=0.5), 0, master_seed=1)
+
+    def test_rejects_batch_beyond_the_event_cap(self):
+        # Every replicate costs at least one event: refused before a run.
+        params = MatrixParams(M=3, N=2, p=0.45, lambda_m=0.3)
+        with pytest.raises(ValueError, match="replicates exceed"):
+            hitting_time_batch(params, simulate_module.MAX_EXPECTED_EVENTS + 1, master_seed=1)
 
 
 class TestRegenerativeHit:
@@ -751,14 +758,14 @@ class TestEpochPath:
         assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
 
     def test_horizon_law_across_entry_clock_windows(self, monkeypatch):
-        # Windows of 16 cells, 8.4 time units here, to a horizon of 40: the
+        # Windows of 8 cells, 8 time units here, to a horizon of 40: the
         # count at grid times on both sides of the window bounds, and the
         # event count, which is exactly Poisson(total_rate * T) and so pins
         # the rings of entries already set when a window begins.
-        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 16)
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 8)
         params = MatrixParams(M=4, N=3, p=0.3, lambda_m=0.3)
         horizon = 40.0
-        assert horizon > 4 * 16 / (params.q + params.p * params.M)
+        assert horizon > 4 * 8 / (params.q + params.p)
         fast = _runs(params, 5370, 1500, horizon=horizon, record_series=True)
         slow = _reference_runs(params, 5371, 750, horizon=horizon, record_series=True)
         for t in (4.0, 8.0, 9.0, 17.5, 25.0, 33.0, horizon):
@@ -776,7 +783,11 @@ class TestEpochPath:
         # draws no first ring. Every epoch's fill time, and every column's
         # state at the window's end, must be those of a scan of each row's
         # first ring after the epoch's start. Small windows split the cells
-        # into blocks of whole epochs, one epoch at least.
+        # into blocks of whole epochs, one epoch at least, so reset epochs
+        # fall into several blocks, each seeded with the rings after its
+        # last reset. Given the epochs' ends (a window that runs to t1),
+        # each block's entry-ring terms must be those of the scan: the
+        # first rings before the epoch's end, and the time after them.
         class Script:
             def __init__(self, seed):
                 self.gen, self.drawn = np.random.default_rng(seed), []
@@ -799,6 +810,7 @@ class TestEpochPath:
             starts = np.concatenate((np.full(N, t0), reset_t))
             cols = np.concatenate((np.arange(N), rng.integers(0, N, reset_t.size)))
             last = np.array([not np.any((cols == c) & (starts > s)) for s, c in zip(starts, cols)])
+            ends = np.array([min(starts[(cols == c) & (starts > s)], default=t1) for s, c in zip(starts, cols)])
             filled = rng.random((N, M)) < rng.choice([0.0, 0.5, 1.0])
             script = Script(trial)
             fill, carried, entry_rings, set_rows = simulate_module._entry_fill(
@@ -836,6 +848,15 @@ class TestEpochPath:
                 params, Script(trial), filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, False
             )
             assert no_carry[1] is None and np.array_equal(no_carry[0], fill)
+            to_end = simulate_module._entry_fill(
+                params, Script(trial), filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, True, ends
+            )
+            assert np.array_equal(to_end[0], fill) and np.array_equal(to_end[1], carried)
+            assert [(lo, hi) for lo, hi, *_ in to_end[2]] == spans
+            for lo, hi, rings, spare in to_end[2]:
+                gaps = [ends[b] - f for b, f in zip(scanned_epochs, scanned) if lo <= b < hi]
+                assert rings == sum(g >= 0 for g in gaps)
+                assert spare == pytest.approx(math.fsum(max(g, 0.0) for g in gaps), rel=1e-12, abs=1e-12)
 
     def test_full_start_column_is_carried(self):
         params = MatrixParams(M=2, N=3, p=0.4, lambda_m=0.1)
@@ -847,12 +868,14 @@ class TestEpochPath:
         assert traj.series_times[0] == 0.0 and traj.series_values[0] == 2
         assert (np.diff(traj.series_times) > 0).all()
 
-    def test_horizon_spanning_many_windows(self):
+    def test_horizon_spanning_many_windows(self, monkeypatch):
         # Four windows, the last one time unit long: a window that did not
         # start from the state the previous one ended in would show in the
-        # count at the horizon, which is stationary by then.
+        # count at the horizon, which is stationary by then. Windows of
+        # 2^13 cells keep the horizon near 2.5e4 time units.
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 1 << 13)
         params = MatrixParams(M=3, N=2, p=0.3, lambda_m=0.2)
-        width = simulate_module._WINDOW_CELLS / (params.q + params.p * params.M)
+        width = simulate_module._WINDOW_CELLS / (params.q + params.p)
         horizon = 3 * width + 1.0
         n = 300
         runs = _runs(params, 5600, n, horizon=horizon)
@@ -862,6 +885,42 @@ class TestEpochPath:
         mu = params.total_rate * horizon
         events = np.array([t.n_events for t in runs], dtype=float)
         assert abs(events.mean() - mu) < 4 * math.sqrt(mu / n)
+
+    @pytest.mark.parametrize(
+        "horizon, series", [(1.5 * 200 * math.log(200) / 1.9, False), (2500.0, True)],
+        ids=["criterion-7", "figure-data"],
+    )
+    def test_lambda_horizon_run_is_one_window(self, monkeypatch, horizon, series):
+        # Rings and resets bound a horizon window at every lambda_m, so the
+        # criterion-7 lambda_m = 1 run and a figure-data run, at (200, 100,
+        # 0.1, 1), each fit one window.
+        calls = []
+        epoch_window = simulate_module._epoch_window
+
+        def counted(*args, **kwargs):
+            calls.append(args[3:5])
+            return epoch_window(*args, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "_epoch_window", counted)
+        params = MatrixParams(M=200, N=100, p=0.1, lambda_m=1.0)
+        traj = simulate_matrix(params, SimulationConfig(master_seed=7, horizon=horizon, record_series=series))
+        assert calls == [(0.0, horizon)] and traj.end_time == horizon
+
+    def test_long_lambda_horizon_window_streams_its_cells(self):
+        # One window of about 1000 resets at M = 2000: its next rings alone
+        # would take 16 MB as one matrix, and every per-cell array must stay
+        # within a block of _WINDOW_CELLS cells instead.
+        params = MatrixParams(M=2000, N=20, p=0.5, lambda_m=1.0)
+        assert 2000.0 < simulate_module._WINDOW_CELLS / (params.q + params.p)
+        simulate_matrix(params, SimulationConfig(master_seed=1, horizon=10.0))
+        tracemalloc.start()
+        try:
+            traj = simulate_matrix(params, SimulationConfig(master_seed=1, horizon=2000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.end_time == 2000.0
+        assert peak < 4e6
 
     def test_series_invariants(self):
         cases = [
@@ -972,22 +1031,35 @@ def test_package_import_leaves_scipy_out():
     assert _after_package_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap trims")
-def test_matrix_windows_do_not_fault_their_heap_in_again():
-    # Without the threshold hint in simulate, glibc trims the heap after
-    # every window and 20 runs here take ~1800 minor page faults.
+def _minor_faults_of_20_runs(params: str, horizon: float) -> int:
+    """Minor page faults of 20 warm matrix runs to ``horizon``, in a fresh interpreter."""
     code = (
         "import resource\n"
         "from immunochain.models import MatrixParams\n"
         "from immunochain.simulate import SimulationConfig, simulate_matrix\n"
-        "params = MatrixParams(M=200, N=100, p=0.1)\n"
-        "simulate_matrix(params, SimulationConfig(master_seed=1, horizon=1766.0))\n"
+        f"params = {params}\n"
+        f"simulate_matrix(params, SimulationConfig(master_seed=1, horizon={horizon!r}))\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "for r in range(20):\n"
-        "    simulate_matrix(params, SimulationConfig(master_seed=1, replicate_index=r, horizon=1766.0))\n"
+        f"    simulate_matrix(params, SimulationConfig(master_seed=1, replicate_index=r, horizon={horizon!r}))\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
-    assert int(_run_fresh(code)) < 200
+    return int(_run_fresh(code))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap trims")
+def test_matrix_windows_do_not_fault_their_heap_in_again():
+    # Without the threshold hint in simulate, glibc trims the heap after
+    # every window and 20 runs here take ~1800 minor page faults.
+    assert _minor_faults_of_20_runs("MatrixParams(M=200, N=100, p=0.1)", 1766.0) < 200
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap trims")
+def test_entry_clock_windows_do_not_fault_their_heap_in_again():
+    # The same at the criterion-7 lambda_m = 1 point, whose one window
+    # streams its entry cells through blocks.
+    horizon = 1.5 * 200 * math.log(200) / 1.9
+    assert _minor_faults_of_20_runs("MatrixParams(M=200, N=100, p=0.1, lambda_m=1.0)", horizon) < 200
 
 
 def test_package_import_loads_numpy_random():
