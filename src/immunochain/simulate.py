@@ -29,23 +29,24 @@ after which every row has rung since the epoch began, and one pass over
 the window's rings gives it for every epoch: each ring's next ring of the
 same row, a prefix maximum of those, and a search for each epoch's start.
 Windows chain from each column's state at the end of the last one, which
-bounds the arrays a window needs. An entry set when a window begins stays
-set until its column's next reset, so with entry clocks a window builds
-cells only for the entries still unset at its start, and M per reset,
-streamed through blocks of at most ``_WINDOW_CELLS`` cells. The event count
-adds the entry rings: the first one of each built cell is drawn; the rest,
-and every ring of an entry set at the window's start, are Poisson in the
-time left. A window that runs to its end sums those terms block by block;
-one that may stop at a hit keeps its first rings until the hit time is
-known. So at every lambda_m a horizon window is bounded by its rings and
-resets alone, while a hit window's span is bounded by its cells.
+bounds the arrays a window needs. With entry clocks every epoch has M
+cells, one per entry, streamed through blocks of at most ``_WINDOW_CELLS``
+cells; an entry set when the window begins is set from its start. Entry
+clocks are Poisson, so their rings after the window's start do not depend
+on what came before, and every cell draws its entry's first ring, a set
+entry's too. The event count adds the entry rings: the first one of each
+cell is drawn, and the rest are Poisson in the time left. A window that
+runs to its end sums those terms block by block; one that may stop at a
+hit keeps its first rings until the hit time is known. So at every
+lambda_m a horizon window is bounded by its rings and resets alone, while
+a hit window holds the ``N*M`` cells of the epochs it carries in and spans
+as many reset cells.
 
 Both constructions have exactly Gillespie's law; the climbs are the
 column's own jump chain, drawn in another order. Counted climbs cost a few
 draws per level whatever the event count, laid-out climbs one array cell
-per event, and epochs about ``q + p*M`` cells per unit time plus, per
-window, one per entry unset at its start (all ``N*M`` in a run's first
-window from the empty matrix), or ``q + p`` at lambda_m = 0. Both chains'
+per event, and epochs about ``q + p*M`` cells per unit time plus ``N*M``
+per window, or ``q + p`` at lambda_m = 0. Both chains'
 event loops live apart, in :mod:`immunochain.reference`, as the references
 the tests compare these constructions against.
 
@@ -89,16 +90,17 @@ __all__ = [
 
 # A window holds about _WINDOW_CELLS array cells. A matrix horizon window's
 # row rings and resets bound it at every lambda_m, so it spans
-# _WINDOW_CELLS / (q + p) time units; its entry cells (M per reset) stream
+# _WINDOW_CELLS / (q + p) time units; its entry cells (M per epoch) stream
 # through blocks of at most _WINDOW_CELLS cells, however large N*M is and
 # however many resets it holds. A matrix hit window keeps its entry-clock
-# first rings until the hit, so at lambda_m > 0 its cells bound it too and
-# it spans _WINDOW_CELLS / (q + p*M). A single-column window holds its climb
-# levels. A run may end long before a window does, so a matrix hit run's
-# first window holds max(_FIRST_WINDOW_CELLS, N*M) cells
-# (_FIRST_WINDOW_CELLS at lambda_m = 0), a single-column run's first window
-# _FIRST_WINDOW_CELLS, and each next one twice as many, up to the full
-# width.
+# first rings until the hit, M per epoch, so at lambda_m > 0 it holds the
+# N*M cells of its carried epochs whatever its span, and it spans
+# max(_WINDOW_CELLS, N*M) / (q + p*M): its reset cells never outnumber
+# those. A single-column window holds its climb levels. A run may end long
+# before a window does, so a matrix hit run's first window holds
+# max(_FIRST_WINDOW_CELLS, N*M) cells (_FIRST_WINDOW_CELLS at
+# lambda_m = 0), a single-column run's first window _FIRST_WINDOW_CELLS,
+# and each next one twice as many, up to the full width.
 _WINDOW_CELLS = 1 << 14
 _FIRST_WINDOW_CELLS = 1 << 10
 
@@ -364,7 +366,9 @@ def simulate_matrix(
     the module docstring): ``tau``, ``end_time``, ``end_value``, the series
     and ``n_events`` have the joint law of the event-by-event chain, at a
     cost that grows with the row rings, the resets and, when entries have
-    clocks of their own, the epoch-by-row cells, not with the events. A
+    clocks of their own, the epoch-by-row cells, not with the events: M
+    per epoch, so a hit window at lambda_m > 0 spans
+    ``max(_WINDOW_CELLS, N*M)`` cells, as many as the state it carries. A
     run that needs the events themselves or the final matrix is a job for
     the Gillespie reference, :func:`immunochain.reference.matrix_gillespie`. A
     run without a horizon and no full column at its start raises
@@ -415,9 +419,11 @@ def simulate_matrix(
             _check_event_budget(params, median_floor, cells_per_time)
     rng = replicate_rng(config.master_seed, config.replicate_index)
     if stop_on_hit:
-        width = _WINDOW_CELLS / cells_per_time
-        first_cells = max(_FIRST_WINDOW_CELLS, M * N) if params.lambda_m > 0 else _FIRST_WINDOW_CELLS
-        span = min(width, first_cells / cells_per_time)
+        # At lambda_m > 0 a hit window holds the N*M cells of its carried
+        # epochs whatever its span, so it spans as many reset cells.
+        held = M * N if params.lambda_m > 0 else 0
+        width = max(_WINDOW_CELLS, held) / cells_per_time
+        span = max(_FIRST_WINDOW_CELLS, held) / cells_per_time
     else:
         width = span = _WINDOW_CELLS / (params.q + params.p)
     full = initial
@@ -477,17 +483,16 @@ def _epoch_window(
     earlier (at s if it is one at ``t0`` and s is ``t0``), and the column
     is full from the last of these times to the epoch's end.
 
-    With entry clocks the window builds one cell per entry unset at ``t0``
-    and M per reset epoch (see :func:`_entry_fill`); without them, none.
+    With entry clocks the window builds M cells per epoch (see
+    :func:`_entry_fill`); without them, none.
 
     Returns the times columns became full (columns full at ``t0`` are
     carried, not counted), the times full columns were reset, the events
-    up to the window's end, the summed time that entry clocks ran on
-    without a drawn ring (after their first ring, or from ``t0`` for the
-    entries set then; their rings there are Poisson in it), the number of
-    full columns at ``t1`` and, under ``carry``, the column states at
-    ``t1`` for the next window. Under ``stop_on_hit`` the window ends at
-    its first full column, if any.
+    up to the window's end, the summed time that entry clocks ran on after
+    their drawn first ring (their rings there are Poisson in it), the
+    number of full columns at ``t1`` and, under ``carry``, the column
+    states at ``t1`` for the next window. Under ``stop_on_hit`` the window
+    ends at its first full column, if any.
     """
     M, N = params.M, params.N
     span = t1 - t0
@@ -512,13 +517,13 @@ def _epoch_window(
     last[order[:-1][succ]] = False
 
     if params.lambda_m > 0:
-        fill, filled_next, blocks, set_rows = _entry_fill(
-            params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, carry,
+        fill, filled_next, blocks = _entry_fill(
+            params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, carry,
             None if stop_on_hit else ends,
         )
     else:
         fill, filled_next = _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry)
-        blocks, set_rows = (), np.zeros(N)  # no entry clocks run
+        blocks = ()  # no entry clocks run
 
     valid = fill < ends
     gained = fill[valid & (fill > t0)]
@@ -526,9 +531,7 @@ def _epoch_window(
     gained = gained[gained <= end]
     lost = ends[valid & (ends < end)]
     n_events = int(np.searchsorted(ring_t, end, "right") + np.searchsorted(reset_t, end, "right"))
-    # A set entry's clock changes nothing until its column's first reset:
-    # all its rings from t0 on are Poisson in that time.
-    spare = float(set_rows @ (np.minimum(ends[:N], end) - t0))
+    spare = 0.0
     for lo, hi, *terms in blocks:
         if stop_on_hit:  # a hit window's blocks keep their first rings until its end is known
             terms = _ring_terms(np.minimum(ends[lo:hi], end), *terms)
@@ -538,33 +541,31 @@ def _epoch_window(
     return gained, lost, n_events, spare, full_at_t1, filled_next
 
 
-def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, carry, ends=None):
+def _entry_fill(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, carry, ends=None):
     """Fill times of a window's epochs when entries have clocks of their own.
 
-    An entry's set time is row i's first ring after its epoch's start,
-    lowered to the entry's own first ring. A carried epoch builds set times
-    only for its entries unset at ``t0`` and fills at the last of them (at
-    ``t0`` if it has none); a reset epoch builds all M. Epochs go in blocks
-    of ``_WINDOW_CELLS // M`` (one at least), and every per-cell array
-    lives in one block, so a block holds at most ``_WINDOW_CELLS`` cells
-    however large N*M is and however many resets the window has. A block
-    of carried epochs is one flat index over its unset entries, column by
-    column, whose segment maxima are the fill times. A block of reset
+    Every epoch has M set-time cells, one per entry: row i's first ring
+    after the epoch's start, lowered to the entry's own first ring, or
+    ``t0`` for an entry one at ``t0`` in a carried epoch; the epoch fills at
+    the last of them. Every cell draws its entry clock's first ring, a set
+    entry's too: a Poisson clock's rings after ``t0`` do not depend on its
+    past. Epochs go in blocks of ``_WINDOW_CELLS // M`` (one at least) that
+    never mix carried and reset epochs, and every per-cell array lives in
+    one block, so a block holds at most ``_WINDOW_CELLS`` cells however
+    large N*M is and however many resets the window has. Carried blocks
+    read one shared row of first rings after ``t0``. A block of reset
     epochs builds only its own rows of next rings: from the window's rings
     between its first and last reset, plus a seed, each row's first ring
     after its last reset, one M-wide minimum over the rings after it. So a
-    window costs its unset carried cells plus M per reset, and one pass
-    over its rings per block.
+    window costs M cells per epoch, and one pass over its rings per block.
 
     ``ends``, when given, are the epochs' ends in a window that runs to its
     end ``t1`` (a horizon window): each block then sums its entry-ring
     terms (see :func:`_ring_terms`) as it is drawn and keeps no first ring.
 
     Returns the fill times; under ``carry``, the column states at ``t1``;
-    per block, its epochs ``lo:hi`` and either the cells of each and the
-    entry clocks' first rings, one per cell, or, given ``ends``, its terms;
-    and the number of entries set at ``t0`` in each carried column, whose
-    clocks draw no first ring.
+    and per block, its epochs ``lo:hi`` and either the entry clocks' first
+    rings, an ``(hi - lo, M)`` array, or, given ``ends``, its terms.
     """
     M, N = params.M, params.N
     scale = M / params.lambda_m
@@ -574,60 +575,46 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, reset_t, starts, cols, la
         np.minimum.at(first, ring_row[c:], ring_t[c:])
         return first
 
-    def block(lo, hi, cells, first):  # as kept: its first rings or, given ends, its terms
-        return (lo, hi, cells, first) if ends is None else (lo, hi, *_ring_terms(ends[lo:hi], cells, first))
-
-    fill = np.full(starts.size, t0)
-    filled_next = filled.copy() if carry else None
-    set_rows = np.empty(N, dtype=np.intp)
+    fill = np.empty(starts.size)
+    filled_next = np.empty_like(filled) if carry else None
     blocks = []
     step = max(1, _WINDOW_CELLS // M)
-    tiled = np.tile(first_rings(0), min(step, N))  # each row's first ring at each flat cell of a block
-    for lo in range(0, N, step):
-        hi = min(lo + step, N)
-        unset = np.flatnonzero(~filled[lo:hi])  # the block's cells, column by column
-        at = np.searchsorted(unset, np.arange(hi - lo + 1) * M)  # column lo + k: unset[at[k]:at[k + 1]]
-        cells = np.diff(at)
-        first = t0 + rng.exponential(scale, size=unset.size)
-        set_at = tiled[unset]
-        np.minimum(set_at, first, out=set_at)
-        some = cells > 0
-        fill[lo:hi][some] = np.maximum.reduceat(set_at, at[:-1][some])
-        blocks.append(block(lo, hi, cells, first))
-        set_rows[lo:hi] = M - cells
-        if carry:
-            filled_next[lo:hi].reshape(-1)[unset] = set_at < t1
+    carried_rings = first_rings(0)
+    reset_t = starts[N:]
     after = np.searchsorted(ring_t, reset_t, "right")  # each reset's first ring
-    for lo in range(N, starts.size, step):
-        hi = min(lo + step, starts.size)
-        a, b = lo - N, hi - N  # the block's resets
-        # next_ring[k, i]: row i's first ring after reset a + k. Each ring
-        # between resets a and b - 1 goes to the last reset before it, the
-        # seed (the first rings after reset b - 1) to reset b - 1, and a
-        # backward running minimum carries later rings to earlier resets.
-        next_ring = np.full((b - a, M), np.inf)
-        inside = slice(after[a], after[b - 1])
-        np.minimum.at(
-            next_ring, (np.searchsorted(reset_t[a + 1 : b], ring_t[inside]), ring_row[inside]), ring_t[inside]
-        )
-        next_ring[-1] = first_rings(after[b - 1])
-        np.minimum.accumulate(next_ring[::-1], axis=0, out=next_ring[::-1])
+    for lo in [*range(0, N, step), *range(N, starts.size, step)]:
+        hi = min(lo + step, N if lo < N else starts.size)
         first = starts[lo:hi, None] + rng.exponential(scale, size=(hi - lo, M))
-        set_at = np.minimum(next_ring, first, out=next_ring)
-        blocks.append(block(lo, hi, M, first.reshape(-1)))
+        if lo < N:
+            set_at = np.minimum(carried_rings, first)
+            set_at[filled[lo:hi]] = t0
+        else:
+            a, b = lo - N, hi - N  # the block's resets
+            # next_ring[k, i]: row i's first ring after reset a + k. Each ring
+            # between resets a and b - 1 goes to the last reset before it, the
+            # seed (the first rings after reset b - 1) to reset b - 1, and a
+            # backward running minimum carries later rings to earlier resets.
+            next_ring = np.full((b - a, M), np.inf)
+            inside = slice(after[a], after[b - 1])
+            np.minimum.at(
+                next_ring, (np.searchsorted(reset_t[a + 1 : b], ring_t[inside]), ring_row[inside]), ring_t[inside]
+            )
+            next_ring[-1] = first_rings(after[b - 1])
+            np.minimum.accumulate(next_ring[::-1], axis=0, out=next_ring[::-1])
+            set_at = np.minimum(next_ring, first, out=next_ring)
         fill[lo:hi] = set_at.max(axis=1)
+        blocks.append((lo, hi, first) if ends is None else (lo, hi, *_ring_terms(ends[lo:hi], first)))
         if carry:
             keep = last[lo:hi]
             filled_next[cols[lo:hi][keep]] = set_at[keep] < t1
-    return fill, filled_next, blocks, set_rows
+    return fill, filled_next, blocks
 
 
-def _ring_terms(ends, cells, first):
-    """Entry clocks' first rings before their epochs' ``ends`` (``cells``
-    per epoch), and the summed time after those rings, in which their
-    further rings are Poisson."""
-    gap = np.repeat(ends, cells)
-    gap -= first
+def _ring_terms(ends, first):
+    """Entry clocks' first rings ``first``, one row of M per epoch, before
+    their epochs' ``ends``, and the summed time after those rings, in which
+    their further rings are Poisson."""
+    gap = ends[:, None] - first
     return int(np.count_nonzero(gap >= 0)), float(np.maximum(gap, 0.0, out=gap).sum())
 
 

@@ -634,6 +634,32 @@ def _reference_runs(params, seed, n, start=None, **kw):
     ]
 
 
+def _assert_hit_law_matches_reference(params, seed, past):
+    """1500 hit runs, most of them past time ``past``, against 600 reference
+    runs: KS on ``tau``, z < 4 on ``n_events`` and ``end_value``."""
+    fast = _runs(params, seed, 1500)
+    slow = _reference_runs(params, seed + 1, 600)
+    taus = np.array([t.tau for t in fast])
+    assert np.mean(taus > past) > 0.5
+    _, p_value = ks_2samp(taus, [t.tau for t in slow])
+    assert p_value > 0.001
+    assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
+    assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
+
+
+def _window_calls(monkeypatch) -> list:
+    """The ``(t0, t1)`` of every epoch window run after this call."""
+    calls = []
+    epoch_window = simulate_module._epoch_window
+
+    def counted(*args, **kwargs):
+        calls.append(args[3:5])
+        return epoch_window(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "_epoch_window", counted)
+    return calls
+
+
 class TestEpochPath:
     """Matrix runs are drawn from per-column reset epochs.
 
@@ -658,13 +684,29 @@ class TestEpochPath:
         assert _z_means(ends_fast, ends_slow) < 4
         assert _z_vars(ends_fast, ends_slow) < 4
 
-    @pytest.mark.parametrize("lam", [0.0, 0.2])
-    def test_event_count_is_poisson(self, lam):
+    @pytest.mark.parametrize(
+        "lam, start",
+        [
+            pytest.param(0.0, None, id="0.0"),
+            pytest.param(0.2, None, id="0.2"),
+            pytest.param(
+                0.2,
+                MatrixState.from_entries(
+                    [[1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0]]
+                ),
+                id="0.2-start",
+            ),
+        ],
+    )
+    def test_event_count_is_poisson(self, lam, start):
         # Every clock rings whatever the state, so a horizon run's event
-        # count is exactly Poisson(total_rate * T).
+        # count is exactly Poisson(total_rate * T) from any start. From a
+        # start with half its entries set (one column full), the set
+        # entries' clocks count their rings from a drawn first ring, as
+        # unset ones do.
         params = self.point(lam)
         n = 6000
-        events = np.array([t.n_events for t in _runs(params, 5200, n, horizon=self.T)], dtype=float)
+        events = np.array([t.n_events for t in _runs(params, 5200, n, start=start, horizon=self.T)], dtype=float)
         mu = params.total_rate * self.T
         assert abs(events.mean() - mu) < 4 * math.sqrt(mu / n)
         assert abs(events.var(ddof=1) - mu) < 4 * math.sqrt((mu + 2 * mu * mu) / n)
@@ -731,15 +773,7 @@ class TestEpochPath:
         # through several lambda_m = 0 windows before one fills.
         monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
-        params = MatrixParams(M=6, N=3, p=0.6)
-        fast = _runs(params, 5350, 1500)
-        slow = _reference_runs(params, 5351, 600)
-        taus = np.array([t.tau for t in fast])
-        assert np.mean(taus > 16 + 32) > 0.5  # past the second window
-        _, p_value = ks_2samp(taus, [t.tau for t in slow])
-        assert p_value > 0.001
-        assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
-        assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
+        _assert_hit_law_matches_reference(MatrixParams(M=6, N=3, p=0.6), 5350, past=16 + 32)
 
     def test_first_full_column_law_across_entry_clock_windows(self, monkeypatch):
         # As above with entry clocks: hit windows of 4.5, 9 and 16 time
@@ -747,15 +781,16 @@ class TestEpochPath:
         # entries into a third window or later.
         monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
-        params = MatrixParams(M=6, N=3, p=0.6, lambda_m=0.3)
-        fast = _runs(params, 5360, 1500)
-        slow = _reference_runs(params, 5361, 600)
-        taus = np.array([t.tau for t in fast])
-        assert np.mean(taus > 4.5 + 9) > 0.5  # past the second window
-        _, p_value = ks_2samp(taus, [t.tau for t in slow])
-        assert p_value > 0.001
-        assert _z_means([t.n_events for t in fast], [t.n_events for t in slow]) < 4
-        assert _z_means([t.end_value for t in fast], [t.end_value for t in slow]) < 4
+        _assert_hit_law_matches_reference(MatrixParams(M=6, N=3, p=0.6, lambda_m=0.3), 5360, past=4.5 + 9)
+
+    def test_first_full_column_law_when_the_state_outgrows_a_window(self, monkeypatch):
+        # As above with N*M = 30 cells over a window of 16: every hit window
+        # spans the 30 cells it carries, 7.5 time units here, against a
+        # median hit near 16, so most runs carry set entries into a window
+        # as wide as their state.
+        monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 4)
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 16)
+        _assert_hit_law_matches_reference(MatrixParams(M=6, N=5, p=0.6, lambda_m=0.3), 5380, past=7.5)
 
     def test_horizon_law_across_entry_clock_windows(self, monkeypatch):
         # Windows of 8 cells, 8 time units here, to a horizon of 40: the
@@ -778,16 +813,17 @@ class TestEpochPath:
 
     def test_entry_fill_matches_a_row_by_row_scan(self, monkeypatch):
         # Scripted entry clocks: the stub hands out exponentials and keeps
-        # them in order. Cells are the entries unset at t0 of each carried
-        # column, column by column, then M per reset epoch; a set entry
-        # draws no first ring. Every epoch's fill time, and every column's
+        # them in order. Every epoch has M cells, the carried epochs first,
+        # then the reset epochs; an entry set at t0 has set time t0 and still
+        # draws a first ring. Every epoch's fill time, and every column's
         # state at the window's end, must be those of a scan of each row's
-        # first ring after the epoch's start. Small windows split the cells
-        # into blocks of whole epochs, one epoch at least, so reset epochs
-        # fall into several blocks, each seeded with the rings after its
-        # last reset. Given the epochs' ends (a window that runs to t1),
-        # each block's entry-ring terms must be those of the scan: the
-        # first rings before the epoch's end, and the time after them.
+        # first ring after the epoch's start. Small windows split the epochs
+        # into blocks, one epoch at least, that never mix carried and reset
+        # epochs, so reset epochs fall into several blocks, each seeded with
+        # the rings after its last reset. Given the epochs' ends (a window
+        # that runs to t1), each block's entry-ring terms must be those of the
+        # scan: every first ring before its epoch's end, set entries' too,
+        # and the time after them.
         class Script:
             def __init__(self, seed):
                 self.gen, self.drawn = np.random.default_rng(seed), []
@@ -812,49 +848,35 @@ class TestEpochPath:
             last = np.array([not np.any((cols == c) & (starts > s)) for s, c in zip(starts, cols)])
             ends = np.array([min(starts[(cols == c) & (starts > s)], default=t1) for s, c in zip(starts, cols)])
             filled = rng.random((N, M)) < rng.choice([0.0, 0.5, 1.0])
+            args = (filled, ring_t, ring_row, starts, cols, last, t0, t1)
             script = Script(trial)
-            fill, carried, entry_rings, set_rows = simulate_module._entry_fill(
-                params, script, filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, True
-            )
-            spans = [(lo, hi) for lo, hi, *_ in entry_rings]
+            fill, carried, blocks = simulate_module._entry_fill(params, script, *args, True)
+            spans = [(lo, hi) for lo, hi, _ in blocks]
             assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
             assert spans[-1][1] == starts.size and all(hi <= N or lo >= N for lo, hi in spans)
-            assert all(hi - lo == 1 or f.size <= window for lo, hi, _, f in entry_rings)
+            assert all(first.shape == (hi - lo, M) for lo, hi, first in blocks)
+            assert all(hi - lo == 1 or first.size <= window for lo, hi, first in blocks)
             draws = iter(np.concatenate([np.empty(0), *script.drawn]).tolist())
-            firsts = np.concatenate([np.empty(0)] + [f for *_, f in entry_rings])
-            epochs = np.concatenate([np.empty(0, dtype=np.intp)] + [
-                np.repeat(np.arange(lo, hi), cells) for lo, hi, cells, _ in entry_rings
-            ])
-            scanned, scanned_epochs = [], []
+            scanned = []  # scanned[b][i]: entry (i, b)'s first ring in epoch b
             for b, (s, c) in enumerate(zip(starts, cols)):
-                set_at = []
-                for i in range(M):
-                    if b < N and filled[b, i]:
-                        set_at.append(t0)
-                        continue
-                    first = s + next(draws)
-                    scanned.append(first)
-                    scanned_epochs.append(b)
-                    row_first = min(ring_t[(ring_row == i) & (ring_t > s)], default=math.inf)
-                    set_at.append(min(row_first, first))
+                scanned.append([s + next(draws) for _ in range(M)])
+                set_at = [
+                    t0 if b < N and filled[b, i]
+                    else min(min(ring_t[(ring_row == i) & (ring_t > s)], default=math.inf), scanned[b][i])
+                    for i in range(M)
+                ]
                 assert fill[b] == max(set_at)
                 if last[b]:
                     assert list(carried[c]) == [x < t1 for x in set_at]
             assert next(draws, None) is None
-            assert firsts.tolist() == scanned
-            assert epochs.tolist() == scanned_epochs
-            assert list(set_rows) == list(filled.sum(axis=1))
-            no_carry = simulate_module._entry_fill(
-                params, Script(trial), filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, False
-            )
+            assert np.concatenate([np.empty((0, M))] + [first for *_, first in blocks]).tolist() == scanned
+            no_carry = simulate_module._entry_fill(params, Script(trial), *args, False)
             assert no_carry[1] is None and np.array_equal(no_carry[0], fill)
-            to_end = simulate_module._entry_fill(
-                params, Script(trial), filled, ring_t, ring_row, reset_t, starts, cols, last, t0, t1, True, ends
-            )
+            to_end = simulate_module._entry_fill(params, Script(trial), *args, True, ends)
             assert np.array_equal(to_end[0], fill) and np.array_equal(to_end[1], carried)
             assert [(lo, hi) for lo, hi, *_ in to_end[2]] == spans
             for lo, hi, rings, spare in to_end[2]:
-                gaps = [ends[b] - f for b, f in zip(scanned_epochs, scanned) if lo <= b < hi]
+                gaps = [ends[b] - first for b in range(lo, hi) for first in scanned[b]]
                 assert rings == sum(g >= 0 for g in gaps)
                 assert spare == pytest.approx(math.fsum(max(g, 0.0) for g in gaps), rel=1e-12, abs=1e-12)
 
@@ -894,17 +916,37 @@ class TestEpochPath:
         # Rings and resets bound a horizon window at every lambda_m, so the
         # criterion-7 lambda_m = 1 run and a figure-data run, at (200, 100,
         # 0.1, 1), each fit one window.
-        calls = []
-        epoch_window = simulate_module._epoch_window
-
-        def counted(*args, **kwargs):
-            calls.append(args[3:5])
-            return epoch_window(*args, **kwargs)
-
-        monkeypatch.setattr(simulate_module, "_epoch_window", counted)
+        calls = _window_calls(monkeypatch)
         params = MatrixParams(M=200, N=100, p=0.1, lambda_m=1.0)
         traj = simulate_matrix(params, SimulationConfig(master_seed=7, horizon=horizon, record_series=series))
         assert calls == [(0.0, horizon)] and traj.end_time == horizon
+
+    def test_lambda_hit_run_is_one_window(self, monkeypatch):
+        # A lambda_m > 0 hit window holds its N*M carried cells whatever its
+        # span, so it spans as many reset cells: a lambda_m = 1 hit run at
+        # (400, 200, 0.1), whose first full column comes near 900, fits one
+        # window of about 1960 time units.
+        calls = _window_calls(monkeypatch)
+        params = MatrixParams(M=400, N=200, p=0.1, lambda_m=1.0)
+        traj = simulate_matrix(params, SimulationConfig(master_seed=7))
+        assert len(calls) == 1 and calls[0][0] == 0.0
+        assert traj.end_time == traj.tau < calls[0][1]
+
+    def test_lambda_hit_window_holds_the_state_cells_it_spans(self):
+        # A hit window keeps every epoch's first rings until the hit: about
+        # N*M carried and as many reset cells, 8 bytes each, at (1000, 400,
+        # 0.1, 1); 32 bytes per entry bound them with room for one block's
+        # arrays.
+        params = MatrixParams(M=1000, N=400, p=0.1, lambda_m=1.0)
+        simulate_matrix(params, SimulationConfig(master_seed=1, horizon=10.0))
+        tracemalloc.start()
+        try:
+            traj = simulate_matrix(params, SimulationConfig(master_seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.tau is not None
+        assert peak < 32 * params.M * params.N
 
     def test_long_lambda_horizon_window_streams_its_cells(self):
         # One window of about 1000 resets at M = 2000: its next rings alone
