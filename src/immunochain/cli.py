@@ -1,7 +1,11 @@
 """Experiment runner: simulate, sample, analyze, verify, emit figure data.
 
 Configuration is a flat key set, readable from a JSON file (``--config``)
-with CLI flags taking precedence. Outputs are a JSON summary (with the
+with CLI flags taking precedence. Rates come raw (``p``, ``lambda_m``,
+``alpha``) or as per-step probabilities (``pd``, ``pm``), never mixed;
+``analytics.identify_parameters`` maps the latter to ``p = pd`` and
+``lambda_m = pm*M`` for the matrix, ``p = pd/N`` and ``alpha = 1 + pm*M``
+for a single column. Outputs are a JSON summary (with the
 resolved config echoed back, so a run can be reproduced from its own
 summary) and CSV time series with a versioned schema header. All output
 is deterministic in (config, seed).
@@ -17,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -37,11 +41,6 @@ FIGURE_PM_SCHEMA = "immunochain-figure-transition-vs-pm-v1"
 
 MODEL_SINGLE = "single-column"
 MODEL_MATRIX = "matrix"
-
-_CONFIG_KEYS = (
-    "model", "M", "N", "p", "pd", "pm", "lambda_m", "alpha",
-    "replicates", "horizon", "seed", "out", "format", "outputs",
-)
 
 _OBSERVABLES = ("taus", "counts", "series")
 
@@ -102,14 +101,13 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
-        mixed_p = self.pd is not None and self.p is not None
-        mixed_lam = self.pm is not None and (self.lambda_m is not None or self.alpha is not None)
-        if mixed_p or mixed_lam:
+        raw = (self.p, self.lambda_m, self.alpha)
+        if (self.pd is not None or self.pm is not None) and any(v is not None for v in raw):
             raise ConfigError("give either raw rates (p, lambda_m, alpha) or per-step probabilities (pd, pm), not both")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - set(_CONFIG_KEYS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         clean = {k: v for k, v in data.items() if v is not None}
@@ -118,35 +116,26 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def single_column_params(self) -> SingleColumnParams:
-        if self.M is None:
-            raise ConfigError("single-column model needs M")
+    def wants(self, observable: str) -> bool:
+        return self.outputs is None or observable in self.outputs
+
+    def params(self) -> SingleColumnParams | MatrixParams:
+        """The model's parameter record, from the per-step or the raw keys."""
+        matrix = self.model == MODEL_MATRIX
+        if self.M is None or (matrix and self.N is None):
+            raise ConfigError("matrix model needs M and N" if matrix else "single-column model needs M")
         try:
             if self.pd is not None:
                 if self.N is None:
                     raise ConfigError("mapping pd to a single column needs N")
-                single, _ = analytics.identify_parameters(self.pd, self.N, self.pm or 0.0, self.M)
-                return single
+                single, pair = analytics.identify_parameters(self.pd, self.N, self.pm or 0.0, self.M)
+                return pair if matrix else single
             if self.p is None:
-                raise ConfigError("single-column model needs p or pd")
+                raise ConfigError(f"{self.model} model needs p or pd")
+            if matrix:
+                lam = self.lambda_m if self.lambda_m is not None else 0.0
+                return MatrixParams(M=self.M, N=self.N, p=self.p, lambda_m=lam)
             return SingleColumnParams(M=self.M, alpha=self.alpha if self.alpha is not None else 1.0, p=self.p)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def wants(self, observable: str) -> bool:
-        return self.outputs is None or observable in self.outputs
-
-    def matrix_params(self) -> MatrixParams:
-        if self.M is None or self.N is None:
-            raise ConfigError("matrix model needs M and N")
-        try:
-            if self.pd is not None:
-                _, matrix = analytics.identify_parameters(self.pd, self.N, self.pm or 0.0, self.M)
-                return matrix
-            if self.p is None:
-                raise ConfigError("matrix model needs p or pd")
-            lam = self.lambda_m if self.lambda_m is not None else (self.pm or 0.0) * self.M
-            return MatrixParams(M=self.M, N=self.N, p=self.p, lambda_m=lam)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -194,10 +183,6 @@ _COLUMN_FORMULAS = (
 )
 
 
-def _unavailable(method: str, formula_id: str, exc: Exception) -> dict:
-    return {"method": method, "formula_id": formula_id, "reason": str(exc)}
-
-
 def _predictions(params, formulas) -> dict:
     """Summary keys for one report per ``(formula_id, method, formula)``.
 
@@ -211,17 +196,17 @@ def _predictions(params, formulas) -> dict:
         try:
             reports.append(analytics.ClosedFormReport(formula(params), method, formula_id))
         except (ArithmeticError, ValueError) as exc:
-            unavailable.append(_unavailable(method, formula_id, exc))
+            unavailable.append({"method": method, "formula_id": formula_id, "reason": str(exc)})
     out = {"predictions": [asdict(r) for r in reports]}
     if unavailable:
         out["unavailable_predictions"] = unavailable
     return out
 
 
-def _analyze_payload(config: ExperimentConfig) -> dict:
+def _cmd_analyze(config: ExperimentConfig) -> int:
+    params = config.params()
     out: dict = {"config": asdict(config)}
     if config.model == MODEL_MATRIX:
-        params = config.matrix_params()
         out["parameters"] = {
             "M": params.M, "N": params.N, "p": params.p, "q": params.q,
             "lambda_m": params.lambda_m, "q_tilde": params.q_tilde,
@@ -231,19 +216,13 @@ def _analyze_payload(config: ExperimentConfig) -> dict:
         out["steady_allones_probability"] = analytics.steady_allones_probability(params)
         out["transition_time_prediction"] = analytics.transition_time_prediction(params)
     else:
-        params = config.single_column_params()
         out["parameters"] = {
             "M": params.M, "alpha": params.alpha, "p": params.p, "q": params.q, "a": params.a,
         }
         out.update(_predictions(params, _COLUMN_FORMULAS))
         if params.M <= 512:
             out["invariant_pmf"] = list(analytics.invariant_pmf(params))
-    return out
-
-
-def _cmd_analyze(config: ExperimentConfig) -> int:
-    payload = _analyze_payload(config)
-    _write_summary(Path(config.out) / "summary.json", payload)
+    _write_summary(Path(config.out) / "summary.json", out)
     return 0
 
 
@@ -266,14 +245,12 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     taus: list[float | None] = []
     rows = []
     end_values = []
+    params = config.params()
     if config.model == MODEL_MATRIX:
-        params = config.matrix_params()
-        simulate = simulate_matrix
-        predictions = _predictions(params, _MATRIX_FORMULAS)
+        simulate, formulas = simulate_matrix, _MATRIX_FORMULAS
     else:
-        params = config.single_column_params()
-        simulate = simulate_single_column
-        predictions = _predictions(params, _COLUMN_FORMULAS[:1])
+        simulate, formulas = simulate_single_column, _COLUMN_FORMULAS[:1]
+    predictions = _predictions(params, formulas)
     for r in range(n):
         sim = SimulationConfig(
             master_seed=config.seed, replicate_index=r, horizon=config.horizon,
@@ -314,7 +291,7 @@ def _cmd_sample_steady(config: ExperimentConfig) -> int:
     if config.model != MODEL_MATRIX:
         raise ConfigError("sample-steady applies to the matrix model")
     n = _replicates(config, "sample-steady")
-    params = config.matrix_params()
+    params = config.params()
     counts = np.empty(n, dtype=np.int64)
     for r in range(n):
         counts[r] = reversal.sample_invariant_count(params, replicate_rng(config.seed, r))
@@ -335,7 +312,7 @@ def emit_figure_data(config: ExperimentConfig) -> int:
     if config.model != MODEL_MATRIX:
         raise ConfigError("figure-data applies to the matrix model")
     n = _replicates(config, "figure-data")
-    params = config.matrix_params()
+    params = config.params()
     horizon = config.horizon if config.horizon is not None else 2500.0
     n_grid = 201
     grid = np.linspace(0.0, horizon, n_grid)
@@ -370,7 +347,7 @@ def emit_figure_data(config: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
+def _cmd_verify(config: ExperimentConfig) -> int:
     """Cross-check closed forms and the sampler against the oracle."""
     failures: list[str] = []
 
@@ -380,12 +357,11 @@ def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
         if err > tol:
             failures.append(name)
 
-    m_grid = range(1, 5 if small else 9)
     alphas = (0.5, 1.0, 2.0)
     ps = (0.1, 0.5, 0.9)
 
     worst = 0.0
-    for M in m_grid:
+    for M in range(1, 9):
         for alpha in alphas:
             for p in ps:
                 params = SingleColumnParams(M=M, alpha=alpha, p=p)
@@ -395,7 +371,7 @@ def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
     check("invariant-pmf-vs-oracle", worst, 1e-10)
 
     worst = 0.0
-    for M in (1, 2, 4, 8, 16) if small else (1, 2, 4, 8, 16, 32, 64):
+    for M in (1, 2, 4, 8, 16, 32, 64):
         for alpha in alphas:
             for p in ps:
                 params = SingleColumnParams(M=M, alpha=alpha, p=p)
@@ -405,8 +381,8 @@ def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
     check("hitting-mean-vs-oracle", worst, 1e-9)
 
     worst = 0.0
-    for N in range(1, 5 if small else 6):
-        for k in range(0, 9 if small else 11):
+    for N in range(1, 6):
+        for k in range(0, 11):
             worst = max(worst, abs(analytics.coupon_done_by_draws(N, k) - float(oracle.coupon_enumerate(N, k))))
     check("coupon-vs-enumeration", worst, 1e-12)
 
@@ -419,16 +395,26 @@ def _cmd_verify(config: ExperimentConfig, small: bool) -> int:
     check("steady-probability-vs-oracle", worst, 1e-10)
 
     params = MatrixParams(M=2, N=1, p=0.5, lambda_m=0.0)
-    n_draws = 20_000 if small else 100_000
+    n_draws = 100_000
     counts = reversal.sample_invariant_histogram(params, n_draws, master_seed=config.seed)
     pi = oracle.stationary_solve(oracle.matrix_generator(params))
     tv = empirical_tv(counts / n_draws, pi)
-    check("reversal-sampler-tv", tv, 0.05 if small else 0.02)
+    check("reversal-sampler-tv", tv, 0.02)
 
     if failures:
         raise VerificationError(f"oracle cross-checks failed: {failures}")
     print("verify: all checks passed")
     return 0
+
+
+# Each subcommand's help line and handler, in the order --help lists them.
+_COMMANDS = {
+    "simulate": ("run replicated chain simulations", _cmd_simulate),
+    "sample-steady": ("draw stationary matrices with the reversal sampler", _cmd_sample_steady),
+    "analyze": ("emit closed-form predictions without simulating", _cmd_analyze),
+    "verify": ("cross-check closed forms and sampler against the oracle", _cmd_verify),
+    "figure-data": ("emit CSV data for the count-vs-time and tau-vs-pm figures", emit_figure_data),
+}
 
 
 @functools.cache
@@ -461,16 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze the immune-learning Markov chain models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "run replicated chain simulations"),
-        ("sample-steady", "draw stationary matrices with the reversal sampler"),
-        ("analyze", "emit closed-form predictions without simulating"),
-        ("verify", "cross-check closed forms and sampler against the oracle"),
-        ("figure-data", "emit CSV data for the count-vs-time and tau-vs-pm figures"),
-    ):
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        if name == "verify":
-            p.add_argument("--small", action="store_true", help="reduced, fast grid")
+    for name, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 
@@ -488,25 +466,15 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         data.update(loaded)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
+    flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    data.update({name: value for name, value in flags.items() if value is not None})
     return ExperimentConfig.from_mapping(data)
 
 
-def run_experiment(command: str, config: ExperimentConfig, small: bool = False) -> int:
-    if command == "simulate":
-        return _cmd_simulate(config)
-    if command == "sample-steady":
-        return _cmd_sample_steady(config)
-    if command == "analyze":
-        return _cmd_analyze(config)
-    if command == "verify":
-        return _cmd_verify(config, small)
-    if command == "figure-data":
-        return emit_figure_data(config)
-    raise ConfigError(f"unknown command {command!r}")
+def run_experiment(command: str, config: ExperimentConfig) -> int:
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    return _COMMANDS[command][1](config)
 
 
 def main(argv=None) -> int:
@@ -517,7 +485,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         config = _resolve_config(args)
-        return run_experiment(args.command, config, small=getattr(args, "small", False))
+        return run_experiment(args.command, config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,6 +43,14 @@ _MAX_STATES = 1 << 16
 # linearly in M and its cost about as M**3, to hours at M = 10**4.
 _MAX_EXACT_M = 512
 
+# The exact moments are refused when M * b**2 exceeds this, b the summed
+# bit lengths of the scaled pivots (about the determinant's): each returned
+# Fraction takes one gcd, quadratic in b. A tiny p has a long dyadic
+# denominator: at M = 128, p = 1e-320, b is 138k bits, M * b**2 = 2.4e12,
+# and both moments take about 27 s. (M, alpha, p) = (512, 1, 0.1), at
+# 5.4e11, takes 6 s on a 2-vCPU x86-64 host.
+_MAX_EXACT_COST = 10**12
+
 
 @dataclass
 class DenseGenerator:
@@ -283,6 +291,17 @@ def hitting_moments(generator: DenseGenerator, target_set) -> tuple[np.ndarray, 
     return mean, second
 
 
+def _scaled_rates(params: SingleColumnParams) -> tuple[int, list[int], int]:
+    """The generator times ``S = den(alpha) * den(p) * M``: ``(S, U, P)``,
+    integer rates ``U_k`` up from k and ``P`` back to 0."""
+    M = int(params.M)
+    if M > _MAX_EXACT_M:
+        raise ValueError(f"M={M} exceeds {_MAX_EXACT_M} for the exact first-passage solve")
+    an, ad = Fraction(params.alpha).as_integer_ratio()
+    pn, pd = Fraction(params.p).as_integer_ratio()
+    return ad * pd * M, [an * (pd - pn) * (M - k) for k in range(M)], pn * ad * M
+
+
 def _first_passage_integers(params: SingleColumnParams, rhs: list[int]) -> tuple[list[int], int]:
     """Solve ``-Q x = rhs`` off the target M in integers: ``x_i = X[i] / det``.
 
@@ -299,14 +318,9 @@ def _first_passage_integers(params: SingleColumnParams, rhs: list[int]) -> tuple
     read upward from 0 give each one by an exact division by ``U_i``. No
     step takes a gcd, and the same equations give ``X[M] = 0`` as a check.
     """
-    M = int(params.M)
-    if M > _MAX_EXACT_M:
-        raise ValueError(f"M={M} exceeds {_MAX_EXACT_M} for the exact first-passage solve")
-    an, ad = Fraction(params.alpha).as_integer_ratio()
-    pn, pd = Fraction(params.p).as_integer_ratio()
-    b = [ad * pd * M * r for r in rhs]
-    up = [an * (pd - pn) * (M - k) for k in range(M)]
-    reset = pn * ad * M
+    scale, up, reset = _scaled_rates(params)
+    M = len(up)
+    b = [scale * r for r in rhs]
     C, D, Den = 0, 0, 1
     for i in range(M - 1, 0, -1):
         C, D, Den = b[i] * Den + up[i] * C, up[i] * D + reset * Den, (up[i] + reset) * Den
@@ -325,10 +339,14 @@ def single_column_hitting_means(params: SingleColumnParams) -> np.ndarray:
 
     The same integer solve as :func:`single_column_hitting_moments_exact`,
     read as doubles: int true division rounds correctly, so each entry
-    equals ``float`` of the exact Fraction without building one.
+    equals ``float`` of the exact Fraction without building one. Means
+    beyond double precision raise ``ValueError``.
     """
     numerators, det = _first_passage_integers(params, [1] * params.M)
-    return np.array([x / det for x in numerators])
+    try:
+        return np.array([x / det for x in numerators])
+    except OverflowError:
+        raise ValueError(f"{params}: the exact mean hitting time overflows double precision")
 
 
 def single_column_hitting_moments_exact(
@@ -351,9 +369,17 @@ def single_column_hitting_moments_exact(
     puts ``2m`` over the lcm of the means' denominators; it roughly
     doubles the cost and can be skipped when only means are compared.
     The integers grow linearly in M, so the cost grows about as M**3:
-    M above ``_MAX_EXACT_M`` raises ``ValueError`` at once.
+    M above ``_MAX_EXACT_M`` raises ``ValueError`` at once, and so does a
+    point whose estimated Fraction cost exceeds ``_MAX_EXACT_COST``.
     """
     M = params.M
+    _, up, reset = _scaled_rates(params)
+    bits = sum((u + reset).bit_length() for u in up)
+    if M * bits**2 > _MAX_EXACT_COST:
+        raise ValueError(
+            f"{params}: the exact moments' integers reach about {bits} bits, and M * bits**2 = "
+            f"{M * bits**2:.1e} exceeds {_MAX_EXACT_COST:.0e}"
+        )
     X, det = _first_passage_integers(params, [1] * M)
     means = [Fraction(x, det) for x in X] + [Fraction(0)]
     if not with_second_moment:

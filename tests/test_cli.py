@@ -1,6 +1,7 @@
 """CLI contract: exit codes, determinism, file schemas, round-trips."""
 
 import argparse
+import dataclasses
 import json
 import os
 import stat
@@ -14,7 +15,7 @@ import pytest
 
 import immunochain
 from immunochain.analytics import hitting_time_mean_exact
-from immunochain.cli import ExperimentConfig, build_parser, main
+from immunochain.cli import _FIELD_TYPES, ExperimentConfig, build_parser, main
 from immunochain.models import SingleColumnParams
 from immunochain.simulate import SimulationConfig, simulate_single_column
 
@@ -27,25 +28,41 @@ def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
 
+# Raw rates (p, lambda_m, alpha) mixed with per-step probabilities (pd, pm):
+# all but the first once ran with one of the values dropped or reread.
+MIXED_RATE_KEYS = [
+    {"model": "matrix", "p": 0.1, "pd": 0.1},
+    {"model": "matrix", "pd": 0.1, "lambda_m": 1.0},
+    {"model": "single-column", "pd": 0.1, "alpha": 3},
+    {"model": "single-column", "p": 0.1, "pm": 0.5},
+    {"model": "matrix", "p": 0.1, "pm": 0.5},
+]
+
+
+def _mix_id(mix):
+    return "-".join([mix["model"], *list(mix)[1:]])
+
+
 class TestConfigResolution:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_mapping({"model": "matrix", "turbo": True})
 
-    def test_mixed_parameterizations_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_mapping({"model": "matrix", "p": 0.1, "pd": 0.1})
+    @pytest.mark.parametrize("mix", MIXED_RATE_KEYS, ids=_mix_id)
+    def test_mixed_parameterizations_rejected(self, mix):
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentConfig.from_mapping({"M": 4, "N": 2, **mix})
 
     def test_pd_mapping(self):
         cfg = ExperimentConfig.from_mapping(
             {"model": "matrix", "M": 200, "N": 100, "pd": 0.1, "pm": 0.005}
         )
-        params = cfg.matrix_params()
+        params = cfg.params()
         assert params.p == 0.1
         assert params.lambda_m == pytest.approx(1.0)
         single = ExperimentConfig.from_mapping(
             {"model": "single-column", "M": 200, "N": 100, "pd": 0.1, "pm": 0.005}
-        ).single_column_params()
+        ).params()
         assert single.p == pytest.approx(0.001)
         assert single.alpha == pytest.approx(2.0)
 
@@ -118,11 +135,6 @@ class TestExitCodes:
         assert run(["simulate", *model_args, "--replicates", "1", "--horizon", "1e12",
                     "--format", "json", "--out", str(tmp_path)]) == 1
         assert "expected events" in capsys.readouterr().err
-
-    def test_verify_small_passes(self, capsys):
-        assert run(["verify", "--small", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
 
     def test_verify_full_grid_passes(self, capsys):
         assert run(["verify", "--seed", "3"]) == 0
@@ -468,6 +480,17 @@ def test_batch_beyond_the_event_cap_is_refused_at_once(tmp_path, capsys, command
                              "--replicates", str(10**12), "--out", str(tmp_path)], capsys)
 
 
+@pytest.mark.parametrize("mix", MIXED_RATE_KEYS, ids=_mix_id)
+def test_mixed_rate_flags_are_refused(tmp_path, capsys, mix):
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in mix.items()]
+    _assert_refused_at_once(["analyze", "--M", "4", "--N", "2", *argv, "--out", str(tmp_path)], capsys)
+
+
+def test_verify_small_is_refused(capsys):
+    assert main(["verify", "--small"]) == 1
+    assert "unrecognized arguments: --small" in capsys.readouterr().err
+
+
 def test_batch_beyond_the_event_cap_in_a_config_file_is_refused_at_once(tmp_path, capsys):
     # A config file's integers are unbounded: 10^20 replicates used to loop
     # until the process was killed.
@@ -477,12 +500,6 @@ def test_batch_beyond_the_event_cap_in_a_config_file_is_refused_at_once(tmp_path
     _assert_refused_at_once(["simulate", "--config", str(config), "--out", str(tmp_path)], capsys)
 
 
-SHARED_FLAGS = [
-    "-h", "--help", "--config", "--model", "--M", "--N", "--p", "--pd", "--pm", "--lambda-m",
-    "--alpha", "--replicates", "--horizon", "--seed", "--out", "--format",
-]
-
-
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
@@ -490,9 +507,13 @@ class TestParser:
     def test_subcommand_options(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == ["simulate", "sample-steady", "analyze", "verify", "figure-data"]
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        flags = ["-h", "--help", "--config"] + ["--" + n.replace("_", "-") for n in names if n != "outputs"]
         for name, parser in sub.choices.items():
             options = [s for action in parser._actions for s in action.option_strings]
-            assert options == SHARED_FLAGS + (["--small"] if name == "verify" else []), name
+            assert options == flags, name
+        typed = [n for field_names, _, _ in _FIELD_TYPES for n in field_names]
+        assert sorted(typed) == sorted(names)
 
     def test_bad_flag_leaves_the_parser_usable(self, tmp_path, capsys):
         assert main(["analyze", "--bogus", "1"]) == 1

@@ -229,6 +229,21 @@ class TestExactHittingMoments:
         means, _ = single_column_hitting_moments_exact(SingleColumnParams(M=512, alpha=1.0, p=0.5), False)
         assert len(means) == 513 and means[0] > means[511] > 0
 
+    @pytest.mark.parametrize("M", [128, 512])
+    def test_costly_fractions_refused_at_once(self, M):
+        # p = 1e-320 has a 1074-bit denominator: at M = 128 the integers
+        # reach 138k bits, and both moments would take about 27 s.
+        params = SingleColumnParams(M=M, alpha=1.0, p=1e-320)
+        for with_second_moment in (True, False):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="bits"):
+                single_column_hitting_moments_exact(params, with_second_moment)
+            assert time.perf_counter() - t0 < 0.1
+
+    def test_overflowing_means_raise_value_error(self):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            single_column_hitting_means(SingleColumnParams(M=512, alpha=0.5, p=0.9))
+
 
 class TestCouponEnumerate:
     def test_hand_counted_cases(self):
