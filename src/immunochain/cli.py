@@ -5,10 +5,11 @@ with CLI flags taking precedence. Rates come raw (``p``, ``lambda_m``,
 ``alpha``) or as per-step probabilities (``pd``, ``pm``), never mixed;
 ``analytics.identify_parameters`` maps the latter to ``p = pd`` and
 ``lambda_m = pm*M`` for the matrix, ``p = pd/N`` and ``alpha = 1 + pm*M``
-for a single column. Outputs are a JSON summary (with the
-resolved config echoed back, so a run can be reproduced from its own
-summary) and CSV time series with a versioned schema header. All output
-is deterministic in (config, seed).
+for a single column. A raw rate the model has no use for (``alpha`` on
+the matrix, ``lambda_m`` on a single column) is refused. Outputs are a
+JSON summary (with the resolved config echoed back, so a run can be
+reproduced from its own summary) and CSV time series with a versioned
+schema header. All output is deterministic in (config, seed).
 
 Exit codes: 0 success, 1 invalid configuration, 2 I/O failure,
 3 internal consistency check failed (oracle mismatch beyond tolerance).
@@ -30,7 +31,7 @@ import numpy as np
 from . import analytics, oracle, reversal
 from .models import MatrixParams, SingleColumnParams
 from .rng import replicate_rng
-from .simulate import MAX_EXPECTED_EVENTS, SimulationConfig, simulate_matrix, simulate_single_column
+from .simulate import SimulationConfig, check_batch_size, simulate_matrix, simulate_single_column
 from .stats import empirical_tv, estimate_mean
 
 __all__ = ["ExperimentConfig", "main", "run_experiment", "emit_figure_data"]
@@ -124,6 +125,9 @@ class ExperimentConfig:
         matrix = self.model == MODEL_MATRIX
         if self.M is None or (matrix and self.N is None):
             raise ConfigError("matrix model needs M and N" if matrix else "single-column model needs M")
+        unread = "alpha" if matrix else "lambda_m"
+        if getattr(self, unread) is not None:
+            raise ConfigError(f"{self.model} model has no {unread}")
         try:
             if self.pd is not None:
                 if self.N is None:
@@ -227,15 +231,11 @@ def _cmd_analyze(config: ExperimentConfig) -> int:
 
 
 def _replicates(config: ExperimentConfig, command: str) -> int:
-    """The batch size of ``command``, refused before the first run when it
-    exceeds MAX_EXPECTED_EVENTS: every replicate costs at least one event."""
+    """The batch size of ``command``, refused before the first run when
+    :func:`~immunochain.simulate.check_batch_size` refuses it."""
     if config.replicates is None:
         raise ConfigError(f"{command} needs replicates")
-    if config.replicates > MAX_EXPECTED_EVENTS:
-        raise ConfigError(
-            f"replicates {config.replicates} exceeds {MAX_EXPECTED_EVENTS:.0e}, "
-            "and every replicate costs at least one event; split the batch"
-        )
+    check_batch_size(config.replicates)
     return config.replicates
 
 

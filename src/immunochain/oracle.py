@@ -235,32 +235,15 @@ def stationary_solve(generator: DenseGenerator) -> np.ndarray:
     return pi
 
 
-def _reaches(Q: np.ndarray, target: set[int]) -> np.ndarray:
-    """Boolean mask of states from which the target set is reachable."""
-    n = Q.shape[0]
-    off = Q.copy()
-    np.fill_diagonal(off, 0.0)
-    reached = np.zeros(n, dtype=bool)
-    stack = list(target)
-    for s in target:
-        reached[s] = True
-    preds = [np.flatnonzero(off[:, v] > 0) for v in range(n)]
-    while stack:
-        v = stack.pop()
-        for u in preds[v]:
-            if not reached[u]:
-                reached[u] = True
-                stack.append(int(u))
-    return reached
-
-
 def hitting_moments(generator: DenseGenerator, target_set) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments of the continuous-time hitting time.
 
     Solves the absorbing linear systems ``Q m = -1`` and ``Q s = -2m``
     restricted to non-target states; entries on the target are zero.
     Returns ``(mean_vector, second_moment_vector)`` indexed like
-    ``generator.states``.
+    ``generator.states``. The target must be reachable from every state:
+    with its states made absorbing, no state outside it may lie in a
+    closed communicating class.
 
     Double precision limits this generic solve: when the moments are
     astronomically large the relative accuracy degrades with the
@@ -274,9 +257,11 @@ def hitting_moments(generator: DenseGenerator, target_set) -> tuple[np.ndarray, 
         raise ValueError("target set must be nonempty")
     if any(not 0 <= t < n for t in target):
         raise ValueError("target indices out of range")
-    if not _reaches(Q, target).all():
-        raise ValueError("target is not reachable from every state")
     rest = [s for s in range(n) if s not in target]
+    absorbing = Q.copy()
+    absorbing[list(target)] = 0.0
+    if _closed_classes(absorbing)[1][rest].any():
+        raise ValueError("target is not reachable from every state")
     mean = np.zeros(n)
     second = np.zeros(n)
     if rest:

@@ -47,9 +47,17 @@ def _race(params: MatrixParams, lambda_values, rng: np.random.Generator, n: int)
     Returns one ``(n, M, N)`` boolean array per value of the nondecreasing
     ``lambda_values``. The stream is consumed as row clocks, column
     clocks, then one block of entry-clock increments per rate increase
-    (none while the rate is 0).
+    (none while the rate is 0). Races whose ``n*M*N`` cells per rate, times
+    the number of rates, exceed ``MAX_EXPECTED_EVENTS`` raise ``ValueError``
+    before any clock is drawn, as a matrix run's state does.
     """
     M, N = params.M, params.N
+    cells = n * M * N * len(lambda_values)
+    if cells > MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"{params}: {n} draw(s) at {len(lambda_values)} rate(s) hold {cells:.3g} entry cells "
+            f"(> {MAX_EXPECTED_EVENTS:.0e}); shrink M or N"
+        )
     row_rings = rng.exponential(scale=M / params.q, size=(n, M))[:, :, None]
     col_rings = rng.exponential(scale=N / params.p, size=(n, N))[:, None, :]
     first = row_rings
@@ -66,7 +74,9 @@ def _race(params: MatrixParams, lambda_values, rng: np.random.Generator, n: int)
 def sample_invariant(params: MatrixParams, seed: int | np.random.Generator) -> MatrixState:
     """One exact draw from the stationary law of the matrix chain.
 
-    ``seed`` may be an integer or a Generator (which is advanced).
+    ``seed`` may be an integer or a Generator (which is advanced). A draw
+    whose ``M*N`` cells exceed ``MAX_EXPECTED_EVENTS`` raises
+    ``ValueError`` before any clock is drawn.
     """
     (ones,) = _race(params, [params.lambda_m], as_generator(seed), 1)
     return MatrixState.from_entries(ones[0])
@@ -135,7 +145,9 @@ def sample_invariant_coupled(
     dominates entrywise. Each draw has the stationary law of the chain
     with that lambda_m (params.p, M, N fixed); with one rate equal to
     ``params.lambda_m`` it is the draw :func:`sample_invariant` makes
-    from the same seed.
+    from the same seed. Draws whose ``M*N`` cells times the number of
+    rates exceed ``MAX_EXPECTED_EVENTS`` raise ``ValueError`` before any
+    clock is drawn.
     """
     lams = [float(l) for l in lambda_values]
     if not lams:

@@ -261,7 +261,7 @@ def simulate_single_column(
             return _regenerative_hit(tables, M, start, rng)
 
     span = _mean_hitting_time(params, start) if horizon is None else horizon
-    _check_event_budget(params, span, params.alpha * params.q + params.p)
+    _check_event_budget(params, span, params.uniformization_rate)
     return _climbs(params, tables, start, config, rng)
 
 
@@ -317,7 +317,7 @@ def _climbs(params, tables: _ColumnTables, start: int, config: SimulationConfig,
     climb_levels = sum(tables.reach)  # mean levels a climb from 0 visits
     cells = _FIRST_WINDOW_CELLS
     if horizon is not None:
-        cells = min(cells, 4 * horizon * (params.alpha * params.q + params.p))
+        cells = min(cells, 4 * horizon * params.uniformization_rate)
     while horizon is not None or tau is None:
         y = rng.standard_exponential(max(1, int(cells / climb_levels)))
         cells = min(2 * cells, _WINDOW_CELLS)
@@ -396,8 +396,7 @@ def simulate_matrix(
     cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
     horizon = config.horizon
     if horizon is not None:
-        cost = max(params.q + params.p + params.lambda_m * N, cells_per_time)
-        _check_event_budget(params, horizon, cost)
+        _check_event_budget(params, horizon, max(params.total_rate, cells_per_time))
     if start is None:
         filled, initial = np.zeros((N, M), dtype=bool), 0  # filled[j, i]: entry (i, j) is one
     else:
@@ -426,8 +425,7 @@ def simulate_matrix(
         span = max(_FIRST_WINDOW_CELLS, held) / cells_per_time
     else:
         width = span = _WINDOW_CELLS / (params.q + params.p)
-    full = initial
-    tau = 0.0 if full else None
+    tau = 0.0 if initial else None
     t = 0.0
     n_events = 0
     spare_time = 0.0
@@ -438,7 +436,7 @@ def simulate_matrix(
         while True:
             t1 = t + span if horizon is None else min(t + span, horizon)
             span = min(2 * span, width)
-            gained, lost, events, spare, full_at_t1, filled = _epoch_window(
+            gained, lost, events, spare, filled = _epoch_window(
                 params, rng, filled, t, t1, stop_on_hit, carry=t1 != horizon
             )
             n_events += events
@@ -448,20 +446,20 @@ def simulate_matrix(
             if tau is None and gained.size:
                 tau = float(gained.min())
                 if stop_on_hit:
-                    t, full = tau, gained.size
+                    t = tau
                     break
             t = t1
             if t == horizon:
-                full = full_at_t1
                 break
     if spare_time > 0:
         n_events += int(rng.poisson(params.lambda_m / M * spare_time))
+    end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses)
 
     times = values = None
     if config.record_series:
         times, values = _count_series(initial, gains, losses)
     return Trajectory(
-        tau=tau, end_time=t, end_value=full, n_events=n_events,
+        tau=tau, end_time=t, end_value=end_value, n_events=n_events,
         series_times=times, series_values=values,
     )
 
@@ -474,7 +472,7 @@ def _epoch_window(
     t1: float,
     stop_on_hit: bool,
     carry: bool,
-) -> tuple[np.ndarray, np.ndarray, int, float, int, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray | None]:
     """One window ``[t0, t1)`` of a matrix run, from the column states ``filled`` at ``t0``.
 
     Column j's epochs run between ``t0``, its resets and ``t1``. In an
@@ -487,12 +485,12 @@ def _epoch_window(
     :func:`_entry_fill`); without them, none.
 
     Returns the times columns became full (columns full at ``t0`` are
-    carried, not counted), the times full columns were reset, the events
-    up to the window's end, the summed time that entry clocks ran on after
-    their drawn first ring (their rings there are Poisson in it), the
-    number of full columns at ``t1`` and, under ``carry``, the column
-    states at ``t1`` for the next window. Under ``stop_on_hit`` the window
-    ends at its first full column, if any.
+    carried, not counted) and the times full columns were reset (carried
+    ones included), which change the full count by their sizes; the events
+    up to the window's end; the summed time that entry clocks ran on after
+    their drawn first ring (their rings there are Poisson in it); and, under
+    ``carry``, the column states at ``t1`` for the next window. Under
+    ``stop_on_hit`` the window ends at its first full column, if any.
     """
     M, N = params.M, params.N
     span = t1 - t0
@@ -537,8 +535,7 @@ def _epoch_window(
             terms = _ring_terms(np.minimum(ends[lo:hi], end), *terms)
         n_events += terms[0]
         spare += terms[1]
-    full_at_t1 = int(np.count_nonzero(fill[last] < t1))
-    return gained, lost, n_events, spare, full_at_t1, filled_next
+    return gained, lost, n_events, spare, filled_next
 
 
 def _entry_fill(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, carry, ends=None):
@@ -675,11 +672,16 @@ def _count_series(initial: int, gains, losses) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0.0], at[moved])), values.astype(np.int64)
 
 
-def _one_tau(params, master_seed: int, replicate: int, start) -> float:
-    config = SimulationConfig(master_seed=master_seed, replicate_index=replicate)
-    if isinstance(params, SingleColumnParams):
-        return simulate_single_column(params, config, start=0 if start is None else start).tau
-    return simulate_matrix(params, config, start=start).tau
+def check_batch_size(n_replicates: int) -> None:
+    """Refuse a batch of fewer than one replicate, or of more than
+    MAX_EXPECTED_EVENTS: every replicate costs at least one event."""
+    if n_replicates < 1:
+        raise ValueError("need at least one replicate")
+    if n_replicates > MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"{n_replicates} replicates exceed {MAX_EXPECTED_EVENTS:.0e}, and every replicate "
+            "costs at least one event; split the batch"
+        )
 
 
 def hitting_time_batch(
@@ -690,16 +692,13 @@ def hitting_time_batch(
 ) -> np.ndarray:
     """Independent first-hit times, one per replicate stream.
 
-    Replicate ``r`` draws from the stream keyed by ``(master_seed, r)``;
-    the returned array is ordered by replicate index. Every replicate costs
-    at least one event, so a batch of more than ``MAX_EXPECTED_EVENTS`` is
-    refused with ``ValueError`` before its first run.
+    Replicate ``r`` draws from the stream keyed by ``(master_seed, r)``
+    and runs from ``start`` (level 0, or the empty matrix, when ``None``);
+    the returned array is ordered by replicate index. A batch that
+    :func:`check_batch_size` refuses raises ``ValueError`` before any run.
     """
-    if n_replicates < 1:
-        raise ValueError("need at least one replicate")
-    if n_replicates > MAX_EXPECTED_EVENTS:
-        raise ValueError(
-            f"{n_replicates} replicates exceed {MAX_EXPECTED_EVENTS:.0e}, and every replicate "
-            "costs at least one event; split the batch"
-        )
-    return np.array([_one_tau(params, master_seed, r, start) for r in range(n_replicates)])
+    check_batch_size(n_replicates)
+    run = simulate_matrix
+    if isinstance(params, SingleColumnParams):
+        run, start = simulate_single_column, start or 0
+    return np.array([run(params, SimulationConfig(master_seed, r), start=start).tau for r in range(n_replicates)])

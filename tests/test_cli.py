@@ -39,6 +39,14 @@ MIXED_RATE_KEYS = [
 ]
 
 
+# Raw rates the chosen model has no use for: both once ran with the key
+# dropped (and echoed back in the summary's config).
+UNREAD_RATE_KEYS = [
+    {"model": "matrix", "p": 0.3, "alpha": 5},
+    {"model": "single-column", "p": 0.3, "lambda_m": 5},
+]
+
+
 def _mix_id(mix):
     return "-".join([mix["model"], *list(mix)[1:]])
 
@@ -484,6 +492,23 @@ def test_batch_beyond_the_event_cap_is_refused_at_once(tmp_path, capsys, command
 def test_mixed_rate_flags_are_refused(tmp_path, capsys, mix):
     argv = [f"--{key.replace('_', '-')}={value}" for key, value in mix.items()]
     _assert_refused_at_once(["analyze", "--M", "4", "--N", "2", *argv, "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+@pytest.mark.parametrize("keys", UNREAD_RATE_KEYS, ids=_mix_id)
+def test_rate_keys_the_model_does_not_read_are_refused(tmp_path, capsys, keys, via):
+    def argv(mapping):
+        if via == "flags":
+            return [f"--{key.replace('_', '-')}={value}" for key, value in mapping.items()]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(mapping))
+        return ["--config", str(config)]
+
+    _assert_refused_at_once(["analyze", "--M", "4", "--N", "2", *argv(keys), "--out", str(tmp_path)], capsys)
+    # Without that key the same run goes through; N on a raw single column is
+    # kept, since the per-step mapping reads it.
+    read = {key: value for key, value in keys.items() if key not in ("alpha", "lambda_m")}
+    assert main(["analyze", "--M", "4", "--N", "2", *argv(read), "--out", str(tmp_path)]) == 0
 
 
 def test_verify_small_is_refused(capsys):

@@ -123,14 +123,31 @@ class TestHittingMoments:
             assert (second >= mean**2 - 1e-9).all()
 
     def test_unreachable_target_rejected(self):
-        Q = np.array([
-            [-1.0, 1.0, 0.0],
-            [1.0, -1.0, 0.0],
-            [0.0, 1.0, -1.0],
-        ])  # state 2 unreachable from {0, 1}
-        gen = DenseGenerator(states=[0, 1, 2], rate_matrix=Q)
-        with pytest.raises(ValueError, match="not reachable"):
-            hitting_moments(gen, {2})
+        def generator(n, edges):
+            Q = np.zeros((n, n))
+            for s, t in edges:
+                Q[s, t] = 1.0
+            np.fill_diagonal(Q, -Q.sum(axis=1))
+            return DenseGenerator(states=list(range(n)), rate_matrix=Q)
+
+        cases = [  # (n, edges, target, reachable from every state)
+            (3, [(0, 1), (1, 0), (2, 1)], {2}, False),  # 2 unreachable from the class {0, 1}
+            (3, [(0, 1), (1, 0), (2, 0)], {1}, True),  # inside the larger closed class {0, 1}
+            (4, [(0, 1), (1, 0), (1, 2), (2, 3)], {3}, True),  # only through transient states
+            (5, [(0, 1), (1, 0), (2, 3), (3, 2), (4, 0), (4, 2)], {4}, False),  # two closed classes
+        ]
+        for n, edges, target, reachable in cases:
+            gen = generator(n, edges)
+            if not reachable:
+                with pytest.raises(ValueError, match="not reachable from every state"):
+                    hitting_moments(gen, target)
+                continue
+            mean, second = hitting_moments(gen, target)
+            rest = [s for s in range(n) if s not in target]
+            assert np.isfinite(second).all() and (mean[rest] > 0).all()
+            # First-step analysis: each mean is one holding time plus the
+            # average mean of the next state.
+            np.testing.assert_allclose((gen.rate_matrix @ mean)[rest], -1.0, rtol=1e-12)
 
     def test_empty_target_rejected(self):
         gen = single_column_generator(SingleColumnParams(M=2, alpha=1.0, p=0.5))

@@ -1,6 +1,7 @@
 """Perfect sampler: anchors, oracle agreement, exchangeability, coupling."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -89,6 +90,19 @@ class TestSamplerInterface:
         for seed in range(20):
             (coupled,) = sample_invariant_coupled(params, [params.lambda_m], seed)
             assert sample_invariant(params, seed) == coupled
+
+    @pytest.mark.parametrize("N,draw", [
+        (10**8, lambda params: sample_invariant(params, 1)),
+        (10**8, lambda params: sample_invariant_coupled(params, [0.0, 0.5], 1)),
+        (2 * 10**7, lambda params: sample_invariant_coupled(params, [0.0, 0.5], 1)),  # 6e7 cells a rate, two rates
+    ], ids=["single", "coupled", "coupled-two-rates"])
+    def test_oversized_draw_is_refused_at_once(self, N, draw):
+        # Three rows by 10^8 columns: at about 18 bytes a cell the draw
+        # would ask for 5 GB before its first comparison.
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="shrink M or N"):
+            draw(MatrixParams(M=3, N=N, p=0.3))
+        assert time.perf_counter() - began < 0.1
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_large_matrix_count_matches_steady_formula(self, lam):

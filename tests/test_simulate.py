@@ -964,22 +964,30 @@ class TestEpochPath:
         assert traj.end_time == 2000.0
         assert peak < 4e6
 
-    def test_series_invariants(self):
-        cases = [
-            (MatrixParams(M=1, N=1, p=0.5), dict(horizon=300.0), None),
-            (MatrixParams(M=4, N=3, p=0.2, lambda_m=0.3), dict(horizon=200.0), None),
-            (MatrixParams(M=2, N=5, p=0.6), dict(horizon=100.0),
-             MatrixState.from_entries([[1, 1, 0, 0, 1], [1, 0, 1, 0, 1]])),
-            (MatrixParams(M=3, N=2, p=0.45, lambda_m=0.3), dict(), None),
-            (MatrixParams(M=8, N=2, p=0.9), dict(horizon=5.0), None),
+    def test_series_invariants(self, monkeypatch):
+        full_start = MatrixState.from_entries([[1, 1, 0, 0, 1], [1, 0, 1, 0, 1]])  # columns 0 and 4 full
+        cases = [  # (params, config keys, start, window cells)
+            (MatrixParams(M=1, N=1, p=0.5), dict(horizon=300.0), None, None),
+            (MatrixParams(M=4, N=3, p=0.2, lambda_m=0.3), dict(horizon=200.0), None, None),
+            (MatrixParams(M=2, N=5, p=0.6), dict(horizon=100.0), full_start, None),
+            (MatrixParams(M=3, N=2, p=0.45, lambda_m=0.3), dict(), None, None),
+            (MatrixParams(M=8, N=2, p=0.9), dict(horizon=5.0), None, None),
+            # Small windows: each run crosses several, carrying full
+            # columns from one to the next.
+            (MatrixParams(M=4, N=3, p=0.2, lambda_m=0.3), dict(horizon=400.0), None, 64),
+            (MatrixParams(M=2, N=5, p=0.6), dict(horizon=300.0), full_start, 64),
+            (MatrixParams(M=2, N=5, p=0.6, lambda_m=0.4), dict(horizon=300.0), full_start, 64),
         ]
-        for params, kw, start in cases:
+        for params, kw, start, cells in cases:
+            if cells is not None:
+                monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", cells)
             for traj in _runs(params, 5700, 30, start=start, record_series=True, **kw):
                 times, values = traj.series_times, traj.series_values
                 assert times[0] == 0.0
                 assert values[0] == (0 if start is None else start.all_ones_count)
                 assert (np.diff(times) > 0).all()
                 assert (np.diff(values) != 0).all()
+                assert 0 <= values.min() and values.max() <= params.N
                 assert traj.value_at(traj.end_time) == traj.end_value
                 if "horizon" not in kw:
                     assert traj.tau == times[-1] == traj.end_time
