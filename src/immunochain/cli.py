@@ -55,10 +55,6 @@ _FIELD_TYPES = (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class VerificationError(RuntimeError):
     pass
 
@@ -87,35 +83,33 @@ class ExperimentConfig:
             for name in names:
                 value = getattr(self, name)
                 if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                    raise ConfigError(f"{name} must be {what}, got {value!r}")
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.outputs is not None and not all(isinstance(o, str) for o in self.outputs):
-            raise ConfigError(f"outputs must be a list of strings, got {self.outputs!r}")
+            raise ValueError(f"outputs must be a list of strings, got {self.outputs!r}")
         if self.model not in (MODEL_SINGLE, MODEL_MATRIX):
-            raise ConfigError(f"model must be {MODEL_SINGLE!r} or {MODEL_MATRIX!r}, got {self.model!r}")
+            raise ValueError(f"model must be {MODEL_SINGLE!r} or {MODEL_MATRIX!r}, got {self.model!r}")
         if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
+            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.outputs is not None:
             unknown = set(self.outputs) - set(_OBSERVABLES)
             if unknown:
-                raise ConfigError(f"unknown observables {sorted(unknown)}; known: {list(_OBSERVABLES)}")
-        if self.replicates is not None and self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+                raise ValueError(f"unknown observables {sorted(unknown)}; known: {list(_OBSERVABLES)}")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
-            raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         raw = (self.p, self.lambda_m, self.alpha)
         if (self.pd is not None or self.pm is not None) and any(v is not None for v in raw):
-            raise ConfigError("give either raw rates (p, lambda_m, alpha) or per-step probabilities (pd, pm), not both")
+            raise ValueError("give either raw rates (p, lambda_m, alpha) or per-step probabilities (pd, pm), not both")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         clean = {k: v for k, v in data.items() if v is not None}
         try:
             return cls(**clean)
         except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError(str(exc)) from exc
 
     def wants(self, observable: str) -> bool:
         return self.outputs is None or observable in self.outputs
@@ -124,24 +118,21 @@ class ExperimentConfig:
         """The model's parameter record, from the per-step or the raw keys."""
         matrix = self.model == MODEL_MATRIX
         if self.M is None or (matrix and self.N is None):
-            raise ConfigError("matrix model needs M and N" if matrix else "single-column model needs M")
+            raise ValueError("matrix model needs M and N" if matrix else "single-column model needs M")
         unread = "alpha" if matrix else "lambda_m"
         if getattr(self, unread) is not None:
-            raise ConfigError(f"{self.model} model has no {unread}")
-        try:
-            if self.pd is not None:
-                if self.N is None:
-                    raise ConfigError("mapping pd to a single column needs N")
-                single, pair = analytics.identify_parameters(self.pd, self.N, self.pm or 0.0, self.M)
-                return pair if matrix else single
-            if self.p is None:
-                raise ConfigError(f"{self.model} model needs p or pd")
-            if matrix:
-                lam = self.lambda_m if self.lambda_m is not None else 0.0
-                return MatrixParams(M=self.M, N=self.N, p=self.p, lambda_m=lam)
-            return SingleColumnParams(M=self.M, alpha=self.alpha if self.alpha is not None else 1.0, p=self.p)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError(f"{self.model} model has no {unread}")
+        if self.pd is not None:
+            if self.N is None:
+                raise ValueError("mapping pd to a single column needs N")
+            single, pair = analytics.identify_parameters(self.pd, self.N, self.pm or 0.0, self.M)
+            return pair if matrix else single
+        if self.p is None:
+            raise ValueError(f"{self.model} model needs p or pd")
+        if matrix:
+            lam = self.lambda_m if self.lambda_m is not None else 0.0
+            return MatrixParams(M=self.M, N=self.N, p=self.p, lambda_m=lam)
+        return SingleColumnParams(M=self.M, alpha=self.alpha if self.alpha is not None else 1.0, p=self.p)
 
 
 def _float_repr(x) -> str:
@@ -234,7 +225,7 @@ def _replicates(config: ExperimentConfig, command: str) -> int:
     """The batch size of ``command``, refused before the first run when
     :func:`~immunochain.simulate.check_batch_size` refuses it."""
     if config.replicates is None:
-        raise ConfigError(f"{command} needs replicates")
+        raise ValueError(f"{command} needs replicates")
     check_batch_size(config.replicates)
     return config.replicates
 
@@ -242,6 +233,9 @@ def _replicates(config: ExperimentConfig, command: str) -> int:
 def _cmd_simulate(config: ExperimentConfig) -> int:
     n = _replicates(config, "simulate")
     want_series = config.format == "csv" and config.wants("series")
+    # A single column's hit run writes its column-complete indicator, 0 until
+    # tau and 1 from it, so it draws the same taus with or without a series.
+    hit_indicator = want_series and config.model == MODEL_SINGLE and config.horizon is None
     taus: list[float | None] = []
     rows = []
     end_values = []
@@ -254,12 +248,14 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     for r in range(n):
         sim = SimulationConfig(
             master_seed=config.seed, replicate_index=r, horizon=config.horizon,
-            record_series=want_series,
+            record_series=want_series and not hit_indicator,
         )
         traj = simulate(params, sim)
         taus.append(traj.tau)
         end_values.append(traj.end_value)
-        if want_series:
+        if hit_indicator:
+            rows += [(0.0, 0, r), (traj.tau, 1, r)]
+        elif want_series:
             values = traj.series_values
             if config.model == MODEL_SINGLE:
                 # Emit the column-complete indicator so the schema is shared.
@@ -289,7 +285,7 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
 
 def _cmd_sample_steady(config: ExperimentConfig) -> int:
     if config.model != MODEL_MATRIX:
-        raise ConfigError("sample-steady applies to the matrix model")
+        raise ValueError("sample-steady applies to the matrix model")
     n = _replicates(config, "sample-steady")
     params = config.params()
     counts = np.empty(n, dtype=np.int64)
@@ -310,7 +306,7 @@ def _cmd_sample_steady(config: ExperimentConfig) -> int:
 def emit_figure_data(config: ExperimentConfig) -> int:
     """Write the two figure CSVs: count-vs-time and predicted-tau-vs-pm."""
     if config.model != MODEL_MATRIX:
-        raise ConfigError("figure-data applies to the matrix model")
+        raise ValueError("figure-data applies to the matrix model")
     n = _replicates(config, "figure-data")
     params = config.params()
     horizon = config.horizon if config.horizon is not None else 2500.0
@@ -458,13 +454,13 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             raw = Path(args.config).read_text()
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+            raise ValueError(f"cannot read config file: {exc}") from exc
         try:
             loaded = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         data.update(loaded)
     flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     data.update({name: value for name, value in flags.items() if value is not None})
@@ -473,7 +469,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def run_experiment(command: str, config: ExperimentConfig) -> int:
     if command not in _COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
+        raise ValueError(f"unknown command {command!r}")
     return _COMMANDS[command][1](config)
 
 
@@ -486,7 +482,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return run_experiment(args.command, config)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:

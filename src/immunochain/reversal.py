@@ -29,7 +29,7 @@ import numpy as np
 
 from .models import MatrixParams, MatrixState
 from .rng import as_generator, replicate_rng
-from .simulate import MAX_EXPECTED_EVENTS
+from .simulate import check_budget
 
 __all__ = [
     "sample_invariant",
@@ -47,17 +47,12 @@ def _race(params: MatrixParams, lambda_values, rng: np.random.Generator, n: int)
     Returns one ``(n, M, N)`` boolean array per value of the nondecreasing
     ``lambda_values``. The stream is consumed as row clocks, column
     clocks, then one block of entry-clock increments per rate increase
-    (none while the rate is 0). Races whose ``n*M*N`` cells per rate, times
-    the number of rates, exceed ``MAX_EXPECTED_EVENTS`` raise ``ValueError``
-    before any clock is drawn, as a matrix run's state does.
+    (none while the rate is 0). :func:`~immunochain.simulate.check_budget`
+    charges the races their ``n*M*N`` entry cells per rate, times the number
+    of rates, before any clock is drawn, as a matrix run's state is charged.
     """
     M, N = params.M, params.N
-    cells = n * M * N * len(lambda_values)
-    if cells > MAX_EXPECTED_EVENTS:
-        raise ValueError(
-            f"{params}: {n} draw(s) at {len(lambda_values)} rate(s) hold {cells:.3g} entry cells "
-            f"(> {MAX_EXPECTED_EVENTS:.0e}); shrink M or N"
-        )
+    check_budget(n * M * N * len(lambda_values), "entry cells of the races", "shrink M or N")
     row_rings = rng.exponential(scale=M / params.q, size=(n, M))[:, :, None]
     col_rings = rng.exponential(scale=N / params.p, size=(n, N))[:, None, :]
     first = row_rings
@@ -75,8 +70,7 @@ def sample_invariant(params: MatrixParams, seed: int | np.random.Generator) -> M
     """One exact draw from the stationary law of the matrix chain.
 
     ``seed`` may be an integer or a Generator (which is advanced). A draw
-    whose ``M*N`` cells exceed ``MAX_EXPECTED_EVENTS`` raises
-    ``ValueError`` before any clock is drawn.
+    is charged its ``M*N`` entry cells (see :func:`_race`).
     """
     (ones,) = _race(params, [params.lambda_m], as_generator(seed), 1)
     return MatrixState.from_entries(ones[0])
@@ -88,15 +82,11 @@ def sample_invariant_count(params: MatrixParams, seed: int | np.random.Generator
     ``seed`` may be an integer or a Generator (which is advanced). The
     stream is consumed as row clocks, column clocks, then one uniform per
     column, so the count has the law of ``sample_invariant(...).all_ones_count``
-    but not its value for the same seed. A draw whose ``M + N`` clocks
-    exceed ``MAX_EXPECTED_EVENTS`` raises ``ValueError`` before any clock
-    is drawn.
+    but not its value for the same seed. A draw is charged its ``M + N``
+    clocks by :func:`~immunochain.simulate.check_budget` before any is drawn.
     """
     M, N = params.M, params.N
-    if M + N > MAX_EXPECTED_EVENTS:
-        raise ValueError(
-            f"{params}: a draw takes {M + N:.3g} clocks (> {MAX_EXPECTED_EVENTS:.0e}); shrink M or N"
-        )
+    check_budget(M + N, "clocks of one draw", "shrink M or N")
     rng = as_generator(seed)
     row_rings = np.sort(rng.exponential(scale=M / params.q, size=M))
     col_rings = rng.exponential(scale=N / params.p, size=N)
@@ -116,13 +106,15 @@ def sample_invariant_histogram(params: MatrixParams, n_draws: int, master_seed: 
     ``(master_seed, n_draws)``. State indices follow
     :meth:`MatrixState.to_index` (bit ``i*N + j`` is entry (i, j)). Meant
     for the total-variation comparisons against the dense oracle;
-    requires M*N <= 20.
+    requires M*N <= 20. The batch is charged its ``n_draws*M*N`` entry
+    cells by :func:`~immunochain.simulate.check_budget` before any draw.
     """
     M, N = params.M, params.N
     if M * N > 20:
         raise ValueError("histogram over all states needs M*N <= 20")
     if n_draws < 1:
         raise ValueError("need at least one draw")
+    check_budget(n_draws * M * N, "entry cells of the histogram's draws", "draw fewer")
     rng = replicate_rng(master_seed, 0)
     bits = 1 << np.arange(M * N, dtype=np.int64)
     counts = np.zeros(1 << (M * N), dtype=np.int64)
@@ -145,9 +137,8 @@ def sample_invariant_coupled(
     dominates entrywise. Each draw has the stationary law of the chain
     with that lambda_m (params.p, M, N fixed); with one rate equal to
     ``params.lambda_m`` it is the draw :func:`sample_invariant` makes
-    from the same seed. Draws whose ``M*N`` cells times the number of
-    rates exceed ``MAX_EXPECTED_EVENTS`` raise ``ValueError`` before any
-    clock is drawn.
+    from the same seed. The draws are charged their ``M*N`` entry cells
+    times the number of rates (see :func:`_race`).
     """
     lams = [float(l) for l in lambda_values]
     if not lams:

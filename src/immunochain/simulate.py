@@ -50,17 +50,9 @@ per window, or ``q + p`` at lambda_m = 0. Both chains'
 event loops live apart, in :mod:`immunochain.reference`, as the references
 the tests compare these constructions against.
 
-A run expected to cost more than ``MAX_EXPECTED_EVENTS`` events or cells
-is refused with ``ValueError`` before it starts: a horizon run at its
-horizon times ``alpha*q + p`` (column) or, for the matrix, the larger of
-``q + p + N*lambda_m`` and the epoch cells (``q + p*M``, or ``q + p`` at
-lambda_m = 0), a laid-out single-column hit run at ``alpha*q + p``
-times its exact mean hitting time, and a matrix hit run from the empty
-matrix at its epoch cells times a lower bound on its median hitting
-time. A matrix run is charged at least its ``N*M`` state cells, before
-any is allocated. Counted climbs are not capped. A batch of more than
-``MAX_EXPECTED_EVENTS`` replicates is refused too, since each costs at
-least one event.
+A run or batch whose work :func:`check_budget` refuses raises
+``ValueError`` before it starts; the functions below say what each is
+charged. Counted climbs are not capped.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -107,12 +99,13 @@ _FIRST_WINDOW_CELLS = 1 << 10
 # A window's arrays, each up to _WINDOW_CELLS doubles, are all freed when
 # it ends. glibc hands the top of its heap back to the system whenever more
 # than its trim threshold (128 KB at start-up) lies free there, so every
-# window would fault the same pages in again: up to a third of a matrix
-# run's time at M=200, N=100 on a 2-vCPU VM. Freeing one block larger than
-# the mmap threshold makes glibc raise that threshold to the block's size
-# and the trim threshold to twice it, for the rest of the process (the
-# "dynamic mmap threshold" of mallopt(3)); the block is never written, so
-# it costs no page faults. Other allocators are unaffected.
+# window would fault the same pages in again: 40 lambda_m = 1 hit runs at
+# M=400, N=200, p=0.1 took about 14,000 minor page faults instead of 13,
+# and each ran 1.1-1.5 times as long, on a 2-vCPU VM. Freeing one block
+# larger than the mmap threshold makes glibc raise that threshold to the
+# block's size and the trim threshold to twice it, for the rest of the
+# process (the "dynamic mmap threshold" of mallopt(3)); the block is never
+# written, so it costs no page faults. Other allocators are unaffected.
 np.empty(16 * _WINDOW_CELLS)
 
 # A hit run whose target is reached from a reset with smaller
@@ -125,6 +118,22 @@ MIN_REACH_PROBABILITY = 1e-15
 # A run expected to cost more events or epoch cells than this is refused:
 # its windows would run for hours instead of failing.
 MAX_EXPECTED_EVENTS = 10**8
+
+
+def check_budget(amount: float, what: str, remedy: str) -> None:
+    """Refuse work of ``amount`` units beyond ``MAX_EXPECTED_EVENTS`` with ``ValueError``.
+
+    ``what`` names the units charged and ``remedy`` what to change. Every
+    charge against the cap goes through here, before any of the work is
+    allocated: events or cells expected to a horizon or a hitting time, a
+    matrix's state cells, a batch's replicates, and the clocks and entry
+    cells of stationary draws.
+    """
+    if amount > MAX_EXPECTED_EVENTS:
+        # An integer is shown exactly: one read from the command line or a
+        # config file can be too large to convert to a float.
+        shown = f"{amount:,}" if isinstance(amount, int) else f"{amount:,.0f}"
+        raise ValueError(f"{shown} {what} exceed the cap of {MAX_EXPECTED_EVENTS:,}; {remedy}")
 
 
 @dataclass(frozen=True)
@@ -215,15 +224,9 @@ def _column_tables(params: SingleColumnParams) -> _ColumnTables:
 _mean_hitting_time = lru_cache(maxsize=64)(analytics.hitting_time_mean_exact)
 
 
-def _check_event_budget(params, span: float, rate: float) -> None:
-    """Refuse a run of ``span`` time units expected to take more than
-    MAX_EXPECTED_EVENTS events or cells at ``rate`` per unit time."""
-    expected = span * rate
-    if expected > MAX_EXPECTED_EVENTS:
-        raise ValueError(
-            f"{params}: {span:g} time units at {rate:g} per unit time mean "
-            f"{expected:.3g} expected events (> {MAX_EXPECTED_EVENTS:.0e}); shorten the run"
-        )
+def _check_event_budget(span: float, rate: float) -> None:
+    """Charge a run of ``span`` time units at ``rate`` events or cells per unit time."""
+    check_budget(span * rate, "expected events", "shorten the run")
 
 
 def simulate_single_column(
@@ -240,8 +243,9 @@ def simulate_single_column(
     and ``n_events`` come out; every other run lays them out. A run
     without a horizon raises ``ValueError`` when a climb from 0 reaches M
     with probability below ``MIN_REACH_PROBABILITY`` (no run could count
-    that many climbs), and a laid-out run when it is expected to take more
-    than ``MAX_EXPECTED_EVENTS`` events.
+    that many climbs), and a laid-out run when :func:`check_budget` refuses
+    its expected events, ``alpha*q + p`` per unit time up to its horizon or
+    its exact mean hitting time.
     """
     M = params.M
     if not 0 <= start <= M:
@@ -261,7 +265,7 @@ def simulate_single_column(
             return _regenerative_hit(tables, M, start, rng)
 
     span = _mean_hitting_time(params, start) if horizon is None else horizon
-    _check_event_budget(params, span, params.uniformization_rate)
+    _check_event_budget(span, params.uniformization_rate)
     return _climbs(params, tables, start, config, rng)
 
 
@@ -374,29 +378,24 @@ def simulate_matrix(
     run without a horizon and no full column at its start raises
     ``ValueError`` when one reset epoch fills its column with probability
     below ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
-    One from the empty matrix also raises it when the epoch cells it would
-    chain up to the lower bound ``(1/(2*P_fill) - N)/p`` on the median of
-    ``tau`` exceed ``MAX_EXPECTED_EVENTS``, where ``P_fill`` is that fill
-    probability; a run with a horizon when the cells or events up to it
-    do. Every run raises it when ``N*M`` alone exceeds
-    ``MAX_EXPECTED_EVENTS``.
+    :func:`check_budget` charges every run its ``N*M`` state cells; a run
+    with a horizon, the events or epoch cells up to it, whichever are
+    more; and one from the empty matrix without a horizon, its epoch
+    cells up to the lower bound ``(1/(2*P_fill) - N)/p`` on the median of
+    ``tau``, where ``P_fill`` is that fill probability.
     """
     M, N = params.M, params.N
     if start is not None and (start.M != M or start.N != N):
         raise ValueError("start state shape does not match parameters")
-    if M * N > MAX_EXPECTED_EVENTS:
-        # Every window holds the N x M state, and at lambda_m > 0 the first
-        # one builds a cell per entry.
-        raise ValueError(
-            f"{params}: the {M} x {N} state alone holds {M * N:.3g} cells "
-            f"(> {MAX_EXPECTED_EVENTS:.0e}); shrink M or N"
-        )
+    # Every window holds the N x M state, and at lambda_m > 0 the first
+    # one builds a cell per entry.
+    check_budget(M * N, "cells in the state alone", "shrink M or N")
     # Epoch cells per unit time: row rings and resets, and with entry
     # clocks an M-wide row of set times per epoch.
     cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
     horizon = config.horizon
     if horizon is not None:
-        _check_event_budget(params, horizon, max(params.total_rate, cells_per_time))
+        _check_event_budget(horizon, max(params.total_rate, cells_per_time))
     if start is None:
         filled, initial = np.zeros((N, M), dtype=bool), 0  # filled[j, i]: entry (i, j) is one
     else:
@@ -415,7 +414,7 @@ def simulate_matrix(
             # filling with probability reach, so P(tau <= t) <= (N + p*t)*reach
             # and the median of tau is at least (1/(2*reach) - N)/p.
             median_floor = (0.5 / reach - N) / params.p if reach > 0 else math.inf
-            _check_event_budget(params, median_floor, cells_per_time)
+            _check_event_budget(median_floor, cells_per_time)
     rng = replicate_rng(config.master_seed, config.replicate_index)
     if stop_on_hit:
         # At lambda_m > 0 a hit window holds the N*M cells of its carried
@@ -551,10 +550,9 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t
     one block, so a block holds at most ``_WINDOW_CELLS`` cells however
     large N*M is and however many resets the window has. Carried blocks
     read one shared row of first rings after ``t0``. A block of reset
-    epochs builds only its own rows of next rings: from the window's rings
-    between its first and last reset, plus a seed, each row's first ring
-    after its last reset, one M-wide minimum over the rings after it. So a
-    window costs M cells per epoch, and one pass over its rings per block.
+    epochs builds only its own rows of next rings, from the window's rings
+    after its first reset. So a window costs M cells per epoch, and one
+    pass over its rings per block.
 
     ``ends``, when given, are the epochs' ends in a window that runs to its
     end ``t1`` (a horizon window): each block then sums its entry-ring
@@ -566,17 +564,12 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t
     """
     M, N = params.M, params.N
     scale = M / params.lambda_m
-
-    def first_rings(c):  # each row's first ring of index c or later: the rings are in time order
-        first = np.full(M, np.inf)
-        np.minimum.at(first, ring_row[c:], ring_t[c:])
-        return first
-
     fill = np.empty(starts.size)
     filled_next = np.empty_like(filled) if carry else None
     blocks = []
     step = max(1, _WINDOW_CELLS // M)
-    carried_rings = first_rings(0)
+    carried_rings = np.full(M, np.inf)  # each row's first ring in the window
+    np.minimum.at(carried_rings, ring_row, ring_t)
     reset_t = starts[N:]
     after = np.searchsorted(ring_t, reset_t, "right")  # each reset's first ring
     for lo in [*range(0, N, step), *range(N, starts.size, step)]:
@@ -588,15 +581,14 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t
         else:
             a, b = lo - N, hi - N  # the block's resets
             # next_ring[k, i]: row i's first ring after reset a + k. Each ring
-            # between resets a and b - 1 goes to the last reset before it, the
-            # seed (the first rings after reset b - 1) to reset b - 1, and a
-            # backward running minimum carries later rings to earlier resets.
+            # after reset a goes to the last of the block's resets before it,
+            # and a backward running minimum carries later rings to earlier
+            # resets.
             next_ring = np.full((b - a, M), np.inf)
-            inside = slice(after[a], after[b - 1])
+            inside = slice(after[a], None)
             np.minimum.at(
                 next_ring, (np.searchsorted(reset_t[a + 1 : b], ring_t[inside]), ring_row[inside]), ring_t[inside]
             )
-            next_ring[-1] = first_rings(after[b - 1])
             np.minimum.accumulate(next_ring[::-1], axis=0, out=next_ring[::-1])
             set_at = np.minimum(next_ring, first, out=next_ring)
         fill[lo:hi] = set_at.max(axis=1)
@@ -673,15 +665,11 @@ def _count_series(initial: int, gains, losses) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_batch_size(n_replicates: int) -> None:
-    """Refuse a batch of fewer than one replicate, or of more than
-    MAX_EXPECTED_EVENTS: every replicate costs at least one event."""
+    """Refuse a batch of fewer than one replicate, or one that
+    :func:`check_budget` refuses: every replicate costs at least one event."""
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
-    if n_replicates > MAX_EXPECTED_EVENTS:
-        raise ValueError(
-            f"{n_replicates} replicates exceed {MAX_EXPECTED_EVENTS:.0e}, and every replicate "
-            "costs at least one event; split the batch"
-        )
+    check_budget(n_replicates, "replicates", "every replicate costs at least one event, so split the batch")
 
 
 def hitting_time_batch(

@@ -304,6 +304,28 @@ class TestSimulateCommand:
         assert (out / "series.csv").read_text().splitlines()[2:] == expected
         assert len(expected) > 4
 
+    def test_single_column_hit_run_draws_the_same_taus_in_csv_and_json(self, tmp_path):
+        # The format once chose the algorithm: CSV laid the climbs out for a
+        # series and JSON counted them, so one seed gave two sets of taus.
+        args = ["simulate", "--model", "single-column", "--M", "8", "--p", "0.2",
+                "--replicates", "3", "--seed", "5"]
+        csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+        assert run(args + ["--out", str(csv_out)]) == 0
+        assert run(args + ["--format", "json", "--out", str(json_out)]) == 0
+        taus = read_summary(json_out)["taus"]
+        assert read_summary(csv_out)["taus"] == taus
+        rows = (csv_out / "series.csv").read_text().splitlines()[2:]
+        assert rows == [row for r, tau in enumerate(taus) for row in (f"0.0,0,{r}", f"{tau!r},1,{r}")]
+
+    def test_single_column_hit_run_series_costs_no_events(self, tmp_path):
+        # Laid out, these climbs would cost ~1.7e10 expected events and be
+        # refused; the indicator needs only each tau.
+        out = tmp_path / "out"
+        assert run(["simulate", "--model", "single-column", "--M", "64", "--p", "0.1",
+                    "--replicates", "2", "--seed", "1", "--out", str(out)]) == 0
+        rows = (out / "series.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[1:] for row in rows] == [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
+
     def test_taus_recorded(self, tmp_path):
         out = tmp_path / "out"
         assert run(["simulate", "--model", "single-column", "--M", "2", "--p", "0.5",
@@ -442,6 +464,10 @@ EXTREME_INPUTS = [
     (["simulate", *MATRIX, "--M", "3", "--N", "2", "--p", "0.3", "--replicates", "1", "--horizon", "inf"], 1),
     (["simulate", *MATRIX, "--M", "200", "--N", "100", "--p", "0.1", "--replicates", "1", "--horizon", "1e12"], 1),
     (["sample-steady", *MATRIX, "--M", "64", "--N", "1", "--p", "0.99", "--replicates", "2"], 0),
+    # Integers beyond any float: the refusal shows them exactly.
+    (["sample-steady", *MATRIX, "--M", "3", "--N", str(10**400), "--p", "0.3", "--replicates", "2"], 1),
+    (["simulate", *MATRIX, "--M", "3", "--N", str(10**400), "--p", "0.3", "--replicates", "1", "--horizon", "5"], 1),
+    (["simulate", *MATRIX, "--M", "3", "--N", "2", "--p", "0.3", "--replicates", str(10**400), "--horizon", "5"], 1),
     (["figure-data", *MATRIX, "--M", "64", "--N", "1", "--p", "0.99", "--replicates", "1", "--horizon", "10"], 0),
 ]
 
@@ -509,6 +535,19 @@ def test_rate_keys_the_model_does_not_read_are_refused(tmp_path, capsys, keys, v
     # kept, since the per-step mapping reads it.
     read = {key: value for key, value in keys.items() if key not in ("alpha", "lambda_m")}
     assert main(["analyze", "--M", "4", "--N", "2", *argv(read), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "sample-steady", "figure-data"])
+def test_empty_batch_is_refused_by_the_shared_check(tmp_path, capsys, command):
+    assert main([command, *MATRIX, "--M", "3", "--N", "2", "--p", "0.3", "--horizon", "5",
+                 "--replicates", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: need at least one replicate\n"
+
+
+def test_commands_without_a_batch_ignore_replicates(tmp_path):
+    # analyze reads no replicates, so --replicates 0 goes unread, as 5 does.
+    assert main(["analyze", *MATRIX, "--M", "3", "--N", "2", "--p", "0.3", "--replicates", "0",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_verify_small_is_refused(capsys):

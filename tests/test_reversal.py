@@ -104,6 +104,13 @@ class TestSamplerInterface:
             draw(MatrixParams(M=3, N=N, p=0.3))
         assert time.perf_counter() - began < 0.1
 
+    def test_oversized_histogram_is_refused_at_once(self):
+        # 10^12 draws at two cells each would run about 1.2e8 blocks.
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="histogram.s draws"):
+            sample_invariant_histogram(MatrixParams(M=2, N=1, p=0.5), 10**12, master_seed=1)
+        assert time.perf_counter() - began < 0.1
+
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_large_matrix_count_matches_steady_formula(self, lam):
         params = MatrixParams(M=200, N=100, p=0.1, lambda_m=lam)

@@ -1081,8 +1081,9 @@ def test_package_import_leaves_scipy_out():
     assert _after_package_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
 
 
-def _minor_faults_of_20_runs(params: str, horizon: float) -> int:
-    """Minor page faults of 20 warm matrix runs to ``horizon``, in a fresh interpreter."""
+def _minor_faults_of_20_runs(params: str, horizon: float | None = None) -> int:
+    """Minor page faults of 20 warm matrix runs to ``horizon``, or to their
+    first full column without one, in a fresh interpreter."""
     code = (
         "import resource\n"
         "from immunochain.models import MatrixParams\n"
@@ -1099,8 +1100,9 @@ def _minor_faults_of_20_runs(params: str, horizon: float) -> int:
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap trims")
 def test_matrix_windows_do_not_fault_their_heap_in_again():
-    # Without the threshold hint in simulate, glibc trims the heap after
-    # every window and 20 runs here take ~1800 minor page faults.
+    # 20 runs here take about 10 minor page faults with or without the
+    # threshold hint in simulate; the hit-run test below is the one that
+    # fails without it.
     assert _minor_faults_of_20_runs("MatrixParams(M=200, N=100, p=0.1)", 1766.0) < 200
 
 
@@ -1110,6 +1112,15 @@ def test_entry_clock_windows_do_not_fault_their_heap_in_again():
     # streams its entry cells through blocks.
     horizon = 1.5 * 200 * math.log(200) / 1.9
     assert _minor_faults_of_20_runs("MatrixParams(M=200, N=100, p=0.1, lambda_m=1.0)", horizon) < 200
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap trims")
+def test_entry_clock_hit_windows_do_not_fault_their_heap_in_again():
+    # Where the hint pays: a lambda_m = 1 hit window keeps the N*M first
+    # rings of its carried epochs, and without the hint glibc trims the
+    # heap after every window, so 20 runs here take about 7000 minor page
+    # faults instead of under 10.
+    assert _minor_faults_of_20_runs("MatrixParams(M=400, N=200, p=0.1, lambda_m=1.0)") < 200
 
 
 def test_package_import_loads_numpy_random():

@@ -1,0 +1,56 @@
+"""Rules the package states once, checked on the syntax trees of its modules."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "immunochain"
+MODULES = sorted(SOURCE.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _comparisons_reading(node: ast.AST, name: str, owner: str = "<module>"):
+    """The innermost function around each comparison that reads ``name``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _comparisons_reading(child, name, child.name)
+            continue
+        if isinstance(child, ast.Compare) and name in _identifiers(child):
+            yield owner
+        yield from _comparisons_reading(child, name, owner)
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name a tree defines, reads, imports or lists as a string."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_the_work_cap_is_compared_only_in_check_budget():
+    # Every work limit goes through one function, which holds the only
+    # comparison with the cap and the only shape of its message.
+    found = [(path.stem, owner) for path in MODULES
+             for owner in _comparisons_reading(_parse(path), "MAX_EXPECTED_EVENTS")]
+    assert found == [("simulate", "check_budget")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_names_config_error(path):
+    # A refused configuration is the library's ValueError, which the CLI
+    # turns into exit 1; no second exception class stands for it.
+    assert "ConfigError" not in _identifiers(_parse(path))
