@@ -4,8 +4,9 @@ Covers the invariant law of the single-column chain, its hitting-time
 moments (exact via the uniformized-chain recursion, asymptotic via the
 leading-order power law), the zero-count ratio, coupon-collector
 formulas, the steady-state all-ones column statistics of the matrix
-chain, the transition-time prediction, and the parameter mapping from
-per-step probabilities to continuous rates.
+chain, the transition-time prediction, the parameter mapping from
+per-step probabilities to rates, and the table of every reported
+prediction.
 
 Numerics policy: a Gamma ratio whose arguments differ by an integer is a
 running product of its factors, since a difference of log-Gamma values
@@ -19,7 +20,7 @@ and exponentiated. Where a formula subtracts 1 from a Gamma ratio,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,9 +42,14 @@ __all__ = [
     "steady_allones_probability",
     "steady_allones_count",
     "steady_allones_count_reports",
-    "STEADY_COUNT_FORMULAS",
     "transition_time_prediction",
     "transition_time_report",
+    "TRANSITION_TIME_FORMULAS",
+    "STEADY_COUNT_FORMULAS",
+    "MATRIX_FORMULAS",
+    "EXACT_HITTING_MEAN_FORMULAS",
+    "COLUMN_FORMULAS",
+    "predictions",
     "identify_parameters",
 ]
 
@@ -171,18 +177,15 @@ def hitting_time_means_exact(params: SingleColumnParams) -> np.ndarray:
 
 
 def hitting_time_mean_exact(params: SingleColumnParams, start: int = 0) -> float:
-    """Expected continuous time to reach state M from ``start``.
-
-    Computed through the uniformized jump chain (closed product form for
-    the start-at-0 value, backward recursion for the rest) and converted
-    to time by the uniformization rate. Agrees with the dense-solve
-    oracle to 1e-9 relative on every tested instance.
+    """Expected continuous time to reach state M from ``start``: entry
+    ``start`` of :func:`hitting_time_means_exact`. Agrees with the
+    dense-solve oracle to 1e-9 relative on every tested instance.
     """
     if not 0 <= start <= params.M:
         raise ValueError(f"start must lie in [0, {params.M}], got {start!r}")
     if start == params.M:
         return 0.0
-    return float(_hitting_steps(params)[start]) / params.uniformization_rate
+    return float(hitting_time_means_exact(params)[start])
 
 
 def hitting_time_mean_asymptotic(params: SingleColumnParams) -> float:
@@ -359,30 +362,65 @@ def _power_law_count(params: MatrixParams, log_base: float) -> float:
         ) from None
 
 
-# Every steady-count estimate as (formula id, method, function of the
-# parameters); the power laws raise ValueError past double precision.
-STEADY_COUNT_FORMULAS = (
-    ("steady_count_gamma_ratio", EXACT, lambda params: steady_allones_count(params, EXACT)),
-    ("steady_count_power_law", ASYMPTOTIC, lambda params: steady_allones_count(params, ASYMPTOTIC)),
-    ("steady_count_power_law_rate_scaled", ASYMPTOTIC, _steady_allones_count_asymptotic_rate_scaled),
-)
-
-
-def steady_allones_count_reports(params: MatrixParams) -> tuple[ClosedFormReport, ...]:
-    """All steady-count estimates, each tagged with its formula id."""
-    return tuple(
-        ClosedFormReport(formula(params), method, formula_id)
-        for formula_id, method, formula in STEADY_COUNT_FORMULAS
-    )
-
-
 def transition_time_prediction(params: MatrixParams) -> float:
     """Predicted equilibration time M * log(M) / q_tilde of the matrix chain."""
     return params.M * math.log(params.M) / params.q_tilde
 
 
+# Every reported prediction as (formula id, method, function of the
+# parameters); a lambda looks its function up when called, so a wrapper bound
+# in its place sees the call. A model's table joins its named subsets.
+TRANSITION_TIME_FORMULAS = (
+    ("transition_time_mlogm", ASYMPTOTIC, lambda params: transition_time_prediction(params)),
+)
+STEADY_COUNT_FORMULAS = (
+    ("steady_count_gamma_ratio", EXACT, lambda params: steady_allones_count(params, EXACT)),
+    ("steady_count_power_law", ASYMPTOTIC, lambda params: steady_allones_count(params, ASYMPTOTIC)),
+    ("steady_count_power_law_rate_scaled", ASYMPTOTIC, _steady_allones_count_asymptotic_rate_scaled),
+)
+MATRIX_FORMULAS = TRANSITION_TIME_FORMULAS + STEADY_COUNT_FORMULAS
+
+EXACT_HITTING_MEAN_FORMULAS = (
+    ("hitting_mean_recursion", EXACT, lambda params: hitting_time_mean_exact(params, 0)),
+)
+COLUMN_FORMULAS = EXACT_HITTING_MEAN_FORMULAS + (
+    ("hitting_mean_power_law", ASYMPTOTIC, lambda params: hitting_time_mean_asymptotic(params)),
+)
+
+
+def predictions(params, formulas) -> dict:
+    """Summary keys for one report per row of ``formulas``.
+
+    A formula that leaves double precision (``ValueError`` or
+    ``ArithmeticError``) goes under ``unavailable_predictions`` with the
+    reason, so the rest are still written; the key is absent when every
+    value is finite.
+    """
+    reports, unavailable = [], []
+    for formula_id, method, formula in formulas:
+        try:
+            reports.append(asdict(ClosedFormReport(formula(params), method, formula_id)))
+        except (ArithmeticError, ValueError) as exc:
+            unavailable.append({"method": method, "formula_id": formula_id, "reason": str(exc)})
+    out = {"predictions": reports}
+    if unavailable:
+        out["unavailable_predictions"] = unavailable
+    return out
+
+
+def _reports(params, formulas) -> tuple[ClosedFormReport, ...]:
+    """One report per row of ``formulas``; a formula past double precision raises."""
+    return tuple(ClosedFormReport(formula(params), method, formula_id)
+                 for formula_id, method, formula in formulas)
+
+
+def steady_allones_count_reports(params: MatrixParams) -> tuple[ClosedFormReport, ...]:
+    """All steady-count estimates, each tagged with its formula id."""
+    return _reports(params, STEADY_COUNT_FORMULAS)
+
+
 def transition_time_report(params: MatrixParams) -> ClosedFormReport:
-    return ClosedFormReport(transition_time_prediction(params), ASYMPTOTIC, "transition_time_mlogm")
+    return _reports(params, TRANSITION_TIME_FORMULAS)[0]
 
 
 def identify_parameters(

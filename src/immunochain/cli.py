@@ -39,6 +39,7 @@ __all__ = ["ExperimentConfig", "main", "run_experiment", "emit_figure_data"]
 SERIES_SCHEMA = "immunochain-series-v1"
 FIGURE_COUNTS_SCHEMA = "immunochain-figure-counts-v1"
 FIGURE_PM_SCHEMA = "immunochain-figure-transition-vs-pm-v1"
+STEADY_SAMPLES_SCHEMA = "immunochain-steady-samples-v1"
 
 MODEL_SINGLE = "single-column"
 MODEL_MATRIX = "matrix"
@@ -162,42 +163,6 @@ def _write_summary(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-# Each model's predictions as (formula id, method, function of the
-# parameters), as in analytics.STEADY_COUNT_FORMULAS; the lambdas look the
-# analytics functions up when called.
-_MATRIX_FORMULAS = (
-    ("transition_time_mlogm", analytics.ASYMPTOTIC,
-     lambda params: analytics.transition_time_prediction(params)),
-    *analytics.STEADY_COUNT_FORMULAS,
-)
-_COLUMN_FORMULAS = (
-    ("hitting_mean_recursion", analytics.EXACT,
-     lambda params: analytics.hitting_time_mean_exact(params, 0)),
-    ("hitting_mean_power_law", analytics.ASYMPTOTIC,
-     lambda params: analytics.hitting_time_mean_asymptotic(params)),
-)
-
-
-def _predictions(params, formulas) -> dict:
-    """Summary keys for one report per ``(formula_id, method, formula)``.
-
-    A formula that leaves double precision (``ValueError`` or
-    ``ArithmeticError``) goes under ``unavailable_predictions`` with the
-    reason, so the rest are still written; the key is absent when every
-    value is finite.
-    """
-    reports, unavailable = [], []
-    for formula_id, method, formula in formulas:
-        try:
-            reports.append(analytics.ClosedFormReport(formula(params), method, formula_id))
-        except (ArithmeticError, ValueError) as exc:
-            unavailable.append({"method": method, "formula_id": formula_id, "reason": str(exc)})
-    out = {"predictions": [asdict(r) for r in reports]}
-    if unavailable:
-        out["unavailable_predictions"] = unavailable
-    return out
-
-
 def _cmd_analyze(config: ExperimentConfig) -> int:
     params = config.params()
     out: dict = {"config": asdict(config)}
@@ -207,14 +172,14 @@ def _cmd_analyze(config: ExperimentConfig) -> int:
             "lambda_m": params.lambda_m, "q_tilde": params.q_tilde,
             "b": params.b, "b_tilde": params.b_tilde,
         }
-        out.update(_predictions(params, _MATRIX_FORMULAS))
+        out.update(analytics.predictions(params, analytics.MATRIX_FORMULAS))
         out["steady_allones_probability"] = analytics.steady_allones_probability(params)
         out["transition_time_prediction"] = analytics.transition_time_prediction(params)
     else:
         out["parameters"] = {
             "M": params.M, "alpha": params.alpha, "p": params.p, "q": params.q, "a": params.a,
         }
-        out.update(_predictions(params, _COLUMN_FORMULAS))
+        out.update(analytics.predictions(params, analytics.COLUMN_FORMULAS))
         if params.M <= 512:
             out["invariant_pmf"] = list(analytics.invariant_pmf(params))
     _write_summary(Path(config.out) / "summary.json", out)
@@ -241,10 +206,9 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     end_values = []
     params = config.params()
     if config.model == MODEL_MATRIX:
-        simulate, formulas = simulate_matrix, _MATRIX_FORMULAS
+        simulate, formulas = simulate_matrix, analytics.MATRIX_FORMULAS
     else:
-        simulate, formulas = simulate_single_column, _COLUMN_FORMULAS[:1]
-    predictions = _predictions(params, formulas)
+        simulate, formulas = simulate_single_column, analytics.EXACT_HITTING_MEAN_FORMULAS
     for r in range(n):
         sim = SimulationConfig(
             master_seed=config.seed, replicate_index=r, horizon=config.horizon,
@@ -267,7 +231,7 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
             )
 
     finite = [t for t in taus if t is not None]
-    summary = {"config": asdict(config), **predictions}
+    summary = {"config": asdict(config), **analytics.predictions(params, formulas)}
     if config.wants("taus"):
         summary["taus"] = taus
         summary["n_missing_tau"] = len(taus) - len(finite)
@@ -291,13 +255,13 @@ def _cmd_sample_steady(config: ExperimentConfig) -> int:
     counts = np.empty(n, dtype=np.int64)
     for r in range(n):
         counts[r] = reversal.sample_invariant_count(params, replicate_rng(config.seed, r))
-    summary = {"config": asdict(config), **_predictions(params, analytics.STEADY_COUNT_FORMULAS)}
+    summary = {"config": asdict(config), **analytics.predictions(params, analytics.STEADY_COUNT_FORMULAS)}
     if n >= 2:
         summary["all_ones_count_mean"] = asdict(estimate_mean(counts, master_seed=config.seed))
     out_dir = Path(config.out)
     _write_summary(out_dir / "summary.json", summary)
     if config.format == "csv":
-        _write_csv(out_dir / "samples.csv", "immunochain-steady-samples-v1",
+        _write_csv(out_dir / "samples.csv", STEADY_SAMPLES_SCHEMA,
                    ["replicate", "all_ones_count"],
                    [(r, int(c)) for r, c in enumerate(counts)])
     return 0
@@ -338,7 +302,7 @@ def emit_figure_data(config: ExperimentConfig) -> int:
     _write_csv(out_dir / "figure_transition_vs_pm.csv", FIGURE_PM_SCHEMA,
                ["p_m", "predicted_transition_time"], rows)
 
-    summary = {"config": asdict(config), **_predictions(params, _MATRIX_FORMULAS)}
+    summary = {"config": asdict(config), **analytics.predictions(params, analytics.MATRIX_FORMULAS)}
     _write_summary(out_dir / "summary.json", summary)
     return 0
 

@@ -224,11 +224,6 @@ def _column_tables(params: SingleColumnParams) -> _ColumnTables:
 _mean_hitting_time = lru_cache(maxsize=64)(analytics.hitting_time_mean_exact)
 
 
-def _check_event_budget(span: float, rate: float) -> None:
-    """Charge a run of ``span`` time units at ``rate`` events or cells per unit time."""
-    check_budget(span * rate, "expected events", "shorten the run")
-
-
 def simulate_single_column(
     params: SingleColumnParams, config: SimulationConfig, start: int = 0
 ) -> Trajectory:
@@ -265,7 +260,8 @@ def simulate_single_column(
             return _regenerative_hit(tables, M, start, rng)
 
     span = _mean_hitting_time(params, start) if horizon is None else horizon
-    _check_event_budget(span, params.uniformization_rate)
+    remedy = "drop the series or give a horizon" if horizon is None else "shorten the run"
+    check_budget(span * params.uniformization_rate, "expected events", remedy)
     return _climbs(params, tables, start, config, rng)
 
 
@@ -395,7 +391,7 @@ def simulate_matrix(
     cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
     horizon = config.horizon
     if horizon is not None:
-        _check_event_budget(horizon, max(params.total_rate, cells_per_time))
+        check_budget(horizon * max(params.total_rate, cells_per_time), "expected events", "shorten the run")
     if start is None:
         filled, initial = np.zeros((N, M), dtype=bool), 0  # filled[j, i]: entry (i, j) is one
     else:
@@ -414,7 +410,7 @@ def simulate_matrix(
             # filling with probability reach, so P(tau <= t) <= (N + p*t)*reach
             # and the median of tau is at least (1/(2*reach) - N)/p.
             median_floor = (0.5 / reach - N) / params.p if reach > 0 else math.inf
-            _check_event_budget(median_floor, cells_per_time)
+            check_budget(median_floor * cells_per_time, "expected events", "give a horizon")
     rng = replicate_rng(config.master_seed, config.replicate_index)
     if stop_on_hit:
         # At lambda_m > 0 a hit window holds the N*M cells of its carried

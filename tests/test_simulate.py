@@ -137,8 +137,9 @@ class TestConfigValidation:
         # take ~1.5e9 events, and a run to a horizon of 1e12 about 1e12.
         # Counting climbs stays O(M).
         params = SingleColumnParams.with_a(64, 6.0)
-        for cfg in (hit_config(1, record_series=True), hit_config(1, horizon=1e12)):
-            with pytest.raises(ValueError, match="expected events"):
+        for cfg, remedy in ((hit_config(1, record_series=True), "drop the series or give a horizon"),
+                            (hit_config(1, horizon=1e12), "shorten the run")):
+            with pytest.raises(ValueError, match=f"expected events .*; {remedy}"):
                 simulate_single_column(params, cfg)
         assert simulate_single_column(params, hit_config(1)).tau > 0
 
@@ -149,9 +150,9 @@ class TestConfigValidation:
         # q + p = 1 cell per time unit. A run with a horizon is charged its
         # horizon instead.
         params = MatrixParams(M=16, N=1, p=0.5)
-        for horizon in (None, 1e12):
+        for horizon, remedy in ((None, "give a horizon"), (1e12, "shorten the run")):
             cfg = SimulationConfig(master_seed=1, horizon=horizon)
-            with pytest.raises(ValueError, match="expected events"):
+            with pytest.raises(ValueError, match=f"expected events .*; {remedy}"):
                 simulate_matrix(params, cfg)
         cfg = SimulationConfig(master_seed=1, horizon=1e3)
         assert simulate_matrix(params, cfg).end_time == 1e3

@@ -1,9 +1,12 @@
 """Rules the package states once, checked on the syntax trees of its modules."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
+
+from immunochain.cli import main
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "immunochain"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -54,3 +57,18 @@ def test_no_module_names_config_error(path):
     # A refused configuration is the library's ValueError, which the CLI
     # turns into exit 1; no second exception class stands for it.
     assert "ConfigError" not in _identifiers(_parse(path))
+
+
+def test_each_reported_formula_id_is_written_once(tmp_path):
+    # A prediction's id, method and function are declared in one row, so
+    # every command that reports it reads the same declaration.
+    ids = set()
+    for model in (["--model", "matrix", "--N", "3"], ["--model", "single-column"]):
+        out = tmp_path / model[1]
+        assert main(["analyze", *model, "--M", "4", "--p", "0.3", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        ids |= {entry["formula_id"] for entry in summary["predictions"]}
+    assert {"transition_time_mlogm", "hitting_mean_recursion"} <= ids
+    written = [node.value for path in MODULES for node in ast.walk(_parse(path))
+               if isinstance(node, ast.Constant) and node.value in ids]
+    assert sorted(written) == sorted(ids)
