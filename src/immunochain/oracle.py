@@ -1,14 +1,14 @@
 """Independent brute-force ground truth on small instances.
 
 Everything here favours obvious correctness over speed: dense linear
-algebra for stationary laws and first-passage moments, and exact integer
-arithmetic for the single-column first passage (the elimination a dense
-solve would do, on the generator scaled to integer rates, checked against
-plain Fraction elimination in the tests) and for the coupon-collector
-count (the Stirling recurrence, itself checked against full enumeration in
-the tests). These are the references the closed forms and samplers are
-validated against before being trusted at scale, so none of them share
-code with the quantities they check.
+algebra for closed classes, stationary laws and first-passage moments,
+and exact integer arithmetic for the single-column first passage (the
+elimination a dense solve would do, on the generator scaled to integer
+rates, checked against plain Fraction elimination in the tests) and for
+the coupon-collector count (the Stirling recurrence, itself checked
+against full enumeration in the tests). These are the references the
+closed forms and samplers are validated against before being trusted at
+scale, so none of them share code with the quantities they check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import factorial, lcm, log2
 
 import numpy as np
 
@@ -36,8 +36,10 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 
-# State spaces above this are too big to enumerate densely.
-_MAX_STATES = 1 << 16
+# Dense work is refused above this many states (M*N <= 12 for the matrix),
+# before any n x n array exists: the GTH solve's n**3 takes 12 s at 2048
+# states and 90 s at 4096 on a 2-vCPU x86-64 host.
+_MAX_STATES = 1 << 12
 
 # The exact first passage is refused above this M: its integers grow
 # linearly in M and its cost about as M**3, to hours at M = 10**4.
@@ -64,9 +66,7 @@ class DenseGenerator:
         n = len(self.states)
         if Q.shape != (n, n):
             raise ValueError(f"rate matrix shape {Q.shape} does not match {n} states")
-        off = Q.copy()
-        np.fill_diagonal(off, 0.0)
-        if (off < 0).any():
+        if ((Q < 0) & ~np.eye(n, dtype=bool)).any():
             raise ValueError("off-diagonal rates must be nonnegative")
         scale = max(1.0, float(np.abs(Q).max()))
         if np.abs(Q.sum(axis=1)).max() > _ROW_SUM_TOL * scale:
@@ -78,15 +78,19 @@ class DenseGenerator:
         return len(self.states)
 
 
+def _check_dense(n_states: int) -> None:
+    if n_states > _MAX_STATES:
+        raise ValueError(f"{n_states} states exceed the dense cap of {_MAX_STATES}")
+
+
 def single_column_generator(params: SingleColumnParams) -> DenseGenerator:
     """Dense generator of the single-column chain on states 0..M."""
     M = params.M
+    _check_dense(M + 1)
+    k = np.arange(M)
     Q = np.zeros((M + 1, M + 1))
-    for k in range(M + 1):
-        if k < M:
-            Q[k, k + 1] += params.alpha * params.q * (1.0 - k / M)
-        if k > 0:
-            Q[k, 0] += params.p
+    Q[k, k + 1] = params.alpha * params.q * (1.0 - k / M)
+    Q[1:, 0] = params.p
     np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
     return DenseGenerator(states=list(range(M + 1)), rate_matrix=Q)
 
@@ -95,94 +99,58 @@ def matrix_generator(params: MatrixParams) -> DenseGenerator:
     """Dense generator of the matrix chain over all 2^(M*N) binary states.
 
     States are integers whose bit ``i*N + j`` is entry (i, j), matching
-    ``MatrixState.to_index``. Only feasible for M*N <= 16.
+    ``MatrixState.to_index``. Refused when 2^(M*N) exceeds ``_MAX_STATES``.
     """
     M, N = params.M, params.N
-    if M * N > 16:
-        raise ValueError(f"matrix state space 2^{M * N} exceeds the enumeration cap")
+    if M * N > log2(_MAX_STATES):
+        raise ValueError(f"matrix state space 2^{M * N} exceeds the dense cap of {_MAX_STATES} states")
     n = 1 << (M * N)
-    row_bits = [sum(1 << (i * N + j) for j in range(N)) for i in range(M)]
-    col_bits = [sum(1 << (i * N + j) for i in range(M)) for j in range(N)]
-    q_row = params.q / M
-    p_col = params.p / N
-    lam_entry = params.lambda_m / M
+    s = np.arange(n)[:, None]
+    entry_bits = 1 << np.arange(M * N)
+    grid = entry_bits.reshape(M, N)  # a row's or column's mask is the sum of its bits
 
     Q = np.zeros((n, n))
-    for s in range(n):
-        for i in range(M):
-            t = s | row_bits[i]
-            if t != s:
-                Q[s, t] += q_row
-        for j in range(N):
-            t = s & ~col_bits[j]
-            if t != s:
-                Q[s, t] += p_col
-        if lam_entry > 0:
-            for pos in range(M * N):
-                bit = 1 << pos
-                if not s & bit:
-                    Q[s, s | bit] += lam_entry
+    # Within one move kind every target of a state is distinct. A row fill
+    # that sets one entry shares its target with that entry's move, and gets
+    # the row rate first, then the entry rate.
+    for targets, rate in (
+        (s | grid.sum(axis=1), params.q / M),
+        (s & ~grid.sum(axis=0), params.p / N),
+        (s | entry_bits, params.lambda_m / M),
+    ):
+        src, move = np.nonzero(targets != s)
+        Q[src, targets[src, move]] += rate
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return DenseGenerator(states=list(range(n)), rate_matrix=Q)
 
 
-def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Strongly connected component label of every vertex (Tarjan).
+def _reachability(Q: np.ndarray) -> np.ndarray:
+    """``reach[s, t]``: t is reachable from s along positive rates (s from itself).
 
-    Iterative, so a long chain of states cannot exhaust Python's
-    recursion limit. ``succ[v]`` lists the heads of the edges out of v.
+    Squares the 0/1 one-step matrix, identity included, until it stops
+    changing: about log2(d) + 1 products for a digraph of diameter d.
     """
-    n = len(succ)
-    index, low, label = [-1] * n, [0] * n, [-1] * n
-    stack: list[int] = []
-    counter = n_comp = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, heads = work[-1]
-            for w in heads:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if label[w] < 0:  # still on the stack: same component as v
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        label[w] = n_comp
-                        if w == v:
-                            break
-                    n_comp += 1
-    return label
+    reach = (Q > 0).astype(np.float32)
+    np.fill_diagonal(reach, 1.0)
+    while True:
+        longer = (reach @ reach > 0).astype(np.float32)
+        if np.array_equal(longer, reach):
+            return reach > 0
+        reach = longer
 
 
 def _closed_classes(Q: np.ndarray) -> tuple[int, np.ndarray]:
     """Closed communicating classes of the positive-rate digraph.
 
     Returns ``(count, member_mask)`` where the mask marks states that
-    belong to some closed class (the recurrent states).
+    belong to some closed class (the recurrent states): those that every
+    state they reach reaches back. Each class is counted at its lowest
+    state.
     """
-    edges = Q > 0
-    np.fill_diagonal(edges, False)
-    labels = np.array(_strong_components([np.flatnonzero(row).tolist() for row in edges]))
-    src, dst = np.nonzero(edges)
-    has_exit = np.zeros(labels.max() + 1, dtype=bool)
-    has_exit[labels[src][labels[src] != labels[dst]]] = True
-    closed = ~has_exit
-    return int(np.count_nonzero(closed)), closed[labels]
+    reach = _reachability(Q)
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    lowest = np.argmax(reach & reach.T, axis=1)
+    return int(np.count_nonzero(recurrent & (lowest == np.arange(len(Q))))), recurrent
 
 
 def stationary_solve(generator: DenseGenerator) -> np.ndarray:
@@ -199,13 +167,10 @@ def stationary_solve(generator: DenseGenerator) -> np.ndarray:
     """
     Q = generator.rate_matrix
     n = generator.n_states
-    if n > _MAX_STATES:
-        raise ValueError("state space too large for a dense solve")
+    _check_dense(n)
     n_closed, recurrent = _closed_classes(Q)
     if n_closed != 1:
-        raise ValueError(
-            f"chain has {n_closed} closed communicating classes; stationary law is not unique"
-        )
+        raise ValueError(f"chain has {n_closed} closed communicating classes; stationary law is not unique")
     # Order the closed class first so every elimination pivot is positive;
     # transient states then provably receive zero mass on back-substitution.
     order = np.concatenate([np.flatnonzero(recurrent), np.flatnonzero(~recurrent)])
@@ -241,9 +206,7 @@ def hitting_moments(generator: DenseGenerator, target_set) -> tuple[np.ndarray, 
     Solves the absorbing linear systems ``Q m = -1`` and ``Q s = -2m``
     restricted to non-target states; entries on the target are zero.
     Returns ``(mean_vector, second_moment_vector)`` indexed like
-    ``generator.states``. The target must be reachable from every state:
-    with its states made absorbing, no state outside it may lie in a
-    closed communicating class.
+    ``generator.states``. The target must be reachable from every state.
 
     Double precision limits this generic solve: when the moments are
     astronomically large the relative accuracy degrades with the
@@ -252,18 +215,16 @@ def hitting_moments(generator: DenseGenerator, target_set) -> tuple[np.ndarray, 
     """
     Q = generator.rate_matrix
     n = generator.n_states
+    _check_dense(n)
     target = {int(t) for t in target_set}
     if not target:
         raise ValueError("target set must be nonempty")
     if any(not 0 <= t < n for t in target):
         raise ValueError("target indices out of range")
-    rest = [s for s in range(n) if s not in target]
-    absorbing = Q.copy()
-    absorbing[list(target)] = 0.0
-    if _closed_classes(absorbing)[1][rest].any():
+    if not _reachability(Q)[:, list(target)].any(axis=1).all():
         raise ValueError("target is not reachable from every state")
-    mean = np.zeros(n)
-    second = np.zeros(n)
+    rest = [s for s in range(n) if s not in target]
+    mean, second = np.zeros(n), np.zeros(n)
     if rest:
         Qtt = Q[np.ix_(rest, rest)]
         try:
@@ -386,10 +347,7 @@ def _surjection_count_dp(n_urns: int, k: int) -> int:
         for j in range(1, n_urns + 1):
             cur[j] = j * prev[j] + prev[j - 1]
         prev = cur
-    surj = prev[n_urns]
-    for j in range(2, n_urns + 1):
-        surj *= j
-    return surj
+    return prev[n_urns] * factorial(n_urns)
 
 
 def _surjection_count_brute(n_urns: int, k: int) -> int:

@@ -348,6 +348,15 @@ class TestSimulateCommand:
         assert "end_values" not in summary
         assert not (out / "series.csv").exists()
 
+    def test_json_run_asking_for_a_series_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"format": "json", "outputs": ["series"]}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(cfg_file), "--model", "single-column", "--M", "8",
+                    "--p", "0.2", "--replicates", "3", "--horizon", "5", "--out", str(out)]) == 1
+        assert "format: csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_observable_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({

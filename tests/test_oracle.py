@@ -1,12 +1,13 @@
 """Tests of the brute-force ground-truth module itself."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from immunochain import analytics
+from immunochain import analytics, oracle
 from immunochain.cli import main
 from immunochain.models import MatrixParams, SingleColumnParams
 from immunochain.oracle import (
@@ -35,6 +36,31 @@ class TestGeneratorValidation:
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ValueError):
             DenseGenerator(states=[0, 1], rate_matrix=np.array([[-0.5, 0.6], [0.5, -0.5]]))
+
+    @pytest.mark.parametrize("M, N", [(13, 1), (4, 4)])
+    def test_matrix_beyond_dense_cap_refused_at_once(self, M, N):
+        # 2^13 states would need a 512 MiB rate matrix, 2^16 states 32 GiB.
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="dense cap of 4096 states"):
+                matrix_generator(MatrixParams(M=M, N=N, p=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.05
+        assert peak < 1 << 20
+
+    def test_single_column_beyond_dense_cap_refused(self):
+        with pytest.raises(ValueError, match="4097 states exceed the dense cap of 4096"):
+            single_column_generator(SingleColumnParams(M=4096, alpha=1.0, p=0.5))
+
+    def test_solves_read_the_dense_cap(self, monkeypatch):
+        gen = single_column_generator(SingleColumnParams(M=2, alpha=1.0, p=0.5))
+        monkeypatch.setattr(oracle, "_MAX_STATES", 2)
+        for solve in (stationary_solve, lambda g: hitting_moments(g, {2})):
+            with pytest.raises(ValueError, match="3 states exceed the dense cap of 2"):
+                solve(gen)
 
     def test_generator_rows_sum_to_zero(self):
         for params in (

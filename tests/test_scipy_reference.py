@@ -15,8 +15,8 @@ from scipy.special import gammaln
 from scipy.stats import chi2, chisquare, norm
 
 from immunochain.analytics import invariant_pmf
-from immunochain.models import SingleColumnParams
-from immunochain.oracle import _closed_classes
+from immunochain.models import MatrixParams, SingleColumnParams
+from immunochain.oracle import _closed_classes, matrix_generator, single_column_generator
 from immunochain.rng import replicate_rng
 from immunochain.stats import _chi2_sf, chi_square_gof, estimate_mean
 
@@ -62,6 +62,29 @@ def test_closed_classes_match_connected_components():
         with_transient += not mask.all()
     # The sample must exercise both structures the solve depends on.
     assert several_closed > 300 and with_transient > 300
+
+
+@pytest.mark.parametrize("M", [64, 128])
+def test_closed_classes_on_long_single_column_chains(M):
+    # Reaching M from 0 takes M steps, so the closure needs log2(M) + 1 squarings.
+    Q = single_column_generator(SingleColumnParams(M=M, alpha=1.0, p=0.3)).rate_matrix
+    count, mask = _closed_classes(Q)
+    assert (count, mask.tolist()) == (1, [True] * (M + 1))
+    ref_count, ref_mask = closed_classes_scipy(Q)
+    assert count == ref_count
+    np.testing.assert_array_equal(mask, ref_mask)
+
+
+@pytest.mark.parametrize("M, N", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 2), (2, 5)])
+def test_closed_classes_on_matrix_chains_with_transient_states(M, N):
+    # Without the entry channel, a pattern whose rows and columns cannot be
+    # ordered by fill and reset times is never reached again once left.
+    Q = matrix_generator(MatrixParams(M=M, N=N, p=0.3, lambda_m=0.0)).rate_matrix
+    count, mask = _closed_classes(Q)
+    ref_count, ref_mask = closed_classes_scipy(Q)
+    assert count == ref_count == 1
+    np.testing.assert_array_equal(mask, ref_mask)
+    assert mask[0] and mask[-1] and not mask.all()
 
 
 DOFS = [*range(1, 60), 100, 200, 500, 1000]
