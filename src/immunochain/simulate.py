@@ -28,8 +28,10 @@ next reset. Without entry clocks (lambda_m = 0) that is the first ring
 after which every row has rung since the epoch began, and one pass over
 the window's rings gives it for every epoch: each ring's next ring of the
 same row, a prefix maximum of those, and a search for each epoch's start.
-Windows chain from each column's state at the end of the last one, which
-bounds the arrays a window needs. With entry clocks every epoch has M
+Windows chain from the state at the end of the last one, which bounds the
+arrays a window needs: at lambda_m = 0 entry (i, j) is one iff row i rang
+after column j's last reset, so the state is each row's last ring and each
+column's last reset. With entry clocks it is N x M, and every epoch has M
 cells, one per entry, streamed through blocks of at most ``_WINDOW_CELLS``
 cells; an entry set when the window begins is set from its start. Entry
 clocks are Poisson, so their rings after the window's start do not depend
@@ -374,18 +376,19 @@ def simulate_matrix(
     run without a horizon and no full column at its start raises
     ``ValueError`` when one reset epoch fills its column with probability
     below ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
-    :func:`check_budget` charges every run its ``N*M`` state cells; a run
-    with a horizon, the events or epoch cells up to it, whichever are
-    more; and one from the empty matrix without a horizon, its epoch
-    cells up to the lower bound ``(1/(2*P_fill) - N)/p`` on the median of
-    ``tau``, where ``P_fill`` is that fill probability.
+    :func:`check_budget` charges every run its state cells, ``N*M`` or, at
+    lambda_m = 0 from the empty matrix, ``M + N``; a run with a horizon,
+    the events or epoch cells up to it, whichever are more; and one from
+    the empty matrix without a horizon, its epoch cells up to the lower
+    bound ``(1/(2*P_fill) - N)/p`` on the median of ``tau``, where
+    ``P_fill`` is that fill probability.
     """
     M, N = params.M, params.N
     if start is not None and (start.M != M or start.N != N):
         raise ValueError("start state shape does not match parameters")
-    # Every window holds the N x M state, and at lambda_m > 0 the first
-    # one builds a cell per entry.
-    check_budget(M * N, "cells in the state alone", "shrink M or N")
+    # Every window holds the N x M state at lambda_m > 0, where the first one
+    # builds a cell per entry, and from a start; else M + N (see _ring_fill).
+    check_budget(M * N if params.lambda_m > 0 or start is not None else M + N, "cells in the state alone", "shrink M or N")
     # Epoch cells per unit time: row rings and resets, and with entry
     # clocks an M-wide row of set times per epoch.
     cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
@@ -393,9 +396,9 @@ def simulate_matrix(
     if horizon is not None:
         check_budget(horizon * max(params.total_rate, cells_per_time), "expected events", "shorten the run")
     if start is None:
-        filled, initial = np.zeros((N, M), dtype=bool), 0  # filled[j, i]: entry (i, j) is one
+        held, initial = (np.zeros((N, M), dtype=bool) if params.lambda_m > 0 else None), 0
     else:
-        filled, initial = start.entries.T.astype(bool), start.all_ones_count
+        held, initial = start.entries.T.astype(bool), start.all_ones_count  # held[j, i]: entry (i, j) is one
     stop_on_hit = horizon is None
     if stop_on_hit and initial == 0:
         reach = analytics.steady_allones_probability(params)
@@ -405,7 +408,7 @@ def simulate_matrix(
                 f"{reach:.3g} (< {MIN_REACH_PROBABILITY:g}); the first full column is "
                 "beyond simulation"
             )
-        if not filled.any():
+        if held is None or not held.any():
             # By time t at most N + Poisson(p*t) epochs have started, each
             # filling with probability reach, so P(tau <= t) <= (N + p*t)*reach
             # and the median of tau is at least (1/(2*reach) - N)/p.
@@ -415,15 +418,17 @@ def simulate_matrix(
     if stop_on_hit:
         # At lambda_m > 0 a hit window holds the N*M cells of its carried
         # epochs whatever its span, so it spans as many reset cells.
-        held = M * N if params.lambda_m > 0 else 0
-        width = max(_WINDOW_CELLS, held) / cells_per_time
-        span = max(_FIRST_WINDOW_CELLS, held) / cells_per_time
+        carried = M * N if params.lambda_m > 0 else 0
+        width = max(_WINDOW_CELLS, carried) / cells_per_time
+        span = max(_FIRST_WINDOW_CELLS, carried) / cells_per_time
     else:
         width = span = _WINDOW_CELLS / (params.q + params.p)
     tau = 0.0 if initial else None
     t = 0.0
     n_events = 0
     spare_time = 0.0
+    # At lambda_m = 0 see _ring_fill; uint16 keeps 16-bit ring labels radix-sorted there.
+    state = held if params.lambda_m > 0 else (np.empty(0), np.empty(0, np.uint16), np.full(N, -np.inf), held)
     gains: list[np.ndarray] = []
     losses: list[np.ndarray] = []
 
@@ -431,8 +436,8 @@ def simulate_matrix(
         while True:
             t1 = t + span if horizon is None else min(t + span, horizon)
             span = min(2 * span, width)
-            gained, lost, events, spare, filled = _epoch_window(
-                params, rng, filled, t, t1, stop_on_hit, carry=t1 != horizon
+            gained, lost, events, spare, state = _epoch_window(
+                params, rng, state, t, t1, stop_on_hit, carry=t1 != horizon
             )
             n_events += events
             spare_time += spare
@@ -462,13 +467,13 @@ def simulate_matrix(
 def _epoch_window(
     params: MatrixParams,
     rng: np.random.Generator,
-    filled: np.ndarray,
+    state,
     t0: float,
     t1: float,
     stop_on_hit: bool,
     carry: bool,
-) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray | None]:
-    """One window ``[t0, t1)`` of a matrix run, from the column states ``filled`` at ``t0``.
+) -> tuple[np.ndarray, np.ndarray, int, float, object]:
+    """One window ``[t0, t1)`` of a matrix run, from the ``state`` at ``t0``.
 
     Column j's epochs run between ``t0``, its resets and ``t1``. In an
     epoch from s, entry (i, j) is set at the first ring of row i after s
@@ -476,15 +481,15 @@ def _epoch_window(
     earlier (at s if it is one at ``t0`` and s is ``t0``), and the column
     is full from the last of these times to the epoch's end.
 
-    With entry clocks the window builds M cells per epoch (see
-    :func:`_entry_fill`); without them, none.
+    With entry clocks the window builds M cells per epoch and the state is
+    N x M (see :func:`_entry_fill`); without them, no cells and O(M + N).
 
     Returns the times columns became full (columns full at ``t0`` are
     carried, not counted) and the times full columns were reset (carried
     ones included), which change the full count by their sizes; the events
     up to the window's end; the summed time that entry clocks ran on after
-    their drawn first ring (their rings there are Poisson in it); and, under
-    ``carry``, the column states at ``t1`` for the next window. Under
+    their drawn first ring (their rings there are Poisson in it); and the
+    state at ``t1`` (at lambda_m > 0 only under ``carry``). Under
     ``stop_on_hit`` the window ends at its first full column, if any.
     """
     M, N = params.M, params.N
@@ -510,12 +515,12 @@ def _epoch_window(
     last[order[:-1][succ]] = False
 
     if params.lambda_m > 0:
-        fill, filled_next, blocks = _entry_fill(
-            params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, carry,
+        fill, state, blocks = _entry_fill(
+            params, rng, state, ring_t, ring_row, starts, cols, last, t0, t1, carry,
             None if stop_on_hit else ends,
         )
     else:
-        fill, filled_next = _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry)
+        fill, state = _ring_fill(M, state, ring_t, ring_row, starts, cols, last)
         blocks = ()  # no entry clocks run
 
     valid = fill < ends
@@ -530,7 +535,7 @@ def _epoch_window(
             terms = _ring_terms(np.minimum(ends[lo:hi], end), *terms)
         n_events += terms[0]
         spare += terms[1]
-    return gained, lost, n_events, spare, filled_next
+    return gained, lost, n_events, spare, state
 
 
 def _entry_fill(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, carry, ends=None):
@@ -603,19 +608,25 @@ def _ring_terms(ends, first):
     return int(np.count_nonzero(gap >= 0)), float(np.maximum(gap, 0.0, out=gap).sum())
 
 
-def _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry):
+def _ring_fill(M, state, ring_t, ring_row, starts, cols, last):
     """Fill times of a window's epochs when only row rings set entries (lambda_m = 0).
 
-    The epoch from s fills at the first ring k after which every row has
-    rung since s. Ring j's row rings again at ring ``nxt[j]``, so that
-    holds once k reaches every ``nxt[j]`` with ring j at or before s (a
-    prefix maximum read at s) and every row's first ring. A column carried
-    in with entries set waits for its unset rows' first rings only.
-    Returns the fill times and, under ``carry``, the column states at the
-    window's end: row i is set in column j if it rang after the column's
-    last start.
+    The ``state`` is each row's last ring before the window, as time-sorted
+    ``(time, row)`` pairs, which go in front of the window's rings; each
+    column's last reset (-inf for none), where its carried epoch starts;
+    and a start's entries ``held[j, i]`` or ``None``. The epoch from s
+    fills at the first ring k after which every row has rung since s. Ring
+    j's row rings again at ring ``nxt[j]``, so that holds once k reaches
+    every ``nxt[j]`` with ring j at or before s (a prefix maximum read at s)
+    and every row's first ring. A column not reset since the start waits
+    for its rows not held only. Returns the fill times (before the window
+    for a column full when it begins) and the state at the window's end.
     """
-    N, M = filled.shape
+    past_t, past_row, reset_at, held = state
+    N = reset_at.size
+    ring_t = np.concatenate((past_t, ring_t))
+    ring_row = np.concatenate((past_row, ring_row))
+    starts = np.concatenate((reset_at, starts[N:]))
     n = ring_t.size
     order = np.argsort(ring_row, kind="stable")  # row by row, each in time order
     rows = ring_row[order]
@@ -633,19 +644,14 @@ def _ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, carry):
     ring_at = np.append(ring_t, np.inf)
     after = np.searchsorted(ring_t, starts, "right")  # each epoch's first ring
     fill = ring_at[np.maximum(waits[after], firsts.max() if rung.size == M else n)]
-    if filled.any():
+    if held is not None:
         first_at = np.full(M, np.inf)
         first_at[rung] = ring_t[firsts]
-        fill[:N] = np.where(filled, t0, first_at).max(axis=1)
-    if not carry:
-        return fill, None
-    last_ring = np.full(M, -1)
-    last_ring[rung] = lasts
-    filled_next = np.empty_like(filled)
-    filled_next[cols[last]] = last_ring >= after[last, None]
-    kept = last[:N]  # columns not reset in the window
-    filled_next[kept] |= filled[kept]
-    return fill, filled_next
+        fill[:N] = np.where(reset_at == -np.inf, np.where(held, -np.inf, first_at).max(axis=1), fill[:N])
+    reset_at = np.empty(N)
+    reset_at[cols[last]] = starts[last]
+    past = np.sort(lasts)
+    return fill, (ring_t[past], ring_row[past], reset_at, held)
 
 
 def _count_series(initial: int, gains, losses) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -113,6 +114,33 @@ class TestConfigValidation:
         for kw in (dict(horizon=5.0), dict()):
             with pytest.raises(ValueError, match="state alone"):
                 simulate_matrix(params, SimulationConfig(master_seed=1, **kw))
+
+    def test_entry_clock_state_beyond_cell_cap_rejected(self):
+        # With entry clocks the state is N x M: 2 x 10^8 cells here, though
+        # M + N is 3 x 10^4; refused before any of it is allocated.
+        params = MatrixParams(M=20000, N=10000, p=0.3, lambda_m=1.0)
+        for kw in (dict(horizon=5.0), dict()):
+            with pytest.raises(ValueError, match="state alone"):
+                simulate_matrix(params, SimulationConfig(master_seed=1, **kw))
+
+    def test_lambda_zero_state_is_one_cell_per_row_and_column(self):
+        # At lambda_m = 0 from the empty matrix the state is each row's last
+        # ring and each column's last reset, M + N = 2 x 10^5 cells where N*M
+        # would be 10^10. A run to a horizon of 2000 (about 2000 rings and
+        # resets, one window) takes under a second and 64 MB.
+        params = MatrixParams(M=10**5, N=10**5, p=0.5)
+        cfg = SimulationConfig(master_seed=1, horizon=2000.0)
+        began = time.perf_counter()
+        traj = simulate_matrix(params, cfg)
+        assert time.perf_counter() - began < 1.0
+        assert traj.end_time == 2000.0 and traj.tau is None and traj.end_value == 0
+        tracemalloc.start()
+        try:
+            simulate_matrix(params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_matrix_horizon_without_entry_clocks_costs_its_events(self):
         # At lambda_m = 0 a window costs its q + p = 1 rings and resets per
@@ -635,11 +663,11 @@ def _reference_runs(params, seed, n, start=None, **kw):
     ]
 
 
-def _assert_hit_law_matches_reference(params, seed, past):
-    """1500 hit runs, most of them past time ``past``, against 600 reference
-    runs: KS on ``tau``, z < 4 on ``n_events`` and ``end_value``."""
-    fast = _runs(params, seed, 1500)
-    slow = _reference_runs(params, seed + 1, 600)
+def _assert_hit_law_matches_reference(params, seed, past, start=None):
+    """1500 hit runs from ``start``, most of them past time ``past``, against
+    600 reference runs: KS on ``tau``, z < 4 on ``n_events`` and ``end_value``."""
+    fast = _runs(params, seed, 1500, start=start)
+    slow = _reference_runs(params, seed + 1, 600, start=start)
     taus = np.array([t.tau for t in fast])
     assert np.mean(taus > past) > 0.5
     _, p_value = ks_2samp(taus, [t.tau for t in slow])
@@ -745,8 +773,12 @@ class TestEpochPath:
 
     def test_ring_fill_matches_a_row_by_row_scan(self):
         # At lambda_m = 0 the prefix-maximum search must give every epoch the
-        # fill time, and every column the state at the window's end, that a
-        # scan of each row's first ring after the epoch's start gives.
+        # fill time, and every column the entries at the window's end, that a
+        # scan of each row's first ring after the epoch's start gives. The
+        # state carried in is each row's last ring before t0, each column's
+        # last reset before t0 (-inf for none) and a start's entries, held
+        # in the columns not reset since; entry (i, j) is one iff row i rang
+        # after column j's last reset, or it is held.
         rng = np.random.default_rng(5)
         t0, t1 = 0.0, 10.0
         for _ in range(300):
@@ -757,16 +789,31 @@ class TestEpochPath:
             starts = np.concatenate((np.full(N, t0), reset_t))
             cols = np.concatenate((np.arange(N), rng.integers(0, N, reset_t.size)))
             last = np.array([not np.any((cols == c) & (starts > s)) for s, c in zip(starts, cols)])
-            filled = rng.random((N, M)) < rng.choice([0.0, 0.5])
-            fill, carried = simulate_module._ring_fill(filled, ring_t, ring_row, starts, cols, last, t0, True)
+            past_row = rng.permutation(M)[: int(rng.integers(0, M + 1))].astype(np.uint16)
+            past_t = np.sort(rng.uniform(t0 - 5.0, t0, past_row.size))
+            reset_at = np.where(rng.random(N) < 0.5, rng.uniform(t0 - 5.0, t0, N), -np.inf)
+            held = None if rng.random() < 0.5 else rng.random((N, M)) < rng.choice([0.0, 0.5, 1.0])
+            state = (past_t, past_row, reset_at, held)
+            fill, (end_t, end_row, end_reset, end_held) = simulate_module._ring_fill(
+                M, state, ring_t, ring_row, starts, cols, last
+            )
+            all_t, all_row = np.concatenate((past_t, ring_t)), np.concatenate((past_row, ring_row))
             for b, (s, c) in enumerate(zip(starts, cols)):
+                if b < N:
+                    s = reset_at[b]
                 set_at = [
-                    t0 if b < N and filled[b, i] else min(ring_t[(ring_row == i) & (ring_t > s)], default=math.inf)
+                    -math.inf if b < N and s == -math.inf and held is not None and held[b, i]
+                    else min(all_t[(all_row == i) & (all_t > s)], default=math.inf)
                     for i in range(M)
                 ]
                 assert fill[b] == max(set_at)
                 if last[b]:
-                    assert list(carried[c]) == [x < t1 for x in set_at]
+                    assert end_reset[c] == s
+                    rang = [max(end_t[end_row == i], default=-math.inf) > s for i in range(M)]
+                    kept = [end_held is not None and s == -math.inf and end_held[c, i] for i in range(M)]
+                    assert [r or k for r, k in zip(rang, kept)] == [x < t1 for x in set_at]
+            assert (np.diff(end_t) >= 0).all() and sorted(end_row.tolist()) == sorted(set(all_row.tolist()))
+            assert all(end_t[end_row == i].item() == all_t[all_row == i].max() for i in end_row)
 
     def test_first_full_column_law_across_windows(self, monkeypatch):
         # Hit windows of 16, 32, 64, 64, ... cells, each about one time unit
@@ -775,6 +822,19 @@ class TestEpochPath:
         monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
         _assert_hit_law_matches_reference(MatrixParams(M=6, N=3, p=0.6), 5350, past=16 + 32)
+
+    def test_first_full_column_law_from_a_start_across_windows(self, monkeypatch):
+        # Every column starts full but for row 0, which rings at q/M = 1/16
+        # while each column resets at p/N = 1/16: a run mostly ends at row
+        # 0's first ring, median near 11, when every column not reset by then
+        # fills at once. Hit windows of 2, 4, 4, ... time units, so most runs
+        # carry the start's entries into a third window or later.
+        monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 2)
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 4)
+        entries = np.ones((8, 8), dtype=np.uint8)
+        entries[0] = 0
+        start = MatrixState.from_entries(entries)
+        _assert_hit_law_matches_reference(MatrixParams(M=8, N=8, p=0.5), 5390, past=2 + 4, start=start)
 
     def test_first_full_column_law_across_entry_clock_windows(self, monkeypatch):
         # As above with entry clocks: hit windows of 4.5, 9 and 16 time
