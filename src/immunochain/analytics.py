@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import MatrixParams, SingleColumnParams
+from .models import MatrixParams, SingleColumnParams, _as_float
 
 __all__ = [
     "ClosedFormReport",
@@ -437,7 +437,7 @@ def identify_parameters(
         raise ValueError(f"p_d must lie in (0, 1), got {p_d!r}")
     if p_m < 0:
         raise ValueError(f"p_m must be nonnegative, got {p_m!r}")
-    lam = p_m * M
-    single = SingleColumnParams(M=M, alpha=1.0 + lam, p=p_d / N)
+    lam = _as_float(p_m, "p_m") * _as_float(M, "M")
+    single = SingleColumnParams(M=M, alpha=1.0 + lam, p=p_d / _as_float(N, "N"))
     matrix = MatrixParams(M=M, N=N, p=p_d, lambda_m=lam)
     return single, matrix

@@ -6,10 +6,15 @@ with CLI flags taking precedence. Rates come raw (``p``, ``lambda_m``,
 ``analytics.identify_parameters`` maps the latter to ``p = pd`` and
 ``lambda_m = pm*M`` for the matrix, ``p = pd/N`` and ``alpha = 1 + pm*M``
 for a single column. A raw rate the model has no use for (``alpha`` on
-the matrix, ``lambda_m`` on a single column) is refused. Outputs are a
-JSON summary (with the resolved config echoed back, so a run can be
-reproduced from its own summary) and CSV time series with a versioned
-schema header. All output is deterministic in (config, seed).
+the matrix, ``lambda_m`` on a single column) is refused.
+
+Each command's handler computes and returns ``(summary, tables)``: the
+summary without its config, and each CSV table as ``(file name, schema,
+header, rows)``. :func:`run_experiment` alone writes them: ``summary.json``,
+with the resolved config echoed back so that a run can be reproduced from
+its own summary, and each table under a versioned schema header.
+``verify`` writes no file; its handler yields one ``(name, max_err, tol)``
+per check. All output is deterministic in (config, seed).
 
 Exit codes: 0 success, 1 invalid configuration, 2 I/O failure,
 3 internal consistency check failed (oracle mismatch beyond tolerance).
@@ -29,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, oracle, reversal
-from .models import MatrixParams, SingleColumnParams
+from .models import MatrixParams, SingleColumnParams, _as_float
 from .rng import replicate_rng
 from .simulate import SimulationConfig, check_batch_size, simulate_matrix, simulate_single_column
 from .stats import empirical_tv, estimate_mean
@@ -97,7 +102,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown observables {sorted(unknown)}; known: {list(_OBSERVABLES)}")
             if self.format == "json" and "series" in self.outputs:
                 raise ValueError("a series is written only as series.csv; give format: csv to get it")
-        if self.horizon is not None and not 0 < self.horizon < math.inf:
+        if self.horizon is not None and not 0 < _as_float(self.horizon, "horizon") < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         raw = (self.p, self.lambda_m, self.alpha)
         if (self.pd is not None or self.pm is not None) and any(v is not None for v in raw):
@@ -148,44 +153,33 @@ def _float_repr(x) -> str:
     return str(x)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
-    lines = [f"# schema={schema} columns={','.join(header)}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_float_repr(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    lines = [f"# schema={schema} columns={','.join(header)}", ",".join(header)]
+    lines.extend(",".join(_float_repr(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _cmd_analyze(config: ExperimentConfig) -> int:
+def _cmd_analyze(config: ExperimentConfig) -> tuple[dict, list]:
     params = config.params()
-    out: dict = {"config": asdict(config)}
     if config.model == MODEL_MATRIX:
-        out["parameters"] = {
-            "M": params.M, "N": params.N, "p": params.p, "q": params.q,
-            "lambda_m": params.lambda_m, "q_tilde": params.q_tilde,
-            "b": params.b, "b_tilde": params.b_tilde,
+        summary = {
+            "parameters": {
+                "M": params.M, "N": params.N, "p": params.p, "q": params.q,
+                "lambda_m": params.lambda_m, "q_tilde": params.q_tilde,
+                "b": params.b, "b_tilde": params.b_tilde,
+            },
+            **analytics.predictions(params, analytics.MATRIX_FORMULAS),
+            "steady_allones_probability": analytics.steady_allones_probability(params),
+            "transition_time_prediction": analytics.transition_time_prediction(params),
         }
-        out.update(analytics.predictions(params, analytics.MATRIX_FORMULAS))
-        out["steady_allones_probability"] = analytics.steady_allones_probability(params)
-        out["transition_time_prediction"] = analytics.transition_time_prediction(params)
     else:
-        out["parameters"] = {
-            "M": params.M, "alpha": params.alpha, "p": params.p, "q": params.q, "a": params.a,
+        summary = {
+            "parameters": {"M": params.M, "alpha": params.alpha, "p": params.p, "q": params.q, "a": params.a},
+            **analytics.predictions(params, analytics.COLUMN_FORMULAS),
         }
-        out.update(analytics.predictions(params, analytics.COLUMN_FORMULAS))
         if params.M <= 512:
-            out["invariant_pmf"] = list(analytics.invariant_pmf(params))
-    _write_summary(Path(config.out) / "summary.json", out)
-    return 0
+            summary["invariant_pmf"] = list(analytics.invariant_pmf(params))
+    return summary, []
 
 
 def _replicates(config: ExperimentConfig, command: str) -> int:
@@ -197,7 +191,7 @@ def _replicates(config: ExperimentConfig, command: str) -> int:
     return config.replicates
 
 
-def _cmd_simulate(config: ExperimentConfig) -> int:
+def _cmd_simulate(config: ExperimentConfig) -> tuple[dict, list]:
     n = _replicates(config, "simulate")
     want_series = config.format == "csv" and config.wants("series")
     # A single column's hit run writes its column-complete indicator, 0 until
@@ -233,7 +227,7 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
             )
 
     finite = [t for t in taus if t is not None]
-    summary = {"config": asdict(config), **analytics.predictions(params, formulas)}
+    summary = analytics.predictions(params, formulas)
     if config.wants("taus"):
         summary["taus"] = taus
         summary["n_missing_tau"] = len(taus) - len(finite)
@@ -241,15 +235,11 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
             summary["tau_mean"] = asdict(estimate_mean(finite, master_seed=config.seed))
     if config.wants("counts"):
         summary["end_values"] = end_values
-    out_dir = Path(config.out)
-    _write_summary(out_dir / "summary.json", summary)
-    if want_series:
-        _write_csv(out_dir / "series.csv", SERIES_SCHEMA,
-                   ["time", "all_ones_count", "replicate"], rows)
-    return 0
+    series = ("series.csv", SERIES_SCHEMA, ["time", "all_ones_count", "replicate"], rows)
+    return summary, [series] if want_series else []
 
 
-def _cmd_sample_steady(config: ExperimentConfig) -> int:
+def _cmd_sample_steady(config: ExperimentConfig) -> tuple[dict, list]:
     if config.model != MODEL_MATRIX:
         raise ValueError("sample-steady applies to the matrix model")
     n = _replicates(config, "sample-steady")
@@ -257,20 +247,17 @@ def _cmd_sample_steady(config: ExperimentConfig) -> int:
     counts = np.empty(n, dtype=np.int64)
     for r in range(n):
         counts[r] = reversal.sample_invariant_count(params, replicate_rng(config.seed, r))
-    summary = {"config": asdict(config), **analytics.predictions(params, analytics.STEADY_COUNT_FORMULAS)}
+    summary = analytics.predictions(params, analytics.STEADY_COUNT_FORMULAS)
     if n >= 2:
         summary["all_ones_count_mean"] = asdict(estimate_mean(counts, master_seed=config.seed))
-    out_dir = Path(config.out)
-    _write_summary(out_dir / "summary.json", summary)
-    if config.format == "csv":
-        _write_csv(out_dir / "samples.csv", STEADY_SAMPLES_SCHEMA,
-                   ["replicate", "all_ones_count"],
-                   [(r, int(c)) for r, c in enumerate(counts)])
-    return 0
+    rows = [(r, int(c)) for r, c in enumerate(counts)]
+    samples = ("samples.csv", STEADY_SAMPLES_SCHEMA, ["replicate", "all_ones_count"], rows)
+    return summary, [samples] if config.format == "csv" else []
 
 
-def emit_figure_data(config: ExperimentConfig) -> int:
-    """Write the two figure CSVs: count-vs-time and predicted-tau-vs-pm."""
+def emit_figure_data(config: ExperimentConfig) -> tuple[dict, list]:
+    """The figure-data handler: the count-vs-time and predicted-tau-vs-pm
+    tables, and the matrix predictions as the summary."""
     if config.model != MODEL_MATRIX:
         raise ValueError("figure-data applies to the matrix model")
     n = _replicates(config, "figure-data")
@@ -288,37 +275,24 @@ def emit_figure_data(config: ExperimentConfig) -> int:
 
     t_pred = analytics.transition_time_prediction(params)
     steady = analytics.steady_allones_count(params, "exact")
-    out_dir = Path(config.out)
-    _write_csv(
-        out_dir / "figure_counts.csv", FIGURE_COUNTS_SCHEMA,
+    counts = (
+        "figure_counts.csv", FIGURE_COUNTS_SCHEMA,
         ["time", "mean_all_ones_count", "predicted_transition_time", "predicted_steady_count"],
         [(float(t), float(c), t_pred, steady) for t, c in zip(grid, mean_counts)],
     )
-
     pm_grid = np.logspace(-4, -1, 50)
     rows = []
     for pm in pm_grid:
         lam = pm * params.M
         scaled = MatrixParams(M=params.M, N=params.N, p=params.p, lambda_m=lam)
         rows.append((float(pm), analytics.transition_time_prediction(scaled)))
-    _write_csv(out_dir / "figure_transition_vs_pm.csv", FIGURE_PM_SCHEMA,
-               ["p_m", "predicted_transition_time"], rows)
-
-    summary = {"config": asdict(config), **analytics.predictions(params, analytics.MATRIX_FORMULAS)}
-    _write_summary(out_dir / "summary.json", summary)
-    return 0
+    by_pm = ("figure_transition_vs_pm.csv", FIGURE_PM_SCHEMA, ["p_m", "predicted_transition_time"], rows)
+    return analytics.predictions(params, analytics.MATRIX_FORMULAS), [counts, by_pm]
 
 
-def _cmd_verify(config: ExperimentConfig) -> int:
-    """Cross-check closed forms and the sampler against the oracle."""
-    failures: list[str] = []
-
-    def check(name: str, err: float, tol: float) -> None:
-        status = "ok" if err <= tol else "FAIL"
-        print(f"verify {name}: max_err={err:.3e} tol={tol:.0e} {status}")
-        if err > tol:
-            failures.append(name)
-
+def _verify_checks(config: ExperimentConfig):
+    """Each cross-check of closed forms and the sampler against the oracle,
+    as ``(name, max_err, tol)``."""
     alphas = (0.5, 1.0, 2.0)
     ps = (0.1, 0.5, 0.9)
 
@@ -330,7 +304,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
                 pi = analytics.invariant_pmf(params)
                 ref = oracle.stationary_solve(oracle.single_column_generator(params))
                 worst = max(worst, float(np.max(np.abs(pi - ref) / np.maximum(ref, 1e-300))))
-    check("invariant-pmf-vs-oracle", worst, 1e-10)
+    yield "invariant-pmf-vs-oracle", worst, 1e-10
 
     worst = 0.0
     for M in (1, 2, 4, 8, 16, 32, 64):
@@ -340,13 +314,13 @@ def _cmd_verify(config: ExperimentConfig) -> int:
                 means = analytics.hitting_time_means_exact(params)[:M]
                 ref = oracle.single_column_hitting_means(params)
                 worst = max(worst, float(np.max(np.abs(means - ref) / ref)))
-    check("hitting-mean-vs-oracle", worst, 1e-9)
+    yield "hitting-mean-vs-oracle", worst, 1e-9
 
     worst = 0.0
     for N in range(1, 6):
         for k in range(0, 11):
             worst = max(worst, abs(analytics.coupon_done_by_draws(N, k) - float(oracle.coupon_enumerate(N, k))))
-    check("coupon-vs-enumeration", worst, 1e-12)
+    yield "coupon-vs-enumeration", worst, 1e-12
 
     worst = 0.0
     laws = {}
@@ -355,19 +329,13 @@ def _cmd_verify(config: ExperimentConfig) -> int:
         laws[lam] = pi = oracle.stationary_solve(oracle.matrix_generator(params))
         all_ones = (1 << (params.M * params.N)) - 1
         worst = max(worst, abs(pi[all_ones] - analytics.steady_allones_probability(params)))
-    check("steady-probability-vs-oracle", worst, 1e-10)
+    yield "steady-probability-vs-oracle", worst, 1e-10
 
     n_draws = 100_000
     counts = reversal.sample_invariant_histogram(
         MatrixParams(M=2, N=1, p=0.5, lambda_m=0.0), n_draws, master_seed=config.seed
     )
-    tv = empirical_tv(counts / n_draws, laws[0.0])
-    check("reversal-sampler-tv", tv, 0.02)
-
-    if failures:
-        raise VerificationError(f"oracle cross-checks failed: {failures}")
-    print("verify: all checks passed")
-    return 0
+    yield "reversal-sampler-tv", empirical_tv(counts / n_draws, laws[0.0]), 0.02
 
 
 # Each subcommand's help line and handler, in the order --help lists them.
@@ -375,7 +343,7 @@ _COMMANDS = {
     "simulate": ("run replicated chain simulations", _cmd_simulate),
     "sample-steady": ("draw stationary matrices with the reversal sampler", _cmd_sample_steady),
     "analyze": ("emit closed-form predictions without simulating", _cmd_analyze),
-    "verify": ("cross-check closed forms and sampler against the oracle", _cmd_verify),
+    "verify": ("cross-check closed forms and sampler against the oracle", _verify_checks),
     "figure-data": ("emit CSV data for the count-vs-time and tau-vs-pm figures", emit_figure_data),
 }
 
@@ -435,9 +403,35 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def run_experiment(command: str, config: ExperimentConfig) -> int:
+    """Run ``command`` and report what its handler returns.
+
+    ``verify`` prints one line per check and raises ``VerificationError``
+    if any failed. Every other command returns its summary and its CSV
+    tables, which are written here and only here: ``summary.json``, with
+    the config echoed, and each table under its file name.
+    """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    return _COMMANDS[command][1](config)
+    handler = _COMMANDS[command][1]
+    if command == "verify":
+        failures = []
+        for name, err, tol in handler(config):
+            ok = err <= tol
+            print(f"verify {name}: max_err={err:.3e} tol={tol:.0e} {'ok' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(name)
+        if failures:
+            raise VerificationError(f"oracle cross-checks failed: {failures}")
+        print("verify: all checks passed")
+        return 0
+    summary, tables = handler(config)
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = {"config": asdict(config), **summary}
+    (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    for name, schema, header, rows in tables:
+        _write_csv(out_dir / name, schema, header, rows)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -31,6 +31,14 @@ import numpy as np
 __all__ = ["SingleColumnParams", "MatrixParams", "MatrixState"]
 
 
+def _as_float(value, name: str) -> float:
+    """A parameter as a float; ``ValueError`` for an integer beyond double precision."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} has {len(str(value))} digits, beyond double precision") from None
+
+
 @dataclass(frozen=True)
 class SingleColumnParams:
     """Validated parameters of the single-column chain.
@@ -52,7 +60,7 @@ class SingleColumnParams:
     def __post_init__(self):
         if not isinstance(self.M, (int, np.integer)) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
+        if not (np.isfinite(_as_float(self.alpha, "alpha")) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must lie strictly in (0, 1), got {self.p!r}")
@@ -65,8 +73,9 @@ class SingleColumnParams:
 
     @property
     def a(self) -> float:
-        """Balance exponent p*M / (alpha*q); controls the zeros/ones regime."""
-        return self.p * self.M / (self.alpha * self.q)
+        """Balance exponent p*M / (alpha*q); controls the zeros/ones regime.
+        ``ValueError`` for an M beyond double precision."""
+        return self.p * _as_float(self.M, "M") / (self.alpha * self.q)
 
     @property
     def uniformization_rate(self) -> float:
@@ -91,7 +100,8 @@ class MatrixParams:
     """Validated parameters of the M x N matrix chain.
 
     ``lambda_m`` is the per-entry learning rate (the mutation channel);
-    ``lambda_m = 0`` switches that channel off entirely.
+    ``lambda_m = 0`` switches that channel off entirely. ``b`` and
+    ``b_tilde`` raise ``ValueError`` for an M or N beyond double precision.
     """
 
     M: int
@@ -106,7 +116,7 @@ class MatrixParams:
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must lie strictly in (0, 1), got {self.p!r}")
-        if not (np.isfinite(self.lambda_m) and self.lambda_m >= 0):
+        if not (np.isfinite(_as_float(self.lambda_m, "lambda_m")) and self.lambda_m >= 0):
             raise ValueError(f"lambda_m must be nonnegative, got {self.lambda_m!r}")
 
     @property
@@ -120,11 +130,14 @@ class MatrixParams:
 
     @property
     def b(self) -> float:
-        return self.p * self.M / (self.q * self.N)
+        return self._balance(self.q)
 
     @property
     def b_tilde(self) -> float:
-        return self.p * self.M / (self.q_tilde * self.N)
+        return self._balance(self.q_tilde)
+
+    def _balance(self, fill_rate: float) -> float:
+        return self.p * _as_float(self.M, "M") / (fill_rate * _as_float(self.N, "N"))
 
     @property
     def total_rate(self) -> float:

@@ -6,13 +6,14 @@ experiment with master seed ``s`` draws from the PCG64 stream that
 are a pure function of ``(master_seed, replicate_index)`` and never depend
 on the order in which replicates run.
 
-The package does not build that ``SeedSequence``. It computes the four
-64-bit words PCG64 reads from it directly, with the same hash: the master
-seed's mixed entropy pool once per seed, then the spawn-key mixing and the
-output words for a block of ``_BLOCK`` consecutive replicate indices in one
-vectorised ``uint32`` pass. numpy keeps the ``SeedSequence`` algorithm
-fixed under its stream-compatibility policy (NEP 19), and the tests check
-the streams against numpy's ``SeedSequence`` itself.
+The package does not build that ``SeedSequence`` per replicate. It reads
+the master seed's mixed entropy pool from ``SeedSequence(s)`` once per
+seed, then computes the spawn-key mixing and the four 64-bit words PCG64
+reads, with the same hash, for a block of ``_BLOCK`` consecutive replicate
+indices in one vectorised ``uint32`` pass. numpy keeps the
+``SeedSequence`` algorithm fixed under its stream-compatibility policy
+(NEP 19), and the tests check the streams against numpy's
+``SeedSequence`` itself.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 # numpy loads ``numpy.random`` on first attribute access; importing it here
 # keeps that cost in the package import instead of a run's first replicate.
-from numpy.random import PCG64, Generator
+from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 _MAX_SEED = 2**64
@@ -79,17 +80,11 @@ _OUT_XOR, _OUT_MUL = (np.array(c, dtype=np.uint32)[:, None] for c in _hash_const
 def _seed_pool(master_seed: int) -> tuple[int, ...]:
     """The entropy pool after mixing the master seed, before the spawn key.
 
-    With a spawn key present, SeedSequence pads the seed's 32-bit words
-    with zeros to the pool size, so a seed of one or of two words gives
-    the same four inputs.
+    SeedSequence mixes the seed's 32-bit words, padded with zeros to the
+    pool size, before any spawn key, so this is the pool of the seed's own
+    SeedSequence.
     """
-    steps = zip(*_hash_consts(_INIT_A, _MULT_A, 0, _SEED_STEPS))
-    pool = [_hashmix(w, *next(steps)) for w in (master_seed & _MASK32, master_seed >> 32, 0, 0)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-    return tuple(pool)
+    return tuple(int(w) for w in SeedSequence(master_seed).pool)
 
 
 # A run walks its replicates in order, so one 8 KB block is in use at a

@@ -54,7 +54,7 @@ the tests compare these constructions against.
 
 A run or batch whose work :func:`check_budget` refuses raises
 ``ValueError`` before it starts; the functions below say what each is
-charged. Counted climbs are not capped.
+charged. Counted climbs are charged their table levels only.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -71,7 +71,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import analytics
-from .models import MatrixParams, MatrixState, SingleColumnParams
+from .models import MatrixParams, MatrixState, SingleColumnParams, _as_float
 from .rng import replicate_rng
 
 __all__ = [
@@ -154,7 +154,7 @@ class SimulationConfig:
     record_series: bool = False
 
     def __post_init__(self):
-        if self.horizon is not None and not 0 < self.horizon < math.inf:
+        if self.horizon is not None and not 0 < _as_float(self.horizon, "horizon") < math.inf:
             raise ValueError(f"horizon must be positive and finite when given, got {self.horizon!r}")
 
 
@@ -214,7 +214,8 @@ def _column_tables(params: SingleColumnParams) -> _ColumnTables:
     for frac in up_frac:
         reach.append(reach[-1] * frac)
     fail = np.array([reach[k] * params.p * inv_total[k] for k in range(1, M)])
-    if fail.size:
+    # Where every failure underflows to 0, reach[M] is 1 and no climb fails.
+    if fail.sum() > 0:
         fail /= fail.sum()
     inv_total_array, neg_log_reach = np.array(inv_total), np.cumsum(-np.log([1.0, 1.0, *up_frac]))
     for array in (inv_total_array, neg_log_reach, fail):
@@ -240,14 +241,16 @@ def simulate_single_column(
     and ``n_events`` come out; every other run lays them out. A run
     without a horizon raises ``ValueError`` when a climb from 0 reaches M
     with probability below ``MIN_REACH_PROBABILITY`` (no run could count
-    that many climbs), and a laid-out run when :func:`check_budget` refuses
-    its expected events, ``alpha*q + p`` per unit time up to its horizon or
-    its exact mean hitting time.
+    that many climbs). :func:`check_budget` charges every run its ``M + 1``
+    table levels, and a laid-out run its expected events, ``alpha*q + p``
+    per unit time up to its horizon or its exact mean hitting time.
     """
     M = params.M
     if not 0 <= start <= M:
         raise ValueError(f"start must lie in [0, {M}], got {start!r}")
 
+    # The tables hold M + 1 levels, so they are charged before they are built.
+    check_budget(M + 1, "table levels", "shrink M")
     horizon = config.horizon
     rng = replicate_rng(config.master_seed, config.replicate_index)
     tables = _column_tables(params)
@@ -619,8 +622,10 @@ def _ring_fill(M, state, ring_t, ring_row, starts, cols, last):
     j's row rings again at ring ``nxt[j]``, so that holds once k reaches
     every ``nxt[j]`` with ring j at or before s (a prefix maximum read at s)
     and every row's first ring. A column not reset since the start waits
-    for its rows not held only. Returns the fill times (before the window
-    for a column full when it begins) and the state at the window's end.
+    for its rows not held only, until every row has rung since the start or
+    every column has reset; then ``held`` is dropped. Returns the fill times
+    (before the window for a column full when it begins) and the state at
+    the window's end.
     """
     past_t, past_row, reset_at, held = state
     N = reset_at.size
@@ -650,6 +655,8 @@ def _ring_fill(M, state, ring_t, ring_row, starts, cols, last):
         fill[:N] = np.where(reset_at == -np.inf, np.where(held, -np.inf, first_at).max(axis=1), fill[:N])
     reset_at = np.empty(N)
     reset_at[cols[last]] = starts[last]
+    if held is not None and (rung.size == M or reset_at.min() > -np.inf):
+        held = None  # every row has rung since the start, or every column reset: held sets no entry
     past = np.sort(lasts)
     return fill, (ring_t[past], ring_row[past], reset_at, held)
 

@@ -1,23 +1,30 @@
 """CLI contract: exit codes, determinism, file schemas, round-trips."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import immunochain
+from immunochain import simulate as simulate_module
 from immunochain.analytics import hitting_time_mean_exact
 from immunochain.cli import _FIELD_TYPES, ExperimentConfig, build_parser, main
 from immunochain.models import SingleColumnParams
-from immunochain.simulate import SimulationConfig, simulate_single_column
+from immunochain.simulate import MAX_EXPECTED_EVENTS, SimulationConfig, simulate_single_column
 
 
 def run(args):
@@ -478,6 +485,11 @@ EXTREME_INPUTS = [
     (["simulate", *MATRIX, "--M", "3", "--N", str(10**400), "--p", "0.3", "--replicates", "1", "--horizon", "5"], 1),
     (["simulate", *MATRIX, "--M", "3", "--N", "2", "--p", "0.3", "--replicates", str(10**400), "--horizon", "5"], 1),
     (["figure-data", *MATRIX, "--M", "64", "--N", "1", "--p", "0.99", "--replicates", "1", "--horizon", "10"], 0),
+    # A size beyond any float has no balance exponent; a single column of
+    # that size would build its level tables for ever.
+    (["analyze", *MATRIX, "--M", "3", "--N", str(10**400), "--p", "0.3"], 1),
+    (["analyze", *SINGLE, "--M", str(10**400), "--p", "0.5"], 1),
+    (["simulate", *SINGLE, "--M", str(10**400), "--p", "0.5", "--replicates", "1"], 1),
 ]
 
 
@@ -513,6 +525,18 @@ def test_steady_draw_beyond_the_clock_cap_is_refused_at_once(tmp_path, capsys):
     # Three rows by 10^9 columns: a draw would take about 29 GB of clocks.
     _assert_refused_at_once(["sample-steady", *MATRIX, "--M", "3", "--N", "1000000000", "--p", "0.3",
                              "--replicates", "2", "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("M", [MAX_EXPECTED_EVENTS, 10**400])
+def test_single_column_tables_beyond_the_cap_are_never_built(tmp_path, capsys, monkeypatch, M):
+    # The M + 1 table levels are charged before the tables are built, so
+    # the refusal never waits on lists over range(M + 1).
+    def built(params):
+        raise AssertionError(f"level tables built at M={params.M}")
+
+    monkeypatch.setattr(simulate_module, "_column_tables", built)
+    _assert_refused_at_once(["simulate", *SINGLE, "--M", str(M), "--p", "0.5", "--replicates", "1",
+                             "--out", str(tmp_path)], capsys)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sample-steady", "figure-data"])
@@ -594,3 +618,52 @@ class TestParser:
         assert main(["analyze", *MATRIX, "--M", "4", "--N", "2", "--p", "0.3",
                      "--out", str(tmp_path)]) == 0
         assert read_summary(tmp_path)["config"]["M"] == 4
+
+
+# A runnable config with 0-2 keys overwritten by values of every JSON
+# type. Numbers come from fixed sets, so that no horizon or rate asks for
+# real work: every size is 1..8 or beyond any float, and a batch holds at
+# most 2 replicates (or 10^400, refused).
+_ANY_VALUE = st.one_of(
+    st.integers(-1, 2),
+    st.just(10**400),
+    st.sampled_from([0.0, 0.5, 2.5, -1.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "matrix", "single-column", "csv", "json", "0.5"]),
+    st.booleans(),
+    st.lists(st.sampled_from(["taus", "counts", "series", "everything"]), max_size=3),
+    st.none(),
+)
+_RUNNABLE = st.fixed_dictionaries(
+    {
+        "model": st.sampled_from(["matrix", "single-column"]),
+        "M": st.one_of(st.integers(1, 8), st.just(10**400)),
+        "N": st.one_of(st.integers(1, 8), st.just(10**400)),
+        "p": st.sampled_from([0.1, 0.5, 5e-324]),
+        "replicates": st.integers(1, 2),
+    },
+    optional={
+        "lambda_m": st.sampled_from([0.0, 0.5, 2.5, 1e308]),
+        "alpha": st.sampled_from([0.5, 2.5, 1e308]),
+        "horizon": st.sampled_from([5e-324, 0.5, 2.5]),
+        "seed": st.sampled_from([0, 3, 2**64 - 1]),
+        "format": st.sampled_from(["csv", "json"]),
+        "outputs": st.lists(st.sampled_from(["taus", "counts", "series"]), max_size=3),
+    },
+)
+_OVERWRITES = st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
+                              _ANY_VALUE, max_size=2)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(config=_RUNNABLE, overwrites=_OVERWRITES)
+def test_any_config_file_exits_with_a_documented_code(config, overwrites):
+    # Whatever a config file holds, every command that reads one ends with
+    # exit 0-3 and never with a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**config, **overwrites}))
+        for command in ("analyze", "simulate", "sample-steady", "figure-data"):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                returned = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            assert "Traceback" not in err.getvalue()
+            assert returned in (0, 1, 2, 3)

@@ -815,6 +815,31 @@ class TestEpochPath:
             assert (np.diff(end_t) >= 0).all() and sorted(end_row.tolist()) == sorted(set(all_row.tolist()))
             assert all(end_t[end_row == i].item() == all_t[all_row == i].max() for i in end_row)
 
+    def test_empty_start_state_is_dropped_once_every_row_has_rung(self, monkeypatch):
+        # At lambda_m = 0 a start's entries matter only in columns not reset
+        # since, and only for rows that have not rung since the start. Here
+        # every row has rung in the first of five 64-unit windows (each rings
+        # about 7.5 times there), so later windows carry no entries, and the
+        # empty matrix as a start gives the run from no start.
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
+        held_in = []
+        ring_fill = simulate_module._ring_fill
+
+        def recorded(M, state, *args):
+            held_in.append(state[3] is not None)
+            return ring_fill(M, state, *args)
+
+        monkeypatch.setattr(simulate_module, "_ring_fill", recorded)
+        params = MatrixParams(M=6, N=4, p=0.3)
+        config = SimulationConfig(master_seed=9, horizon=4.5 * 64, record_series=True)
+        plain = simulate_matrix(params, config)
+        assert not any(held_in)
+        held_in.clear()
+        started = simulate_matrix(params, config, start=MatrixState.zeros(6, 4))
+        assert held_in == [True, False, False, False, False]
+        for field in dataclasses.fields(Trajectory):
+            assert np.array_equal(getattr(started, field.name), getattr(plain, field.name)), field.name
+
     def test_first_full_column_law_across_windows(self, monkeypatch):
         # Hit windows of 16, 32, 64, 64, ... cells, each about one time unit
         # here, against a median hit near 120: the columns' states carry

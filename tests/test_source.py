@@ -16,15 +16,18 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _comparisons_reading(node: ast.AST, name: str, owner: str = "<module>"):
-    """The innermost function around each comparison that reads ``name``."""
+def _owners(node: ast.AST, match, owner: str = "<module>"):
+    """The innermost function around each node that ``match`` accepts."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _comparisons_reading(child, name, child.name)
-            continue
-        if isinstance(child, ast.Compare) and name in _identifiers(child):
-            yield owner
-        yield from _comparisons_reading(child, name, owner)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        if match(child):
+            yield inner
+        yield from _owners(child, match, inner)
+
+
+def _found(match) -> list[tuple[str, str]]:
+    """``(module, function)`` for each node of the package that ``match`` accepts."""
+    return sorted((path.stem, owner) for path in MODULES for owner in _owners(_parse(path), match))
 
 
 def _identifiers(tree: ast.AST) -> set[str]:
@@ -47,9 +50,26 @@ def _identifiers(tree: ast.AST) -> set[str]:
 def test_the_work_cap_is_compared_only_in_check_budget():
     # Every work limit goes through one function, which holds the only
     # comparison with the cap and the only shape of its message.
-    found = [(path.stem, owner) for path in MODULES
-             for owner in _comparisons_reading(_parse(path), "MAX_EXPECTED_EVENTS")]
-    assert found == [("simulate", "check_budget")]
+    def reads_the_cap(node):
+        return isinstance(node, ast.Compare) and "MAX_EXPECTED_EVENTS" in _identifiers(node)
+
+    assert _found(reads_the_cap) == [("simulate", "check_budget")]
+
+
+def test_run_experiment_is_the_only_writer():
+    # Handlers compute and return; one function writes summary.json, with
+    # the config echoed, and every CSV table, each through _write_csv.
+    def writes(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        return name in ("_write_csv", "write_text", "write_bytes", "open")
+
+    def names_the_summary(node):
+        return isinstance(node, ast.Constant) and node.value == "summary.json"
+
+    assert _found(writes) == [("cli", "_write_csv"), ("cli", "run_experiment"), ("cli", "run_experiment")]
+    assert _found(names_the_summary) == [("cli", "run_experiment")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
