@@ -172,8 +172,17 @@ def _hitting_steps(params: SingleColumnParams) -> np.ndarray:
 
 
 def hitting_time_means_exact(params: SingleColumnParams) -> np.ndarray:
-    """Expected continuous time to reach M from every start, as a vector."""
-    return _hitting_steps(params) / params.uniformization_rate
+    """Expected continuous time to reach M from every start, as a vector.
+
+    Raises ``ValueError`` where the mean from 0, the largest, leaves double
+    precision, as a slow enough uniformization rate makes it do.
+    """
+    rate = params.uniformization_rate
+    with np.errstate(over="ignore"):
+        means = _hitting_steps(params) / rate
+    if math.isinf(means[0]):
+        raise ValueError(f"{params}: the exact mean hitting time overflows double precision at rate {rate:.4g}")
+    return means
 
 
 def hitting_time_mean_exact(params: SingleColumnParams, start: int = 0) -> float:

@@ -11,8 +11,9 @@ climbs again. A climb from level ``lo`` gets to level k with probability
 ``reach[k] / reach[lo]``, so one uniform fixes its top level, and a
 level's holding time is exponential with its total rate whichever jump
 ends it. A hit run without a series counts its climbs: a geometric
-number fail before one succeeds, and each level's time is one gamma
-variate over its visits. Every other
+number fail before one succeeds, a multinomial gives how many reset from
+each level, a reverse running sum of those counts each level's visits,
+and each level's time is one gamma variate over its visits. Every other
 run lays its climbs out in windows (top levels, visited levels, one
 exponential per level, jump times by running sum), cut at the horizon or
 at the first jump to M; each window ends with a reset to 0.
@@ -54,7 +55,9 @@ the tests compare these constructions against.
 
 A run or batch whose work :func:`check_budget` refuses raises
 ``ValueError`` before it starts; the functions below say what each is
-charged. Counted climbs are charged their table levels only.
+charged. Counted climbs are charged their table levels only, and a
+single-column hit run that M is too rare for is refused from a closed
+form of ``reach[M]``, before its O(M) level tables are built.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -193,8 +196,11 @@ class _ColumnTables:
     ``reach[k]`` is the probability that a climb from 0 gets to level k,
     ``neg_reach`` its negation (ascending, for bisection), ``neg_log_reach``
     minus its logarithm, summed level by level so that it stays finite
-    where ``reach`` underflows to 0, and ``fail_law[k-1]`` the law of a
-    failed climb's top level k in 1..M-1.
+    where ``reach`` underflows to 0, and ``fail_law[k]`` the law of a
+    failed climb's top level k in 0..M-1 (0 at level 0, which a climb
+    from 0 always leaves upwards). numpy's multinomial draws one binomial
+    per category, none where the probability or the count left is 0, so
+    neither that entry nor a count of no failed climbs costs a draw.
     """
 
     inv_total: np.ndarray
@@ -207,6 +213,12 @@ class _ColumnTables:
 @lru_cache(maxsize=64)
 def _column_tables(params: SingleColumnParams) -> _ColumnTables:
     M = params.M
+    # The slowest levels below M are 0 (rate alpha*q) and M - 1 (alpha*q/M + p);
+    # 1/p at M may be inf, where a run stays past any horizon.
+    if not 1.0 / min(params.alpha * params.q, params.alpha * params.q / M + params.p) < math.inf:
+        raise ValueError(
+            f"{params}: a level's mean holding time overflows double precision; it is beyond simulation"
+        )
     up_rate = [params.alpha * params.q * (1.0 - k / M) for k in range(M + 1)]
     inv_total = [1.0 / (up_rate[k] + (params.p if k > 0 else 0.0)) for k in range(M + 1)]
     up_frac = [up_rate[k] * inv_total[k] for k in range(1, M)]
@@ -217,6 +229,7 @@ def _column_tables(params: SingleColumnParams) -> _ColumnTables:
     # Where every failure underflows to 0, reach[M] is 1 and no climb fails.
     if fail.sum() > 0:
         fail /= fail.sum()
+    fail = np.concatenate(([0.0], fail))
     inv_total_array, neg_log_reach = np.array(inv_total), np.cumsum(-np.log([1.0, 1.0, *up_frac]))
     for array in (inv_total_array, neg_log_reach, fail):
         array.flags.writeable = False
@@ -241,33 +254,79 @@ def simulate_single_column(
     and ``n_events`` come out; every other run lays them out. A run
     without a horizon raises ``ValueError`` when a climb from 0 reaches M
     with probability below ``MIN_REACH_PROBABILITY`` (no run could count
-    that many climbs). :func:`check_budget` charges every run its ``M + 1``
-    table levels, and a laid-out run its expected events, ``alpha*q + p``
-    per unit time up to its horizon or its exact mean hitting time.
+    that many climbs), found in O(1) before any table is built, and a
+    counted one when its time overflows double precision. Every run
+    raises it where a level's mean holding time does.
+    :func:`check_budget` charges every run its ``M + 1`` table levels, and
+    a laid-out run its expected events, ``alpha*q + p`` per unit time up to
+    its horizon or its exact mean hitting time, both before the tables
+    are built.
     """
     M = params.M
     if not 0 <= start <= M:
         raise ValueError(f"start must lie in [0, {M}], got {start!r}")
 
-    # The tables hold M + 1 levels, so they are charged before they are built.
+    # The tables hold M + 1 levels, so they are charged, and a run's other
+    # charges and a hit run's reach checked, before they are built.
     check_budget(M + 1, "table levels", "shrink M")
     horizon = config.horizon
+    hit = horizon is None and start < M
+    if hit and (log_reach := _log_hit_reach(params)) < math.log(MIN_REACH_PROBABILITY):
+        raise _unreachable(params, start, log_reach)
+    counted = hit and not config.record_series
+    if not counted:
+        span = _mean_hitting_time(params, start) if horizon is None else horizon
+        remedy = "drop the series or give a horizon" if horizon is None else "shorten the run"
+        check_budget(span * params.uniformization_rate, "expected events", remedy)
     rng = replicate_rng(config.master_seed, config.replicate_index)
     tables = _column_tables(params)
-    if horizon is None and start < M:
-        if tables.reach[M] < MIN_REACH_PROBABILITY:
-            raise ValueError(
-                f"{params}: a climb from 0 reaches M with probability {tables.reach[M]:.3g} "
-                f"(< {MIN_REACH_PROBABILITY:g}); the exact mean hitting time "
-                f"{analytics.hitting_time_mean_exact(params, start):.4g} is beyond simulation"
-            )
-        if not config.record_series:
-            return _regenerative_hit(tables, M, start, rng)
+    if not counted:
+        return _climbs(params, tables, start, config, rng)
+    run = _regenerative_hit(tables, M, start, rng)
+    if run.tau < math.inf:
+        return run
+    raise ValueError(f"{params}: the time to hit M from {start} overflows double precision; it is beyond simulation")
 
-    span = _mean_hitting_time(params, start) if horizon is None else horizon
-    remedy = "drop the series or give a horizon" if horizon is None else "shorten the run"
-    check_budget(span * params.uniformization_rate, "expected events", remedy)
-    return _climbs(params, tables, start, config, rng)
+
+@lru_cache(maxsize=64)
+def _log_hit_reach(params: SingleColumnParams) -> float:
+    """Log of ``reach[M]``, the probability that a climb from 0 gets to M, in O(1).
+
+    ``reach[M]`` is the product over j < M of ``j / (j + a)``, with
+    ``a = params.a``: ``Gamma(h+1) Gamma(x) / Gamma(x+h)`` with ``h`` the
+    smaller of ``a`` and ``M - 1`` and ``x = M + a - h``. ``lgamma(x)``
+    and ``lgamma(x+h)`` each carry an error of about eps*x*log(x), so
+    from ``x = 10`` on their difference comes from Stirling's series,
+    whose terms are no larger than the difference.
+    """
+    a, M = params.a, params.M
+    if M == 1:
+        return 0.0  # a climb from 0 always gets to level 1
+    if math.isinf(a):
+        return -math.inf
+    h, x = (a, float(M)) if a + 1 <= M else (M - 1.0, a + 1.0)
+    if x < 10:
+        return math.lgamma(h + 1) + math.lgamma(x) - math.lgamma(x + h)
+
+    def tail(z):  # lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2, to 1e-12 for z >= 10
+        w = 1.0 / (z * z)
+        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w / 1680))) / z
+
+    return math.lgamma(h + 1) - (x - 0.5) * math.log1p(h / x) - h * math.log(x + h) + h + tail(x) - tail(x + h)
+
+
+def _unreachable(params: SingleColumnParams, start: int, log_reach: float) -> ValueError:
+    """The refusal of a hit run whose climb from 0 reaches M with probability ``exp(log_reach)``."""
+    reach = math.exp(log_reach)
+    shown = f"{reach:.3g}" if reach > 0 else f"10^{log_reach / math.log(10):.0f}"
+    try:
+        mean = f"{analytics.hitting_time_mean_exact(params, start):.4g} is"
+    except ValueError:  # it leaves double precision
+        mean = "overflows double precision and is"
+    return ValueError(
+        f"{params}: a climb from 0 reaches M with probability {shown} "
+        f"(< {MIN_REACH_PROBABILITY:g}); the exact mean hitting time {mean} beyond simulation"
+    )
 
 
 def _regenerative_hit(
@@ -275,30 +334,28 @@ def _regenerative_hit(
 ) -> Trajectory:
     """First hit of M from ``start`` < M, drawn climb by climb.
 
-    The first climb, from ``start``, reaches level k with probability
-    ``reach[k] / reach[start]``, so one uniform fixes its top level. If
-    it fails, the walk restarts at 0, where ``geometric(reach[M]) - 1``
-    further climbs fail before one succeeds; a multinomial gives the
-    failed climbs' top levels, and a level is visited once by every climb
-    that gets to it. The time at a level is the sum of its visits'
-    exponential holding times, one gamma variate per level.
+    The first climb, from ``start``, gets to level k with probability
+    ``reach[k] / reach[start]``: one uniform fixes its top. If it fails,
+    ``geometric(reach[M]) - 1`` climbs from 0 fail before one succeeds,
+    and a multinomial counts those that reset from each level. With the
+    first climb as one from 0 less one to ``start - 1`` and the last as
+    one to M - 1, a level's visits are a reverse running sum of the
+    counts, and its time is one gamma variate over them.
     """
     reach = tables.reach
     x = rng.random() * reach[start]
     if x < reach[M]:
         # The first climb succeeds and visits each level once; a vector of
         # exponentials costs far less per call than one of gamma variates.
-        tau = float(rng.standard_exponential(M - start) @ tables.inv_total[start:M])
+        tau = float(rng.standard_exponential(M - start).dot(tables.inv_total[start:M]))
         return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=M - start)
-    top = bisect_left(tables.neg_reach, -x) - 1
-    failed = int(rng.geometric(reach[M])) - 1
-    visits = np.ones(M, dtype=np.int64)
-    if failed:
-        tops = rng.multinomial(failed, tables.fail_law)
-        visits[0] += failed
-        visits[1:] += tops[::-1].cumsum()[::-1]
-    visits[start : top + 1] += 1
-    tau = float(rng.standard_gamma(visits) @ tables.inv_total[:M])
+    tops = rng.multinomial(int(rng.geometric(reach[M])) - 1, tables.fail_law)
+    tops[bisect_left(tables.neg_reach, -x) - 1] += 1
+    tops[M - 1] += 1
+    if start:
+        tops[start - 1] -= 1
+    visits = tops[::-1].cumsum()[::-1]
+    tau = float(rng.standard_gamma(visits).dot(tables.inv_total[:M]))
     return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=int(visits.sum()))
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +465,7 @@ EXTREME_INPUTS = [
     (["analyze", *SINGLE, "--M", "100000", "--p", "0.5"], 0),
     (["simulate", *SINGLE, "--M", "100000", "--p", "0.5", "--horizon", "1", "--replicates", "1"], 0),
     (["simulate", *SINGLE, "--M", "100000", "--p", "0.5", "--replicates", "1"], 1),
+    (["simulate", *SINGLE, "--M", "1000000", "--p", "0.5", "--replicates", "1"], 1),
     (["analyze", *SINGLE, "--M", "64", "--p", "1e-320"], 0),
     (["simulate", *SINGLE, "--M", "3", "--p", "5e-324", "--replicates", "2"], 0),
     (["analyze", *SINGLE, "--M", "64", "--p", "0.5", "--alpha", "1e300"], 0),
@@ -537,6 +539,26 @@ def test_single_column_tables_beyond_the_cap_are_never_built(tmp_path, capsys, m
     monkeypatch.setattr(simulate_module, "_column_tables", built)
     _assert_refused_at_once(["simulate", *SINGLE, "--M", str(M), "--p", "0.5", "--replicates", "1",
                              "--out", str(tmp_path)], capsys)
+
+
+def test_unreachable_single_column_hit_is_refused_before_its_tables(tmp_path, capsys):
+    # A climb from 0 reaches M = 10^6 with probability about 10^-602056 at
+    # p = 0.5. Its closed form refuses the run before the O(M) level tables
+    # are built: they once took 0.75 s and 267 MB to print this refusal.
+    tracemalloc.start()
+    try:
+        began = time.perf_counter()
+        returned = main(["simulate", *SINGLE, "--M", "1000000", "--p", "0.5", "--replicates", "1",
+                         "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert returned == 1
+    assert err.startswith("error:") and "beyond simulation" in err
+    assert elapsed < 0.5
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("command", ["simulate", "sample-steady", "figure-data"])

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import ks_2samp
 
@@ -37,6 +39,13 @@ from immunochain.simulate import (
     simulate_single_column,
 )
 from immunochain.stats import chi_square_gof, empirical_tv, occupation_fractions
+
+
+def _reach(params):
+    """reach[k], k = 0..M: the probability that a climb from 0 gets to level k."""
+    M = params.M
+    up = [params.alpha * params.q * (1 - k / M) for k in range(1, M)]
+    return np.concatenate([[1.0, 1.0], np.cumprod([u / (u + params.p) for u in up])])
 
 
 def hit_config(seed, r=0, **kw):
@@ -371,8 +380,8 @@ class TestRegenerativeHit:
                 return 3
 
             def multinomial(self, n, pvals):
-                assert n == 2 and len(pvals) == M - 1
-                return np.array([1, 0, 0, 0, 0, 1, 0])
+                assert n == 2 and len(pvals) == M and pvals[0] == 0.0
+                return np.array([0, 1, 0, 0, 0, 0, 1, 0])
 
             def standard_gamma(self, shape):
                 return np.asarray(shape, dtype=float)
@@ -385,6 +394,76 @@ class TestRegenerativeHit:
         assert traj.n_events == visits.sum() == 20
         assert traj.tau == pytest.approx(float(np.sum(visits / np.array(rates))), rel=1e-12)
         assert traj.end_value == M
+
+    @pytest.mark.parametrize("start, exact", [(0, 88.697), (3, 84.375)])
+    def test_event_count_mean_is_exact(self, start, exact):
+        # A climb from 0 gets to level k with probability reach[k]: the first
+        # climb visits start..M-1 as far as it gets, and if it fails, the
+        # climbs from 0 visit level k reach[k] / reach[M] times in all.
+        M = self.PARAMS.M
+        reach = _reach(self.PARAMS)
+        mean = sum(reach[start:M]) / reach[start] + (1 - reach[M] / reach[start]) * sum(reach[:M]) / reach[M]
+        assert mean == pytest.approx(exact, abs=5e-4)
+        n = 20_000
+        events = np.array([t.n_events for t in _column_runs(self.PARAMS, 1300 + start, n, start)], dtype=float)
+        assert abs(events.mean() - mean) < 4 * events.std(ddof=1) / math.sqrt(n)
+
+    def test_draws_are_pinned(self):
+        # Recorded at 6aadfd6 (seed 2025). Replicate 0 fails 10 climbs from 0
+        # after the first, replicate 5 none, 12 succeeds at once and 41
+        # fails one. A change to the hit draws must change these on purpose.
+        pinned = {
+            0: [(81.76248384123846, 70), (14.536982147152198, 10), (19.734181554116375, 8), (28.79434079558878, 20)],
+            3: [(81.04936588549951, 69), (11.270500874049587, 9), (13.450655600825364, 5), (24.842960243582688, 18)],
+        }
+        for start, runs in pinned.items():
+            got = [simulate_single_column(self.PARAMS, hit_config(2025, r), start=start) for r in (0, 5, 12, 41)]
+            assert [(t.tau, t.n_events) for t in got] == runs
+        assert hitting_time_batch(SingleColumnParams.with_a(16, 1.0), 8, master_seed=2025).tolist() == [
+            191.69487575372, 106.44216155924691, 228.9932808388433, 422.0942451432338,
+            516.2617243029526, 35.03390299888794, 202.91836217246328, 319.72286395855895,
+        ]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        M=st.integers(1, 10**4),
+        alpha=st.one_of(st.floats(0, 1e-9, exclude_min=True), st.floats(1 - 1e-9, 1 + 1e-9)),
+        p=st.one_of(st.floats(0, 1e-9, exclude_min=True), st.floats(1 - 1e-9, 1, exclude_max=True)),
+        start_at=st.floats(0, 1, exclude_max=True),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_hit_runs_at_the_edges(self, M, alpha, p, start_at, seed):
+        # Rates within 1e-9 of 0 or 1: reach[M] in closed form agrees with
+        # the tables' running product (subnormals aside, which carry fewer
+        # digits), and a hit run is refused or ends at M after a finite time.
+        assume(alpha * (1 - p) > 0)
+        params, start = SingleColumnParams(M, alpha, p), int(start_at * M)
+        closed = math.exp(simulate_module._log_hit_reach(params))
+        try:
+            table = simulate_module._column_tables(params).reach[M]
+        except ValueError as err:  # a level's mean holding time overflows
+            table = math.nan
+            assert "beyond simulation" in str(err)
+        if table >= sys.float_info.min:
+            assert closed == pytest.approx(table, rel=1e-9, abs=0)
+        elif table >= 0:
+            assert closed < sys.float_info.min * (1 + 1e-9)
+        try:
+            traj = simulate_single_column(params, hit_config(seed), start=start)
+        except ValueError as err:
+            assert "beyond simulation" in str(err)
+        else:
+            assert math.isfinite(traj.tau) and traj.tau > 0
+            assert traj.end_value == M and traj.n_events >= M - start
+
+    def test_times_beyond_double_precision_are_refused(self):
+        # At alpha*q = 5e-324 level 0's mean holding time overflows, so no
+        # run builds its tables. At (64, 4e-307, 1e-320) every level's is
+        # finite, but their sum over a hit is not; numpy warns as it overflows.
+        with pytest.raises(ValueError, match="holding time overflows"):
+            simulate_single_column(SingleColumnParams(1, 5e-324, 1e-9), hit_config(1, horizon=1.0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="time to hit M from 0 overflows"):
+            simulate_single_column(SingleColumnParams(64, 4e-307, 1e-320), hit_config(1))
 
     @pytest.mark.parametrize("start", range(1, 8))
     def test_mean_from_every_start(self, start):
