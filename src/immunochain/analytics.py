@@ -8,13 +8,13 @@ chain, the transition-time prediction, the parameter mapping from
 per-step probabilities to rates, and the table of every reported
 prediction.
 
-Numerics policy: a Gamma ratio whose arguments differ by an integer is a
-running product of its factors, since a difference of log-Gamma values
-loses about eps * lgamma(x) relative, which is everything once the
-arguments reach 1e16. The other Gamma factors, which overflow double
-precision already around argument 170, are evaluated as log-Gamma values
-and exponentiated. Where a formula subtracts 1 from a Gamma ratio,
-``expm1`` keeps precision.
+Numerics policy: the product prod_{i=1..n} i/(i+c) = Gamma(n+1)
+Gamma(1+c) / Gamma(n+1+c), c >= 0, of both learning laws is one O(1)
+log-space kernel, :func:`_log_gamma_ratio`, which never subtracts two
+library log-Gamma values (that loses eps * lgamma(x), everything once x
+reaches 1e16), so it holds to about eps * |log K| at every n and c. The
+other Gamma factors are log-Gamma values, exponentiated; where a formula
+subtracts 1 from a Gamma ratio, ``expm1`` keeps precision.
 """
 
 from __future__ import annotations
@@ -130,41 +130,73 @@ def zero_count_ratio_asymptotic(params: SingleColumnParams, k: int) -> float:
     return math.exp((a - 1.0) * math.log(k) - math.lgamma(a))
 
 
-def _hitting_steps(params: SingleColumnParams) -> np.ndarray:
-    """Expected jumps-to-absorption of the uniformized chain, all starts.
+# (1 - 2m, B_2m / (2m (2m - 1))), m = 1..7: Stirling's series log Gamma(z) = (z - 1/2)
+# log z - z + log(2 pi)/2 + sum of coef * z^e leaves out less than 3e-17 from z = 10 on
+# (Abramowitz & Stegun 6.1.40-6.1.42).
+_STIRLING = tuple(zip(range(-1, -14, -2),
+                      (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)))
 
-    Uniformizing at rate p + alpha*q gives step probabilities
-    p' = p/(p+alpha*q) for a reset and q' = alpha*q/(p+alpha*q) for an
-    update attempt (which self-loops with probability k/M). The expected
-    step count from 0 telescopes to
 
-        1 + p'*f(0) = prod_{k=1..M} (1 + a/k)
-                    = Gamma(M+1+a) / (Gamma(a+1) * Gamma(M+1)),
+def _log_gamma_drop(x: float, h: float) -> float:
+    """log Gamma(x) - log Gamma(x + h) for x >= 10 and h >= 0. Each series term's
+    drop from x to x + h comes from ``expm1``, so a small h keeps its digits."""
+    lg = math.log1p(h / x)
+    tail = math.fsum(coef * x**e * math.expm1(e * lg) for e, coef in _STIRLING)
+    return -(x - 0.5) * lg - h * math.log(x + h) + h - tail
 
-    so f(0) = sum_k (a/p')/k * prod_{i<k} (1 + a/i), with a/p' = M + a:
-    positive terms, with no cancellation as a -> 0. The partial sums only
-    grow, so ``ValueError`` is raised as soon as one leaves double
-    precision. A backward sweep of the one-step recursion fills in the
-    other starting states. Everything is a positive combination of
-    positive terms, so the sweep is numerically stable.
+
+def _log_gamma_ratio(n: int, c: float) -> float:
+    """log K(n, c), K(n, c) = prod_{i=1..n} i/(i+c) = Gamma(n+1) Gamma(1+c) / Gamma(n+1+c), c >= 0.
+
+    Up to n = 9 a sum of log1p's; for c < 10 that sum to 9 plus two Stirling
+    drops, each proportional to c as c -> 0; otherwise log c + log Beta(c, n+1),
+    its large terms gathered into log1p's. Each holds to about eps * |log K|.
     """
-    M = params.M
-    a = params.a
-    lam = params.uniformization_rate
-    p_d = params.p / lam
-    q_d = params.alpha * params.q / lam
+    if n <= 9 or c < 10:
+        head = -math.fsum(math.log1p(c / i) for i in range(1, min(n, 9) + 1))
+        return head if n <= 9 else head + _log_gamma_drop(n + 1.0, c) - _log_gamma_drop(10.0, c)
+    if c == math.inf:
+        return -math.inf
+    b = n + 1.0
+    tails = math.fsum(coef * (c**e + b**e - (c + b) ** e) for e, coef in _STIRLING)
+    return (math.log(c) + 0.5 * math.log(2 * math.pi / (c + b)) - (c - 0.5) * math.log1p(b / c)
+            - (b - 0.5) * math.log1p(c / b) + tails)
 
-    scale = M + a
-    f0, prod = 0.0, 1.0
-    for k in range(1, M + 1):
-        f0 += scale / k * prod
-        if math.isinf(f0):
-            raise ValueError(
-                f"{params}: the exact mean hitting time overflows double precision at a = {a:.4g}"
-            )
-        prod *= 1.0 + a / k
+
+# Below this a, expm1(S)/a is H_M, which is S/a at this a, to double precision; a
+# subnormal a would have lost its digits in S.
+_SLOPE_STEP = 2.0**-100
+
+
+def _steps_from_zero(params: SingleColumnParams) -> float:
+    """Expected jumps from 0 to M of the chain uniformized at rate p + alpha*q, in O(1).
+
+    A jump resets with probability p' = p/(p + alpha*q); the step count
+    telescopes to 1 + p' f(0) = prod_{k=1..M} (1 + a/k) = 1/K(M, a), so with
+    a/p' = M + a, f(0) = (M + a) expm1(S)/a, S = -log K(M, a). ``ValueError``
+    where f(0) over the rate, the mean, leaves double precision.
+    """
+    M, a, rate = params.M, params.a, params.uniformization_rate
+    try:
+        steps = (M + a) * (-_log_gamma_ratio(M, _SLOPE_STEP) / _SLOPE_STEP if a < _SLOPE_STEP
+                           else math.expm1(-_log_gamma_ratio(M, a)) / a)
+    except OverflowError:
+        steps = math.inf
+    if not steps / rate < math.inf:  # nan where a is inf
+        raise ValueError(
+            f"{params}: the exact mean hitting time overflows double precision at a = {a:.4g}, rate {rate:.4g}"
+        )
+    return steps
+
+
+def _hitting_steps(params: SingleColumnParams) -> np.ndarray:
+    """Expected jumps-to-absorption of the uniformized chain, all starts: a
+    backward sweep of the one-step recursion from f(0), a positive
+    combination of positive terms at every step, so numerically stable."""
+    M, lam = params.M, params.uniformization_rate
+    p_d, q_d = params.p / lam, params.alpha * params.q / lam
     f = np.zeros(M + 1)
-    f[0] = f0
+    f[0] = _steps_from_zero(params)
     for i in range(M - 1, 0, -1):
         w = q_d * (1.0 - i / M)
         f[i] = (1.0 + p_d * f[0] + w * f[i + 1]) / (p_d + w)
@@ -172,29 +204,24 @@ def _hitting_steps(params: SingleColumnParams) -> np.ndarray:
 
 
 def hitting_time_means_exact(params: SingleColumnParams) -> np.ndarray:
-    """Expected continuous time to reach M from every start, as a vector.
-
-    Raises ``ValueError`` where the mean from 0, the largest, leaves double
-    precision, as a slow enough uniformization rate makes it do.
-    """
-    rate = params.uniformization_rate
+    """Expected continuous time to reach M from every start, as a vector;
+    ``ValueError`` where the mean from 0, the largest, leaves double precision."""
     with np.errstate(over="ignore"):
-        means = _hitting_steps(params) / rate
-    if math.isinf(means[0]):
-        raise ValueError(f"{params}: the exact mean hitting time overflows double precision at rate {rate:.4g}")
-    return means
+        return _hitting_steps(params) / params.uniformization_rate
 
 
 def hitting_time_mean_exact(params: SingleColumnParams, start: int = 0) -> float:
     """Expected continuous time to reach state M from ``start``: entry
-    ``start`` of :func:`hitting_time_means_exact`. Agrees with the
-    dense-solve oracle to 1e-9 relative on every tested instance.
+    ``start`` of :func:`hitting_time_means_exact`, in O(1) from 0. Agrees
+    with the dense-solve oracle to 1e-9 relative on every tested instance.
     """
     if not 0 <= start <= params.M:
         raise ValueError(f"start must lie in [0, {params.M}], got {start!r}")
     if start == params.M:
         return 0.0
-    return float(hitting_time_means_exact(params)[start])
+    if start:
+        return float(hitting_time_means_exact(params)[start])
+    return _steps_from_zero(params) / params.uniformization_rate
 
 
 def hitting_time_mean_asymptotic(params: SingleColumnParams) -> float:
@@ -226,10 +253,8 @@ def hitting_time_variance_exact(params: SingleColumnParams, start: int = 0) -> f
         raise ValueError(f"start must lie in [0, {params.M}], got {start!r}")
     if start == params.M:
         return 0.0
-    M = params.M
-    lam = params.uniformization_rate
-    p_d = params.p / lam
-    q_d = params.alpha * params.q / lam
+    M, lam = params.M, params.uniformization_rate
+    p_d, q_d = params.p / lam, params.alpha * params.q / lam
     f = _hitting_steps(params)
 
     u = np.zeros(M + 1)
@@ -301,10 +326,8 @@ def collection_time_laplace(M: int, q: float, alpha: float) -> float:
     """Laplace transform E[exp(-alpha*T)] of the coupon collection time.
 
     T is the time to collect M coupons drawn by an exponential clock of
-    total rate q, so T is a sum of independent Exp(q*(1 - i/M)) stages
-
-        E[exp(-alpha*T)] = prod_i p_i/(p_i + alpha)
-                         = Gamma(M+1) Gamma(1 + M*alpha/q) / Gamma(M+1+M*alpha/q).
+    total rate q, a sum of independent Exp(p_i = q*(1 - i/M)) stages, so
+    E[exp(-alpha*T)] = prod_i p_i/(p_i + alpha) = K(M, M*alpha/q).
     """
     if M < 1:
         raise ValueError("need M >= 1")
@@ -312,17 +335,7 @@ def collection_time_laplace(M: int, q: float, alpha: float) -> float:
         raise ValueError("q must be positive")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    return _stage_product(M, M * alpha / q)
-
-
-def _stage_product(M: int, c: float) -> float:
-    """Gamma(M+1) Gamma(1+c) / Gamma(M+1+c) = prod_{i=1..M} i/(i+c).
-
-    The running product carries a few roundings per factor; every factor
-    is at most 1, so it underflows only where the value itself does.
-    """
-    i = np.arange(1.0, M + 1.0)
-    return float(np.prod(i / (i + c)))
+    return math.exp(_log_gamma_ratio(M, M * alpha / q))
 
 
 def steady_allones_probability(params: MatrixParams) -> float:
@@ -331,11 +344,9 @@ def steady_allones_probability(params: MatrixParams) -> float:
     Each attribute of the column fills at rate q_tilde/M (row events or
     entry events) while the column resets at rate p/N; racing the fill
     against the reset clock gives the collection-time Laplace transform
-    at alpha = p/N with per-stage rates q_tilde*(1 - i/M):
-
-        Gamma(M+1) Gamma(1+c) / Gamma(M+1+c),   c = M*p/(N*q_tilde).
+    at alpha = p/N with per-stage rates q_tilde*(1 - i/M): K(M, M*p/(N*q_tilde)).
     """
-    return _stage_product(params.M, params.M * params.p / (params.N * params.q_tilde))
+    return math.exp(_log_gamma_ratio(params.M, params.M * params.p / (params.N * params.q_tilde)))
 
 
 def steady_allones_count(params: MatrixParams, method: str = EXACT) -> float:

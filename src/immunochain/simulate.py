@@ -56,8 +56,9 @@ the tests compare these constructions against.
 A run or batch whose work :func:`check_budget` refuses raises
 ``ValueError`` before it starts; the functions below say what each is
 charged. Counted climbs are charged their table levels only, and a
-single-column hit run that M is too rare for is refused from a closed
-form of ``reach[M]``, before its O(M) level tables are built.
+single-column hit run that M is too rare for is refused from
+``reach[M]`` in closed form, the Gamma-ratio kernel of
+:mod:`immunochain.analytics`, before its O(M) level tables are built.
 
 Randomness is fully reproducible: replicate ``r`` of a batch draws from
 the stream keyed by ``(master_seed, r)``, so batch output is independent
@@ -192,7 +193,10 @@ class Trajectory:
 class _ColumnTables:
     """Per-level constants of the single-column chain, shared by both paths.
 
-    ``inv_total[k]`` is the mean holding time at level k (``1/p`` at M).
+    ``inv_total[k]`` is the mean holding time at level k (``1/p`` at M) in
+    units of ``unit``, a power of two at least 1 and at most the slowest level
+    below M: a time summed in those units stays in range, and a Python float
+    times ``unit`` is exact, or ``inf`` without a warning where it overflows.
     ``reach[k]`` is the probability that a climb from 0 gets to level k,
     ``neg_reach`` its negation (ascending, for bisection), ``neg_log_reach``
     minus its logarithm, summed level by level so that it stays finite
@@ -204,6 +208,7 @@ class _ColumnTables:
     """
 
     inv_total: np.ndarray
+    unit: float
     reach: tuple[float, ...]
     neg_reach: tuple[float, ...]
     neg_log_reach: np.ndarray
@@ -215,10 +220,12 @@ def _column_tables(params: SingleColumnParams) -> _ColumnTables:
     M = params.M
     # The slowest levels below M are 0 (rate alpha*q) and M - 1 (alpha*q/M + p);
     # 1/p at M may be inf, where a run stays past any horizon.
-    if not 1.0 / min(params.alpha * params.q, params.alpha * params.q / M + params.p) < math.inf:
+    slowest = 1.0 / min(params.alpha * params.q, params.alpha * params.q / M + params.p)
+    if not slowest < math.inf:
         raise ValueError(
             f"{params}: a level's mean holding time overflows double precision; it is beyond simulation"
         )
+    unit = math.ldexp(1.0, max(0, math.frexp(slowest)[1] - 1))
     up_rate = [params.alpha * params.q * (1.0 - k / M) for k in range(M + 1)]
     inv_total = [1.0 / (up_rate[k] + (params.p if k > 0 else 0.0)) for k in range(M + 1)]
     up_frac = [up_rate[k] * inv_total[k] for k in range(1, M)]
@@ -230,13 +237,13 @@ def _column_tables(params: SingleColumnParams) -> _ColumnTables:
     if fail.sum() > 0:
         fail /= fail.sum()
     fail = np.concatenate(([0.0], fail))
-    inv_total_array, neg_log_reach = np.array(inv_total), np.cumsum(-np.log([1.0, 1.0, *up_frac]))
+    inv_total_array, neg_log_reach = np.array(inv_total) / unit, np.cumsum(-np.log([1.0, 1.0, *up_frac]))
     for array in (inv_total_array, neg_log_reach, fail):
         array.flags.writeable = False
-    return _ColumnTables(inv_total_array, tuple(reach), tuple(-r for r in reach), neg_log_reach, fail)
+    return _ColumnTables(inv_total_array, unit, tuple(reach), tuple(-r for r in reach), neg_log_reach, fail)
 
 
-# O(M) work per call; a laid-out hit run's cap reads it on every run.
+# O(M) work per call from a start above 0; a laid-out hit run's cap reads it on every run.
 _mean_hitting_time = lru_cache(maxsize=64)(analytics.hitting_time_mean_exact)
 
 
@@ -254,8 +261,8 @@ def simulate_single_column(
     and ``n_events`` come out; every other run lays them out. A run
     without a horizon raises ``ValueError`` when a climb from 0 reaches M
     with probability below ``MIN_REACH_PROBABILITY`` (no run could count
-    that many climbs), found in O(1) before any table is built, and a
-    counted one when its time overflows double precision. Every run
+    that many climbs), found in O(1) before any table is built, and
+    where its time overflows double precision. Every run
     raises it where a level's mean holding time does.
     :func:`check_budget` charges every run its ``M + 1`` table levels, and
     a laid-out run its expected events, ``alpha*q + p`` per unit time up to
@@ -280,39 +287,17 @@ def simulate_single_column(
         check_budget(span * params.uniformization_rate, "expected events", remedy)
     rng = replicate_rng(config.master_seed, config.replicate_index)
     tables = _column_tables(params)
-    if not counted:
-        return _climbs(params, tables, start, config, rng)
-    run = _regenerative_hit(tables, M, start, rng)
-    if run.tau < math.inf:
+    run = _regenerative_hit(tables, M, start, rng) if counted else _climbs(params, tables, start, config, rng)
+    if run.tau != math.inf:  # None in a horizon run that never hit
         return run
     raise ValueError(f"{params}: the time to hit M from {start} overflows double precision; it is beyond simulation")
 
 
 @lru_cache(maxsize=64)
 def _log_hit_reach(params: SingleColumnParams) -> float:
-    """Log of ``reach[M]``, the probability that a climb from 0 gets to M, in O(1).
-
-    ``reach[M]`` is the product over j < M of ``j / (j + a)``, with
-    ``a = params.a``: ``Gamma(h+1) Gamma(x) / Gamma(x+h)`` with ``h`` the
-    smaller of ``a`` and ``M - 1`` and ``x = M + a - h``. ``lgamma(x)``
-    and ``lgamma(x+h)`` each carry an error of about eps*x*log(x), so
-    from ``x = 10`` on their difference comes from Stirling's series,
-    whose terms are no larger than the difference.
-    """
-    a, M = params.a, params.M
-    if M == 1:
-        return 0.0  # a climb from 0 always gets to level 1
-    if math.isinf(a):
-        return -math.inf
-    h, x = (a, float(M)) if a + 1 <= M else (M - 1.0, a + 1.0)
-    if x < 10:
-        return math.lgamma(h + 1) + math.lgamma(x) - math.lgamma(x + h)
-
-    def tail(z):  # lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2, to 1e-12 for z >= 10
-        w = 1.0 / (z * z)
-        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w / 1680))) / z
-
-    return math.lgamma(h + 1) - (x - 0.5) * math.log1p(h / x) - h * math.log(x + h) + h + tail(x) - tail(x + h)
+    """Log of ``reach[M]``, the probability that a climb from 0 gets to M: the
+    product over j < M of ``j / (j + a)``, the analytics kernel's ``K(M-1, a)``."""
+    return analytics._log_gamma_ratio(params.M - 1, params.a)
 
 
 def _unreachable(params: SingleColumnParams, start: int, log_reach: float) -> ValueError:
@@ -347,7 +332,7 @@ def _regenerative_hit(
     if x < reach[M]:
         # The first climb succeeds and visits each level once; a vector of
         # exponentials costs far less per call than one of gamma variates.
-        tau = float(rng.standard_exponential(M - start).dot(tables.inv_total[start:M]))
+        tau = float(rng.standard_exponential(M - start).dot(tables.inv_total[start:M])) * tables.unit
         return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=M - start)
     tops = rng.multinomial(int(rng.geometric(reach[M])) - 1, tables.fail_law)
     tops[bisect_left(tables.neg_reach, -x) - 1] += 1
@@ -355,7 +340,7 @@ def _regenerative_hit(
     if start:
         tops[start - 1] -= 1
     visits = tops[::-1].cumsum()[::-1]
-    tau = float(rng.standard_gamma(visits).dot(tables.inv_total[:M]))
+    tau = float(rng.standard_gamma(visits).dot(tables.inv_total[:M])) * tables.unit
     return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=int(visits.sum()))
 
 
@@ -388,7 +373,11 @@ def _climbs(params, tables: _ColumnTables, start: int, config: SimulationConfig,
         ends = np.cumsum(lengths)
         levels = (np.arange(ends[-1]) - np.repeat(ends - lengths, lengths))[lo:]
         ends -= lo
-        jumps = t + np.cumsum(rng.standard_exponential(levels.size) * tables.inv_total[levels])
+        # A jump time beyond double precision outlasts every finite horizon,
+        # so the search below cuts it where the exact law does.
+        with np.errstate(over="ignore"):
+            held = rng.standard_exponential(levels.size) * tables.inv_total[levels]
+            jumps = t + np.cumsum(held) * tables.unit
         after = levels + 1
         after[ends - 1] = 0
         keep = levels.size if horizon is None else int(np.searchsorted(jumps, horizon, "right"))

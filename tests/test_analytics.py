@@ -239,6 +239,53 @@ class TestHittingTimeMean:
                 assert means[M - 1] / means[0] >= 1.0 / (1.0 + 1.0 / a) - 0.05
 
 
+def exact_log_gamma_ratio(n, c):
+    """log prod_{i=1..n} i/(i+c) from the exact integer ratio, rounded once
+    to a float after a shift by a power of two."""
+    num, den = c.as_integer_ratio()
+    top = math.prod(i * den for i in range(1, n + 1))
+    bottom = math.prod(i * den + num for i in range(1, n + 1))
+    shift = top.bit_length() - bottom.bit_length()
+    ratio = (top << max(0, -shift)) / (bottom << max(0, shift))
+    return math.log(ratio) + shift * math.log(2)
+
+
+class TestGammaRatioKernel:
+    """``analytics._log_gamma_ratio``, the one O(1) form of prod i/(i+c)."""
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-12, 1e-3, 0.5, 1.0, 9.5, 10.0, 10.5, 100.0, 1e4, 1e6])
+    def test_matches_exact_products(self, c):
+        for n in (*range(1, 13), 17, 64, 199, 200):
+            exact = exact_log_gamma_ratio(n, c)
+            # 1e-12 relative on the product is 1e-12 absolute on its log.
+            assert analytics._log_gamma_ratio(n, c) == pytest.approx(exact, rel=0, abs=1e-12)
+
+    def test_edges(self):
+        # An empty product, and c = 0, give 1; an infinite c makes every factor 0.
+        assert analytics._log_gamma_ratio(0, 3.0) == 0.0
+        assert analytics._log_gamma_ratio(200, 0.0) == 0.0
+        for n in (1, 9, 10, 200):
+            assert analytics._log_gamma_ratio(n, math.inf) == -math.inf
+
+    @pytest.mark.parametrize("M", [10**4, 10**5, 10**6])
+    def test_mean_from_zero_matches_log1p_sum(self, M):
+        for a in (1e-6, 0.3, 1.0, 7.5, 40.0):
+            for alpha in (0.5, 2.0):
+                params = SingleColumnParams.with_a(M, a, alpha=alpha)
+                # f(0) = (M + a) (prod_k (1 + a/k) - 1) / a uniformized jumps.
+                S = math.fsum(np.log1p(params.a / np.arange(1.0, M + 1.0)))
+                want = (M + params.a) * math.expm1(S) / params.a / params.uniformization_rate
+                assert hitting_time_mean_exact(params, 0) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_mean_from_zero_is_entry_zero_of_the_vector(self):
+        # The verify grid: the O(1) mean from 0 is the vector's first entry, bit for bit.
+        for M in (1, 2, 4, 8, 16, 32, 64):
+            for alpha in ALPHAS:
+                for p in PS:
+                    params = SingleColumnParams(M=M, alpha=alpha, p=p)
+                    assert hitting_time_mean_exact(params, 0) == hitting_time_means_exact(params)[0]
+
+
 class TestHittingTimeAsymptotic:
     def test_formula_values(self):
         params = SingleColumnParams.with_a(100, 1.0)

@@ -458,11 +458,18 @@ def test_wrong_typed_config_value_is_config_error(tmp_path, capsys, model, key, 
 SINGLE = ["--model", "single-column"]
 MATRIX = ["--model", "matrix"]
 
+# analyze is O(1) in M for both models.
+ANALYZE_AT_A_BILLION = [
+    ["analyze", *SINGLE, "--M", "1000000000", "--p", "1e-9"],
+    ["analyze", *MATRIX, "--M", "1000000000", "--N", "1000000000", "--p", "0.01"],
+]
+
 # (argv, exit code): points where a prediction or a run leaves double
 # precision or the simulator's caps, each of which once ended, or could
 # end, in a traceback.
 EXTREME_INPUTS = [
     (["analyze", *SINGLE, "--M", "100000", "--p", "0.5"], 0),
+    *[(argv, 0) for argv in ANALYZE_AT_A_BILLION],
     (["simulate", *SINGLE, "--M", "100000", "--p", "0.5", "--horizon", "1", "--replicates", "1"], 0),
     (["simulate", *SINGLE, "--M", "100000", "--p", "0.5", "--replicates", "1"], 1),
     (["simulate", *SINGLE, "--M", "1000000", "--p", "0.5", "--replicates", "1"], 1),
@@ -541,14 +548,34 @@ def test_single_column_tables_beyond_the_cap_are_never_built(tmp_path, capsys, m
                              "--out", str(tmp_path)], capsys)
 
 
-def test_unreachable_single_column_hit_is_refused_before_its_tables(tmp_path, capsys):
-    # A climb from 0 reaches M = 10^6 with probability about 10^-602056 at
-    # p = 0.5. Its closed form refuses the run before the O(M) level tables
-    # are built: they once took 0.75 s and 267 MB to print this refusal.
+@pytest.mark.parametrize("argv", ANALYZE_AT_A_BILLION, ids=" ".join)
+def test_analyze_is_o1_in_m(tmp_path, argv):
+    # Each closed form is one Gamma-ratio kernel call: at M = 10^9 the old
+    # running products would have needed about 8 GB.
     tracemalloc.start()
     try:
         began = time.perf_counter()
-        returned = main(["simulate", *SINGLE, "--M", "1000000", "--p", "0.5", "--replicates", "1",
+        returned = main([*argv, "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert returned == 0
+    assert elapsed < 1.0
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("p", ["0.5", repr(3 / (10**6 + 3))])
+def test_unreachable_single_column_hit_is_refused_before_its_tables(tmp_path, capsys, p):
+    # A climb from 0 reaches M = 10^6 with probability about 10^-602056 at
+    # p = 0.5. Its closed form refuses the run before the O(M) level tables
+    # are built: they once took 0.75 s and 267 MB to print this refusal.
+    # At p = 3/(10^6 + 3) it is 6e-18 and the exact mean from 0, which the
+    # message prints, is finite; it took 1.16 s as an O(M) loop.
+    tracemalloc.start()
+    try:
+        began = time.perf_counter()
+        returned = main(["simulate", *SINGLE, "--M", "1000000", "--p", p, "--replicates", "1",
                          "--out", str(tmp_path)])
         elapsed = time.perf_counter() - began
         peak = tracemalloc.get_traced_memory()[1]

@@ -465,6 +465,20 @@ class TestRegenerativeHit:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="time to hit M from 0 overflows"):
             simulate_single_column(SingleColumnParams(64, 4e-307, 1e-320), hit_config(1))
 
+    @pytest.mark.parametrize("p", [1e-320, 6.25e-309])
+    def test_times_near_double_precision_never_warn(self, p):
+        # At alpha*q = 4e-307 every level's mean holding time is finite but a
+        # hit's time is not; at p = 1e-320 a climb from 0 nearly always gets
+        # to M, and at 6.25e-309 (a = 1) hits mostly count failed climbs.
+        # The suite turns warnings into errors: a counted hit raises the
+        # refusal, and a horizon run's holding times beyond double precision
+        # outlast its horizon.
+        params = SingleColumnParams(64, 4e-307, p)
+        with pytest.raises(ValueError, match="time to hit M from 0 overflows.*beyond simulation"):
+            simulate_single_column(params, hit_config(1))
+        run = simulate_single_column(params, hit_config(1, horizon=1e300))
+        assert run.tau is None and run.end_time == 1e300
+
     @pytest.mark.parametrize("start", range(1, 8))
     def test_mean_from_every_start(self, start):
         n = 4000

@@ -92,3 +92,13 @@ def test_each_reported_formula_id_is_written_once(tmp_path):
     written = [node.value for path in MODULES for node in ast.walk(_parse(path))
                if isinstance(node, ast.Constant) and node.value in ids]
     assert sorted(written) == sorted(ids)
+
+
+def test_log_gamma_is_called_only_in_analytics_and_stats():
+    # A Gamma ratio comes from the analytics kernel; simulate reads reach[M]
+    # from it and derives none of its own.
+    def calls_lgamma(node):
+        return isinstance(node, ast.Call) and "lgamma" in (getattr(node.func, "attr", None),
+                                                           getattr(node.func, "id", None))
+
+    assert {module for module, _ in _found(calls_lgamma)} <= {"analytics", "stats"}
