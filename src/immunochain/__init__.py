@@ -35,6 +35,7 @@ from .simulate import (
     SimulationConfig,
     Trajectory,
     hitting_time_batch,
+    replicate_runs,
     simulate_matrix,
     simulate_single_column,
 )

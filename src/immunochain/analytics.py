@@ -168,18 +168,23 @@ def _log_gamma_ratio(n: int, c: float) -> float:
 _SLOPE_STEP = 2.0**-100
 
 
-def _steps_from_zero(params: SingleColumnParams) -> float:
-    """Expected jumps from 0 to M of the chain uniformized at rate p + alpha*q, in O(1).
+def _steps_from(params: SingleColumnParams, start: int = 0) -> float:
+    """Expected jumps from ``start`` < M to M, uniformized at rate p + alpha*q, in O(1).
 
     A jump resets with probability p' = p/(p + alpha*q); the step count
     telescopes to 1 + p' f(0) = prod_{k=1..M} (1 + a/k) = 1/K(M, a), so with
-    a/p' = M + a, f(0) = (M + a) expm1(S)/a, S = -log K(M, a). ``ValueError``
-    where f(0) over the rate, the mean, leaves double precision.
+    a/p' = M + a, f(0) = (M + a) expm1(S)/a, S = -log K(M, a). From s > 0,
+    f(s) = (M + a) (1 - K(M - s, a)) e^S / a. ``ValueError`` where f over
+    the rate, the mean, leaves double precision.
     """
     M, a, rate = params.M, params.a, params.uniformization_rate
     try:
-        steps = (M + a) * (-_log_gamma_ratio(M, _SLOPE_STEP) / _SLOPE_STEP if a < _SLOPE_STEP
-                           else math.expm1(-_log_gamma_ratio(M, a)) / a)
+        if start == 0 and a >= _SLOPE_STEP:
+            steps = (M + a) * (math.expm1(-_log_gamma_ratio(M, a)) / a)
+        else:  # e^S rounds to 1.0 where a is below _SLOPE_STEP
+            slope = (-_log_gamma_ratio(M - start, _SLOPE_STEP) / _SLOPE_STEP if a < _SLOPE_STEP
+                     else -math.expm1(_log_gamma_ratio(M - start, a)) / a)
+            steps = (M + a) * slope * math.exp(-_log_gamma_ratio(M, a))
     except OverflowError:
         steps = math.inf
     if not steps / rate < math.inf:  # nan where a is inf
@@ -196,7 +201,7 @@ def _hitting_steps(params: SingleColumnParams) -> np.ndarray:
     M, lam = params.M, params.uniformization_rate
     p_d, q_d = params.p / lam, params.alpha * params.q / lam
     f = np.zeros(M + 1)
-    f[0] = _steps_from_zero(params)
+    f[0] = _steps_from(params)
     for i in range(M - 1, 0, -1):
         w = q_d * (1.0 - i / M)
         f[i] = (1.0 + p_d * f[0] + w * f[i + 1]) / (p_d + w)
@@ -212,16 +217,14 @@ def hitting_time_means_exact(params: SingleColumnParams) -> np.ndarray:
 
 def hitting_time_mean_exact(params: SingleColumnParams, start: int = 0) -> float:
     """Expected continuous time to reach state M from ``start``: entry
-    ``start`` of :func:`hitting_time_means_exact`, in O(1) from 0. Agrees
-    with the dense-solve oracle to 1e-9 relative on every tested instance.
+    ``start`` of :func:`hitting_time_means_exact`, in O(1). Agrees with the
+    dense-solve oracle to 1e-9 relative on every tested instance.
     """
     if not 0 <= start <= params.M:
         raise ValueError(f"start must lie in [0, {params.M}], got {start!r}")
     if start == params.M:
         return 0.0
-    if start:
-        return float(hitting_time_means_exact(params)[start])
-    return _steps_from_zero(params) / params.uniformization_rate
+    return _steps_from(params, start) / params.uniformization_rate
 
 
 def hitting_time_mean_asymptotic(params: SingleColumnParams) -> float:

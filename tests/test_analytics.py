@@ -285,6 +285,24 @@ class TestGammaRatioKernel:
                     params = SingleColumnParams(M=M, alpha=alpha, p=p)
                     assert hitting_time_mean_exact(params, 0) == hitting_time_means_exact(params)[0]
 
+    def test_mean_from_every_start_matches_the_oracle(self):
+        # The verify grid: the O(1) mean from each start, (M + a)/a (1 - K(M-s, a)) / K(M, a)
+        # over the rate, against the dense solve.
+        for M in (1, 2, 4, 8, 16, 32, 64):
+            for alpha in ALPHAS:
+                for p in PS:
+                    params = SingleColumnParams(M=M, alpha=alpha, p=p)
+                    got = [hitting_time_mean_exact(params, start) for start in range(M)]
+                    assert got == pytest.approx(oracle.single_column_hitting_means(params), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-300, 1e-320, 5e-324])
+    def test_mean_from_every_start_as_p_vanishes(self, p):
+        # Below a = 2^-100 each start's mean is read from the slope at 2^-100.
+        params = SingleColumnParams(M=16, alpha=1.0, p=p)
+        ref_mean, _ = oracle.single_column_hitting_moments_exact(params, with_second_moment=False)
+        got = [hitting_time_mean_exact(params, start) for start in range(16)]
+        assert got == pytest.approx([float(x) for x in ref_mean[:16]], rel=1e-12, abs=0)
+
 
 class TestHittingTimeAsymptotic:
     def test_formula_values(self):

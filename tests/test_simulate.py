@@ -35,6 +35,7 @@ from immunochain.simulate import (
     SimulationConfig,
     Trajectory,
     hitting_time_batch,
+    replicate_runs,
     simulate_matrix,
     simulate_single_column,
 )
@@ -179,6 +180,23 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"expected events .*; {remedy}"):
                 simulate_single_column(params, cfg)
         assert simulate_single_column(params, hit_config(1)).tau > 0
+
+    def test_laid_out_hit_run_from_a_start_is_charged_in_o1(self):
+        # About 2.25e9 events are expected from level 1 to M = 10^6. The mean
+        # from a start above 0 is one Gamma-ratio kernel call, so the charge
+        # refuses the run without an O(M) sweep, which took 0.9 s.
+        params = SingleColumnParams.with_a(10**6, 0.5)
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            with pytest.raises(ValueError, match="expected events .*; drop the series or give a horizon"):
+                simulate_single_column(params, hit_config(1, record_series=True), start=1)
+            elapsed = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 2**20
 
     def test_rare_matrix_hit_run_beyond_cell_cap_rejected(self):
         # One epoch fills the column with probability P_fill = 1.66e-9, above
@@ -331,6 +349,44 @@ class TestBatch:
         with pytest.raises(ValueError, match="replicates exceed"):
             hitting_time_batch(params, simulate_module.MAX_EXPECTED_EVENTS + 1, master_seed=1)
 
+    @pytest.mark.parametrize("params, start", [
+        (SingleColumnParams.with_a(6, 1.0), None),
+        (SingleColumnParams.with_a(6, 1.0), 3),
+        (MatrixParams(M=3, N=2, p=0.3), None),
+        (MatrixParams(M=3, N=2, p=0.3, lambda_m=0.5), None),
+        (MatrixParams(M=3, N=2, p=0.3, lambda_m=0.5), MatrixState.from_entries([[1, 0], [1, 1], [0, 1]])),
+    ], ids=["column", "column-start", "matrix", "matrix-entry-clocks", "matrix-start"])
+    @pytest.mark.parametrize("horizon, series", [(None, False), (None, True), (20.0, False), (20.0, True)])
+    def test_replicate_runs_equal_single_runs(self, params, start, horizon, series):
+        # Run r of a batch is the public run function under its own config,
+        # every field alike, series arrays included.
+        run = simulate_single_column if isinstance(params, SingleColumnParams) else simulate_matrix
+        kw = {} if start is None else {"start": start}
+        batch = list(replicate_runs(params, 6, 21, horizon, series, start))
+        assert len(batch) == 6
+        for r, traj in enumerate(batch):
+            single = run(params, SimulationConfig(21, r, horizon, series), **kw)
+            for field in dataclasses.fields(Trajectory):
+                got, want = getattr(traj, field.name), getattr(single, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+                else:
+                    assert got == want, field.name
+            assert (traj.series_times is None) == (not series)
+
+    @pytest.mark.parametrize("n", [0, simulate_module.MAX_EXPECTED_EVENTS + 1])
+    def test_replicate_runs_refuses_a_batch_at_the_call(self, monkeypatch, n):
+        # The batch is charged when replicate_runs is called, not when its
+        # first run is drawn, and no run starts.
+        def run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(simulate_module, "simulate_single_column", run)
+        monkeypatch.setattr(simulate_module, "simulate_matrix", run)
+        for params in (SingleColumnParams.with_a(4, 1.0), MatrixParams(M=3, N=2, p=0.3)):
+            with pytest.raises(ValueError, match="at least one replicate" if n == 0 else "replicates exceed"):
+                replicate_runs(params, n, 1)
+
 
 class TestRegenerativeHit:
     """Hit-only single-column runs count their climbs instead of laying them out.
@@ -459,10 +515,10 @@ class TestRegenerativeHit:
     def test_times_beyond_double_precision_are_refused(self):
         # At alpha*q = 5e-324 level 0's mean holding time overflows, so no
         # run builds its tables. At (64, 4e-307, 1e-320) every level's is
-        # finite, but their sum over a hit is not; numpy warns as it overflows.
+        # finite, but their sum over a hit is not.
         with pytest.raises(ValueError, match="holding time overflows"):
             simulate_single_column(SingleColumnParams(1, 5e-324, 1e-9), hit_config(1, horizon=1.0))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="time to hit M from 0 overflows"):
+        with pytest.raises(ValueError, match="time to hit M from 0 overflows"):
             simulate_single_column(SingleColumnParams(64, 4e-307, 1e-320), hit_config(1))
 
     @pytest.mark.parametrize("p", [1e-320, 6.25e-309])

@@ -102,3 +102,13 @@ def test_log_gamma_is_called_only_in_analytics_and_stats():
                                                            getattr(node.func, "id", None))
 
     assert {module for module, _ in _found(calls_lgamma)} <= {"analytics", "stats"}
+
+
+def test_simulation_configs_are_built_only_in_simulate():
+    # A batch's per-replicate config is built in one place, replicate_runs;
+    # the CLI asks it for runs and never keys a stream itself.
+    def builds_a_config(node):
+        return isinstance(node, ast.Call) and "SimulationConfig" in (getattr(node.func, "attr", None),
+                                                                     getattr(node.func, "id", None))
+
+    assert {module for module, _ in _found(builds_a_config)} == {"simulate"}
