@@ -9,10 +9,16 @@ the coupon-collector count (the Stirling recurrence, itself checked
 against full enumeration in the tests). These are the references the
 closed forms and samplers are validated against before being trusted at
 scale, so none of them share code with the quantities they check.
+
+The stationary solve also takes a stack of generators over the same
+states. The stack is the same elimination, run over a leading axis: one
+generator is a stack of one, so GTH stays the only stationary solver,
+and a stack only spares the per-call cost of solving many small chains.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -56,7 +62,13 @@ _MAX_EXACT_COST = 10**12
 
 @dataclass
 class DenseGenerator:
-    """Dense CTMC generator: off-diagonal rates with diagonal = -row sum."""
+    """Dense CTMC generator: off-diagonal rates with diagonal = -row sum.
+
+    ``rate_matrix`` is one ``(n, n)`` generator over ``states`` or a
+    ``(k, n, n)`` stack of k >= 1 generators over the same states. Every
+    check runs on each member: finite rates, nonnegative off the diagonal,
+    rows summing to zero relative to the member's largest rate.
+    """
 
     states: list
     rate_matrix: np.ndarray
@@ -64,12 +76,14 @@ class DenseGenerator:
     def __post_init__(self):
         Q = np.asarray(self.rate_matrix, dtype=float)
         n = len(self.states)
-        if Q.shape != (n, n):
-            raise ValueError(f"rate matrix shape {Q.shape} does not match {n} states")
+        if Q.ndim not in (2, 3) or Q.shape[-2:] != (n, n) or Q.size == 0:
+            raise ValueError(f"rate matrix shape {Q.shape} is not {n} x {n} or a nonempty stack of {n} x {n}")
+        if not np.isfinite(Q).all():
+            raise ValueError("rates must be finite")
         if ((Q < 0) & ~np.eye(n, dtype=bool)).any():
             raise ValueError("off-diagonal rates must be nonnegative")
-        scale = max(1.0, float(np.abs(Q).max()))
-        if np.abs(Q.sum(axis=1)).max() > _ROW_SUM_TOL * scale:
+        scale = np.maximum(1.0, np.abs(Q).max(axis=(-2, -1)))
+        if (np.abs(Q.sum(axis=-1)).max(axis=-1) > _ROW_SUM_TOL * scale).any():
             raise ValueError("generator rows must sum to zero")
         self.rate_matrix = Q
 
@@ -83,16 +97,24 @@ def _check_dense(n_states: int) -> None:
         raise ValueError(f"{n_states} states exceed the dense cap of {_MAX_STATES}")
 
 
-def single_column_generator(params: SingleColumnParams) -> DenseGenerator:
-    """Dense generator of the single-column chain on states 0..M."""
-    M = params.M
+def single_column_generator(params: SingleColumnParams | Sequence[SingleColumnParams]) -> DenseGenerator:
+    """Dense generator of the single-column chain on states 0..M.
+
+    Given a sequence of parameter records that share one M, returns their
+    generators in order as one ``(k, M + 1, M + 1)`` stack.
+    """
+    stacked = not isinstance(params, SingleColumnParams)
+    members = list(params) if stacked else [params]
+    if not members or any(m.M != members[0].M for m in members):
+        raise ValueError("a stack of single-column generators needs one or more chains that share one M")
+    M = members[0].M
     _check_dense(M + 1)
-    k = np.arange(M)
-    Q = np.zeros((M + 1, M + 1))
-    Q[k, k + 1] = params.alpha * params.q * (1.0 - k / M)
-    Q[1:, 0] = params.p
-    np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
-    return DenseGenerator(states=list(range(M + 1)), rate_matrix=Q)
+    k, diag = np.arange(M), np.arange(M + 1)
+    Q = np.zeros((len(members), M + 1, M + 1))
+    Q[:, k, k + 1] = np.array([m.alpha * m.q for m in members])[:, None] * (1.0 - k / M)
+    Q[:, 1:, 0] = np.array([m.p for m in members])[:, None]
+    Q[:, diag, diag] -= Q.sum(axis=2)
+    return DenseGenerator(states=list(range(M + 1)), rate_matrix=Q if stacked else Q[0])
 
 
 def matrix_generator(params: MatrixParams) -> DenseGenerator:
@@ -125,13 +147,15 @@ def matrix_generator(params: MatrixParams) -> DenseGenerator:
 
 
 def _reachability(Q: np.ndarray) -> np.ndarray:
-    """``reach[s, t]``: t is reachable from s along positive rates (s from itself).
+    """``reach[..., s, t]``: t is reachable from s along positive rates (s
+    from itself), for one generator or each of a stack.
 
-    Squares the 0/1 one-step matrix, identity included, until it stops
-    changing: about log2(d) + 1 products for a digraph of diameter d.
+    Squares the 0/1 one-step matrices, identity included, until they stop
+    changing: about log2(d) + 1 products for digraphs of diameter d.
     """
     reach = (Q > 0).astype(np.float32)
-    np.fill_diagonal(reach, 1.0)
+    diag = np.arange(Q.shape[-1])
+    reach[..., diag, diag] = 1.0
     while True:
         longer = (reach @ reach > 0).astype(np.float32)
         if np.array_equal(longer, reach):
@@ -139,18 +163,20 @@ def _reachability(Q: np.ndarray) -> np.ndarray:
         reach = longer
 
 
-def _closed_classes(Q: np.ndarray) -> tuple[int, np.ndarray]:
+def _closed_classes(Q: np.ndarray) -> tuple[int | np.ndarray, np.ndarray]:
     """Closed communicating classes of the positive-rate digraph.
 
     Returns ``(count, member_mask)`` where the mask marks states that
     belong to some closed class (the recurrent states): those that every
     state they reach reaches back. Each class is counted at its lowest
-    state.
+    state. On a ``(k, n, n)`` stack the count is an array of k counts and
+    the mask is ``(k, n)``.
     """
     reach = _reachability(Q)
-    recurrent = ~(reach & ~reach.T).any(axis=1)
-    lowest = np.argmax(reach & reach.T, axis=1)
-    return int(np.count_nonzero(recurrent & (lowest == np.arange(len(Q))))), recurrent
+    back = np.swapaxes(reach, -1, -2)
+    recurrent = ~(reach > back).any(axis=-1)  # reaches no state that does not reach back
+    counts = (recurrent & (np.argmax(reach & back, axis=-1) == np.arange(Q.shape[-1]))).sum(axis=-1)
+    return (int(counts) if Q.ndim == 2 else counts), recurrent
 
 
 def stationary_solve(generator: DenseGenerator) -> np.ndarray:
@@ -164,40 +190,51 @@ def stationary_solve(generator: DenseGenerator) -> np.ndarray:
     every entry of the result carries a small relative error even when
     it is many orders of magnitude below the largest - which plain LU
     cannot guarantee and which the entrywise comparisons here need.
+
+    A ``(k, n, n)`` stack is solved as one: the same elimination over a
+    leading axis, each member in its own order, into a ``(k, n)`` array
+    whose row i is what member i gives alone. One generator is a stack of
+    one. The whole stack is refused if any member is.
     """
     Q = generator.rate_matrix
-    n = generator.n_states
+    stack = Q if Q.ndim == 3 else Q[None]
+    k, n = stack.shape[:2]
     _check_dense(n)
-    n_closed, recurrent = _closed_classes(Q)
-    if n_closed != 1:
-        raise ValueError(f"chain has {n_closed} closed communicating classes; stationary law is not unique")
-    # Order the closed class first so every elimination pivot is positive;
-    # transient states then provably receive zero mass on back-substitution.
-    order = np.concatenate([np.flatnonzero(recurrent), np.flatnonzero(~recurrent)])
-    A = Q[np.ix_(order, order)].copy()
-    np.fill_diagonal(A, 0.0)
+    n_closed, recurrent = _closed_classes(stack)
+    if (n_closed != 1).any():
+        raise ValueError(
+            f"chain has {n_closed[n_closed != 1][0]} closed communicating classes; stationary law is not unique"
+        )
+    # Order each member's closed class first so every elimination pivot is
+    # positive; transient states then provably receive zero mass on
+    # back-substitution.
+    member = np.arange(k)[:, None]
+    order = np.argsort(~recurrent, axis=1, kind="stable")
+    A = stack[member[:, :, None], order[:, :, None], order[:, None, :]]
+    diag = np.arange(n)
+    A[:, diag, diag] = 0.0
 
-    outflow = np.zeros(n)  # total rate of state m into lower states at elimination
+    outflow = np.zeros((k, n))  # total rate of state m into lower states at elimination
     for m in range(n - 1, 0, -1):
-        s = A[m, :m].sum()
-        if s <= 0.0:
+        s = A[:, m, :m].sum(axis=1)
+        if not s.min() > 0.0:
             raise ValueError("elimination pivot vanished; chain structure is degenerate")
-        outflow[m] = s
-        A[m, :m] /= s
-        A[:m, :m] += np.outer(A[:m, m], A[m, :m])
+        outflow[:, m] = s
+        A[:, m, :m] /= s[:, None]
+        A[:, :m, :m] += A[:, :m, m, None] * A[:, None, m, :m]
 
-    pi_ordered = np.zeros(n)
-    pi_ordered[0] = 1.0
+    pi_ordered = np.zeros((k, n))
+    pi_ordered[:, 0] = 1.0
     for m in range(1, n):
-        pi_ordered[m] = pi_ordered[:m] @ A[:m, m] / outflow[m]
-    pi_ordered /= pi_ordered.sum()
+        pi_ordered[:, m] = (pi_ordered[:, None, :m] @ A[:, :m, m, None])[:, 0, 0] / outflow[:, m]
+    pi_ordered /= pi_ordered.sum(axis=1, keepdims=True)
 
-    pi = np.zeros(n)
-    pi[order] = pi_ordered
-    residual = float(np.abs(pi @ Q).max())
-    if residual > _RESIDUAL_TOL:
+    pi = np.zeros((k, n))
+    pi[member, order] = pi_ordered
+    residual = np.abs(pi[:, None, :] @ stack).max()
+    if not residual <= _RESIDUAL_TOL:  # a NaN residual fails too
         raise ValueError(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
-    return pi
+    return pi if Q.ndim == 3 else pi[0]
 
 
 def hitting_moments(generator: DenseGenerator, target_set) -> tuple[np.ndarray, np.ndarray]:
@@ -214,6 +251,8 @@ def hitting_moments(generator: DenseGenerator, target_set) -> tuple[np.ndarray, 
     that regime for the single-column chain with exact rationals.
     """
     Q = generator.rate_matrix
+    if Q.ndim != 2:
+        raise ValueError("hitting_moments takes one generator, not a stack")
     n = generator.n_states
     _check_dense(n)
     target = {int(t) for t in target_set}

@@ -539,7 +539,7 @@ def _epoch_window(
     ones included), which change the full count by their sizes; the events
     up to the window's end; the summed time that entry clocks ran on after
     their drawn first ring (their rings there are Poisson in it); and the
-    state at ``t1`` (at lambda_m > 0 only under ``carry``). Under
+    state at ``t1`` (only under ``carry``, else ``None``). Under
     ``stop_on_hit`` the window ends at its first full column, if any.
     """
     M, N = params.M, params.N
@@ -570,7 +570,7 @@ def _epoch_window(
             None if stop_on_hit else ends,
         )
     else:
-        fill, state = _ring_fill(M, state, ring_t, ring_row, starts, cols, last)
+        fill, state = _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry)
         blocks = ()  # no entry clocks run
 
     valid = fill < ends
@@ -658,7 +658,7 @@ def _ring_terms(ends, first):
     return int(np.count_nonzero(gap >= 0)), float(np.maximum(gap, 0.0, out=gap).sum())
 
 
-def _ring_fill(M, state, ring_t, ring_row, starts, cols, last):
+def _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry=True):
     """Fill times of a window's epochs when only row rings set entries (lambda_m = 0).
 
     The ``state`` is each row's last ring before the window, as time-sorted
@@ -672,7 +672,7 @@ def _ring_fill(M, state, ring_t, ring_row, starts, cols, last):
     for its rows not held only, until every row has rung since the start or
     every column has reset; then ``held`` is dropped. Returns the fill times
     (before the window for a column full when it begins) and the state at
-    the window's end.
+    the window's end, under ``carry``, or else ``None``.
     """
     past_t, past_row, reset_at, held = state
     N = reset_at.size
@@ -700,6 +700,8 @@ def _ring_fill(M, state, ring_t, ring_row, starts, cols, last):
         first_at = np.full(M, np.inf)
         first_at[rung] = ring_t[firsts]
         fill[:N] = np.where(reset_at == -np.inf, np.where(held, -np.inf, first_at).max(axis=1), fill[:N])
+    if not carry:
+        return fill, None
     reset_at = np.empty(N)
     reset_at[cols[last]] = starts[last]
     if held is not None and (rung.size == M or reset_at.min() > -np.inf):

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import immunochain
+from immunochain import analytics
 from immunochain import simulate as simulate_module
 from immunochain.analytics import hitting_time_mean_exact
 from immunochain.cli import _FIELD_TYPES, ExperimentConfig, build_parser, main
@@ -635,6 +636,24 @@ def test_commands_without_a_batch_ignore_replicates(tmp_path):
 def test_verify_small_is_refused(capsys):
     assert main(["verify", "--small"]) == 1
     assert "unrecognized arguments: --small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, function, poisoned", [
+    ("invariant-pmf-vs-oracle", "invariant_pmf", lambda params: params.M == 5 and params.alpha == 1.0),
+    ("hitting-mean-vs-oracle", "hitting_time_means_exact", lambda params: params.M == 8 and params.p == 0.5),
+    ("coupon-vs-enumeration", "coupon_done_by_draws", lambda N, k: (N, k) == (3, 4)),
+    ("steady-probability-vs-oracle", "steady_allones_probability", lambda params: params.lambda_m == 0.3),
+], ids=["invariant-pmf", "hitting-mean", "coupon", "steady-probability"])
+def test_verify_fails_a_nan_error(monkeypatch, capsys, check, function, poisoned):
+    # Python's max(0.0, nan) is 0.0, so a check that kept its worst error
+    # with max() printed the other chains' error and passed.
+    real = getattr(analytics, function)
+    monkeypatch.setattr(analytics, function, lambda *args: real(*args) * (np.nan if poisoned(*args) else 1.0))
+    assert main(["verify", "--seed", "3"]) == 3
+    out, err = capsys.readouterr()
+    failed = [line for line in out.splitlines() if line.endswith(" FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"verify {check}: max_err=nan ")
+    assert f"oracle cross-checks failed: ['{check}']" in err
 
 
 def test_batch_beyond_the_event_cap_in_a_config_file_is_refused_at_once(tmp_path, capsys):

@@ -51,6 +51,16 @@ class TestGeneratorValidation:
         assert time.perf_counter() - t0 < 0.05
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        # A NaN once passed every check and solved to [nan, nan]; an inf
+        # solved to [1, 0] with RuntimeWarnings.
+        Q = np.array([[-0.5, 0.5], [bad, -0.5]])
+        with pytest.raises(ValueError, match="rates must be finite"):
+            DenseGenerator(states=[0, 1], rate_matrix=Q)
+        with pytest.raises(ValueError, match="rates must be finite"):
+            DenseGenerator(states=[0, 1], rate_matrix=np.stack([two_state_symmetric().rate_matrix, Q]))
+
     def test_single_column_beyond_dense_cap_refused(self):
         with pytest.raises(ValueError, match="4097 states exceed the dense cap of 4096"):
             single_column_generator(SingleColumnParams(M=4096, alpha=1.0, p=0.5))
@@ -120,6 +130,107 @@ class TestStationarySolve:
         assert pi[0b0110] == 0.0
         assert pi[0b1001] == 0.0
         assert pi.sum() == pytest.approx(1.0)
+
+    def test_nan_residual_fails(self):
+        # A NaN written into a generator after its checks solves to NaN, and
+        # NaN > tol is False: the residual check must fail it all the same.
+        gen = two_state_symmetric()
+        gen.rate_matrix[1, 0] = np.nan
+        with pytest.raises(ValueError, match="stationary residual nan exceeds"):
+            stationary_solve(gen)
+
+
+# Three-state generators of several structures: full support, and one
+# transient state that differs between members.
+FULL_SUPPORT = (
+    [[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.5, 0.5, -1.0]],
+    [[-0.3, 0.1, 0.2], [2.0, -2.5, 0.5], [1e-3, 4.0, -4.001]],
+)
+TRANSIENT = (
+    [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]],  # 0 transient
+    [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 2.0, -2.0]],  # 2 transient
+)
+
+
+def stacked(*members):
+    return DenseGenerator(states=list(range(len(members[0]))), rate_matrix=np.array(members, dtype=float))
+
+
+class TestStackedSolve:
+    def test_mixed_stack_equals_each_member_alone(self):
+        columns = single_column_generator(
+            [SingleColumnParams(M=2, alpha=alpha, p=p) for alpha in (0.5, 2.0) for p in (0.1, 0.9)]
+        ).rate_matrix
+        members = [*TRANSIENT, *FULL_SUPPORT, *columns]
+        pi = stationary_solve(stacked(*members))
+        assert pi.shape == (len(members), 3)
+        for row, Q in zip(pi, members):
+            assert np.array_equal(row, stationary_solve(DenseGenerator(states=[0, 1, 2], rate_matrix=Q)))
+        assert pi[0, 0] == 0.0 and pi[1, 2] == 0.0
+
+    def test_verify_grid_stack_equals_each_member_alone(self):
+        for M in range(1, 9):
+            chains = [SingleColumnParams(M=M, alpha=a, p=p) for a in (0.5, 1.0, 2.0) for p in (0.1, 0.5, 0.9)]
+            gen = single_column_generator(chains)
+            alone = [single_column_generator(params) for params in chains]
+            assert np.array_equal(gen.rate_matrix, np.stack([g.rate_matrix for g in alone]))
+            assert np.array_equal(stationary_solve(gen), np.stack([stationary_solve(g) for g in alone])), M
+
+    def test_member_with_two_closed_classes_refused(self):
+        two_absorbing = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]]
+        with pytest.raises(ValueError, match="chain has 2 closed communicating classes"):
+            stationary_solve(stacked(*FULL_SUPPORT, two_absorbing, *TRANSIENT))
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[0.5, -0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "off-diagonal rates must be nonnegative"),
+        ([[-0.5, 0.6, 0.0], [0.5, -0.5, 0.0], [0.0, 1.0, -1.0]], "rows must sum to zero"),
+        ([[-0.5, 0.5, 0.0], [np.nan, -0.5, 0.5], [0.0, 1.0, -1.0]], "rates must be finite"),
+    ])
+    def test_bad_member_refused(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            stacked(*FULL_SUPPORT, bad)
+
+    def test_row_sums_checked_at_each_member_scale(self):
+        # An error of 1e-6 is within 1e-12 of a member whose rates reach 1e7,
+        # not of one whose rates are about 1.
+        large = np.array([[-1e7, 1e7], [1.0, -1.0]])
+        small = np.array([[-0.5, 0.5 + 1e-6], [0.5, -0.5]])
+        DenseGenerator(states=[0, 1], rate_matrix=large + [[0.0, 1e-6], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="rows must sum to zero"):
+            stacked(large, small)
+
+    def test_empty_or_misshapen_stack_refused(self):
+        for Q in (np.zeros((0, 2, 2)), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2))):
+            with pytest.raises(ValueError, match="rate matrix shape"):
+                DenseGenerator(states=[0, 1], rate_matrix=Q)
+
+    def test_chains_of_several_sizes_refused(self):
+        for chains in ([], [SingleColumnParams(M=2, alpha=1.0, p=0.5), SingleColumnParams(M=3, alpha=1.0, p=0.5)]):
+            with pytest.raises(ValueError, match="share one M"):
+                single_column_generator(chains)
+
+    def test_dense_cap_checked_before_the_stack_is_built(self, monkeypatch):
+        # 64 generators on 4097 states would need 8.6 GB.
+        chains = [SingleColumnParams(M=4096, alpha=1.0, p=0.5)] * 64
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="4097 states exceed the dense cap of 4096"):
+                single_column_generator(chains)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.05
+        assert peak < 1 << 20
+        gen = single_column_generator([SingleColumnParams(M=2, alpha=1.0, p=0.5)] * 3)
+        monkeypatch.setattr(oracle, "_MAX_STATES", 2)
+        with pytest.raises(ValueError, match="3 states exceed the dense cap of 2"):
+            stationary_solve(gen)
+
+    def test_hitting_moments_refuses_a_stack(self):
+        gen = single_column_generator([SingleColumnParams(M=2, alpha=1.0, p=0.5)] * 2)
+        with pytest.raises(ValueError, match="not a stack"):
+            hitting_moments(gen, {2})
 
 
 class TestHittingMoments:

@@ -989,6 +989,23 @@ class TestEpochPath:
         for field in dataclasses.fields(Trajectory):
             assert np.array_equal(getattr(started, field.name), getattr(plain, field.name)), field.name
 
+    def test_last_horizon_window_builds_no_state(self, monkeypatch):
+        # At lambda_m = 0 only a window that another follows builds the
+        # state at its end; the last one gives the same fill times and None.
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
+        calls = []
+        ring_fill = simulate_module._ring_fill
+
+        def recorded(*args):
+            fill, state = ring_fill(*args)
+            kept, _ = ring_fill(*args[:-1], True)
+            calls.append((args[-1], state is None, np.array_equal(fill, kept)))
+            return fill, state
+
+        monkeypatch.setattr(simulate_module, "_ring_fill", recorded)
+        simulate_matrix(MatrixParams(M=6, N=4, p=0.3), SimulationConfig(master_seed=9, horizon=4.5 * 64))
+        assert calls == [(True, False, True)] * 4 + [(False, True, True)]
+
     def test_first_full_column_law_across_windows(self, monkeypatch):
         # Hit windows of 16, 32, 64, 64, ... cells, each about one time unit
         # here, against a median hit near 120: the columns' states carry
