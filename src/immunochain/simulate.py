@@ -29,27 +29,36 @@ next reset. Without entry clocks (lambda_m = 0) that is the first ring
 after which every row has rung since the epoch began, and one pass over
 the window's rings gives it for every epoch: each ring's next ring of the
 same row, a prefix maximum of those, and a search for each epoch's start.
-Windows chain from the state at the end of the last one, which bounds the
-arrays a window needs: at lambda_m = 0 entry (i, j) is one iff row i rang
-after column j's last reset, so the state is each row's last ring and each
-column's last reset. With entry clocks it is N x M, and every epoch has M
-cells, one per entry, streamed through blocks of at most ``_WINDOW_CELLS``
-cells; an entry set when the window begins is set from its start. Entry
-clocks are Poisson, so their rings after the window's start do not depend
-on what came before, and every cell draws its entry's first ring, a set
-entry's too. The event count adds the entry rings: the first one of each
-cell is drawn, and the rest are Poisson in the time left. A window that
-runs to its end sums those terms block by block; one that may stop at a
-hit keeps its first rings until the hit time is known. So at every
-lambda_m a horizon window is bounded by its rings and resets alone, while
-a hit window holds the ``N*M`` cells of the epochs it carries in and spans
-as many reset cells.
+A run that records no series reads only its first fill and its end count,
+so it computes fills only while its first fill is unknown, and mostly not
+even then: an epoch fills no earlier the later it starts, so the epochs
+carried into a window decide it, or the rows' first rings in the window
+show that nothing fills there. Windows chain from the state at the end of
+the last one, which bounds the arrays a window needs: at lambda_m = 0
+entry (i, j) is one iff row i rang after column j's last reset, so the
+state is each row's last ring and each column's last reset, and the end
+count is read off it. With entry clocks it is N x M; an entry set when
+the window begins is set from its start. Every epoch sorts its rows' first
+rings (an M-wide row, streamed through blocks of at most
+``_WINDOW_CELLS`` cells), and only its k rows that ring last draw their
+entry clocks' first rings: the others are set by the (k+1)-th last ring,
+so the epoch's fill is read off those k unless they all come earlier,
+when it draws the rest. Entry clocks are Poisson, so their rings after the
+window's start do not depend on what came before, and an undrawn clock's
+rings in its epoch do not depend on the fill. The event count adds the
+entry rings: the first ring of each drawn cell, and Poisson-many in the
+time after it or, undrawn, over the whole epoch. A window that runs to
+its end sums those terms block by block; one that may stop at a hit keeps
+its drawn first rings until the hit time is known. So at every lambda_m a
+horizon window is bounded by its rings and resets alone, while a hit
+window holds the ``N*M`` cells of the state it carries in and spans as
+many reset cells.
 
 Both constructions have exactly Gillespie's law; the climbs are the
 column's own jump chain, drawn in another order. Counted climbs cost a few
 draws per level whatever the event count, laid-out climbs one array cell
 per event, and epochs about ``q + p*M`` cells per unit time plus ``N*M``
-per window, or ``q + p`` at lambda_m = 0. Both chains'
+per window, k of each M drawn, or ``q + p`` at lambda_m = 0. Both chains'
 event loops live apart, in :mod:`immunochain.reference`, as the references
 the tests compare these constructions against.
 
@@ -89,13 +98,13 @@ __all__ = [
 
 # A window holds about _WINDOW_CELLS array cells. A matrix horizon window's
 # row rings and resets bound it at every lambda_m, so it spans
-# _WINDOW_CELLS / (q + p) time units; its entry cells (M per epoch) stream
-# through blocks of at most _WINDOW_CELLS cells, however large N*M is and
-# however many resets it holds. A matrix hit window keeps its entry-clock
-# first rings until the hit, M per epoch, so at lambda_m > 0 it holds the
-# N*M cells of its carried epochs whatever its span, and it spans
-# max(_WINDOW_CELLS, N*M) / (q + p*M): its reset cells never outnumber
-# those. A single-column window holds its climb levels. A run may end long
+# _WINDOW_CELLS / (q + p) time units; its epochs' rows of first rings (M
+# per epoch) stream through blocks of at most _WINDOW_CELLS cells, however
+# large N*M is and however many resets it holds. A matrix hit window keeps
+# its drawn entry-clock first rings until the hit, k per epoch, and at
+# lambda_m > 0 it carries the N*M cells of the state whatever its span, so
+# it spans max(_WINDOW_CELLS, N*M) / (q + p*M): its reset cells never
+# outnumber those. A single-column window holds its climb levels. A run may end long
 # before a window does, so a matrix hit run's first window holds
 # max(_FIRST_WINDOW_CELLS, N*M) cells (_FIRST_WINDOW_CELLS at
 # lambda_m = 0), a single-column run's first window _FIRST_WINDOW_CELLS,
@@ -418,14 +427,18 @@ def simulate_matrix(
     the module docstring): ``tau``, ``end_time``, ``end_value``, the series
     and ``n_events`` have the joint law of the event-by-event chain, at a
     cost that grows with the row rings, the resets and, when entries have
-    clocks of their own, the epoch-by-row cells, not with the events: M
-    per epoch, so a hit window at lambda_m > 0 spans
-    ``max(_WINDOW_CELLS, N*M)`` cells, as many as the state it carries. A
-    run that needs the events themselves or the final matrix is a job for
-    the Gillespie reference, :func:`immunochain.reference.matrix_gillespie`. A
-    run without a horizon and no full column at its start raises
-    ``ValueError`` when one reset epoch fills its column with probability
-    below ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
+    clocks of their own, the epoch-by-row cells, not with the events: per
+    epoch an M-wide row of next rings, sorted, and k drawn entry cells
+    (all M in the rare epoch that needs them), and a hit window at
+    lambda_m > 0 spans ``max(_WINDOW_CELLS, N*M)`` cells, as many as the
+    state it carries. Without entry clocks a run without a series computes
+    fills only while its first fill is unknown, and reads its end count off
+    the state. A run that needs the events themselves or the final matrix
+    is a job for the Gillespie reference,
+    :func:`immunochain.reference.matrix_gillespie`. A run without a
+    horizon and no full column at its start raises ``ValueError`` when one
+    reset epoch fills its column with probability below
+    ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
     :func:`check_budget` charges every run its state cells, ``N*M`` or, at
     lambda_m = 0 from the empty matrix, ``M + N``; a run with a horizon,
     the events or epoch cells up to it, whichever are more; and one from
@@ -440,7 +453,7 @@ def simulate_matrix(
     # builds a cell per entry, and from a start; else M + N (see _ring_fill).
     check_budget(M * N if params.lambda_m > 0 or start is not None else M + N, "cells in the state alone", "shrink M or N")
     # Epoch cells per unit time: row rings and resets, and with entry
-    # clocks an M-wide row of set times per epoch.
+    # clocks an M-wide row of first rings per epoch.
     cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
     horizon = config.horizon
     if horizon is not None:
@@ -481,18 +494,21 @@ def simulate_matrix(
     state = held if params.lambda_m > 0 else (np.empty(0), np.empty(0, np.uint16), np.full(N, -np.inf), held)
     gains: list[np.ndarray] = []
     losses: list[np.ndarray] = []
+    lost = ()
 
     if not (stop_on_hit and tau is not None):
         while True:
             t1 = t + span if horizon is None else min(t + span, horizon)
             span = min(2 * span, width)
             gained, lost, events, spare, state = _epoch_window(
-                params, rng, state, t, t1, stop_on_hit, carry=t1 != horizon
+                params, rng, state, t, t1, stop_on_hit, carry=t1 != horizon,
+                series=config.record_series, known=tau is not None,
             )
             n_events += events
             spare_time += spare
-            gains.append(gained)
-            losses.append(lost)
+            if lost is not None:
+                gains.append(gained)
+                losses.append(lost)
             if tau is None and gained.size:
                 tau = float(gained.min())
                 if stop_on_hit:
@@ -503,7 +519,11 @@ def simulate_matrix(
                 break
     if spare_time > 0:
         n_events += int(rng.poisson(params.lambda_m / M * spare_time))
-    end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses)
+    if lost is None:  # entry (i, j) is one iff row i rang after column j's last reset
+        last_rings, _, reset_at, _ = state
+        end_value = int(np.count_nonzero(reset_at < (last_rings[0] if last_rings.size == M else -np.inf)))
+    else:
+        end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses)
 
     times = values = None
     if config.record_series:
@@ -522,7 +542,9 @@ def _epoch_window(
     t1: float,
     stop_on_hit: bool,
     carry: bool,
-) -> tuple[np.ndarray, np.ndarray, int, float, object]:
+    series: bool,
+    known: bool,
+) -> tuple[np.ndarray, np.ndarray | None, int, float, object]:
     """One window ``[t0, t1)`` of a matrix run, from the ``state`` at ``t0``.
 
     Column j's epochs run between ``t0``, its resets and ``t1``. In an
@@ -531,16 +553,23 @@ def _epoch_window(
     earlier (at s if it is one at ``t0`` and s is ``t0``), and the column
     is full from the last of these times to the epoch's end.
 
-    With entry clocks the window builds M cells per epoch and the state is
+    With entry clocks the window draws k cells per epoch and the state is
     N x M (see :func:`_entry_fill`); without them, no cells and O(M + N).
+    Without them, a run with no ``series`` whose state holds no start
+    entries reads only its first fill, and none once it is ``known`` (see
+    :func:`_first_fill`).
 
     Returns the times columns became full (columns full at ``t0`` are
     carried, not counted) and the times full columns were reset (carried
-    ones included), which change the full count by their sizes; the events
-    up to the window's end; the summed time that entry clocks ran on after
-    their drawn first ring (their rings there are Poisson in it); and the
-    state at ``t1`` (only under ``carry``, else ``None``). Under
-    ``stop_on_hit`` the window ends at its first full column, if any.
+    ones included), which change the full count by their sizes, or the
+    first fill and ``None``, the count then being read off the state; the
+    events up to the window's end; the summed time in which entry clocks
+    ring Poisson-many times uncounted (after a drawn first ring, or over
+    the epoch where none was drawn); and the state at ``t1`` (only under
+    ``carry``, else ``None``), or at the window's end where the count is
+    read off it. Under ``stop_on_hit`` the window ends at its first full
+    column, if any, and then carries no state out (see
+    :func:`_carried_out`).
     """
     M, N = params.M, params.N
     span = t1 - t0
@@ -553,25 +582,16 @@ def _epoch_window(
     reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
     reset_col = (rng.random(reset_t.size) * N).astype(np.intp)
 
-    # Epoch j < N is column j's from t0; epoch N + r is the one from reset r.
-    n_resets = reset_t.size
-    starts = np.concatenate((np.full(N, t0), reset_t))
-    cols = np.concatenate((np.arange(N), reset_col))
-    order = np.argsort(cols, kind="stable")  # column by column, each in time order
-    succ = cols[order[1:]] == cols[order[:-1]]
-    ends = np.full(N + n_resets, t1)
-    ends[order[:-1][succ]] = starts[order[1:][succ]]
-    last = np.ones(N + n_resets, dtype=bool)
-    last[order[:-1][succ]] = False
-
+    if params.lambda_m == 0 and not series and state[3] is None:
+        return _first_fill(M, state, ring_t, ring_row, reset_t, reset_col, t0, t1, stop_on_hit, known)
+    starts, cols, ends, last = _epochs(N, t0, t1, reset_t, reset_col)
     if params.lambda_m > 0:
-        fill, state, blocks = _entry_fill(
-            params, rng, state, ring_t, ring_row, starts, cols, last, t0, t1, carry,
-            None if stop_on_hit else ends,
+        filled, state = state, None
+        fill, drawn, undrawn, kept = _entry_fill(
+            params, rng, filled, ring_t, ring_row, starts, ends, last if carry else None, t0, stop_on_hit
         )
     else:
         fill, state = _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry)
-        blocks = ()  # no entry clocks run
 
     valid = fill < ends
     gained = fill[valid & (fill > t0)]
@@ -580,44 +600,95 @@ def _epoch_window(
     lost = ends[valid & (ends < end)]
     n_events = int(np.searchsorted(ring_t, end, "right") + np.searchsorted(reset_t, end, "right"))
     spare = 0.0
-    for lo, hi, *terms in blocks:
-        if stop_on_hit:  # a hit window's blocks keep their first rings until its end is known
-            terms = _ring_terms(np.minimum(ends[lo:hi], end), *terms)
-        n_events += terms[0]
-        spare += terms[1]
+    if end < t1:
+        state = None  # a window that stops at its hit carries nothing out
+    if params.lambda_m > 0:
+        if carry and end == t1:
+            state, waits, first = _carried_out(
+                params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, *kept
+            )
+            undrawn -= np.bincount(waits, minlength=undrawn.size)
+            rings, spare = _ring_terms(ends[waits], first[:, None])
+            n_events += rings
+        # A hit window keeps its first rings until its end is known; rows
+        # that drew none ring Poisson-many times over their epochs.
+        ends = np.minimum(ends, end)
+        for terms in drawn:
+            if stop_on_hit:
+                terms = _ring_terms(ends[terms[0]], terms[1])
+            n_events += terms[0]
+            spare += terms[1]
+        spare += float(undrawn @ np.maximum(ends - starts, 0.0))
     return gained, lost, n_events, spare, state
 
 
-def _entry_fill(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, carry, ends=None):
+def _epochs(N, t0, t1, reset_t, reset_col):
+    """A window's epochs: epoch j < N is column j's from ``t0``, epoch N + r
+    the one from reset r. Returns their starts, columns and ends, and which
+    of them are their column's last."""
+    starts = np.concatenate((np.full(N, t0), reset_t))
+    cols = np.concatenate((np.arange(N), reset_col))
+    order = np.argsort(cols, kind="stable")  # column by column, each in time order
+    succ = cols[order[1:]] == cols[order[:-1]]
+    ends = np.full(starts.size, t1)
+    ends[order[:-1][succ]] = starts[order[1:][succ]]
+    last = np.ones(starts.size, dtype=bool)
+    last[order[:-1][succ]] = False
+    return starts, cols, ends, last
+
+
+@lru_cache(maxsize=64)
+def _candidate_rows(params: MatrixParams) -> int:
+    """How many rows of an epoch draw their entry clocks (see
+    :func:`_entry_fill`): the least k with ``(1 - (k/M)**(lambda_m/q))**k``
+    at most 1e-3, about the chance that a long epoch needs the others,
+    and M where no k < M gives that."""
+    M = params.M
+    k = np.arange(1, M)
+    with np.errstate(invalid="ignore"):  # 0 * inf where lambda_m/q overflows
+        miss = (-np.expm1(params.lambda_m / params.q * np.log(k / M))) ** k
+    k = k[miss <= 1e-3]
+    return int(k[0]) if k.size else M
+
+
+def _entry_fill(params, rng, filled, ring_t, ring_row, starts, ends, last, t0, keep):
     """Fill times of a window's epochs when entries have clocks of their own.
 
-    Every epoch has M set-time cells, one per entry: row i's first ring
-    after the epoch's start, lowered to the entry's own first ring, or
-    ``t0`` for an entry one at ``t0`` in a carried epoch; the epoch fills at
-    the last of them. Every cell draws its entry clock's first ring, a set
-    entry's too: a Poisson clock's rings after ``t0`` do not depend on its
-    past. Epochs go in blocks of ``_WINDOW_CELLS // M`` (one at least) that
-    never mix carried and reset epochs, and every per-cell array lives in
-    one block, so a block holds at most ``_WINDOW_CELLS`` cells however
-    large N*M is and however many resets the window has. Carried blocks
-    read one shared row of first rings after ``t0``. A block of reset
-    epochs builds only its own rows of next rings, from the window's rings
-    after its first reset. So a window costs M cells per epoch, and one
-    pass over its rings per block.
+    In the epoch from s, entry (i, j) is set at R_i, row i's first ring
+    after s (``t0`` for an entry one at ``t0`` in a carried epoch), or at
+    E_i, its own clock's first ring, whichever is earlier, and the epoch
+    fills at the last of these. Each epoch sorts its R, and only its k rows
+    with the latest R (k from :func:`_candidate_rows`) draw E at first:
+    every other row is set by T, the (k+1)-th latest R, so the epoch fills
+    at L, the last of the k set times, if L is at T or later, and not
+    before its ``ends`` if L is at its end or later. Else it draws its
+    other rows' E as well and fills at the last of all M. The choice of
+    rows and of this fallback reads R and the drawn E only, and the other
+    rows' clocks are independent of both, so the law is exact for any k;
+    k = M draws every cell. A row that draws no E rings Poisson-many times
+    over its epoch, whatever the fill.
 
-    ``ends``, when given, are the epochs' ends in a window that runs to its
-    end ``t1`` (a horizon window): each block then sums its entry-ring
-    terms (see :func:`_ring_terms`) as it is drawn and keeps no first ring.
+    Epochs go in blocks of ``_WINDOW_CELLS // M`` (one at least) that never
+    mix carried and reset epochs, so every per-cell array, R included,
+    lives in one block of at most ``_WINDOW_CELLS`` cells. Carried epochs
+    with nothing set share one row of first rings after ``t0``. A block of
+    reset epochs builds only its own rows of next rings, from the window's
+    rings after its first reset.
 
-    Returns the fill times; under ``carry``, the column states at ``t1``;
-    and per block, its epochs ``lo:hi`` and either the entry clocks' first
-    rings, an ``(hi - lo, M)`` array, or, given ``ends``, its terms.
+    Returns the fill times; the drawn first rings as ``(epochs, rings)``
+    pairs, one row per epoch in order of R, summed into their terms (see
+    :func:`_ring_terms`) unless ``keep`` (a window that may stop at a hit,
+    whose end is not known yet); how many rows of each epoch drew none;
+    and, for :func:`_carried_out`, the first rings drawn in the ``last``
+    epochs (when given): the k candidates' of each, then the epochs that
+    fell back and their other rows'.
     """
     M, N = params.M, params.N
     scale = M / params.lambda_m
+    k = _candidate_rows(params)
     fill = np.empty(starts.size)
-    filled_next = np.empty_like(filled) if carry else None
-    blocks = []
+    undrawn = np.full(starts.size, M - k)
+    drawn, tops, backs = [], [], [(np.empty(0, np.intp), np.empty((0, M - k)))]
     step = max(1, _WINDOW_CELLS // M)
     carried_rings = np.full(M, np.inf)  # each row's first ring in the window
     np.minimum.at(carried_rings, ring_row, ring_t)
@@ -625,37 +696,148 @@ def _entry_fill(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t
     after = np.searchsorted(ring_t, reset_t, "right")  # each reset's first ring
     for lo in [*range(0, N, step), *range(N, starts.size, step)]:
         hi = min(lo + step, N if lo < N else starts.size)
-        first = starts[lo:hi, None] + rng.exponential(scale, size=(hi - lo, M))
-        if lo < N:
-            set_at = np.minimum(carried_rings, first)
-            set_at[filled[lo:hi]] = t0
-        else:
+        if lo >= N:
             a, b = lo - N, hi - N  # the block's resets
-            # next_ring[k, i]: row i's first ring after reset a + k. Each ring
+            # R[r, i]: row i's first ring after reset a + r. Each ring
             # after reset a goes to the last of the block's resets before it,
             # and a backward running minimum carries later rings to earlier
             # resets.
-            next_ring = np.full((b - a, M), np.inf)
+            R = np.full((b - a, M), np.inf)
             inside = slice(after[a], None)
-            np.minimum.at(
-                next_ring, (np.searchsorted(reset_t[a + 1 : b], ring_t[inside]), ring_row[inside]), ring_t[inside]
-            )
-            np.minimum.accumulate(next_ring[::-1], axis=0, out=next_ring[::-1])
-            set_at = np.minimum(next_ring, first, out=next_ring)
-        fill[lo:hi] = set_at.max(axis=1)
-        blocks.append((lo, hi, first) if ends is None else (lo, hi, *_ring_terms(ends[lo:hi], first)))
-        if carry:
-            keep = last[lo:hi]
-            filled_next[cols[lo:hi][keep]] = set_at[keep] < t1
-    return fill, filled_next, blocks
+            np.minimum.at(R, (np.searchsorted(reset_t[a + 1 : b], ring_t[inside]), ring_row[inside]), ring_t[inside])
+            np.minimum.accumulate(R[::-1], axis=0, out=R[::-1])
+        elif filled[lo:hi].any():
+            R = np.where(filled[lo:hi], t0, carried_rings)
+        else:
+            R = carried_rings[None]
+        R = np.sort(R, axis=1)  # a row per epoch, or one row they share
+        s = starts[lo:hi, None]
+        first = s + rng.exponential(scale, size=(hi - lo, k))
+        fill[lo:hi] = np.minimum(R[:, M - k :], first).max(axis=1)
+        epochs = [(np.arange(lo, hi), first)]
+        if k < M:
+            more = fill[lo:hi] < np.minimum(R[:, M - k - 1], ends[lo:hi])
+            if more.any():
+                back = np.flatnonzero(more)
+                rest = s[back] + rng.exponential(scale, size=(back.size, M - k))
+                fill[lo + back] = np.maximum(fill[lo + back], np.minimum(R[back % len(R), : M - k], rest).max(axis=1))
+                epochs.append((lo + back, rest))
+                undrawn[lo + back] = 0
+                if last is not None:
+                    backs.append((lo + back[last[lo + back]], rest[last[lo + back]]))
+        if last is not None:
+            tops.append(first[last[lo:hi]])
+        drawn += epochs if keep else [_ring_terms(ends[e], first) for e, first in epochs]
+    return fill, drawn, undrawn, (np.concatenate([np.empty((0, k)), *tops]), *map(np.concatenate, zip(*backs)))
+
+
+def _carried_out(params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, tops, back_epochs, backs):
+    """The column states at ``t1`` of a window with entry clocks that ran to
+    its end, from each column's ``last`` epoch (see :func:`_entry_fill`).
+
+    Entry (i, j) is set iff row i rang in the epoch before ``t1``, it was
+    one at ``t0`` in a column not reset since, or its own clock's first
+    ring E came before ``t1``. The rows unrung by ``t1`` are the epoch's u
+    latest in order of R, and exchangeable, so the r-th last of them in
+    row order takes the E drawn for the r-th latest R, if any: a
+    candidate's (``tops``), or another row's in an epoch that fell back
+    (``backs``). Those left draw E now. Per-cell arrays live in blocks of
+    at most ``_WINDOW_CELLS`` cells.
+
+    Returns the states, the epochs and rows of the entries that drew now,
+    and their first rings.
+    """
+    M = params.M
+    k = _candidate_rows(params)
+    rang = np.full(M, -np.inf)  # each row's last ring before t1
+    before = int(ring_t.searchsorted(t1))
+    np.maximum.at(rang, ring_row[:before], ring_t[:before])
+    epochs = np.flatnonzero(last)  # carried ones first, each column once
+    fell = np.full(starts.size, -1)
+    fell[back_epochs] = np.arange(back_epochs.size)
+    state = np.empty_like(filled)
+    waits = [(np.empty(0, np.intp),) * 2]
+    step = max(1, _WINDOW_CELLS // M)
+    for lo in range(0, epochs.size, step):
+        b = epochs[lo : lo + step]
+        rung = rang > starts[b, None]
+        carried = b < filled.shape[0]
+        rung[carried] = filled[b[carried]] | (rang >= t0)
+        e, i = np.divmod(np.flatnonzero(~rung), M)  # epoch by epoch, in row order
+        if e.size:
+            u = np.bincount(e, minlength=b.size)
+            r = np.repeat(np.cumsum(u), u) - np.arange(e.size)  # from the last
+            E = np.full(e.size, np.nan)
+            top = r <= k
+            E[top] = tops[lo + e[top], k - r[top]]
+            on = ~top & (fell[b[e]] >= 0)
+            E[on] = backs[fell[b[e[on]]], M - r[on]]
+            rung[e, i] = E < t1
+            wait = np.isnan(E)
+            waits.append((b[e[wait]], i[wait]))
+        state[cols[b]] = rung
+    waits, rows = np.concatenate(waits, axis=1)
+    first = starts[waits] + rng.exponential(M / params.lambda_m, waits.size)
+    state[cols[waits], rows] = first < t1
+    return state, waits, first
 
 
 def _ring_terms(ends, first):
-    """Entry clocks' first rings ``first``, one row of M per epoch, before
-    their epochs' ``ends``, and the summed time after those rings, in which
-    their further rings are Poisson."""
+    """Entry clocks' first rings ``first``, a row per epoch (or per cell),
+    before the rows' ``ends``, and the summed time after those rings, in
+    which their further rings are Poisson."""
     gap = ends[:, None] - first
     return int(np.count_nonzero(gap >= 0)), float(np.maximum(gap, 0.0, out=gap).sum())
+
+
+def _first_fill(M, state, ring_t, ring_row, reset_t, reset_col, t0, t1, stop_on_hit, known):
+    """A lambda_m = 0 window of a run that reads only its first fill and its
+    end count: no series, and no start entries in the ``state`` (see
+    :func:`_ring_fill`).
+
+    Carried epoch j, from column j's last reset c_j, fills at the last
+    first ring in the window of the rows whose last ring before ``t0`` is at
+    or before c_j: a prefix maximum over the rows in order of their last
+    ring, read by one search per column. An epoch fills no earlier the later
+    it starts, so the first fill is the least carried one before its
+    column's first reset, if there is one, and none if some row's first
+    ring comes at ``t1`` or later (or never); only otherwise does the window
+    search every epoch (:func:`_ring_fill`). Once the run's first fill is
+    ``known``, no window looks for one.
+
+    Returns the first fill (none or one), ``None`` in place of the reset
+    times, the events to the window's end, no entry-clock time, and the
+    state at that end: ``t1``, or the first fill of a hit window.
+    """
+    past_t, past_row, reset_at, _ = state
+    N = reset_at.size
+    last_ring = np.full(M, -np.inf)  # each row's last ring, -inf for none
+    last_ring[past_row] = past_t
+    gained = np.empty(0)
+    if not known:
+        first = np.full(M, np.inf)  # each row's first ring in the window
+        np.minimum.at(first, ring_row, ring_t)
+        if past_row.size:  # rows in order of their last ring, those never rung first
+            by_last = np.argsort(last_ring)
+            fills = np.maximum.accumulate(np.concatenate(([-np.inf], first[by_last])))
+            carried = fills[np.searchsorted(last_ring[by_last], reset_at, "right")]
+        else:
+            carried = fills = first.max(keepdims=True)
+        reset_first = np.full(N, t1)  # each column's first reset in the window
+        np.minimum.at(reset_first, reset_col, reset_t)
+        if (valid := carried < reset_first).any():
+            gained = np.where(valid, carried, np.inf).min(keepdims=True)
+        elif fills[-1] < t1:
+            starts, cols, ends, last = _epochs(N, t0, t1, reset_t, reset_col)
+            fill = _ring_fill(M, state, ring_t, ring_row, starts, cols, last, False)[0]
+            gained = np.sort(fill[(fill < ends) & (fill > t0)])[:1]
+    end = float(gained[0]) if stop_on_hit and gained.size else t1
+    rings, resets = int(ring_t.searchsorted(end, "right")), int(reset_t.searchsorted(end, "right"))
+    np.maximum.at(last_ring, ring_row[:rings], ring_t[:rings])
+    reset_at = reset_at.copy()
+    np.maximum.at(reset_at, reset_col[:resets], reset_t[:resets])
+    rows = np.argsort(last_ring)[np.count_nonzero(last_ring == -np.inf) :]
+    return gained, None, rings + resets, 0.0, (last_ring[rows], rows.astype(ring_row.dtype), reset_at, None)
 
 
 def _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry=True):

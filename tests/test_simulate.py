@@ -990,8 +990,11 @@ class TestEpochPath:
             assert np.array_equal(getattr(started, field.name), getattr(plain, field.name)), field.name
 
     def test_last_horizon_window_builds_no_state(self, monkeypatch):
-        # At lambda_m = 0 only a window that another follows builds the
-        # state at its end; the last one gives the same fill times and None.
+        # At lambda_m = 0 a series run searches every window's epochs, and
+        # only a window that another follows builds the state at its end;
+        # the last one gives the same fill times and None. A run without a
+        # series reads its first fill only, so no window after the one that
+        # holds it searches the epochs.
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
         calls = []
         ring_fill = simulate_module._ring_fill
@@ -1003,8 +1006,26 @@ class TestEpochPath:
             return fill, state
 
         monkeypatch.setattr(simulate_module, "_ring_fill", recorded)
-        simulate_matrix(MatrixParams(M=6, N=4, p=0.3), SimulationConfig(master_seed=9, horizon=4.5 * 64))
+        params = MatrixParams(M=6, N=4, p=0.3)
+        simulate_matrix(params, SimulationConfig(master_seed=9, horizon=4.5 * 64, record_series=True))
         assert calls == [(True, False, True)] * 4 + [(False, True, True)]
+        windows = _window_calls(monkeypatch)
+        searched = []  # the window of every search
+
+        def counted(*args):
+            searched.append(len(windows))
+            return ring_fill(*args)
+
+        monkeypatch.setattr(simulate_module, "_ring_fill", counted)
+        searches = 0
+        for seed in range(40):
+            windows.clear()
+            searched.clear()
+            traj = simulate_matrix(params, SimulationConfig(master_seed=seed, horizon=4.5 * 64))
+            hit = 1 + next(w for w, (t0, t1) in enumerate(windows) if t0 <= traj.tau < t1)
+            assert len(windows) == 5 and all(w <= hit for w in searched)
+            searches += len(searched)
+        assert searches  # some first fills took a search
 
     def test_first_full_column_law_across_windows(self, monkeypatch):
         # Hit windows of 16, 32, 64, 64, ... cells, each about one time unit
@@ -1065,17 +1086,23 @@ class TestEpochPath:
 
     def test_entry_fill_matches_a_row_by_row_scan(self, monkeypatch):
         # Scripted entry clocks: the stub hands out exponentials and keeps
-        # them in order. Every epoch has M cells, the carried epochs first,
-        # then the reset epochs; an entry set at t0 has set time t0 and still
-        # draws a first ring. Every epoch's fill time, and every column's
-        # state at the window's end, must be those of a scan of each row's
-        # first ring after the epoch's start. Small windows split the epochs
+        # them in order, and k, the candidate rows, is forced to 1..M. In
+        # epoch b, R_i is row i's first ring after the epoch's start, or t0
+        # for an entry set at t0 in a carried epoch. Block by block, every
+        # epoch draws the first rings of its k rows with the latest R, in
+        # order of R, then every epoch that falls back draws its other
+        # rows: one whose last candidate set time comes before both T, the
+        # (k+1)-th latest R, and its end. No other cell draws. Every fill
+        # time must be the scan's last drawn set time, and a row that drew
+        # none must be set by then or the epoch end first. Carried out to
+        # t1, every column's state must be the scan's; in its last epoch
+        # the rows unrung by t1 that drew nothing draw their first rings
+        # then, epoch by epoch in row order. Small windows split the epochs
         # into blocks, one epoch at least, that never mix carried and reset
-        # epochs, so reset epochs fall into several blocks, each seeded with
-        # the rings after its last reset. Given the epochs' ends (a window
-        # that runs to t1), each block's entry-ring terms must be those of the
-        # scan: every first ring before its epoch's end, set entries' too,
-        # and the time after them.
+        # epochs, each reset block seeded with the rings after its first
+        # reset. A window that runs to t1 sums every drawn first ring before
+        # its epoch's end and the time after it; one that may stop at a hit
+        # keeps the drawn rings themselves.
         class Script:
             def __init__(self, seed):
                 self.gen, self.drawn = np.random.default_rng(seed), []
@@ -1087,10 +1114,13 @@ class TestEpochPath:
 
         rng = np.random.default_rng(6)
         t0, t1 = 2.0, 12.0
+        fell_back = waited = 0
         for trial in range(300):
             window = int(rng.choice([4, 10, 1 << 14]))
             monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", window)
             M, N = int(rng.integers(1, 8)), int(rng.integers(1, 7))
+            k = int(rng.integers(1, M + 1))
+            monkeypatch.setattr(simulate_module, "_candidate_rows", lambda params, k=k: k)
             params = MatrixParams(M=M, N=N, p=0.3, lambda_m=float(rng.uniform(0.2, 3.0)))
             ring_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 40))))
             ring_row = rng.integers(0, M, ring_t.size)
@@ -1100,37 +1130,58 @@ class TestEpochPath:
             last = np.array([not np.any((cols == c) & (starts > s)) for s, c in zip(starts, cols)])
             ends = np.array([min(starts[(cols == c) & (starts > s)], default=t1) for s, c in zip(starts, cols)])
             filled = rng.random((N, M)) < rng.choice([0.0, 0.5, 1.0])
-            args = (filled, ring_t, ring_row, starts, cols, last, t0, t1)
+            R = [
+                [t0 if b < N and filled[b, i] else min(ring_t[(ring_row == i) & (ring_t > s)], default=math.inf)
+                 for i in range(M)]
+                for b, s in enumerate(starts)
+            ]
+            by_R = [sorted(range(M), key=row.__getitem__) for row in R]  # ties in row order
+            step = max(1, window // M)
+            blocks = [range(lo, min(lo + step, N)) for lo in range(0, N, step)]
+            blocks += [range(lo, min(lo + step, starts.size)) for lo in range(N, starts.size, step)]
             script = Script(trial)
-            fill, carried, blocks = simulate_module._entry_fill(params, script, *args, True)
-            spans = [(lo, hi) for lo, hi, _ in blocks]
-            assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-            assert spans[-1][1] == starts.size and all(hi <= N or lo >= N for lo, hi in spans)
-            assert all(first.shape == (hi - lo, M) for lo, hi, first in blocks)
-            assert all(hi - lo == 1 or first.size <= window for lo, hi, first in blocks)
+            args = (filled, ring_t, ring_row, starts, ends, last, t0)
+            fill, drawn, undrawn, kept = simulate_module._entry_fill(params, script, *args, True)
+            carried, waits, late = simulate_module._carried_out(
+                params, script, filled, ring_t, ring_row, starts, cols, last, t0, t1, *kept
+            )
             draws = iter(np.concatenate([np.empty(0), *script.drawn]).tolist())
-            scanned = []  # scanned[b][i]: entry (i, b)'s first ring in epoch b
-            for b, (s, c) in enumerate(zip(starts, cols)):
-                scanned.append([s + next(draws) for _ in range(M)])
-                set_at = [
-                    t0 if b < N and filled[b, i]
-                    else min(min(ring_t[(ring_row == i) & (ring_t > s)], default=math.inf), scanned[b][i])
-                    for i in range(M)
-                ]
-                assert fill[b] == max(set_at)
-                if last[b]:
-                    assert list(carried[c]) == [x < t1 for x in set_at]
+            E = [{} for _ in starts]  # E[b][i]: entry (i, b)'s first ring, where drawn
+            for block in blocks:
+                for b in block:
+                    E[b].update((i, starts[b] + next(draws)) for i in by_R[b][M - k :])
+                for b in block:
+                    T = R[b][by_R[b][M - k - 1]] if k < M else -math.inf
+                    L = max(min(R[b][i], e) for i, e in E[b].items())
+                    if L < min(T, ends[b]):
+                        E[b].update((i, starts[b] + next(draws)) for i in by_R[b][: M - k])
+                        fell_back += k < M
+            cells = sorted((b, e) for b in range(starts.size) for e in E[b].values())
+            for b, c in enumerate(cols):
+                assert fill[b] == max(min(R[b][i], e) for i, e in E[b].items())
+                assert all(R[b][i] <= fill[b] or fill[b] >= ends[b] for i in range(M) if i not in E[b])
+                assert undrawn[b] == M - len(E[b])
+            assert sorted((b, e) for epochs, first in drawn for b, row in zip(epochs, first) for e in row) == cells
+            to_end = simulate_module._entry_fill(params, Script(trial), *args, False)
+            assert np.array_equal(to_end[0], fill) and np.array_equal(to_end[2], undrawn)
+            assert all(np.array_equal(x, y) for x, y in zip(to_end[3], kept))
+            assert sum(rings for rings, _ in to_end[1]) == sum(ends[b] >= e for b, e in cells)
+            spare = sum(s for _, s in to_end[1])
+            assert spare == pytest.approx(math.fsum(max(ends[b] - e, 0.0) for b, e in cells), rel=1e-12, abs=1e-12)
+            # Unrung rows have R = inf, last in order of R and among
+            # themselves in row order, so each has its own draw, if any.
+            unrung = {b: [i for i in range(M) if R[b][i] >= t1] for b in np.flatnonzero(last)}
+            assert carried.shape == filled.shape
+            expected_waits = [(b, i) for b, rows in unrung.items() for i in rows if i not in E[b]]
+            assert list(zip(waits.tolist(), [i for _, i in expected_waits])) == expected_waits
+            for (b, i), e in zip(expected_waits, late):
+                assert e == starts[b] + next(draws)
+                E[b][i] = e
+            waited += len(expected_waits)
             assert next(draws, None) is None
-            assert np.concatenate([np.empty((0, M))] + [first for *_, first in blocks]).tolist() == scanned
-            no_carry = simulate_module._entry_fill(params, Script(trial), *args, False)
-            assert no_carry[1] is None and np.array_equal(no_carry[0], fill)
-            to_end = simulate_module._entry_fill(params, Script(trial), *args, True, ends)
-            assert np.array_equal(to_end[0], fill) and np.array_equal(to_end[1], carried)
-            assert [(lo, hi) for lo, hi, *_ in to_end[2]] == spans
-            for lo, hi, rings, spare in to_end[2]:
-                gaps = [ends[b] - first for b in range(lo, hi) for first in scanned[b]]
-                assert rings == sum(g >= 0 for g in gaps)
-                assert spare == pytest.approx(math.fsum(max(g, 0.0) for g in gaps), rel=1e-12, abs=1e-12)
+            for b in np.flatnonzero(last):
+                assert list(carried[cols[b]]) == [min(R[b][i], E[b].get(i, math.inf)) < t1 for i in range(M)]
+        assert fell_back > 100 and waited > 100
 
     def test_full_start_column_is_carried(self):
         params = MatrixParams(M=2, N=3, p=0.4, lambda_m=0.1)
@@ -1245,6 +1296,103 @@ class TestEpochPath:
                     assert traj.tau == times[-1] == traj.end_time
                 else:
                     assert traj.end_time == kw["horizon"] >= times[-1]
+
+    @pytest.mark.parametrize("horizon", [None, 150.0], ids=["hit", "horizon"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("started", [False, True], ids=["empty", "start"])
+    def test_series_and_no_series_runs_agree(self, monkeypatch, horizon, lam, started):
+        # A series is read off the same draws as the run's other outputs:
+        # at lambda_m = 0 a run without one searches only for its first fill
+        # and counts its end off the state, and it must still agree bit for
+        # bit with the run that records every fill. Windows of 16, 32 and 64
+        # cells, about 3, 6 and 12 time units here, so runs cross several;
+        # the start leaves every column one row short, row 0 in one of them.
+        monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
+        params = MatrixParams(M=6, N=3, p=0.6, lambda_m=lam)
+        entries = np.ones((6, 3), dtype=np.uint8)
+        entries[[0, 2, 5], [0, 1, 2]] = 0
+        start = MatrixState.from_entries(entries) if started else None
+        for r in range(40):
+            plain, series = (
+                simulate_matrix(params, SimulationConfig(5800, r, horizon, record), start=start)
+                for record in (False, True)
+            )
+            assert (plain.tau, plain.end_value, plain.n_events, plain.end_time) == (
+                series.tau, series.end_value, series.n_events, series.end_time
+            )
+            assert series.value_at(series.end_time) == plain.end_value
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        M=st.integers(1, 6),
+        N=st.integers(1, 6),
+        p=st.one_of(st.floats(0, 1e-9, exclude_min=True), st.floats(1 - 1e-9, 1, exclude_max=True)),
+        lam=st.sampled_from([0.0, 1e-300, 1e6]),
+        horizon=st.floats(1e-6, 1e5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_series_and_no_series_runs_agree_at_the_edges(self, M, N, p, lam, horizon, seed):
+        # Rates within 1e-9 of 0 or 1, entry clocks off, all but off or far
+        # faster than the rows: a horizon run is refused, with and without a
+        # series, or both runs end at the horizon with the same outputs, a
+        # finite first hit (if any) on the way and a count in 0..N.
+        params = MatrixParams(M=M, N=N, p=p, lambda_m=lam)
+        runs = []
+        for record in (False, True):
+            try:
+                runs.append(simulate_matrix(params, SimulationConfig(seed, 0, horizon, record)))
+            except ValueError as err:
+                runs.append(str(err))
+        plain, series = runs
+        if isinstance(plain, str):
+            assert series == plain and "exceed the cap" in plain
+            return
+        assert (plain.tau, plain.end_value, plain.n_events, plain.end_time) == (
+            series.tau, series.end_value, series.n_events, series.end_time
+        )
+        assert plain.tau is None or (math.isfinite(plain.tau) and 0 <= plain.tau <= plain.end_time)
+        assert plain.end_time == horizon and 0 <= plain.end_value <= N and plain.n_events >= 0
+        assert series.value_at(horizon) == plain.end_value
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_candidate_rows_law_with_a_small_k(self, monkeypatch, k):
+        # With one or two candidate rows at M = 5-8 many epochs fall back to
+        # drawing their other rows, and more than k rows are often unrung
+        # when a window carries its columns out. The law must stay the
+        # reference's: KS on tau, z < 4 on n_events and the end count, for
+        # hit runs and for horizon runs across two windows of 32 units.
+        monkeypatch.setattr(simulate_module, "_candidate_rows", lambda params: k)
+        widths = []  # the columns of every entry-clock draw by epoch
+        replicate_rng = simulate_module.replicate_rng
+
+        class Recorded:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+            def exponential(self, scale, size):
+                widths.append(np.shape(np.empty(size))[1:])
+                return self.gen.exponential(scale, size)
+
+        monkeypatch.setattr(simulate_module, "replicate_rng", lambda *key: Recorded(replicate_rng(*key)))
+        hit = MatrixParams(M=5, N=3, p=0.5, lambda_m=0.3)
+        _assert_hit_law_matches_reference(hit, 5900 + k, past=0.0)
+        assert (hit.M - k,) in widths
+        widths.clear()
+        monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 32)
+        params, horizon = MatrixParams(M=8, N=3, p=0.3, lambda_m=0.4), 40.0
+        fast = _runs(params, 5910 + k, 1000, horizon=horizon)
+        slow = _reference_runs(params, 5920 + k, 600, horizon=horizon)
+        assert (params.M - k,) in widths
+        for field in ("end_value", "n_events"):
+            assert _z_means([getattr(t, field) for t in fast], [getattr(t, field) for t in slow]) < 4, field
+        _, p_value = ks_2samp([t.tau for t in fast if t.tau is not None], [t.tau for t in slow if t.tau is not None])
+        assert p_value > 0.001
+        mu, events = params.total_rate * horizon, np.array([t.n_events for t in fast], dtype=float)
+        assert abs(events.mean() - mu) < 4 * math.sqrt(mu / events.size)
 
     def test_unreachable_target_fails_loudly(self):
         # One reset epoch of a column fills it with probability 4.42e-155.
