@@ -12,8 +12,11 @@ climbs again. A climb from level ``lo`` gets to level k with probability
 level's holding time is exponential with its total rate whichever jump
 ends it. A hit run without a series counts its climbs: a geometric
 number fail before one succeeds, a multinomial gives how many reset from
-each level, a reverse running sum of those counts each level's visits,
-and each level's time is one gamma variate over its visits. Every other
+each level, and a reverse running sum of those counts each level's visits.
+The visits fix the run's event count n before its time is drawn: while n
+is small that time is one exponential per event, each scaled by its level's
+mean holding time, and beyond, each level's time is one gamma variate over
+its visits, which costs more per call but nothing per event. Every other
 run lays its climbs out in windows (top levels, visited levels, one
 exponential per level, jump times by running sum), cut at the horizon or
 at the first jump to M; each window ends with a reset to 0.
@@ -56,11 +59,12 @@ many reset cells.
 
 Both constructions have exactly Gillespie's law; the climbs are the
 column's own jump chain, drawn in another order. Counted climbs cost a few
-draws per level whatever the event count, laid-out climbs one array cell
-per event, and epochs about ``q + p*M`` cells per unit time plus ``N*M``
-per window, k of each M drawn, or ``q + p`` at lambda_m = 0. Both chains'
-event loops live apart, in :mod:`immunochain.reference`, as the references
-the tests compare these constructions against.
+draws per level, or one draw per event while events are few, laid-out
+climbs one array cell per event, and epochs about ``q + p*M`` cells per
+unit time plus ``N*M`` per window, k of each M drawn, or ``q + p`` at
+lambda_m = 0. Both chains' event loops live apart, in
+:mod:`immunochain.reference`, as the references the tests compare these
+constructions against.
 
 A run or batch whose work :func:`check_budget` refuses raises
 ``ValueError`` before it starts; the functions below say what each is
@@ -134,6 +138,19 @@ MIN_REACH_PROBABILITY = 1e-15
 # A run expected to cost more events or epoch cells than this is refused:
 # its windows would run for hours instead of failing.
 MAX_EXPECTED_EVENTS = 10**8
+
+# A counted hit of n events draws its time as n exponentials, one per event,
+# while n <= _EXPONENTIAL_EVENTS + _EXPONENTIAL_EVENTS_PER_LEVEL * M, and as
+# one gamma variate per level beyond. Timed on 2 vCPUs with numpy 2.4.6, the
+# gamma draw and its dot cost 8.2-9.1 us at M <= 32, 10.0 at 64, 11.9 at 128,
+# 15.4 at 256 and 21.1 at 512, mostly numpy's per-call checks of the shape
+# array; the exponentials, their dot and the repeat of each level's mean
+# holding time over its visits cost 2.3-3.1 us plus 7-7.5 ns an event. The
+# two break even at n = 869, 891, 970, 1024, 1177, 1728 and 2423 for M = 8,
+# 16, 32, 64, 128, 256 and 512 (a second run: 1047-1143 up to M = 64, then
+# 1669, 2025 and 2771), and 800 + 4M lies between the two runs.
+_EXPONENTIAL_EVENTS = 800
+_EXPONENTIAL_EVENTS_PER_LEVEL = 4
 
 
 def check_budget(amount: float, what: str, remedy: str) -> None:
@@ -335,23 +352,32 @@ def _regenerative_hit(
     and a multinomial counts those that reset from each level. With the
     first climb as one from 0 less one to ``start - 1`` and the last as
     one to M - 1, a level's visits are a reverse running sum of the
-    counts, and its time is one gamma variate over them.
+    counts. Their sum n is the run's event count. A level's time is its
+    mean holding time times a sum of unit exponentials, one per visit:
+    drawn one by one while n is at most ``_EXPONENTIAL_EVENTS +
+    _EXPONENTIAL_EVENTS_PER_LEVEL * M``, and beyond as one gamma variate
+    over the level's visits, which has the same law.
     """
     reach = tables.reach
     x = rng.random() * reach[start]
     if x < reach[M]:
-        # The first climb succeeds and visits each level once; a vector of
-        # exponentials costs far less per call than one of gamma variates.
-        tau = float(rng.standard_exponential(M - start).dot(tables.inv_total[start:M])) * tables.unit
-        return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=M - start)
-    tops = rng.multinomial(int(rng.geometric(reach[M])) - 1, tables.fail_law)
-    tops[bisect_left(tables.neg_reach, -x) - 1] += 1
-    tops[M - 1] += 1
-    if start:
-        tops[start - 1] -= 1
-    visits = tops[::-1].cumsum()[::-1]
-    tau = float(rng.standard_gamma(visits).dot(tables.inv_total[:M])) * tables.unit
-    return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=int(visits.sum()))
+        # The first climb succeeds and visits each level once: M - start
+        # events, each one exponential.
+        n, held = M - start, tables.inv_total[start:M]
+    else:
+        tops = rng.multinomial(int(rng.geometric(reach[M])) - 1, tables.fail_law)
+        tops[bisect_left(tables.neg_reach, -x) - 1] += 1
+        tops[M - 1] += 1
+        if start:
+            tops[start - 1] -= 1
+        visits = tops[::-1].cumsum()[::-1]
+        n = int(visits.sum())
+        if n > _EXPONENTIAL_EVENTS + _EXPONENTIAL_EVENTS_PER_LEVEL * M:
+            tau = float(rng.standard_gamma(visits).dot(tables.inv_total[:M])) * tables.unit
+            return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=n)
+        held = tables.inv_total[:M].repeat(visits)
+    tau = float(rng.standard_exponential(n).dot(held)) * tables.unit
+    return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=n)
 
 
 def _climbs(params, tables: _ColumnTables, start: int, config: SimulationConfig, rng) -> Trajectory:

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -302,6 +303,61 @@ class TestGammaRatioKernel:
         ref_mean, _ = oracle.single_column_hitting_moments_exact(params, with_second_moment=False)
         got = [hitting_time_mean_exact(params, start) for start in range(16)]
         assert got == pytest.approx([float(x) for x in ref_mean[:16]], rel=1e-12, abs=0)
+
+
+def mp_log_gamma_ratio(n, c):
+    """log K(n, c) = log Gamma(n+1) + log Gamma(1+c) - log Gamma(n+1+c) at 40
+    digits, from exact inputs. Below c = 1e-3, where n + 1 + c would drop c's
+    digits, it is the Taylor series in c, sum over k of (psi^(k-1)(1) -
+    psi^(k-1)(n+1)) c^k / k!, cut where c^k falls below 1e-42."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        if c < 1e-3:
+            terms = range(1, 1 + int(42 / -mpmath.log10(c)) + 1)
+            return sum((mpmath.psi(k - 1, 1) - mpmath.psi(k - 1, n + 1)) * c**k / mpmath.factorial(k) for k in terms)
+        return mpmath.loggamma(n + 1) + mpmath.loggamma(1 + c) - mpmath.loggamma(n + 1 + c)
+
+
+class TestAgainstMpmath:
+    """The O(1) closed forms at the sizes they serve, against 40-digit mpmath.
+
+    Every tolerance was fixed before the first run. Each reference reads the
+    parameters' fields as exact numbers, so it also counts the rounding of
+    derived rates such as ``a`` and ``q``.
+    """
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-12, 1e-3, 0.5, 1.0, 9.5, 10.0, 10.5, 100.0, 1e4, 1e6])
+    def test_log_gamma_ratio(self, c):
+        # The kernel holds to about eps * |log K|; 1e-14 of it is 45 eps.
+        for n in (1, 2, 9, 10, 11, 100, 1000, 10**4, 10**6, 10**7, 10**9):
+            want = mp_log_gamma_ratio(n, c)
+            assert abs(analytics._log_gamma_ratio(n, c) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("start", [0, 1, 10, 1000, 10**6 // 2, 10**6 - 1])
+    def test_mean_hitting_time_at_a_million_levels(self, start):
+        # The mean is (M+a)/a (1 - K(M-s, a)) / K(M, a) over the rate, and
+        # (M+a)/a (1/K(M, a) - 1) over it from s = 0.
+        params = SingleColumnParams.with_a(10**6, 0.5)
+        M = params.M
+        with mpmath.workdps(40):
+            p, alpha = mpmath.mpf(params.p), mpmath.mpf(params.alpha)
+            a, rate = p * M / (alpha * (1 - p)), p + alpha * (1 - p)
+            k_M = mpmath.exp(mp_log_gamma_ratio(M, a))
+            tail = 1 - mpmath.exp(mp_log_gamma_ratio(M - start, a)) if start else 1 - k_M
+            want = (M + a) / a * tail / k_M / rate
+        assert abs(hitting_time_mean_exact(params, start) / want - 1) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "N, p, lam", [(10**15, 0.1, 0.0), (2 * 10**9, 0.1, 1.0), (10**9, 0.5, 0.0), (10**8, 0.3, 0.5), (10**7, 0.1, 0.0)]
+    )
+    def test_steady_allones_probability_at_a_billion_rows(self, N, p, lam):
+        # K(M, c), c = M p / (N q_tilde), from 1.1e-7 to 11: probabilities
+        # from 1 - 2.4e-6 down to 5e-93.
+        params = MatrixParams(M=10**9, N=N, p=p, lambda_m=lam)
+        with mpmath.workdps(40):
+            c = params.M * mpmath.mpf(p) / (N * (1 - mpmath.mpf(p) + mpmath.mpf(lam)))
+            want = mpmath.exp(mp_log_gamma_ratio(params.M, c))
+        assert abs(steady_allones_probability(params) / want - 1) <= 1e-13
 
 
 class TestHittingTimeAsymptotic:

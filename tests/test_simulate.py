@@ -53,6 +53,17 @@ def hit_config(seed, r=0, **kw):
     return SimulationConfig(master_seed=seed, replicate_index=r, **kw)
 
 
+# The two ways a counted hit whose first climb fails draws its time.
+KERNELS = ("exponential", "gamma")
+
+
+def _use_kernel(monkeypatch, kernel):
+    """Move the crossover above every event count ("exponential": one
+    exponential per event) or to 0 ("gamma": one gamma variate per level)."""
+    monkeypatch.setattr(simulate_module, "_EXPONENTIAL_EVENTS", sys.maxsize if kernel == "exponential" else 0)
+    monkeypatch.setattr(simulate_module, "_EXPONENTIAL_EVENTS_PER_LEVEL", 0)
+
+
 def test_the_horizon_decides_the_run():
     # No option picks a run's kind. Without a horizon each chain and its
     # reference stop at the first hit; with one they run to the horizon,
@@ -414,11 +425,14 @@ class TestRegenerativeHit:
         se = math.sqrt(ev_fast.var(ddof=1) / n_fast + ev_slow.var(ddof=1) / n_slow)
         assert abs(ev_fast.mean() - ev_slow.mean()) < 4 * se
 
-    def test_visit_bookkeeping_with_scripted_draws(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_visit_bookkeeping_with_scripted_draws(self, monkeypatch, kernel):
         # Scripted draws: the first climb from level 2 resets from level 4,
         # then two climbs from 0 reset from levels 1 and 6, then one climb
-        # succeeds. Gamma variates return their shape, so tau is the sum
-        # of visits times mean holding times.
+        # succeeds. Gamma variates return their shape and exponentials 1, so
+        # under either kernel tau is the sum of visits times mean holding
+        # times.
+        _use_kernel(monkeypatch, kernel)
         params, start = self.PARAMS, 2
         M = params.M
         up = [1.0] + [
@@ -440,13 +454,22 @@ class TestRegenerativeHit:
                 return np.array([0, 1, 0, 0, 0, 0, 1, 0])
 
             def standard_gamma(self, shape):
+                drawn.append("gamma")
+                assert shape.tolist() == visits.tolist()
                 return np.asarray(shape, dtype=float)
 
+            def standard_exponential(self, n):
+                drawn.append("exponential")
+                assert n == visits.sum()
+                return np.ones(n)
+
+        drawn = []
         visits = np.array([3, 3, 3, 3, 3, 2, 2, 1])
         traj = simulate_module._regenerative_hit(
             simulate_module._column_tables(params), M, start, Scripted()
         )
         rates = [params.alpha * params.q * (1 - k / M) + (params.p if k else 0.0) for k in range(M)]
+        assert drawn == [kernel]
         assert traj.n_events == visits.sum() == 20
         assert traj.tau == pytest.approx(float(np.sum(visits / np.array(rates))), rel=1e-12)
         assert traj.end_value == M
@@ -465,19 +488,22 @@ class TestRegenerativeHit:
         assert abs(events.mean() - mean) < 4 * events.std(ddof=1) / math.sqrt(n)
 
     def test_draws_are_pinned(self):
-        # Recorded at 6aadfd6 (seed 2025). Replicate 0 fails 10 climbs from 0
-        # after the first, replicate 5 none, 12 succeeds at once and 41
-        # fails one. A change to the hit draws must change these on purpose.
+        # Recorded at 6aadfd6 (seed 2025), and the taus of runs whose first
+        # climb fails re-recorded when counted hits of few events began to
+        # draw one exponential per event; no event count moved. Replicate 0
+        # fails 10 climbs from 0 after the first, replicate 5 none, 12
+        # succeeds at once and 41 fails one. A change to the hit draws must
+        # change these on purpose.
         pinned = {
-            0: [(81.76248384123846, 70), (14.536982147152198, 10), (19.734181554116375, 8), (28.79434079558878, 20)],
-            3: [(81.04936588549951, 69), (11.270500874049587, 9), (13.450655600825364, 5), (24.842960243582688, 18)],
+            0: [(81.70703374176377, 70), (14.914457513497332, 10), (19.734181554116375, 8), (26.824012700940138, 20)],
+            3: [(79.41240405447508, 69), (12.146947781475165, 9), (13.450655600825364, 5), (21.546285592974787, 18)],
         }
         for start, runs in pinned.items():
             got = [simulate_single_column(self.PARAMS, hit_config(2025, r), start=start) for r in (0, 5, 12, 41)]
             assert [(t.tau, t.n_events) for t in got] == runs
         assert hitting_time_batch(SingleColumnParams.with_a(16, 1.0), 8, master_seed=2025).tolist() == [
-            191.69487575372, 106.44216155924691, 228.9932808388433, 422.0942451432338,
-            516.2617243029526, 35.03390299888794, 202.91836217246328, 319.72286395855895,
+            226.4814762727533, 96.60119440840624, 201.87487064706016, 454.0723396260427,
+            572.488181211357, 35.42820633857747, 263.025077995328, 237.38768715721056,
         ]
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -559,6 +585,68 @@ class TestRegenerativeHit:
         s2 = float(np.mean(dev**2))
         se_var = math.sqrt((float(np.mean(dev**4)) - s2 * s2) / n)
         assert abs(taus.var(ddof=1) - var) < 4 * se_var
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_law_matches_event_loop_under_each_kernel(self, monkeypatch, kernel):
+        _use_kernel(monkeypatch, kernel)
+        fast = [simulate_single_column(self.PARAMS, hit_config(616, r)).tau for r in range(20_000)]
+        slow = [column_gillespie(self.PARAMS, hit_config(617, r)).tau for r in range(3000)]
+        _, p_value = ks_2samp(fast, slow)
+        assert p_value > 0.001
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "params, start",
+        [(PARAMS, 0), (PARAMS, 3), (SingleColumnParams.with_a(32, 1.0), 0)],
+        ids=["M8-from0", "M8-from3", "M32-from0"],
+    )
+    def test_mean_and_variance_under_each_kernel(self, monkeypatch, kernel, params, start):
+        _use_kernel(monkeypatch, kernel)
+        n = 20_000
+        taus = hitting_time_batch(params, n, master_seed=3232 + start, start=start)
+        mean = analytics.hitting_time_mean_exact(params, start)
+        var = analytics.hitting_time_variance_exact(params, start)
+        assert abs(taus.mean() - mean) < 4 * math.sqrt(var / n)
+        # Var(s^2) ~ (m4 - s^4) / n, as in test_mean_and_variance_at_m64.
+        dev = taus - taus.mean()
+        s2 = float(np.mean(dev**2))
+        se_var = math.sqrt((float(np.mean(dev**4)) - s2 * s2) / n)
+        assert abs(taus.var(ddof=1) - var) < 4 * se_var
+
+    @pytest.mark.parametrize(
+        "params, start, beyond",
+        [(PARAMS, 0, False), (PARAMS, 3, False), (SingleColumnParams.with_a(64, 1.0), 0, True)],
+        ids=["M8-from0", "M8-from3", "M64-from0"],
+    )
+    def test_kernels_share_every_draw_before_the_time(self, monkeypatch, params, start, beyond):
+        # Per seed both kernels count the same climbs; the time draw is the
+        # last, so n_events and end_value agree, and tau too where the
+        # first climb succeeds (n_events == M - start), which draws one
+        # exponential per level under either kernel. Under the default
+        # crossover a run takes the exponential kernel's tau while its
+        # event count is at most the crossover, and the gamma kernel's above.
+        runs = {}
+        for kernel in KERNELS:
+            _use_kernel(monkeypatch, kernel)
+            runs[kernel] = [simulate_single_column(params, hit_config(99, r), start=start) for r in range(1000)]
+        monkeypatch.undo()
+        default = [simulate_single_column(params, hit_config(99, r), start=start) for r in range(1000)]
+        crossover = simulate_module._EXPONENTIAL_EVENTS + simulate_module._EXPONENTIAL_EVENTS_PER_LEVEL * params.M
+        sides = set()
+        for run, exp_run, gamma_run in zip(default, runs["exponential"], runs["gamma"]):
+            assert (run.n_events, run.end_value) == (exp_run.n_events, exp_run.end_value)
+            assert (run.n_events, run.end_value) == (gamma_run.n_events, gamma_run.end_value)
+            first = run.n_events == params.M - start
+            assert (exp_run.tau == gamma_run.tau) == first
+            assert run.tau == (exp_run.tau if run.n_events <= crossover else gamma_run.tau)
+            sides.add((first, run.n_events <= crossover))
+        assert sides == {(True, True), (False, True)} | ({(False, False)} if beyond else set())
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("p", [1e-320, 6.25e-309])
+    def test_times_near_double_precision_never_warn_under_each_kernel(self, monkeypatch, kernel, p):
+        _use_kernel(monkeypatch, kernel)
+        self.test_times_near_double_precision_never_warn(p)
 
     def test_unreachable_target_fails_loudly(self):
         # A climb from 0 reaches M=64 with probability 8.7e-24 here; the
@@ -1479,6 +1567,11 @@ def test_package_import_leaves_the_reference_out():
 def test_package_import_leaves_scipy_out():
     # scipy is the tests' reference only; importing it costs ~1 s of start-up.
     assert _after_package_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+
+def test_package_import_leaves_mpmath_out():
+    # mpmath is the tests' high-precision reference for the closed forms only.
+    assert _after_package_import("sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')") == "[]"
 
 
 def _minor_faults_of_20_runs(params: str, horizon: float | None = None) -> int:
