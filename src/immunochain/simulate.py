@@ -24,24 +24,34 @@ at the first jump to M; each window ends with a reset to 0.
 Every matrix run is drawn from per-column reset epochs. Poisson clocks
 are independent on disjoint intervals, so a column's state depends only
 on the row and entry clocks since its own last reset. Within a window of
-time the row rings and the column resets are drawn first (Poisson counts,
-uniform labels and times); between two resets of column j, entry (i, j)
-is set at row i's first ring or the entry's own first ring, whichever is
-earlier, and the column is full from the last of these M times until its
-next reset. Without entry clocks (lambda_m = 0) that is the first ring
-after which every row has rung since the epoch began, and one pass over
-the window's rings gives it for every epoch: each ring's next ring of the
-same row, a prefix maximum of those, and a search for each epoch's start.
-A run that records no series reads only its first fill and its end count,
-so it computes fills only while its first fill is unknown, and mostly not
-even then: an epoch fills no earlier the later it starts, so the epochs
-carried into a window decide it, or the rows' first rings in the window
-show that nothing fills there. Windows chain from the state at the end of
-the last one, which bounds the arrays a window needs: at lambda_m = 0
-entry (i, j) is one iff row i rang after column j's last reset, so the
-state is each row's last ring and each column's last reset, and the end
-count is read off it. With entry clocks it is N x M; an entry set when
-the window begins is set from its start. Every epoch sorts its rows' first
+time the row rings and the column resets are drawn first; between two
+resets of column j, entry (i, j) is set at row i's first ring or the
+entry's own first ring, whichever is earlier, and the column is full from
+the last of these M times until its next reset. Without entry clocks
+(lambda_m = 0) that is the first ring after which every row has rung
+since the epoch began. There a window draws its clocks race-first: a
+Poisson clock on an interval is fixed by its first ring, its last ring
+and a Poisson number of uniform rings between them, so each row and each
+column draws its first ring and, looking back from the window's end, its
+last, and then each kind draws one Poisson count of its rings between and
+as many uniforms that place them. A run that records no series and holds
+no start entries reads only the first and last rings: an epoch fills no
+earlier the later it starts, so the epochs carried into a window decide
+its first fill, or the rows' first rings show that nothing fills there;
+its events are the clocks that ring, those that ring more than once, and
+the rings between; and it carries out each clock's last ring. It looks
+for no fill once its first is known. Only a series run, a run from a
+start, a window whose carried epochs leave the first fill open, and a
+window that stops at its hit lay the rings out; in time order, one pass
+over them gives every epoch's fill: each ring's next ring of the same
+row, a prefix maximum of those, and a search for each epoch's start.
+Windows chain from the state at the end of the last one, which bounds the
+arrays a window needs: at lambda_m = 0 entry (i, j) is one iff row i rang
+after column j's last reset, so the state is each row's last ring and
+each column's last reset, and the end count is read off it. With entry
+clocks the window's rings and resets are drawn as Poisson counts with
+uniform labels and times, and the state is N x M; an entry set when the
+window begins is set from its start. Every epoch sorts its rows' first
 rings (an M-wide row, streamed through blocks of at most
 ``_WINDOW_CELLS`` cells), and only its k rows that ring last draw their
 entry clocks' first rings: the others are set by the (k+1)-th last ring,
@@ -53,16 +63,18 @@ entry rings: the first ring of each drawn cell, and Poisson-many in the
 time after it or, undrawn, over the whole epoch. A window that runs to
 its end sums those terms block by block; one that may stop at a hit keeps
 its drawn first rings until the hit time is known. So at every lambda_m a
-horizon window is bounded by its rings and resets alone, while a hit
-window holds the ``N*M`` cells of the state it carries in and spans as
-many reset cells.
+horizon window is bounded by its rings and resets alone (at lambda_m = 0,
+or by its M + N clocks), while a hit window holds the ``N*M`` cells of
+the state it carries in and spans as many reset cells.
 
 Both constructions have exactly Gillespie's law; the climbs are the
 column's own jump chain, drawn in another order. Counted climbs cost a few
 draws per level, or one draw per event while events are few, laid-out
 climbs one array cell per event, and epochs about ``q + p*M`` cells per
-unit time plus ``N*M`` per window, k of each M drawn, or ``q + p`` at
-lambda_m = 0. Both chains' event loops live apart, in
+unit time plus ``N*M`` per window, k of each M drawn, or at lambda_m = 0
+two exponentials per row and column plus one uniform per ring or reset
+between, which only a run that lays the rings out sorts and labels. Both
+chains' event loops live apart, in
 :mod:`immunochain.reference`, as the references the tests compare these
 constructions against.
 
@@ -108,11 +120,13 @@ __all__ = [
 # its drawn entry-clock first rings until the hit, k per epoch, and at
 # lambda_m > 0 it carries the N*M cells of the state whatever its span, so
 # it spans max(_WINDOW_CELLS, N*M) / (q + p*M): its reset cells never
-# outnumber those. A single-column window holds its climb levels. A run may end long
-# before a window does, so a matrix hit run's first window holds
-# max(_FIRST_WINDOW_CELLS, N*M) cells (_FIRST_WINDOW_CELLS at
-# lambda_m = 0), a single-column run's first window _FIRST_WINDOW_CELLS,
-# and each next one twice as many, up to the full width.
+# outnumber those. At lambda_m = 0 every window draws the first and last
+# rings of its M + N clocks whatever its span, so a full one spans
+# max(_WINDOW_CELLS, M + N) / (q + p). A single-column window holds its
+# climb levels. A run may end long before a window does, so a matrix hit
+# run's first window holds max(_FIRST_WINDOW_CELLS, N*M) cells
+# (_FIRST_WINDOW_CELLS at lambda_m = 0), a single-column run's first window
+# _FIRST_WINDOW_CELLS, and each next one twice as many, up to the full width.
 _WINDOW_CELLS = 1 << 14
 _FIRST_WINDOW_CELLS = 1 << 10
 
@@ -457,9 +471,16 @@ def simulate_matrix(
     epoch an M-wide row of next rings, sorted, and k drawn entry cells
     (all M in the rare epoch that needs them), and a hit window at
     lambda_m > 0 spans ``max(_WINDOW_CELLS, N*M)`` cells, as many as the
-    state it carries. Without entry clocks a run without a series computes
-    fills only while its first fill is unknown, and reads its end count off
-    the state. A run that needs the events themselves or the final matrix
+    state it carries. Without entry clocks a window draws each row's and
+    each column's first and last ring, two exponentials each, and its rings
+    between as one Poisson count per kind and as many uniforms; a run
+    without a series or a start reads only the first and last rings and the
+    counts, looks for fills only while its first fill is unknown, and reads
+    its end count off the last rings. It sorts and labels the rings between
+    only in a window that its carried epochs leave open or that stops at its
+    hit, and a run with a series or a start in every window it runs. A
+    window spans at least ``M + N`` rings and resets there. A run that
+    needs the events themselves or the final matrix
     is a job for the Gillespie reference,
     :func:`immunochain.reference.matrix_gillespie`. A run without a
     horizon and no full column at its start raises ``ValueError`` when one
@@ -476,7 +497,7 @@ def simulate_matrix(
     if start is not None and (start.M != M or start.N != N):
         raise ValueError("start state shape does not match parameters")
     # Every window holds the N x M state at lambda_m > 0, where the first one
-    # builds a cell per entry, and from a start; else M + N (see _ring_fill).
+    # builds a cell per entry, and from a start; else M + N (see _epoch_window).
     check_budget(M * N if params.lambda_m > 0 or start is not None else M + N, "cells in the state alone", "shrink M or N")
     # Epoch cells per unit time: row rings and resets, and with entry
     # clocks an M-wide row of first rings per epoch.
@@ -504,20 +525,24 @@ def simulate_matrix(
             median_floor = (0.5 / reach - N) / params.p if reach > 0 else math.inf
             check_budget(median_floor * cells_per_time, "expected events", "give a horizon")
     rng = replicate_rng(config.master_seed, config.replicate_index)
-    if stop_on_hit:
-        # At lambda_m > 0 a hit window holds the N*M cells of its carried
-        # epochs whatever its span, so it spans as many reset cells.
-        carried = M * N if params.lambda_m > 0 else 0
-        width = max(_WINDOW_CELLS, carried) / cells_per_time
-        span = max(_FIRST_WINDOW_CELLS, carried) / cells_per_time
+    if params.lambda_m == 0:
+        # A window draws the first and last rings of its M + N clocks
+        # whatever its span, so it spans as many rings and resets.
+        width = max(_WINDOW_CELLS, M + N) / cells_per_time
+        span = _FIRST_WINDOW_CELLS / cells_per_time if stop_on_hit else width
+    elif stop_on_hit:
+        # A hit window holds the N*M cells of its carried epochs whatever
+        # its span, so it spans as many reset cells.
+        width = max(_WINDOW_CELLS, M * N) / cells_per_time
+        span = max(_FIRST_WINDOW_CELLS, M * N) / cells_per_time
     else:
         width = span = _WINDOW_CELLS / (params.q + params.p)
     tau = 0.0 if initial else None
     t = 0.0
     n_events = 0
     spare_time = 0.0
-    # At lambda_m = 0 see _ring_fill; uint16 keeps 16-bit ring labels radix-sorted there.
-    state = held if params.lambda_m > 0 else (np.empty(0), np.empty(0, np.uint16), np.full(N, -np.inf), held)
+    # At lambda_m = 0 each row's last ring, then each column's last reset (see _epoch_window).
+    state = held if params.lambda_m > 0 else (np.full(M + N, -np.inf), held)
     gains: list[np.ndarray] = []
     losses: list[np.ndarray] = []
     lost = ()
@@ -546,8 +571,8 @@ def simulate_matrix(
     if spare_time > 0:
         n_events += int(rng.poisson(params.lambda_m / M * spare_time))
     if lost is None:  # entry (i, j) is one iff row i rang after column j's last reset
-        last_rings, _, reset_at, _ = state
-        end_value = int(np.count_nonzero(reset_at < (last_rings[0] if last_rings.size == M else -np.inf)))
+        last_at = state[0]
+        end_value = int(np.count_nonzero(last_at[M:] < last_at[:M].min()))
     else:
         end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses)
 
@@ -580,10 +605,13 @@ def _epoch_window(
     is full from the last of these times to the epoch's end.
 
     With entry clocks the window draws k cells per epoch and the state is
-    N x M (see :func:`_entry_fill`); without them, no cells and O(M + N).
-    Without them, a run with no ``series`` whose state holds no start
-    entries reads only its first fill, and none once it is ``known`` (see
-    :func:`_first_fill`).
+    N x M (see :func:`_entry_fill`). Without them it draws its clocks
+    race-first (see :func:`_race`) and no cells, and the state is each
+    row's last ring, then each column's last reset (-inf for none), with a
+    start's entries ``held[j, i]`` or ``None``. Then a run with no
+    ``series`` whose state holds no start entries reads only its first
+    fill, and none once it is ``known`` (see :func:`_first_fill`); any
+    other lays the rings out in time order for :func:`_ring_fill`.
 
     Returns the times columns became full (columns full at ``t0`` are
     carried, not counted) and the times full columns were reset (carried
@@ -598,18 +626,20 @@ def _epoch_window(
     :func:`_carried_out`).
     """
     M, N = params.M, params.N
-    span = t1 - t0
-    # Labels are floor(u * count), which is far cheaper per call than
-    # Generator.integers. Row labels without entry clocks are only sorted,
-    # and numpy radix-sorts 16-bit keys.
-    ring_t = t0 + span * np.sort(rng.random(rng.poisson(params.q * span)))
-    row_type = np.uint16 if params.lambda_m == 0 and M <= 1 << 16 else np.intp
-    ring_row = (rng.random(ring_t.size) * M).astype(row_type)
-    reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
-    reset_col = (rng.random(reset_t.size) * N).astype(np.intp)
+    if params.lambda_m == 0:
+        race = _race(params, rng, t0, t1)
+        if not series and state[1] is None:
+            return _first_fill(M, state, race, t0, t1, stop_on_hit, known)
+        ring_t, ring_row, reset_t, reset_col = _time_order(M, _race_rings(M, race, t1))
+    else:
+        # Labels are floor(u * count), which is far cheaper per call than
+        # Generator.integers.
+        span = t1 - t0
+        ring_t = t0 + span * np.sort(rng.random(rng.poisson(params.q * span)))
+        ring_row = (rng.random(ring_t.size) * M).astype(np.intp)
+        reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
+        reset_col = (rng.random(reset_t.size) * N).astype(np.intp)
 
-    if params.lambda_m == 0 and not series and state[3] is None:
-        return _first_fill(M, state, ring_t, ring_row, reset_t, reset_col, t0, t1, stop_on_hit, known)
     starts, cols, ends, last = _epochs(N, t0, t1, reset_t, reset_col)
     if params.lambda_m > 0:
         filled, state = state, None
@@ -617,7 +647,9 @@ def _epoch_window(
             params, rng, filled, ring_t, ring_row, starts, ends, last if carry else None, t0, stop_on_hit
         )
     else:
-        fill, state = _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry)
+        fill, state = _ring_fill(M, _ring_pairs(M, state, ring_row.dtype), ring_t, ring_row, starts, cols, last, carry)
+        if state is not None:
+            state = _last_rings(M, state)
 
     valid = fill < ends
     gained = fill[valid & (fill > t0)]
@@ -816,54 +848,147 @@ def _ring_terms(ends, first):
     return int(np.count_nonzero(gap >= 0)), float(np.maximum(gap, 0.0, out=gap).sum())
 
 
-def _first_fill(M, state, ring_t, ring_row, reset_t, reset_col, t0, t1, stop_on_hit, known):
+def _race(params, rng, t0, t1):
+    """The row rings and column resets of a lambda_m = 0 window ``[t0, t1)``, drawn race-first.
+
+    A Poisson clock of rate r on the window is fixed by its first ring
+    ``t0 + Exp(1/r)``, its last ring, looking back from ``t1``,
+    ``max(t1 - Exp(1/r), first)`` (none where the first is at ``t1`` or
+    later), and a Poisson number of uniform rings strictly between the two.
+    The M rows (r = q/M) and then the N columns (r = p/N) are the window's
+    clocks. The draws go in one fixed order: every clock's wait for its
+    first ring, every clock's wait back from ``t1`` for its last ring, then
+    the rows' rings between, as one Poisson count, r times their summed gaps
+    ``last - first``, and as many uniforms that place them on those gaps,
+    and then the columns' the same way.
+
+    Returns ``(first, last, u_rows, u_cols)``: each clock's first and last
+    ring, rows then columns, both ``t1`` for a clock that does not ring in
+    the window, and the placing uniforms (see :func:`_race_rings`).
+    """
+    M, N = params.M, params.N
+    waits = rng.standard_exponential((2, M + N))
+    # Each clock's mean wait. One above 1e300 (p/N below 1e-300) is cut to
+    # it: no window lasts long enough for either to ring, and a unit
+    # exponential times 1e300 stays finite.
+    scale = np.full(M + N, M / params.q)
+    scale[M:] = min(N / params.p, 1e300)
+    waits *= scale
+    first, last = waits
+    first += t0
+    np.minimum(first, t1, out=first)
+    np.subtract(t1, last, out=last)
+    np.minimum(last, math.nextafter(t1, -math.inf), out=last)  # one that rounds to t1 comes just before
+    np.maximum(last, first, out=last)
+    row_gaps, col_gaps = np.add.reduceat(last - first, (0, M))
+    u_rows = rng.random(rng.poisson(params.q / M * row_gaps))
+    return first, last, u_rows, rng.random(rng.poisson(params.p / N * col_gaps))
+
+
+def _race_rings(M, race, t1):
+    """Every ring of a :func:`_race`'s rows and every reset of its columns,
+    clock by clock: ``[(times, rows), (times, columns)]``.
+
+    A clock rings at its first and last ring, and each uniform ``u`` of its
+    kind places a ring ``u`` of the way along their gaps laid end to end,
+    clock by clock.
+    """
+    first, last, *placing = race
+    out = []
+    for clocks, u in zip((slice(0, M), slice(M, None)), placing):
+        f, l = first[clocks], last[clocks]
+        rung = np.flatnonzero(f < t1)
+        twice = rung[l[rung] > f[rung]]
+        edges = np.zeros(f.size + 1)
+        np.cumsum(l - f, out=edges[1:])
+        x = np.sort(u) * edges[-1]
+        at = np.arange(f.size).repeat(np.diff(np.searchsorted(x, edges)))  # edges[at] <= x < edges[at + 1]
+        between = np.minimum(f[at] + (x - edges[at]), l[at])  # rounding takes none past its clock's last
+        out.append((np.concatenate((f[rung], l[twice], between)), np.concatenate((rung, twice, at))))
+    return out
+
+
+def _time_order(M, rings):
+    """:func:`_race_rings` as :func:`_ring_fill` and :func:`_epochs` take
+    them: ``(ring_t, ring_row, reset_t, reset_col)``, each in time order.
+    Row labels go in 16 bits where M allows, which numpy radix-sorts when
+    :func:`_ring_fill` groups the rings by row."""
+    out = []
+    for (times, clocks), label in zip(rings, (np.uint16 if M <= 1 << 16 else np.intp, np.intp)):
+        order = np.argsort(times)
+        out += [times[order], clocks[order].astype(label, copy=False)]
+    return out
+
+
+def _first_fill(M, state, race, t0, t1, stop_on_hit, known):
     """A lambda_m = 0 window of a run that reads only its first fill and its
-    end count: no series, and no start entries in the ``state`` (see
-    :func:`_ring_fill`).
+    end count: no series, and no start entries in the ``state``. The window
+    reads its :func:`_race`'s first and last rings, and lays its rings out
+    (:func:`_race_rings`) only where it needs them.
 
     Carried epoch j, from column j's last reset c_j, fills at the last
     first ring in the window of the rows whose last ring before ``t0`` is at
     or before c_j: a prefix maximum over the rows in order of their last
     ring, read by one search per column. An epoch fills no earlier the later
     it starts, so the first fill is the least carried one before its
-    column's first reset, if there is one, and none if some row's first
-    ring comes at ``t1`` or later (or never); only otherwise does the window
-    search every epoch (:func:`_ring_fill`). Once the run's first fill is
-    ``known``, no window looks for one.
+    column's first reset, if there is one, and none if some row does not
+    ring in the window; only otherwise does the window search every epoch
+    (:func:`_ring_fill`). Once the run's first fill is ``known``, no window
+    looks for one. A window that runs to ``t1`` counts as its events the
+    clocks that ring, those that ring more than once and the rings between,
+    and ends each clock at its last ring; one that stops at its first fill
+    reads its rings up to it.
 
     Returns the first fill (none or one), ``None`` in place of the reset
     times, the events to the window's end, no entry-clock time, and the
     state at that end: ``t1``, or the first fill of a hit window.
     """
-    past_t, past_row, reset_at, _ = state
-    N = reset_at.size
-    last_ring = np.full(M, -np.inf)  # each row's last ring, -inf for none
-    last_ring[past_row] = past_t
-    gained = np.empty(0)
+    last_at, _ = state
+    first, last, *placing = race
+    gained, rings = np.empty(0), None
     if not known:
-        first = np.full(M, np.inf)  # each row's first ring in the window
-        np.minimum.at(first, ring_row, ring_t)
-        if past_row.size:  # rows in order of their last ring, those never rung first
+        last_ring, reset_at = last_at[:M], last_at[M:]
+        if last_ring.max() > -np.inf:  # rows in order of their last ring, those never rung first
             by_last = np.argsort(last_ring)
             fills = np.maximum.accumulate(np.concatenate(([-np.inf], first[by_last])))
             carried = fills[np.searchsorted(last_ring[by_last], reset_at, "right")]
         else:
-            carried = fills = first.max(keepdims=True)
-        reset_first = np.full(N, t1)  # each column's first reset in the window
-        np.minimum.at(reset_first, reset_col, reset_t)
-        if (valid := carried < reset_first).any():
+            carried = fills = first[:M].max(keepdims=True)
+        if (valid := carried < first[M:]).any():
             gained = np.where(valid, carried, np.inf).min(keepdims=True)
         elif fills[-1] < t1:
-            starts, cols, ends, last = _epochs(N, t0, t1, reset_t, reset_col)
-            fill = _ring_fill(M, state, ring_t, ring_row, starts, cols, last, False)[0]
+            rings = _race_rings(M, race, t1)
+            ring_t, ring_row, reset_t, reset_col = _time_order(M, rings)
+            starts, cols, ends, last_epoch = _epochs(reset_at.size, t0, t1, reset_t, reset_col)
+            pairs = _ring_pairs(M, state, ring_row.dtype)
+            fill = _ring_fill(M, pairs, ring_t, ring_row, starts, cols, last_epoch, False)[0]
             gained = np.sort(fill[(fill < ends) & (fill > t0)])[:1]
-    end = float(gained[0]) if stop_on_hit and gained.size else t1
-    rings, resets = int(ring_t.searchsorted(end, "right")), int(reset_t.searchsorted(end, "right"))
-    np.maximum.at(last_ring, ring_row[:rings], ring_t[:rings])
-    reset_at = reset_at.copy()
-    np.maximum.at(reset_at, reset_col[:resets], reset_t[:resets])
-    rows = np.argsort(last_ring)[np.count_nonzero(last_ring == -np.inf) :]
-    return gained, None, rings + resets, 0.0, (last_ring[rows], rows.astype(ring_row.dtype), reset_at, None)
+    if stop_on_hit and gained.size:
+        last_at, events = last_at.copy(), 0
+        for (times, clocks), kind in zip(rings or _race_rings(M, race, t1), (last_at[:M], last_at[M:])):
+            upto = times <= gained[0]
+            np.maximum.at(kind, clocks[upto], times[upto])
+            events += np.count_nonzero(upto)
+        return gained, None, events, 0.0, (last_at, None)
+    rung = first < t1
+    events = np.count_nonzero(rung) + np.count_nonzero(last > first) + sum(u.size for u in placing)
+    return gained, None, int(events), 0.0, (np.where(rung, last, last_at), None)
+
+
+def _ring_pairs(M, state, label):
+    """A lambda_m = 0 ``state`` as :func:`_ring_fill` takes it: the rows that
+    have rung and their last rings, in time order, the rows as ``label``."""
+    last_at, held = state
+    rows = np.argsort(last_at[:M])[np.count_nonzero(last_at[:M] == -np.inf) :]
+    return last_at[rows], rows.astype(label), last_at[M:], held
+
+
+def _last_rings(M, pairs):
+    """The state that :func:`_ring_fill` returns, as :func:`_first_fill` takes it."""
+    past_t, past_row, reset_at, held = pairs
+    last_at = np.concatenate((np.full(M, -np.inf), reset_at))
+    last_at[past_row] = past_t
+    return last_at, held
 
 
 def _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry=True):

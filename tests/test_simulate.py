@@ -1127,8 +1127,9 @@ class TestEpochPath:
         # Every column starts full but for row 0, which rings at q/M = 1/16
         # while each column resets at p/N = 1/16: a run mostly ends at row
         # 0's first ring, median near 11, when every column not reset by then
-        # fills at once. Hit windows of 2, 4, 4, ... time units, so most runs
-        # carry the start's entries into a third window or later.
+        # fills at once. Hit windows of 2, 4, 8 and 16 time units (a full
+        # window spans the M + N = 16 clocks it draws), so most runs carry
+        # the start's entries into a third window or later.
         monkeypatch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 2)
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 4)
         entries = np.ones((8, 8), dtype=np.uint8)
@@ -1419,17 +1420,21 @@ class TestEpochPath:
         lam=st.sampled_from([0.0, 1e-300, 1e6]),
         horizon=st.floats(1e-6, 1e5),
         seed=st.integers(0, 2**64 - 1),
+        start=st.one_of(st.none(), st.integers(0, 2**36 - 1)),
     )
-    def test_series_and_no_series_runs_agree_at_the_edges(self, M, N, p, lam, horizon, seed):
+    def test_series_and_no_series_runs_agree_at_the_edges(self, M, N, p, lam, horizon, seed, start):
         # Rates within 1e-9 of 0 or 1, entry clocks off, all but off or far
-        # faster than the rows: a horizon run is refused, with and without a
-        # series, or both runs end at the horizon with the same outputs, a
-        # finite first hit (if any) on the way and a count in 0..N.
+        # faster than the rows, from the empty matrix or a start of any
+        # entries: a horizon run is refused, with and without a series, or
+        # both runs end at the horizon with the same outputs, a finite first
+        # hit (if any) on the way and a count in 0..N.
         params = MatrixParams(M=M, N=N, p=p, lambda_m=lam)
+        if start is not None:
+            start = MatrixState.from_index(M, N, start % (1 << (M * N)))
         runs = []
         for record in (False, True):
             try:
-                runs.append(simulate_matrix(params, SimulationConfig(seed, 0, horizon, record)))
+                runs.append(simulate_matrix(params, SimulationConfig(seed, 0, horizon, record), start=start))
             except ValueError as err:
                 runs.append(str(err))
         plain, series = runs
@@ -1442,6 +1447,75 @@ class TestEpochPath:
         assert plain.tau is None or (math.isfinite(plain.tau) and 0 <= plain.tau <= plain.end_time)
         assert plain.end_time == horizon and 0 <= plain.end_value <= N and plain.n_events >= 0
         assert series.value_at(horizon) == plain.end_value
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        M=st.integers(1, 8),
+        N=st.integers(1, 8),
+        p=st.one_of(st.floats(0, 1e-9, exclude_min=True), st.floats(1 - 1e-9, 1, exclude_max=True)),
+        t0=st.floats(0, 1e6),
+        span=st.floats(1e-6, 1e5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_race_first_draw_at_the_edges(self, M, N, p, t0, span, seed):
+        # A lambda_m = 0 window draws each clock's first and last ring, and
+        # its rings between as a count and placing uniforms. Built in time
+        # order, each kind's rings lie in [t0, t1); a clock's first and last
+        # there are the drawn ones, and the others lie strictly between;
+        # and there are as many as a run without a series counts.
+        params = MatrixParams(M=M, N=N, p=p)
+        t1 = t0 + span
+        race = simulate_module._race(params, np.random.default_rng(seed), t0, t1)
+        first, last, _, _ = race
+        ring_t, ring_row, reset_t, reset_col = simulate_module._time_order(
+            M, simulate_module._race_rings(M, race, t1)
+        )
+        for times, clocks, offset, n in ((ring_t, ring_row, 0, M), (reset_t, reset_col, M, N)):
+            assert (np.diff(times) >= 0).all() and (times >= t0).all() and (times < t1).all()
+            for i in range(n):
+                own = times[clocks == i]
+                if first[offset + i] >= t1:
+                    assert own.size == 0
+                    continue
+                assert own[0] == first[offset + i] and own[-1] == last[offset + i]
+                assert (own[1:-1] > own[0]).all() and (own[1:-1] < own[-1]).all()
+        empty = (np.full(M + N, -np.inf), None)
+        counted = simulate_module._first_fill(M, empty, race, t0, t1, False, True)[2]
+        assert ring_t.size + reset_t.size == counted
+
+    def test_race_first_ring_counts_are_poisson(self):
+        # Over 6000 windows of 5 time units from t0 = 7.25, each row's ring
+        # count and each column's reset count must be Poisson(rate * span),
+        # 1 for both here: z < 4 on the mean and on the variance, the rows
+        # (3 per window) and the columns (2) pooled apart.
+        params = MatrixParams(M=3, N=2, p=0.4)
+        t0, span, n = 7.25, 5.0, 6000
+        rng = np.random.default_rng(6100)
+        rows, cols = [], []
+        for _ in range(n):
+            race = simulate_module._race(params, rng, t0, t0 + span)
+            (_, ring_row), (_, reset_col) = simulate_module._race_rings(params.M, race, t0 + span)
+            rows.append(np.bincount(ring_row, minlength=params.M))
+            cols.append(np.bincount(reset_col, minlength=params.N))
+        for counts, rate in ((rows, params.q / params.M), (cols, params.p / params.N)):
+            counts = np.concatenate(counts).astype(float)
+            mu, m = rate * span, counts.size
+            assert abs(counts.mean() - mu) < 4 * math.sqrt(mu / m)
+            assert abs(counts.var(ddof=1) - mu) < 4 * math.sqrt((mu + 2 * mu * mu) / m)
+
+    @pytest.mark.parametrize("M, p, lam", [(8, 0.3, 0.0), (8, 0.3, 0.7), (16, 0.05, 0.5)])
+    def test_one_column_matrix_hits_at_the_single_column_mean(self, M, p, lam):
+        # At N = 1 the matrix is one column: each zero entry fills at
+        # (q + lambda_m)/M, from its row's clock or its own, and the column
+        # resets at p. That is the single column with M levels, reset rate p
+        # and alpha = q_tilde/(1 - p), whose exact mean first hit of M from 0
+        # the hit runs must match: z < 4 over 2000 runs. Most windows here
+        # leave the first fill open after their carried epoch, so at
+        # lambda_m = 0 this pins the search over every epoch.
+        params = MatrixParams(M=M, N=1, p=p, lambda_m=lam)
+        exact = analytics.hitting_time_mean_exact(SingleColumnParams(M, alpha=params.q_tilde / (1 - p), p=p), 0)
+        taus = hitting_time_batch(params, 2000, master_seed=6200)
+        assert abs(taus.mean() - exact) < 4 * taus.std(ddof=1) / math.sqrt(taus.size)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_candidate_rows_law_with_a_small_k(self, monkeypatch, k):
