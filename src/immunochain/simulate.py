@@ -88,6 +88,19 @@ single-column hit run that M is too rare for is refused from
 Randomness is fully reproducible: in :func:`replicate_runs`, every batch
 of runs, replicate ``r`` draws from the stream keyed by ``(master_seed,
 r)``, so batch output is independent of execution order.
+
+A lambda_m = 0 matrix batch goes through its windows a block of replicates
+at a time (27 at M + N = 300; a run alone is a block of one), the block
+sized so that its stacked first and last rings stay within
+``_WINDOW_CELLS`` cells. Each replicate still draws alone, on its own
+stream: every window, one ``standard_exponential((2, M + N))``, then its
+rows' Poisson count and uniforms, then its columns'. Scaling and clipping
+the waits, summing the gaps, the carried-epoch first-fill read, the event
+counts, the last rings and the end count run as arrays over the block. A
+series run, a run from a start, a window whose carried epochs leave the
+first fill open and a window that stops at its hit lay their rings out
+one replicate at a time; a hit run leaves the block at its hit. So every
+run of a batch is the run drawn alone, field for field.
 """
 
 from __future__ import annotations
@@ -127,6 +140,8 @@ __all__ = [
 # run's first window holds max(_FIRST_WINDOW_CELLS, N*M) cells
 # (_FIRST_WINDOW_CELLS at lambda_m = 0), a single-column run's first window
 # _FIRST_WINDOW_CELLS, and each next one twice as many, up to the full width.
+# A block of lambda_m = 0 runs stacks two M + N rows of first and last rings
+# per run, so it holds _WINDOW_CELLS // (2 * (M + N)) runs, one at least.
 _WINDOW_CELLS = 1 << 14
 _FIRST_WINDOW_CELLS = 1 << 10
 
@@ -479,7 +494,8 @@ def simulate_matrix(
     its end count off the last rings. It sorts and labels the rings between
     only in a window that its carried epochs leave open or that stops at its
     hit, and a run with a series or a start in every window it runs. A
-    window spans at least ``M + N`` rings and resets there. A run that
+    window spans at least ``M + N`` rings and resets there, and a run is
+    a block of one (see :func:`replicate_runs`). A run that
     needs the events themselves or the final matrix
     is a job for the Gillespie reference,
     :func:`immunochain.reference.matrix_gillespie`. A run without a
@@ -493,88 +509,43 @@ def simulate_matrix(
     bound ``(1/(2*P_fill) - N)/p`` on the median of ``tau``, where
     ``P_fill`` is that fill probability.
     """
+    _check_matrix_run(params, config.horizon, start)
+    rng = replicate_rng(config.master_seed, config.replicate_index)
+    if params.lambda_m == 0:
+        return _race_runs(params, [rng], config.horizon, config.record_series, start)[0]
     M, N = params.M, params.N
-    if start is not None and (start.M != M or start.N != N):
-        raise ValueError("start state shape does not match parameters")
-    # Every window holds the N x M state at lambda_m > 0, where the first one
-    # builds a cell per entry, and from a start; else M + N (see _epoch_window).
-    check_budget(M * N if params.lambda_m > 0 or start is not None else M + N, "cells in the state alone", "shrink M or N")
-    # Epoch cells per unit time: row rings and resets, and with entry
-    # clocks an M-wide row of first rings per epoch.
-    cells_per_time = params.q + params.p * (M if params.lambda_m > 0 else 1)
     horizon = config.horizon
-    if horizon is not None:
-        check_budget(horizon * max(params.total_rate, cells_per_time), "expected events", "shorten the run")
     if start is None:
-        held, initial = (np.zeros((N, M), dtype=bool) if params.lambda_m > 0 else None), 0
+        held, initial = np.zeros((N, M), dtype=bool), 0
     else:
         held, initial = start.entries.T.astype(bool), start.all_ones_count  # held[j, i]: entry (i, j) is one
     stop_on_hit = horizon is None
-    if stop_on_hit and initial == 0:
-        reach = analytics.steady_allones_probability(params)
-        if reach < MIN_REACH_PROBABILITY:
-            raise ValueError(
-                f"{params}: a column fills between two of its resets with probability "
-                f"{reach:.3g} (< {MIN_REACH_PROBABILITY:g}); the first full column is "
-                "beyond simulation"
-            )
-        if held is None or not held.any():
-            # By time t at most N + Poisson(p*t) epochs have started, each
-            # filling with probability reach, so P(tau <= t) <= (N + p*t)*reach
-            # and the median of tau is at least (1/(2*reach) - N)/p.
-            median_floor = (0.5 / reach - N) / params.p if reach > 0 else math.inf
-            check_budget(median_floor * cells_per_time, "expected events", "give a horizon")
-    rng = replicate_rng(config.master_seed, config.replicate_index)
-    if params.lambda_m == 0:
-        # A window draws the first and last rings of its M + N clocks
-        # whatever its span, so it spans as many rings and resets.
-        width = max(_WINDOW_CELLS, M + N) / cells_per_time
-        span = _FIRST_WINDOW_CELLS / cells_per_time if stop_on_hit else width
-    elif stop_on_hit:
-        # A hit window holds the N*M cells of its carried epochs whatever
-        # its span, so it spans as many reset cells.
-        width = max(_WINDOW_CELLS, M * N) / cells_per_time
-        span = max(_FIRST_WINDOW_CELLS, M * N) / cells_per_time
-    else:
-        width = span = _WINDOW_CELLS / (params.q + params.p)
     tau = 0.0 if initial else None
     t = 0.0
     n_events = 0
     spare_time = 0.0
-    # At lambda_m = 0 each row's last ring, then each column's last reset (see _epoch_window).
-    state = held if params.lambda_m > 0 else (np.full(M + N, -np.inf), held)
+    state = held
     gains: list[np.ndarray] = []
     losses: list[np.ndarray] = []
-    lost = ()
 
     if not (stop_on_hit and tau is not None):
-        while True:
-            t1 = t + span if horizon is None else min(t + span, horizon)
-            span = min(2 * span, width)
+        for t0, t1 in _windows(params, horizon):
             gained, lost, events, spare, state = _epoch_window(
-                params, rng, state, t, t1, stop_on_hit, carry=t1 != horizon,
-                series=config.record_series, known=tau is not None,
+                params, rng, state, t0, t1, stop_on_hit, carry=t1 != horizon
             )
             n_events += events
             spare_time += spare
-            if lost is not None:
-                gains.append(gained)
-                losses.append(lost)
+            gains.append(gained)
+            losses.append(lost)
+            t = t1
             if tau is None and gained.size:
                 tau = float(gained.min())
                 if stop_on_hit:
                     t = tau
                     break
-            t = t1
-            if t == horizon:
-                break
     if spare_time > 0:
         n_events += int(rng.poisson(params.lambda_m / M * spare_time))
-    if lost is None:  # entry (i, j) is one iff row i rang after column j's last reset
-        last_at = state[0]
-        end_value = int(np.count_nonzero(last_at[M:] < last_at[:M].min()))
-    else:
-        end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses)
+    end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses)
 
     times = values = None
     if config.record_series:
@@ -585,99 +556,142 @@ def simulate_matrix(
     )
 
 
+def _check_matrix_run(params: MatrixParams, horizon: float | None, start: MatrixState | None) -> None:
+    """The refusals of :func:`simulate_matrix`, raised before any draw."""
+    M, N = params.M, params.N
+    if start is not None and (start.M != M or start.N != N):
+        raise ValueError("start state shape does not match parameters")
+    # Every window holds the N x M state at lambda_m > 0, where the first one
+    # builds a cell per entry, and from a start; else M + N (see _race_runs).
+    check_budget(M * N if params.lambda_m > 0 or start is not None else M + N, "cells in the state alone", "shrink M or N")
+    cells_per_time = _cells_per_time(params)
+    if horizon is not None:
+        check_budget(horizon * max(params.total_rate, cells_per_time), "expected events", "shorten the run")
+    if horizon is None and (start is None or start.all_ones_count == 0):
+        reach = analytics.steady_allones_probability(params)
+        if reach < MIN_REACH_PROBABILITY:
+            raise ValueError(
+                f"{params}: a column fills between two of its resets with probability "
+                f"{reach:.3g} (< {MIN_REACH_PROBABILITY:g}); the first full column is "
+                "beyond simulation"
+            )
+        if start is None or not start.entries.any():
+            # By time t at most N + Poisson(p*t) epochs have started, each
+            # filling with probability reach, so P(tau <= t) <= (N + p*t)*reach
+            # and the median of tau is at least (1/(2*reach) - N)/p.
+            median_floor = (0.5 / reach - N) / params.p if reach > 0 else math.inf
+            check_budget(median_floor * cells_per_time, "expected events", "give a horizon")
+
+
+def _cells_per_time(params: MatrixParams) -> float:
+    """Epoch cells per unit time: row rings and resets, and with entry
+    clocks an M-wide row of first rings per epoch."""
+    return params.q + params.p * (params.M if params.lambda_m > 0 else 1)
+
+
+def _windows(params: MatrixParams, horizon: float | None):
+    """The ``(t0, t1)`` of a matrix run's windows, each twice as long as the
+    last up to the full width (see ``_WINDOW_CELLS``), to the horizon or,
+    without one, on until the run stops at its hit."""
+    M, N = params.M, params.N
+    cells_per_time = _cells_per_time(params)
+    if params.lambda_m == 0:
+        # A window draws the first and last rings of its M + N clocks
+        # whatever its span, so it spans as many rings and resets.
+        width = max(_WINDOW_CELLS, M + N) / cells_per_time
+        span = _FIRST_WINDOW_CELLS / cells_per_time if horizon is None else width
+    elif horizon is None:
+        # A hit window holds the N*M cells of its carried epochs whatever
+        # its span, so it spans as many reset cells.
+        width = max(_WINDOW_CELLS, M * N) / cells_per_time
+        span = max(_FIRST_WINDOW_CELLS, M * N) / cells_per_time
+    else:
+        width = span = _WINDOW_CELLS / (params.q + params.p)
+    t = 0.0
+    while t != horizon:
+        t1 = t + span if horizon is None else min(t + span, horizon)
+        span = min(2 * span, width)
+        yield t, t1
+        t = t1
+
+
 def _epoch_window(
     params: MatrixParams,
     rng: np.random.Generator,
-    state,
+    filled: np.ndarray,
     t0: float,
     t1: float,
     stop_on_hit: bool,
     carry: bool,
-    series: bool,
-    known: bool,
-) -> tuple[np.ndarray, np.ndarray | None, int, float, object]:
-    """One window ``[t0, t1)`` of a matrix run, from the ``state`` at ``t0``.
+) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray | None]:
+    """One window ``[t0, t1)`` of a matrix run with entry clocks, from the
+    N x M state ``filled`` at ``t0``.
 
     Column j's epochs run between ``t0``, its resets and ``t1``. In an
     epoch from s, entry (i, j) is set at the first ring of row i after s
     or at the entry's own first ring, s + Exp(lambda_m/M), whichever is
     earlier (at s if it is one at ``t0`` and s is ``t0``), and the column
-    is full from the last of these times to the epoch's end.
-
-    With entry clocks the window draws k cells per epoch and the state is
-    N x M (see :func:`_entry_fill`). Without them it draws its clocks
-    race-first (see :func:`_race`) and no cells, and the state is each
-    row's last ring, then each column's last reset (-inf for none), with a
-    start's entries ``held[j, i]`` or ``None``. Then a run with no
-    ``series`` whose state holds no start entries reads only its first
-    fill, and none once it is ``known`` (see :func:`_first_fill`); any
-    other lays the rings out in time order for :func:`_ring_fill`.
+    is full from the last of these times to the epoch's end. The window
+    draws its rings and resets as Poisson counts with uniform labels and
+    times, and k cells per epoch (see :func:`_entry_fill`).
 
     Returns the times columns became full (columns full at ``t0`` are
     carried, not counted) and the times full columns were reset (carried
-    ones included), which change the full count by their sizes, or the
-    first fill and ``None``, the count then being read off the state; the
+    ones included), which change the full count by their sizes; the
     events up to the window's end; the summed time in which entry clocks
     ring Poisson-many times uncounted (after a drawn first ring, or over
     the epoch where none was drawn); and the state at ``t1`` (only under
-    ``carry``, else ``None``), or at the window's end where the count is
-    read off it. Under ``stop_on_hit`` the window ends at its first full
-    column, if any, and then carries no state out (see
+    ``carry``, else ``None``). Under ``stop_on_hit`` the window ends at its
+    first full column, if any, and then carries no state out (see
     :func:`_carried_out`).
     """
     M, N = params.M, params.N
-    if params.lambda_m == 0:
-        race = _race(params, rng, t0, t1)
-        if not series and state[1] is None:
-            return _first_fill(M, state, race, t0, t1, stop_on_hit, known)
-        ring_t, ring_row, reset_t, reset_col = _time_order(M, _race_rings(M, race, t1))
-    else:
-        # Labels are floor(u * count), which is far cheaper per call than
-        # Generator.integers.
-        span = t1 - t0
-        ring_t = t0 + span * np.sort(rng.random(rng.poisson(params.q * span)))
-        ring_row = (rng.random(ring_t.size) * M).astype(np.intp)
-        reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
-        reset_col = (rng.random(reset_t.size) * N).astype(np.intp)
+    # Labels are floor(u * count), which is far cheaper per call than
+    # Generator.integers.
+    span = t1 - t0
+    ring_t = t0 + span * np.sort(rng.random(rng.poisson(params.q * span)))
+    ring_row = (rng.random(ring_t.size) * M).astype(np.intp)
+    reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
+    reset_col = (rng.random(reset_t.size) * N).astype(np.intp)
 
     starts, cols, ends, last = _epochs(N, t0, t1, reset_t, reset_col)
-    if params.lambda_m > 0:
-        filled, state = state, None
-        fill, drawn, undrawn, kept = _entry_fill(
-            params, rng, filled, ring_t, ring_row, starts, ends, last if carry else None, t0, stop_on_hit
+    fill, drawn, undrawn, kept = _entry_fill(
+        params, rng, filled, ring_t, ring_row, starts, ends, last if carry else None, t0, stop_on_hit
+    )
+    gained, lost, end, n_events = _window_end(fill, ends, ring_t, reset_t, t0, t1, stop_on_hit)
+    spare = 0.0
+    state = None
+    if carry and end == t1:
+        state, waits, first = _carried_out(
+            params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, *kept
         )
-    else:
-        fill, state = _ring_fill(M, _ring_pairs(M, state, ring_row.dtype), ring_t, ring_row, starts, cols, last, carry)
-        if state is not None:
-            state = _last_rings(M, state)
+        undrawn -= np.bincount(waits, minlength=undrawn.size)
+        rings, spare = _ring_terms(ends[waits], first[:, None])
+        n_events += rings
+    # A hit window keeps its first rings until its end is known; rows
+    # that drew none ring Poisson-many times over their epochs.
+    ends = np.minimum(ends, end)
+    for terms in drawn:
+        if stop_on_hit:
+            terms = _ring_terms(ends[terms[0]], terms[1])
+        n_events += terms[0]
+        spare += terms[1]
+    spare += float(undrawn @ np.maximum(ends - starts, 0.0))
+    return gained, lost, n_events, spare, state
 
+
+def _window_end(fill, ends, ring_t, reset_t, t0, t1, stop_on_hit):
+    """Where a window whose epochs fill at ``fill`` and end at ``ends`` ends:
+    at ``t1``, or under ``stop_on_hit`` at its first full column. Returns the
+    times columns became full and full columns were reset up to that end,
+    the end, and the row rings and resets up to it."""
     valid = fill < ends
     gained = fill[valid & (fill > t0)]
     end = float(gained.min()) if stop_on_hit and gained.size else t1
     gained = gained[gained <= end]
     lost = ends[valid & (ends < end)]
     n_events = int(np.searchsorted(ring_t, end, "right") + np.searchsorted(reset_t, end, "right"))
-    spare = 0.0
-    if end < t1:
-        state = None  # a window that stops at its hit carries nothing out
-    if params.lambda_m > 0:
-        if carry and end == t1:
-            state, waits, first = _carried_out(
-                params, rng, filled, ring_t, ring_row, starts, cols, last, t0, t1, *kept
-            )
-            undrawn -= np.bincount(waits, minlength=undrawn.size)
-            rings, spare = _ring_terms(ends[waits], first[:, None])
-            n_events += rings
-        # A hit window keeps its first rings until its end is known; rows
-        # that drew none ring Poisson-many times over their epochs.
-        ends = np.minimum(ends, end)
-        for terms in drawn:
-            if stop_on_hit:
-                terms = _ring_terms(ends[terms[0]], terms[1])
-            n_events += terms[0]
-            spare += terms[1]
-        spare += float(undrawn @ np.maximum(ends - starts, 0.0))
-    return gained, lost, n_events, spare, state
+    return gained, lost, end, n_events
 
 
 def _epochs(N, t0, t1, reset_t, reset_col):
@@ -848,46 +862,270 @@ def _ring_terms(ends, first):
     return int(np.count_nonzero(gap >= 0)), float(np.maximum(gap, 0.0, out=gap).sum())
 
 
-def _race(params, rng, t0, t1):
-    """The row rings and column resets of a lambda_m = 0 window ``[t0, t1)``, drawn race-first.
+def _race_block_size(params: MatrixParams) -> int:
+    """How many lambda_m = 0 runs share a block: as many as keep the block's
+    stacked per-clock arrays, two of M + N cells per run, within
+    ``_WINDOW_CELLS`` cells (27 at M + N = 300), and one at least."""
+    return max(1, _WINDOW_CELLS // (2 * (params.M + params.N)))
+
+
+class _RaceBooks:
+    """What the running lambda_m = 0 runs of a block carry from window to
+    window, a row per run: its place in the block; each row's last ring and
+    then each column's last reset (-inf for none), as a row of
+    ``last_at``; a start's entries ``held[j, i]`` or ``None``; whether it
+    lays its rings out (a series, or start entries held); its first hit
+    (nan for none yet) and events; and the times its full count rose and
+    fell in the windows that laid its rings out. ``read_off`` marks a run
+    whose last window read its end count off ``last_at`` instead."""
+
+    def __init__(self, size, M, N, held, initial, series):
+        self.index = np.arange(size)
+        self.last_at = np.full((size, M + N), -np.inf)
+        self.held = [held] * size
+        self.laid = np.full(size, series or held is not None)
+        self.tau = np.full(size, 0.0 if initial else np.nan)
+        self.events = np.zeros(size, dtype=np.int64)
+        self.gains = [[] for _ in range(size)]
+        self.losses = [[] for _ in range(size)]
+        self.read_off = np.zeros(size, dtype=bool)
+
+    def keep(self, kept: np.ndarray) -> None:
+        """Keep the runs where ``kept`` holds, in order."""
+        for name, value in vars(self).items():
+            setattr(self, name, value[kept] if isinstance(value, np.ndarray) else
+                    [x for x, k in zip(value, kept.tolist()) if k])
+
+    def runs(self, which, M, initial, series, end_time) -> list[Trajectory]:
+        """The trajectories of the runs ``which``, ended at ``end_time``
+        (``None``: at their first hit)."""
+        last_at = self.last_at[which]
+        # Entry (i, j) is one iff row i rang after column j's last reset.
+        read_off = np.count_nonzero(last_at[:, M:] < last_at[:, :M].min(axis=1, keepdims=True), axis=1)
+        out = []
+        columns = zip(which.tolist(), self.tau[which].tolist(), self.events[which].tolist(),
+                      self.read_off[which].tolist(), read_off.tolist())
+        for k, tau, events, counted, count in columns:
+            gains, losses = self.gains[k], self.losses[k]
+            end_value = count if counted else initial + sum(g.size for g in gains) - sum(l.size for l in losses)
+            times = values = None
+            if series:
+                times, values = _count_series(initial, gains, losses)
+            out.append(Trajectory(
+                tau=None if math.isnan(tau) else tau, end_time=tau if end_time is None else end_time,
+                end_value=end_value, n_events=events, series_times=times, series_values=values,
+            ))
+        return out
+
+
+def _race_runs(params: MatrixParams, rngs, horizon, series: bool, start: MatrixState | None) -> list[Trajectory]:
+    """The lambda_m = 0 runs of one block of replicates, one per generator in
+    ``rngs``, in order; :func:`_check_matrix_run` has passed them.
+
+    The runs share their windows, and a run leaves the block at its hit.
+    Each window draws every run's clocks on the run's own stream
+    (:func:`_race`), and reads what it can as arrays over the block
+    (:func:`_race_window`).
+    """
+    M, N = params.M, params.N
+    held, initial = (None, 0) if start is None else (start.entries.T.astype(bool), start.all_ones_count)
+    books = _RaceBooks(len(rngs), M, N, held, initial, series)
+    runs = [None] * len(rngs)
+    end_time = None
+    if horizon is not None or not initial:
+        for t0, end_time in _windows(params, horizon):
+            ended = _race_window(params, rngs, books, t0, end_time, horizon is None, end_time != horizon, series)
+            if ended.any():
+                done = np.flatnonzero(ended)
+                for b, run in zip(books.index[done], books.runs(done, M, initial, series, None)):
+                    runs[b] = run
+                books.keep(~ended)
+                rngs = [rng for rng, gone in zip(rngs, ended.tolist()) if not gone]
+                if not rngs:
+                    break
+    running = np.arange(len(books.index))
+    for b, run in zip(books.index, books.runs(running, M, initial, series, None if horizon is None else end_time)):
+        runs[b] = run
+    return runs
+
+
+def _race_batch(params: MatrixParams, n_replicates: int, master_seed: int, horizon, series: bool, start):
+    """Runs ``0 .. n_replicates - 1`` of a lambda_m = 0 batch, drawn block by
+    block (see :func:`_race_block_size`), each on its own stream. Refused,
+    as each run alone would be, at the first run."""
+    SimulationConfig(master_seed, 0, horizon, series)  # refuses a horizon as each run's config would
+    _check_matrix_run(params, horizon, start)
+    size = _race_block_size(params)
+    for lo in range(0, n_replicates, size):
+        rngs = [replicate_rng(master_seed, r) for r in range(lo, min(lo + size, n_replicates))]
+        yield from _race_runs(params, rngs, horizon, series, start)
+
+
+def _race_window(params, rngs, books: _RaceBooks, t0: float, t1: float,
+                 stop_on_hit: bool, carry: bool, series: bool) -> np.ndarray:
+    """One window ``[t0, t1)`` of the running lambda_m = 0 runs of a block,
+    one per generator in ``rngs``, from their ``books`` at ``t0``; returns
+    which of them stopped at their hit.
+
+    The clocks are drawn race-first (see :func:`_race`). A run that records
+    no series and holds no start entries reads only the first and last
+    rings, as arrays over the block: its first fill, while it has none, by
+    the carried-epoch rule (:func:`_carried_fill`), or where the carried
+    epochs leave it open by a search over every epoch (:func:`_open_fill`);
+    its events, the clocks that ring, those that ring more than once and
+    the rings between; and each clock's last ring. One that stops at its
+    hit reads its laid-out rings up to the hit instead. A series run or a
+    run from a start lays its rings out (:func:`_laid_window`).
+    """
+    M = params.M
+    first, last, placing = _race(params, rngs, t0, t1)
+    last_at, laid = books.last_at, books.laid
+    read = np.isnan(books.tau) & ~laid
+    rings, found = {}, np.empty(0, dtype=np.intp)
+    if read.any():
+        fill, open_ = _carried_fill(M, last_at, first, t1)  # each run's first fill, inf for none
+        fill[~read] = np.inf
+        for k in np.flatnonzero(read & open_):
+            rings[k] = _race_rings(M, (first[k], last[k], *placing[k]), t1)
+            fill[k] = _open_fill(M, last_at[k], rings[k], t0, t1)
+        found = np.flatnonzero(fill < np.inf)
+        books.tau[found] = fill[found]
+    rung = first < t1
+    events = rung.sum(axis=1) + (last > first).sum(axis=1) + [rows.size + cols.size for rows, cols in placing]
+    state = np.where(rung, last, last_at)
+    ended = np.zeros(len(rngs), dtype=bool)
+    if stop_on_hit:
+        ended[found] = True
+        for k in found:  # the run ends at its first fill, its clocks at their last rings up to it
+            events[k], at = 0, last_at[k].copy()
+            for (times, clocks), kind in zip(rings.get(k) or _race_rings(M, (first[k], last[k], *placing[k]), t1),
+                                             (at[:M], at[M:])):
+                upto = times <= fill[k]
+                np.maximum.at(kind, clocks[upto], times[upto])
+                events[k] += np.count_nonzero(upto)
+            state[k] = at
+    plain = ~laid
+    books.events[plain] += events[plain]
+    last_at[plain] = state[plain]
+    books.read_off = plain
+    for k in np.flatnonzero(laid):
+        race = (first[k], last[k], *placing[k])
+        gained, lost, events, state = _laid_window(M, (last_at[k], books.held[k]), race, t0, t1, stop_on_hit, carry)
+        books.events[k] += events
+        books.gains[k].append(gained)
+        books.losses[k].append(lost)
+        if state is not None:
+            last_at[k], books.held[k] = state
+            laid[k] = series or books.held[k] is not None
+        if np.isnan(books.tau[k]) and gained.size:
+            books.tau[k] = gained.min()
+            ended[k] = stop_on_hit
+    return ended
+
+
+def _race(params, rngs, t0, t1):
+    """The row rings and column resets of a lambda_m = 0 window ``[t0, t1)``
+    for a block of runs, each drawn race-first on its own stream in ``rngs``.
 
     A Poisson clock of rate r on the window is fixed by its first ring
     ``t0 + Exp(1/r)``, its last ring, looking back from ``t1``,
     ``max(t1 - Exp(1/r), first)`` (none where the first is at ``t1`` or
     later), and a Poisson number of uniform rings strictly between the two.
     The M rows (r = q/M) and then the N columns (r = p/N) are the window's
-    clocks. The draws go in one fixed order: every clock's wait for its
-    first ring, every clock's wait back from ``t1`` for its last ring, then
-    the rows' rings between, as one Poisson count, r times their summed gaps
-    ``last - first``, and as many uniforms that place them on those gaps,
-    and then the columns' the same way.
+    clocks. Each run draws in one fixed order, the same in a block as
+    alone: every clock's wait for its first ring and every clock's wait
+    back from ``t1`` for its last ring, as one ``standard_exponential((2,
+    M + N))``, then the rows' rings between, as one Poisson count, r times
+    their summed gaps ``last - first``, and as many uniforms that place them
+    on those gaps, and then the columns' the same way. The waits are scaled
+    and clipped, and the gaps summed, as arrays over the block.
 
-    Returns ``(first, last, u_rows, u_cols)``: each clock's first and last
-    ring, rows then columns, both ``t1`` for a clock that does not ring in
-    the window, and the placing uniforms (see :func:`_race_rings`).
+    Returns ``(first, last, placing)``: two ``(runs, M + N)`` arrays, each
+    run's first and last ring of each clock, rows then columns, both ``t1``
+    for a clock that does not ring in the window, and each run's placing
+    uniforms of its rows and of its columns (see :func:`_race_rings`).
     """
     M, N = params.M, params.N
-    waits = rng.standard_exponential((2, M + N))
+    waits = np.empty((len(rngs), 2, M + N))
+    for rng, out in zip(rngs, waits):
+        rng.standard_exponential(out=out)
     # Each clock's mean wait. One above 1e300 (p/N below 1e-300) is cut to
     # it: no window lasts long enough for either to ring, and a unit
     # exponential times 1e300 stays finite.
     scale = np.full(M + N, M / params.q)
     scale[M:] = min(N / params.p, 1e300)
     waits *= scale
-    first, last = waits
+    first, last = waits[:, 0], waits[:, 1]
     first += t0
     np.minimum(first, t1, out=first)
     np.subtract(t1, last, out=last)
     np.minimum(last, math.nextafter(t1, -math.inf), out=last)  # one that rounds to t1 comes just before
     np.maximum(last, first, out=last)
-    row_gaps, col_gaps = np.add.reduceat(last - first, (0, M))
-    u_rows = rng.random(rng.poisson(params.q / M * row_gaps))
-    return first, last, u_rows, rng.random(rng.poisson(params.p / N * col_gaps))
+    means = np.add.reduceat(last - first, (0, M), axis=1) * (params.q / M, params.p / N)
+    placing = [(rng.random(rng.poisson(rows)), rng.random(rng.poisson(cols)))
+               for rng, (rows, cols) in zip(rngs, means.tolist())]
+    return first, last, placing
+
+
+def _carried_fill(M, last_at, first, t1):
+    """The first fill of each run of a block that its carried epochs decide,
+    from each run's state ``last_at`` and its window's ``first`` rings.
+
+    Carried epoch j, from column j's last reset c_j, fills at the last
+    first ring in the window of the rows whose last ring before the window
+    is at or before c_j: a prefix maximum over the rows in order of their
+    last ring, read by one search per column. An epoch fills no
+    earlier the later it starts, so a run's first fill is its least carried
+    one before its column's first reset, if there is one (inf if not).
+    Returns those, and which runs it leaves open: none of their carried
+    epochs fills before its reset, and every row rings in the window (a
+    carried fill is a first ring or -inf, never inf).
+    """
+    row_first = first[:, :M]
+    if (last_at[:, :M] == -np.inf).all():  # no row has rung: each carried epoch waits for every row
+        carried = row_first.max(axis=1, keepdims=True)
+        every = carried[:, 0]
+    else:
+        carried = np.empty((len(first), last_at.shape[1] - M))
+        every = np.empty(len(first))
+        for k, (last_ring, reset_at) in enumerate(zip(last_at[:, :M], last_at[:, M:])):
+            by_last = np.argsort(last_ring)  # rows in order of their last ring
+            fills = np.maximum.accumulate(np.concatenate(([-np.inf], row_first[k, by_last])))
+            carried[k] = fills[np.searchsorted(last_ring[by_last], reset_at, "right")]
+            every[k] = fills[-1]
+    fill = np.where(carried < first[:, M:], carried, np.inf).min(axis=1)
+    return fill, (fill == np.inf) & (every < t1)
+
+
+def _open_fill(M, last_at, rings, t0, t1):
+    """The first fill in ``(t0, t1)`` of a run that holds no start entries,
+    from its state ``last_at`` and its window's laid-out ``rings``, by a
+    search over every epoch (:func:`_ring_fill`); inf for none."""
+    ring_t, ring_row, reset_t, reset_col = _time_order(M, rings)
+    starts, cols, ends, last = _epochs(last_at.size - M, t0, t1, reset_t, reset_col)
+    pairs = _ring_pairs(M, (last_at, None), ring_row.dtype)
+    fill = _ring_fill(M, pairs, ring_t, ring_row, starts, cols, last, False)[0]
+    fill = fill[(fill < ends) & (fill > t0)]
+    return fill.min() if fill.size else np.inf
+
+
+def _laid_window(M, state, race, t0, t1, stop_on_hit, carry):
+    """A lambda_m = 0 window of one run from its ``state`` (last rings and
+    held entries), its :func:`_race` rings laid out in time order and every
+    epoch's fill searched (:func:`_ring_fill`). Returns what
+    :func:`_window_end` gives, but the end, and the state at ``t1`` (only
+    under ``carry`` and where the window ran to its end, else ``None``)."""
+    ring_t, ring_row, reset_t, reset_col = _time_order(M, _race_rings(M, race, t1))
+    starts, cols, ends, last = _epochs(state[0].size - M, t0, t1, reset_t, reset_col)
+    fill, state = _ring_fill(M, _ring_pairs(M, state, ring_row.dtype), ring_t, ring_row, starts, cols, last, carry)
+    gained, lost, end, n_events = _window_end(fill, ends, ring_t, reset_t, t0, t1, stop_on_hit)
+    return gained, lost, n_events, _last_rings(M, state) if state is not None and end == t1 else None
 
 
 def _race_rings(M, race, t1):
-    """Every ring of a :func:`_race`'s rows and every reset of its columns,
-    clock by clock: ``[(times, rows), (times, columns)]``.
+    """Every ring of one run's :func:`_race` rows and every reset of its
+    columns, ``race`` being ``(first, last, rows' uniforms, columns'
+    uniforms)``, clock by clock: ``[(times, rows), (times, columns)]``.
 
     A clock rings at its first and last ring, and each uniform ``u`` of its
     kind places a ring ``u`` of the way along their gaps laid end to end,
@@ -920,71 +1158,17 @@ def _time_order(M, rings):
     return out
 
 
-def _first_fill(M, state, race, t0, t1, stop_on_hit, known):
-    """A lambda_m = 0 window of a run that reads only its first fill and its
-    end count: no series, and no start entries in the ``state``. The window
-    reads its :func:`_race`'s first and last rings, and lays its rings out
-    (:func:`_race_rings`) only where it needs them.
-
-    Carried epoch j, from column j's last reset c_j, fills at the last
-    first ring in the window of the rows whose last ring before ``t0`` is at
-    or before c_j: a prefix maximum over the rows in order of their last
-    ring, read by one search per column. An epoch fills no earlier the later
-    it starts, so the first fill is the least carried one before its
-    column's first reset, if there is one, and none if some row does not
-    ring in the window; only otherwise does the window search every epoch
-    (:func:`_ring_fill`). Once the run's first fill is ``known``, no window
-    looks for one. A window that runs to ``t1`` counts as its events the
-    clocks that ring, those that ring more than once and the rings between,
-    and ends each clock at its last ring; one that stops at its first fill
-    reads its rings up to it.
-
-    Returns the first fill (none or one), ``None`` in place of the reset
-    times, the events to the window's end, no entry-clock time, and the
-    state at that end: ``t1``, or the first fill of a hit window.
-    """
-    last_at, _ = state
-    first, last, *placing = race
-    gained, rings = np.empty(0), None
-    if not known:
-        last_ring, reset_at = last_at[:M], last_at[M:]
-        if last_ring.max() > -np.inf:  # rows in order of their last ring, those never rung first
-            by_last = np.argsort(last_ring)
-            fills = np.maximum.accumulate(np.concatenate(([-np.inf], first[by_last])))
-            carried = fills[np.searchsorted(last_ring[by_last], reset_at, "right")]
-        else:
-            carried = fills = first[:M].max(keepdims=True)
-        if (valid := carried < first[M:]).any():
-            gained = np.where(valid, carried, np.inf).min(keepdims=True)
-        elif fills[-1] < t1:
-            rings = _race_rings(M, race, t1)
-            ring_t, ring_row, reset_t, reset_col = _time_order(M, rings)
-            starts, cols, ends, last_epoch = _epochs(reset_at.size, t0, t1, reset_t, reset_col)
-            pairs = _ring_pairs(M, state, ring_row.dtype)
-            fill = _ring_fill(M, pairs, ring_t, ring_row, starts, cols, last_epoch, False)[0]
-            gained = np.sort(fill[(fill < ends) & (fill > t0)])[:1]
-    if stop_on_hit and gained.size:
-        last_at, events = last_at.copy(), 0
-        for (times, clocks), kind in zip(rings or _race_rings(M, race, t1), (last_at[:M], last_at[M:])):
-            upto = times <= gained[0]
-            np.maximum.at(kind, clocks[upto], times[upto])
-            events += np.count_nonzero(upto)
-        return gained, None, events, 0.0, (last_at, None)
-    rung = first < t1
-    events = np.count_nonzero(rung) + np.count_nonzero(last > first) + sum(u.size for u in placing)
-    return gained, None, int(events), 0.0, (np.where(rung, last, last_at), None)
-
-
 def _ring_pairs(M, state, label):
-    """A lambda_m = 0 ``state`` as :func:`_ring_fill` takes it: the rows that
-    have rung and their last rings, in time order, the rows as ``label``."""
+    """A lambda_m = 0 ``state``, a run's row of ``_RaceBooks.last_at`` and
+    its held entries, as :func:`_ring_fill` takes it: the rows that have
+    rung and their last rings, in time order, the rows as ``label``."""
     last_at, held = state
     rows = np.argsort(last_at[:M])[np.count_nonzero(last_at[:M] == -np.inf) :]
     return last_at[rows], rows.astype(label), last_at[M:], held
 
 
 def _last_rings(M, pairs):
-    """The state that :func:`_ring_fill` returns, as :func:`_first_fill` takes it."""
+    """The state that :func:`_ring_fill` returns, as ``_RaceBooks`` keeps it."""
     past_t, past_row, reset_at, held = pairs
     last_at = np.concatenate((np.full(M, -np.inf), reset_at))
     last_at[past_row] = past_t
@@ -1069,8 +1253,17 @@ def replicate_runs(params: SingleColumnParams | MatrixParams, n_replicates: int,
     ``r`` is :func:`simulate_single_column` or :func:`simulate_matrix`, by the
     type of ``params``, under ``SimulationConfig(master_seed, r, horizon,
     record_series)``, from ``start`` (level 0 or the empty matrix for ``None``).
-    A batch that :func:`check_batch_size` refuses raises ``ValueError`` at the call."""
+    A batch that :func:`check_batch_size` refuses raises ``ValueError`` at the
+    call; one whose runs are refused, at its first run.
+
+    A lambda_m = 0 matrix batch is drawn in blocks of replicates (27 at
+    M + N = 300, see the module docstring): each replicate draws on its own
+    stream with the calls, sizes and order it makes alone, and the block
+    reads the rest as arrays, so run ``r`` is field for field the run drawn
+    alone. Every other batch draws its runs one at a time."""
     check_batch_size(n_replicates)
+    if isinstance(params, MatrixParams) and params.lambda_m == 0:
+        return _race_batch(params, n_replicates, master_seed, horizon, record_series, start)
     run = simulate_matrix
     if isinstance(params, SingleColumnParams):
         run, start = simulate_single_column, start or 0

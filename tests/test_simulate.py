@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -914,16 +915,25 @@ def _assert_hit_law_matches_reference(params, seed, past, start=None):
 
 
 def _window_calls(monkeypatch) -> list:
-    """The ``(t0, t1)`` of every epoch window run after this call."""
+    """The ``(t0, t1)`` of every epoch window run after this call: a window
+    with entry clocks, or one of a block of lambda_m = 0 runs."""
     calls = []
-    epoch_window = simulate_module._epoch_window
+    for name in ("_epoch_window", "_race_window"):
+        window = getattr(simulate_module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[3:5])
-        return epoch_window(*args, **kwargs)
+        def counted(*args, window=window, **kwargs):
+            calls.append(args[3:5])
+            return window(*args, **kwargs)
 
-    monkeypatch.setattr(simulate_module, "_epoch_window", counted)
+        monkeypatch.setattr(simulate_module, name, counted)
     return calls
+
+
+def _one_race(params, rng, t0, t1):
+    """One run's lambda_m = 0 race on ``[t0, t1)``, drawn as a block of one:
+    ``(first, last, rows' uniforms, columns' uniforms)``."""
+    first, last, placing = simulate_module._race(params, [rng], t0, t1)
+    return first[0], last[0], *placing[0]
 
 
 class TestEpochPath:
@@ -1465,7 +1475,7 @@ class TestEpochPath:
         # and there are as many as a run without a series counts.
         params = MatrixParams(M=M, N=N, p=p)
         t1 = t0 + span
-        race = simulate_module._race(params, np.random.default_rng(seed), t0, t1)
+        race = _one_race(params, np.random.default_rng(seed), t0, t1)
         first, last, _, _ = race
         ring_t, ring_row, reset_t, reset_col = simulate_module._time_order(
             M, simulate_module._race_rings(M, race, t1)
@@ -1479,9 +1489,9 @@ class TestEpochPath:
                     continue
                 assert own[0] == first[offset + i] and own[-1] == last[offset + i]
                 assert (own[1:-1] > own[0]).all() and (own[1:-1] < own[-1]).all()
-        empty = (np.full(M + N, -np.inf), None)
-        counted = simulate_module._first_fill(M, empty, race, t0, t1, False, True)[2]
-        assert ring_t.size + reset_t.size == counted
+        books = simulate_module._RaceBooks(1, M, N, None, 0, False)
+        simulate_module._race_window(params, [np.random.default_rng(seed)], books, t0, t1, False, True, False)
+        assert ring_t.size + reset_t.size == books.events[0]
 
     def test_race_first_ring_counts_are_poisson(self):
         # Over 6000 windows of 5 time units from t0 = 7.25, each row's ring
@@ -1493,7 +1503,7 @@ class TestEpochPath:
         rng = np.random.default_rng(6100)
         rows, cols = [], []
         for _ in range(n):
-            race = simulate_module._race(params, rng, t0, t0 + span)
+            race = _one_race(params, rng, t0, t0 + span)
             (_, ring_row), (_, reset_col) = simulate_module._race_rings(params.M, race, t0 + span)
             rows.append(np.bincount(ring_row, minlength=params.M))
             cols.append(np.bincount(reset_col, minlength=params.N))
@@ -1562,6 +1572,102 @@ class TestEpochPath:
         with pytest.raises(ValueError, match=r"4\.42e-155"):
             hitting_time_batch(params, 1, master_seed=1)
         assert simulate_matrix(params, SimulationConfig(master_seed=1, horizon=10.0)).tau is None
+
+
+class TestRaceBlock:
+    """lambda_m = 0 batches are drawn in blocks of runs, each run on its own
+    stream with the draws it makes alone, so every run of a batch is the run
+    drawn alone, field for field."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for field in dataclasses.fields(Trajectory):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b and type(a) is type(b), field.name
+
+    def test_block_size_holds_the_stacked_clocks_within_a_window(self):
+        # Two (runs, M + N) arrays of first and last rings stay within
+        # _WINDOW_CELLS cells: 27 runs at M + N = 300, and one at least.
+        assert simulate_module._race_block_size(MatrixParams(M=200, N=100, p=0.1)) == 27
+        assert simulate_module._race_block_size(MatrixParams(M=6000, N=3000, p=0.1)) == 1
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        M=st.integers(1, 10),
+        N=st.integers(1, 10),
+        p=st.one_of(
+            st.floats(0, 1e-9, exclude_min=True), st.floats(1 - 1e-9, 1, exclude_max=True), st.floats(0.05, 0.95)
+        ),
+        block=st.integers(2, 6),
+        horizon=st.one_of(st.none(), st.floats(0.5, 300.0)),
+        series=st.booleans(),
+        start=st.one_of(st.none(), st.integers(0, 2**100 - 1)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_block_runs_equal_runs_alone(self, M, N, p, block, horizon, series, start, seed):
+        # Blocks of 2-6 runs, batches of 1, the block size, one either side
+        # of it and two blocks and three; windows of 64 cells (the first hit
+        # window 16), 64 time units here, so a horizon run takes one to five
+        # windows and a hit run often several. Rates at the edges, and from
+        # the empty matrix or a start of any entries. A run refused alone is
+        # refused in the batch with the same message.
+        params = MatrixParams(M=M, N=N, p=p)
+        if start is not None:
+            start = MatrixState.from_index(M, N, start % (1 << (M * N)))
+        if horizon is None and (start is None or start.all_ones_count == 0):
+            # A hit run this rare would take thousands of windows here.
+            assume(analytics.steady_allones_probability(params) > 0.05)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate_module, "_WINDOW_CELLS", 64)
+            patch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
+            patch.setattr(simulate_module, "_race_block_size", lambda params: block)
+            for n in sorted({1, block - 1, block, block + 1, 2 * block + 3}):
+                try:
+                    alone = [
+                        simulate_matrix(params, SimulationConfig(seed, r, horizon, series), start=start)
+                        for r in range(n)
+                    ]
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=re.escape(str(err))):
+                        next(replicate_runs(params, n, seed, horizon, series, start))
+                    return
+                batch = list(replicate_runs(params, n, seed, horizon, series, start))
+                assert len(batch) == n
+                for got, want in zip(batch, alone):
+                    self.assert_same(got, want)
+
+    @pytest.mark.parametrize("params, horizon, start", [
+        (MatrixParams(M=200, N=100, p=0.1), 1e9, None),
+        (MatrixParams(M=64, N=1, p=0.99), None, None),
+        (MatrixParams(M=30, N=2, p=0.5), None, None),
+        (MatrixParams(M=3, N=2, p=0.3), 10.0, MatrixState.zeros(4, 2)),
+    ], ids=["horizon", "unreachable", "median-floor", "start-shape"])
+    def test_refused_batch_raises_at_its_first_run(self, params, horizon, start):
+        # A batch that check_budget or the reach check refuses raises the
+        # message of its runs alone, at its first run, not at the call.
+        with pytest.raises(ValueError) as alone:
+            simulate_matrix(params, SimulationConfig(1, 0, horizon), start=start)
+        runs = replicate_runs(params, 5, 1, horizon, start=start)
+        with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+            next(runs)
+
+    def test_refused_batch_messages(self):
+        # The refusals above are the work cap's and the reach check's.
+        messages = []
+        for params, horizon in ((MatrixParams(M=200, N=100, p=0.1), 1e9), (MatrixParams(M=30, N=2, p=0.5), None)):
+            with pytest.raises(ValueError, match="exceed the cap") as err:
+                next(replicate_runs(params, 3, 1, horizon))
+            messages.append(str(err.value))
+        assert "shorten the run" in messages[0] and "give a horizon" in messages[1]
+        with pytest.raises(ValueError, match="beyond simulation"):
+            next(replicate_runs(MatrixParams(M=64, N=1, p=0.99), 3, 1))
+
+    def test_empty_batch_is_refused_at_the_call(self):
+        with pytest.raises(ValueError, match="at least one replicate"):
+            replicate_runs(MatrixParams(M=3, N=2, p=0.3), 0, 1)
 
 
 class TestTransientLaw:

@@ -112,3 +112,14 @@ def test_simulation_configs_are_built_only_in_simulate():
                                                                      getattr(node.func, "id", None))
 
     assert {module for module, _ in _found(builds_a_config)} == {"simulate"}
+
+
+def test_race_is_drawn_only_by_the_block_window():
+    # Every lambda_m = 0 window is a window of a block of runs: simulate_matrix
+    # is a block of one, so no second window path draws a race. (reversal
+    # has a _race of its own, for the stationary sampler.)
+    def calls_race(node):
+        return isinstance(node, ast.Call) and "_race" in (getattr(node.func, "attr", None),
+                                                          getattr(node.func, "id", None))
+
+    assert [found for found in _found(calls_race) if found[0] == "simulate"] == [("simulate", "_race_window")]
