@@ -702,10 +702,11 @@ def _epochs(N, t0, t1, reset_t, reset_col):
     cols = np.concatenate((np.arange(N), reset_col))
     order = np.argsort(cols, kind="stable")  # column by column, each in time order
     succ = cols[order[1:]] == cols[order[:-1]]
+    before, after = order[:-1][succ], order[1:][succ]  # an epoch and the next of its column
     ends = np.full(starts.size, t1)
-    ends[order[:-1][succ]] = starts[order[1:][succ]]
+    ends[before] = starts[after]
     last = np.ones(starts.size, dtype=bool)
-    last[order[:-1][succ]] = False
+    last[before] = False
     return starts, cols, ends, last
 
 
@@ -901,7 +902,7 @@ class _RaceBooks:
         (``None``: at their first hit)."""
         last_at = self.last_at[which]
         # Entry (i, j) is one iff row i rang after column j's last reset.
-        read_off = np.count_nonzero(last_at[:, M:] < last_at[:, :M].min(axis=1, keepdims=True), axis=1)
+        read_off = (last_at[:, M:] < last_at[:, :M].min(axis=1, keepdims=True)).sum(axis=1)
         out = []
         columns = zip(which.tolist(), self.tau[which].tolist(), self.events[which].tolist(),
                       self.read_off[which].tolist(), read_off.tolist())
@@ -971,46 +972,52 @@ def _race_window(params, rngs, books: _RaceBooks, t0: float, t1: float,
     no series and holds no start entries reads only the first and last
     rings, as arrays over the block: its first fill, while it has none, by
     the carried-epoch rule (:func:`_carried_fill`), or where the carried
-    epochs leave it open by a search over every epoch (:func:`_open_fill`);
-    its events, the clocks that ring, those that ring more than once and
-    the rings between; and each clock's last ring. One that stops at its
-    hit reads its laid-out rings up to the hit instead. A series run or a
-    run from a start lays its rings out (:func:`_laid_window`).
+    epochs leave it open by laying its rings out and searching every epoch
+    (:func:`_laid_window`, stopped at the first fill); its events, the
+    clocks that ring, those that ring more than once and the rings between;
+    and each clock's last ring. One that stops at its hit reads its
+    laid-out rings up to the hit instead. A series run or a run from a start
+    lays its rings out in every window.
     """
     M = params.M
     first, last, placing = _race(params, rngs, t0, t1)
     last_at, laid = books.last_at, books.laid
     read = np.isnan(books.tau) & ~laid
-    rings, found = {}, np.empty(0, dtype=np.intp)
+    open_rings, found = {}, np.empty(0, dtype=np.intp)
     if read.any():
         fill, open_ = _carried_fill(M, last_at, first, t1)  # each run's first fill, inf for none
         fill[~read] = np.inf
-        for k in np.flatnonzero(read & open_):
-            rings[k] = _race_rings(M, (first[k], last[k], *placing[k]), t1)
-            fill[k] = _open_fill(M, last_at[k], rings[k], t0, t1)
-        found = np.flatnonzero(fill < np.inf)
+        for k in (read & open_).nonzero()[0]:
+            open_rings[k] = _race_rings(M, (first[k], last[k], *placing[k]), t1)
+            gained = _laid_window(M, (last_at[k], None), open_rings[k], t0, t1, stop_on_hit=True, carry=False)[0]
+            fill[k] = gained.min() if gained.size else np.inf
+        found = (fill < np.inf).nonzero()[0]
         books.tau[found] = fill[found]
     rung = first < t1
-    events = rung.sum(axis=1) + (last > first).sum(axis=1) + [rows.size + cols.size for rows, cols in placing]
-    state = np.where(rung, last, last_at)
+    # Per clock, whether it rings and whether it rings twice: summed as
+    # bytes, which numpy sums along a row faster than booleans.
+    events = (rung.view(np.int8) + (last > first).view(np.int8)).sum(axis=1)
+    events += [rows.size + cols.size for rows, cols in placing]
+    state = np.where(rung, last, last_at)  # each clock that rang, at its last ring
     ended = np.zeros(len(rngs), dtype=bool)
     if stop_on_hit:
         ended[found] = True
         for k in found:  # the run ends at its first fill, its clocks at their last rings up to it
             events[k], at = 0, last_at[k].copy()
-            for (times, clocks), kind in zip(rings.get(k) or _race_rings(M, (first[k], last[k], *placing[k]), t1),
+            for (times, clocks), kind in zip(open_rings.get(k) or _race_rings(M, (first[k], last[k], *placing[k]), t1),
                                              (at[:M], at[M:])):
                 upto = times <= fill[k]
                 np.maximum.at(kind, clocks[upto], times[upto])
                 events[k] += np.count_nonzero(upto)
             state[k] = at
-    plain = ~laid
-    books.events[plain] += events[plain]
-    last_at[plain] = state[plain]
-    books.read_off = plain
-    for k in np.flatnonzero(laid):
-        race = (first[k], last[k], *placing[k])
-        gained, lost, events, state = _laid_window(M, (last_at[k], books.held[k]), race, t0, t1, stop_on_hit, carry)
+    events[laid] = 0  # laid out below, with the state they carry in
+    books.events += events
+    state[laid] = last_at[laid]
+    books.last_at = last_at = state
+    books.read_off = ~laid
+    for k in laid.nonzero()[0]:
+        rings = _race_rings(M, (first[k], last[k], *placing[k]), t1)
+        gained, lost, events, state = _laid_window(M, (last_at[k], books.held[k]), rings, t0, t1, stop_on_hit, carry)
         books.events[k] += events
         books.gains[k].append(gained)
         books.losses[k].append(lost)
@@ -1088,34 +1095,27 @@ def _carried_fill(M, last_at, first, t1):
     else:
         carried = np.empty((len(first), last_at.shape[1] - M))
         every = np.empty(len(first))
-        for k, (last_ring, reset_at) in enumerate(zip(last_at[:, :M], last_at[:, M:])):
+        for k, (last_ring, reset_at, row_first_k, carried_k) in enumerate(
+            zip(last_at[:, :M], last_at[:, M:], row_first, carried)
+        ):
             by_last = np.argsort(last_ring)  # rows in order of their last ring
-            fills = np.maximum.accumulate(np.concatenate(([-np.inf], row_first[k, by_last])))
-            carried[k] = fills[np.searchsorted(last_ring[by_last], reset_at, "right")]
+            fills = np.maximum.accumulate(np.concatenate(([-np.inf], row_first_k[by_last])))
+            # numpy searches sorted keys from the last one's place, several
+            # times faster than unsorted ones at N in the thousands.
+            by_reset = np.argsort(reset_at)
+            carried_k[by_reset] = fills[np.searchsorted(last_ring[by_last], reset_at[by_reset], "right")]
             every[k] = fills[-1]
     fill = np.where(carried < first[:, M:], carried, np.inf).min(axis=1)
     return fill, (fill == np.inf) & (every < t1)
 
 
-def _open_fill(M, last_at, rings, t0, t1):
-    """The first fill in ``(t0, t1)`` of a run that holds no start entries,
-    from its state ``last_at`` and its window's laid-out ``rings``, by a
-    search over every epoch (:func:`_ring_fill`); inf for none."""
-    ring_t, ring_row, reset_t, reset_col = _time_order(M, rings)
-    starts, cols, ends, last = _epochs(last_at.size - M, t0, t1, reset_t, reset_col)
-    pairs = _ring_pairs(M, (last_at, None), ring_row.dtype)
-    fill = _ring_fill(M, pairs, ring_t, ring_row, starts, cols, last, False)[0]
-    fill = fill[(fill < ends) & (fill > t0)]
-    return fill.min() if fill.size else np.inf
-
-
-def _laid_window(M, state, race, t0, t1, stop_on_hit, carry):
+def _laid_window(M, state, rings, t0, t1, stop_on_hit, carry):
     """A lambda_m = 0 window of one run from its ``state`` (last rings and
-    held entries), its :func:`_race` rings laid out in time order and every
+    held entries), its :func:`_race_rings` put in time order and every
     epoch's fill searched (:func:`_ring_fill`). Returns what
     :func:`_window_end` gives, but the end, and the state at ``t1`` (only
     under ``carry`` and where the window ran to its end, else ``None``)."""
-    ring_t, ring_row, reset_t, reset_col = _time_order(M, _race_rings(M, race, t1))
+    ring_t, ring_row, reset_t, reset_col = _time_order(M, rings)
     starts, cols, ends, last = _epochs(state[0].size - M, t0, t1, reset_t, reset_col)
     fill, state = _ring_fill(M, _ring_pairs(M, state, ring_row.dtype), ring_t, ring_row, starts, cols, last, carry)
     gained, lost, end, n_events = _window_end(fill, ends, ring_t, reset_t, t0, t1, stop_on_hit)
@@ -1135,12 +1135,13 @@ def _race_rings(M, race, t1):
     out = []
     for clocks, u in zip((slice(0, M), slice(M, None)), placing):
         f, l = first[clocks], last[clocks]
-        rung = np.flatnonzero(f < t1)
-        twice = rung[l[rung] > f[rung]]
+        rung = (f < t1).nonzero()[0]
+        twice = (l > f).nonzero()[0]  # a last ring after the first is before t1
         edges = np.zeros(f.size + 1)
         np.cumsum(l - f, out=edges[1:])
         x = np.sort(u) * edges[-1]
-        at = np.arange(f.size).repeat(np.diff(np.searchsorted(x, edges)))  # edges[at] <= x < edges[at + 1]
+        cut = x.searchsorted(edges)
+        at = np.arange(f.size).repeat(cut[1:] - cut[:-1])  # edges[at] <= x < edges[at + 1]
         between = np.minimum(f[at] + (x - edges[at]), l[at])  # rounding takes none past its clock's last
         out.append((np.concatenate((f[rung], l[twice], between)), np.concatenate((rung, twice, at))))
     return out
@@ -1201,7 +1202,7 @@ def _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry=True):
     rows = ring_row[order]
     cut = np.ones(n + 1, dtype=bool)
     np.not_equal(rows[1:], rows[:-1], out=cut[1:n])
-    bounds = np.flatnonzero(cut)  # rows[bounds[g]:bounds[g + 1]] is one row's rings
+    bounds = cut.nonzero()[0]  # rows[bounds[g]:bounds[g + 1]] is one row's rings
     firsts, lasts, rung = order[bounds[:-1]], order[bounds[1:] - 1], rows[bounds[:-1]]
     # waits[a]: the largest nxt[j] over rings j < a (0 for a = 0), where
     # nxt[j] is the next ring of ring j's row, or n if there is none.
@@ -1210,8 +1211,8 @@ def _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry=True):
     waits[lasts + 1] = n
     np.maximum.accumulate(waits, out=waits)
 
-    ring_at = np.append(ring_t, np.inf)
-    after = np.searchsorted(ring_t, starts, "right")  # each epoch's first ring
+    ring_at = np.concatenate((ring_t, [np.inf]))
+    after = ring_t.searchsorted(starts, "right")  # each epoch's first ring
     fill = ring_at[np.maximum(waits[after], firsts.max() if rung.size == M else n)]
     if held is not None:
         first_at = np.full(M, np.inf)

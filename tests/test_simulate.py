@@ -1594,6 +1594,27 @@ class TestRaceBlock:
         assert simulate_module._race_block_size(MatrixParams(M=200, N=100, p=0.1)) == 27
         assert simulate_module._race_block_size(MatrixParams(M=6000, N=3000, p=0.1)) == 1
 
+    def test_carried_fill_matches_a_scan(self):
+        # Carried epoch j of a run, from column j's last reset c_j, fills at
+        # the latest first ring in the window of the rows whose last ring is
+        # at or before c_j (-inf if there are none), and the run's first
+        # fill is the least of those before their column's first reset. Last
+        # rings and resets share a few values here, so they often tie, and
+        # -inf (never rung, never reset) is common on both sides.
+        rng = np.random.default_rng(33)
+        t1 = 10.0
+        for _ in range(300):
+            B, M, N = (int(x) for x in rng.integers(1, 7, 3))
+            last_at = rng.choice([-np.inf, -3.0, -2.0, -1.5, -1.0], size=(B, M + N))
+            first = np.minimum(rng.choice([0.5, 2.0, 4.0, 9.0, 11.0], size=(B, M + N)), t1)
+            fill, open_ = simulate_module._carried_fill(M, last_at, first, t1)
+            for k in range(B):
+                rows, resets = last_at[k, :M], last_at[k, M:]
+                carried = [max(first[k, :M][rows <= c], default=-math.inf) for c in resets]
+                want = min((f for f, end in zip(carried, first[k, M:]) if f < end), default=math.inf)
+                assert fill[k] == want
+                assert open_[k] == (want == math.inf and first[k, :M].max() < t1)
+
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
         M=st.integers(1, 10),
@@ -1639,35 +1660,21 @@ class TestRaceBlock:
                 for got, want in zip(batch, alone):
                     self.assert_same(got, want)
 
-    @pytest.mark.parametrize("params, horizon, start", [
-        (MatrixParams(M=200, N=100, p=0.1), 1e9, None),
-        (MatrixParams(M=64, N=1, p=0.99), None, None),
-        (MatrixParams(M=30, N=2, p=0.5), None, None),
-        (MatrixParams(M=3, N=2, p=0.3), 10.0, MatrixState.zeros(4, 2)),
+    @pytest.mark.parametrize("params, horizon, start, refusal", [
+        (MatrixParams(M=200, N=100, p=0.1), 1e9, None, "exceed the cap of 100,000,000; shorten the run"),
+        (MatrixParams(M=64, N=1, p=0.99), None, None, "the first full column is beyond simulation"),
+        (MatrixParams(M=30, N=2, p=0.5), None, None, "exceed the cap of 100,000,000; give a horizon"),
+        (MatrixParams(M=3, N=2, p=0.3), 10.0, MatrixState.zeros(4, 2), "start state shape"),
     ], ids=["horizon", "unreachable", "median-floor", "start-shape"])
-    def test_refused_batch_raises_at_its_first_run(self, params, horizon, start):
+    def test_refused_batch_raises_at_its_first_run(self, params, horizon, start, refusal):
         # A batch that check_budget or the reach check refuses raises the
-        # message of its runs alone, at its first run, not at the call.
-        with pytest.raises(ValueError) as alone:
+        # message of its runs alone, at its first run, not at the call (a
+        # batch of no runs is refused at the call: see TestBatch).
+        with pytest.raises(ValueError, match=refusal) as alone:
             simulate_matrix(params, SimulationConfig(1, 0, horizon), start=start)
         runs = replicate_runs(params, 5, 1, horizon, start=start)
         with pytest.raises(ValueError, match=re.escape(str(alone.value))):
             next(runs)
-
-    def test_refused_batch_messages(self):
-        # The refusals above are the work cap's and the reach check's.
-        messages = []
-        for params, horizon in ((MatrixParams(M=200, N=100, p=0.1), 1e9), (MatrixParams(M=30, N=2, p=0.5), None)):
-            with pytest.raises(ValueError, match="exceed the cap") as err:
-                next(replicate_runs(params, 3, 1, horizon))
-            messages.append(str(err.value))
-        assert "shorten the run" in messages[0] and "give a horizon" in messages[1]
-        with pytest.raises(ValueError, match="beyond simulation"):
-            next(replicate_runs(MatrixParams(M=64, N=1, p=0.99), 3, 1))
-
-    def test_empty_batch_is_refused_at_the_call(self):
-        with pytest.raises(ValueError, match="at least one replicate"):
-            replicate_runs(MatrixParams(M=3, N=2, p=0.3), 0, 1)
 
 
 class TestTransientLaw:
