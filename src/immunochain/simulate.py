@@ -34,21 +34,27 @@ Poisson clock on an interval is fixed by its first ring, its last ring
 and a Poisson number of uniform rings between them, so each row and each
 column draws its first ring and, looking back from the window's end, its
 last, and then each kind draws one Poisson count of its rings between and
-as many uniforms that place them. A run that records no series and holds
-no start entries reads only the first and last rings: an epoch fills no
-earlier the later it starts, so the epochs carried into a window decide
-its first fill, or the rows' first rings show that nothing fills there;
-its events are the clocks that ring, those that ring more than once, and
-the rings between; and it carries out each clock's last ring. It looks
-for no fill once its first is known. Only a series run, a run from a
-start, a window whose carried epochs leave the first fill open, and a
-window that stops at its hit lay the rings out; in time order, one pass
-over them gives every epoch's fill: each ring's next ring of the same
-row, a prefix maximum of those, and a search for each epoch's start.
-Windows chain from the state at the end of the last one, which bounds the
-arrays a window needs: at lambda_m = 0 entry (i, j) is one iff row i rang
-after column j's last reset, so the state is each row's last ring and
-each column's last reset, and the end count is read off it. With entry
+as many uniforms that place them. Windows chain from the state at the end
+of the last one, which bounds the arrays a window needs. At lambda_m = 0
+entry (i, j) is one iff row i rang after column j's last reset, so the
+state is always each clock's last ring: each row's last ring and each
+column's last reset, the window's where the clock rang in it. Only a run
+from a start holds its entries as well, in the columns not reset since,
+until every row has rung or every column reset. An epoch carried into a
+window fills at the last first ring there of the rows that have not rung
+since it began. A run that records no series and holds no start entries
+reads only the first and last rings: an epoch fills no earlier the later
+it starts, so the carried epochs decide its first fill, or the rows'
+first rings show that nothing fills there; its events are the clocks that
+ring, those that ring more than once, and the rings between; and its end
+count is read off the state. It looks for no fill once its first is
+known. Only a series run, a run from a start, a window whose carried
+epochs leave the first fill open, and a window that stops at its hit lay
+the rings out, and they search only the epochs from the window's own
+resets; in time order, one pass over the window's rings gives those
+epochs' fills: each ring's next ring of the same row, a prefix maximum of
+those, and a search for each epoch's start. A series run or a run from a
+start sums its end count from the fills. With entry
 clocks the window's rings and resets are drawn as Poisson counts with
 uniform labels and times, and the state is N x M; an entry set when the
 window begins is set from its start. Every epoch sorts its rows' first
@@ -95,12 +101,13 @@ sized so that its stacked first and last rings stay within
 ``_WINDOW_CELLS`` cells. Each replicate still draws alone, on its own
 stream: every window, one ``standard_exponential((2, M + N))``, then its
 rows' Poisson count and uniforms, then its columns'. Scaling and clipping
-the waits, summing the gaps, the carried-epoch first-fill read, the event
-counts, the last rings and the end count run as arrays over the block. A
-series run, a run from a start, a window whose carried epochs leave the
-first fill open and a window that stops at its hit lay their rings out
-one replicate at a time; a hit run leaves the block at its hit. So every
-run of a batch is the run drawn alone, field for field.
+the waits, summing the gaps, the carried epochs' fills, the first-fill read,
+the event counts, the state and the end count run as arrays over the
+block. A series run, a run from a start, a window whose carried epochs
+leave the first fill open and a window that stops at its hit lay their
+rings out one replicate at a time, and search only that window's own
+resets' epochs; a hit run leaves the block at its hit. So every run of a
+batch is the run drawn alone, field for field.
 """
 
 from __future__ import annotations
@@ -488,16 +495,18 @@ def simulate_matrix(
     lambda_m > 0 spans ``max(_WINDOW_CELLS, N*M)`` cells, as many as the
     state it carries. Without entry clocks a window draws each row's and
     each column's first and last ring, two exponentials each, and its rings
-    between as one Poisson count per kind and as many uniforms; a run
-    without a series or a start reads only the first and last rings and the
-    counts, looks for fills only while its first fill is unknown, and reads
-    its end count off the last rings. It sorts and labels the rings between
-    only in a window that its carried epochs leave open or that stops at its
-    hit, and a run with a series or a start in every window it runs. A
-    window spans at least ``M + N`` rings and resets there, and a run is
-    a block of one (see :func:`replicate_runs`). A run that
-    needs the events themselves or the final matrix
-    is a job for the Gillespie reference,
+    between as one Poisson count per kind and as many uniforms. A run's
+    state is always each clock's last ring, and its carried epochs' fills
+    are read off that state and the first rings. A run without a series or
+    a start reads only the first and last rings and the counts, looks for
+    fills only while its first fill is unknown, and reads its end count off
+    the state. It sorts and labels the rings between only in a window that
+    its carried epochs leave open or that stops at its hit, and a run with a
+    series or a start in every window it runs; such a window searches only
+    the epochs from its own resets. A window spans at least ``M + N`` rings
+    and resets there, and a run is a block of one (see
+    :func:`replicate_runs`). A run that needs the events themselves or the
+    final matrix is a job for the Gillespie reference,
     :func:`immunochain.reference.matrix_gillespie`. A run without a
     horizon and no full column at its start raises ``ValueError`` when one
     reset epoch fills its column with probability below
@@ -872,13 +881,13 @@ def _race_block_size(params: MatrixParams) -> int:
 
 class _RaceBooks:
     """What the running lambda_m = 0 runs of a block carry from window to
-    window, a row per run: its place in the block; each row's last ring and
-    then each column's last reset (-inf for none), as a row of
+    window, a row per run: its place in the block; its state, each row's
+    last ring and then each column's last reset (-inf for none), as a row of
     ``last_at``; a start's entries ``held[j, i]`` or ``None``; whether it
-    lays its rings out (a series, or start entries held); its first hit
-    (nan for none yet) and events; and the times its full count rose and
-    fell in the windows that laid its rings out. ``read_off`` marks a run
-    whose last window read its end count off ``last_at`` instead."""
+    lays its rings out (a series, or start entries held), and so sums its
+    end count from the times its full count rose and fell in those windows
+    instead of reading it off ``last_at``; its first hit (nan for none yet)
+    and events; and those rises and falls."""
 
     def __init__(self, size, M, N, held, initial, series):
         self.index = np.arange(size)
@@ -889,7 +898,6 @@ class _RaceBooks:
         self.events = np.zeros(size, dtype=np.int64)
         self.gains = [[] for _ in range(size)]
         self.losses = [[] for _ in range(size)]
-        self.read_off = np.zeros(size, dtype=bool)
 
     def keep(self, kept: np.ndarray) -> None:
         """Keep the runs where ``kept`` holds, in order."""
@@ -900,15 +908,15 @@ class _RaceBooks:
     def runs(self, which, M, initial, series, end_time) -> list[Trajectory]:
         """The trajectories of the runs ``which``, ended at ``end_time``
         (``None``: at their first hit)."""
-        last_at = self.last_at[which]
+        state = self.last_at[which]
         # Entry (i, j) is one iff row i rang after column j's last reset.
-        read_off = (last_at[:, M:] < last_at[:, :M].min(axis=1, keepdims=True)).sum(axis=1)
+        read_off = (state[:, M:] < state[:, :M].min(axis=1, keepdims=True)).sum(axis=1)
         out = []
         columns = zip(which.tolist(), self.tau[which].tolist(), self.events[which].tolist(),
-                      self.read_off[which].tolist(), read_off.tolist())
-        for k, tau, events, counted, count in columns:
+                      self.laid[which].tolist(), read_off.tolist())
+        for k, tau, events, laid, count in columns:
             gains, losses = self.gains[k], self.losses[k]
-            end_value = count if counted else initial + sum(g.size for g in gains) - sum(l.size for l in losses)
+            end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses) if laid else count
             times = values = None
             if series:
                 times, values = _count_series(initial, gains, losses)
@@ -935,7 +943,7 @@ def _race_runs(params: MatrixParams, rngs, horizon, series: bool, start: MatrixS
     end_time = None
     if horizon is not None or not initial:
         for t0, end_time in _windows(params, horizon):
-            ended = _race_window(params, rngs, books, t0, end_time, horizon is None, end_time != horizon, series)
+            ended = _race_window(params, rngs, books, t0, end_time, horizon is None, series)
             if ended.any():
                 done = np.flatnonzero(ended)
                 for b, run in zip(books.index[done], books.runs(done, M, initial, series, None)):
@@ -963,33 +971,44 @@ def _race_batch(params: MatrixParams, n_replicates: int, master_seed: int, horiz
 
 
 def _race_window(params, rngs, books: _RaceBooks, t0: float, t1: float,
-                 stop_on_hit: bool, carry: bool, series: bool) -> np.ndarray:
+                 stop_on_hit: bool, series: bool) -> np.ndarray:
     """One window ``[t0, t1)`` of the running lambda_m = 0 runs of a block,
     one per generator in ``rngs``, from their ``books`` at ``t0``; returns
     which of them stopped at their hit.
 
-    The clocks are drawn race-first (see :func:`_race`). A run that records
-    no series and holds no start entries reads only the first and last
-    rings, as arrays over the block: its first fill, while it has none, by
-    the carried-epoch rule (:func:`_carried_fill`), or where the carried
-    epochs leave it open by laying its rings out and searching every epoch
-    (:func:`_laid_window`, stopped at the first fill); its events, the
-    clocks that ring, those that ring more than once and the rings between;
-    and each clock's last ring. One that stops at its hit reads its
-    laid-out rings up to the hit instead. A series run or a run from a start
-    lays its rings out in every window.
+    The clocks are drawn race-first (see :func:`_race`); every run's state
+    at ``t1`` is each clock's last ring, and its carried epochs' fills come
+    from the state at ``t0`` (:func:`_carried_fill`). A run that records no
+    series and holds no start entries reads only the first and last rings,
+    as arrays over the block: its first fill, while it has none, from the
+    carried fills, or where they leave it open by laying its rings out
+    (:func:`_laid_window`); its events, the clocks that ring, those that
+    ring more than once and the rings between. One that stops at its hit
+    reads its laid-out rings up to the hit instead. A series run or a run
+    from a start lays its rings out in every window; it drops its start
+    entries once the state shows every row rung or every column reset,
+    unless it stopped at its hit here.
     """
     M = params.M
     first, last, placing = _race(params, rngs, t0, t1)
     last_at, laid = books.last_at, books.laid
     read = np.isnan(books.tau) & ~laid
+    reading = read.any()
+    carried = _carried_fill(M, last_at, first) if reading or laid.any() else None
     open_rings, found = {}, np.empty(0, dtype=np.intp)
-    if read.any():
-        fill, open_ = _carried_fill(M, last_at, first, t1)  # each run's first fill, inf for none
+    if reading:
+        # An epoch fills no earlier the later it starts, so where a carried
+        # one fills before its column's first reset the least of those is
+        # the first fill, and where none does only a window in which every
+        # row rings can fill an epoch from a reset.
+        fill = np.where(carried < first[:, M:], carried, np.inf).min(axis=1)
         fill[~read] = np.inf
-        for k in (read & open_).nonzero()[0]:
+        open_ = read & (fill == np.inf)
+        if open_.any():
+            open_ &= first[:, :M].max(axis=1) < t1
+        for k in open_.nonzero()[0]:
             open_rings[k] = _race_rings(M, (first[k], last[k], *placing[k]), t1)
-            gained = _laid_window(M, (last_at[k], None), open_rings[k], t0, t1, stop_on_hit=True, carry=False)[0]
+            gained = _laid_window(M, (last_at[k], None), first[k], carried[k], open_rings[k], t0, t1, True)[0]
             fill[k] = gained.min() if gained.size else np.inf
         found = (fill < np.inf).nonzero()[0]
         books.tau[found] = fill[found]
@@ -1010,23 +1029,22 @@ def _race_window(params, rngs, books: _RaceBooks, t0: float, t1: float,
                 np.maximum.at(kind, clocks[upto], times[upto])
                 events[k] += np.count_nonzero(upto)
             state[k] = at
-    events[laid] = 0  # laid out below, with the state they carry in
+    events[laid] = 0  # laid out below
     books.events += events
-    state[laid] = last_at[laid]
-    books.last_at = last_at = state
-    books.read_off = ~laid
     for k in laid.nonzero()[0]:
         rings = _race_rings(M, (first[k], last[k], *placing[k]), t1)
-        gained, lost, events, state = _laid_window(M, (last_at[k], books.held[k]), rings, t0, t1, stop_on_hit, carry)
+        gained, lost, events = _laid_window(M, (last_at[k], books.held[k]), first[k], carried[k], rings,
+                                            t0, t1, stop_on_hit)
         books.events[k] += events
         books.gains[k].append(gained)
         books.losses[k].append(lost)
-        if state is not None:
-            last_at[k], books.held[k] = state
-            laid[k] = series or books.held[k] is not None
         if np.isnan(books.tau[k]) and gained.size:
             books.tau[k] = gained.min()
             ended[k] = stop_on_hit
+        # Held entries set none once every row has rung since the start or every column reset.
+        if books.held[k] is not None and not ended[k] and max(state[k, :M].min(), state[k, M:].min()) > -np.inf:
+            books.held[k], laid[k] = None, series
+    books.last_at = state
     return ended
 
 
@@ -1074,52 +1092,62 @@ def _race(params, rngs, t0, t1):
     return first, last, placing
 
 
-def _carried_fill(M, last_at, first, t1):
-    """The first fill of each run of a block that its carried epochs decide,
-    from each run's state ``last_at`` and its window's ``first`` rings.
+def _carried_fill(M, last_at, first):
+    """The fills of the carried epochs of each run of a block, a ``(runs,
+    N)`` array, from each run's state ``last_at`` and its window's
+    ``first`` rings (``t1`` for a row that does not ring).
 
     Carried epoch j, from column j's last reset c_j, fills at the last
     first ring in the window of the rows whose last ring before the window
-    is at or before c_j: a prefix maximum over the rows in order of their
-    last ring, read by one search per column. An epoch fills no
-    earlier the later it starts, so a run's first fill is its least carried
-    one before its column's first reset, if there is one (inf if not).
-    Returns those, and which runs it leaves open: none of their carried
-    epochs fills before its reset, and every row rings in the window (a
-    carried fill is a first ring or -inf, never inf).
+    is at or before c_j, or at -inf if there are none, when it is full as
+    the window begins: a prefix maximum over the rows in order of their
+    last ring, read by one search per column.
     """
     row_first = first[:, :M]
+    N = last_at.shape[1] - M
     if (last_at[:, :M] == -np.inf).all():  # no row has rung: each carried epoch waits for every row
-        carried = row_first.max(axis=1, keepdims=True)
-        every = carried[:, 0]
-    else:
-        carried = np.empty((len(first), last_at.shape[1] - M))
-        every = np.empty(len(first))
-        for k, (last_ring, reset_at, row_first_k, carried_k) in enumerate(
-            zip(last_at[:, :M], last_at[:, M:], row_first, carried)
-        ):
-            by_last = np.argsort(last_ring)  # rows in order of their last ring
-            fills = np.maximum.accumulate(np.concatenate(([-np.inf], row_first_k[by_last])))
-            # numpy searches sorted keys from the last one's place, several
-            # times faster than unsorted ones at N in the thousands.
-            by_reset = np.argsort(reset_at)
-            carried_k[by_reset] = fills[np.searchsorted(last_ring[by_last], reset_at[by_reset], "right")]
-            every[k] = fills[-1]
-    fill = np.where(carried < first[:, M:], carried, np.inf).min(axis=1)
-    return fill, (fill == np.inf) & (every < t1)
+        return row_first.max(axis=1, keepdims=True).repeat(N, axis=1)
+    carried = np.empty((len(first), N))
+    for last_ring, reset_at, row_first_k, carried_k in zip(last_at[:, :M], last_at[:, M:], row_first, carried):
+        by_last = np.argsort(last_ring)  # rows in order of their last ring
+        fills = np.maximum.accumulate(np.concatenate(([-np.inf], row_first_k[by_last])))
+        # numpy searches sorted keys from the last one's place, several
+        # times faster than unsorted ones at N in the thousands.
+        by_reset = np.argsort(reset_at)
+        carried_k[by_reset] = fills[np.searchsorted(last_ring[by_last], reset_at[by_reset], "right")]
+    return carried
 
 
-def _laid_window(M, state, rings, t0, t1, stop_on_hit, carry):
-    """A lambda_m = 0 window of one run from its ``state`` (last rings and
-    held entries), its :func:`_race_rings` put in time order and every
-    epoch's fill searched (:func:`_ring_fill`). Returns what
-    :func:`_window_end` gives, but the end, and the state at ``t1`` (only
-    under ``carry`` and where the window ran to its end, else ``None``)."""
+def _held_fill(M, state, first, carried):
+    """The carried fills of one run that holds a start's entries, ``state``
+    being its row of ``_RaceBooks.last_at`` and its ``held[j, i]``, from its
+    :func:`_carried_fill` and its window's ``first`` rings.
+
+    Entry (i, j) of a column not reset since the start is one if it is held
+    or row i has rung since the start, so that column fills once every
+    other row has rung: at the last of those rows' first rings, or at -inf
+    if there are none. Every other column fills at ``carried``.
+    """
+    rung, held = state[0] > -np.inf, state[1]  # each clock that has rung since the start
+    waiting = np.where(held | rung[:M], -np.inf, first[:M]).max(axis=1)
+    return np.where(rung[M:], carried, waiting)
+
+
+def _laid_window(M, state, first, carried, rings, t0, t1, stop_on_hit):
+    """A lambda_m = 0 window of one run from its ``state`` (its row of
+    ``_RaceBooks.last_at`` and its held entries or ``None``): its carried
+    epochs fill at ``carried`` (:func:`_carried_fill`, or
+    :func:`_held_fill` while it holds entries), and its :func:`_race_rings`
+    are put in time order to search the epochs from its own resets
+    (:func:`_ring_fill`). Returns what :func:`_window_end` gives, but the
+    end."""
+    if state[1] is not None:
+        carried = _held_fill(M, state, first, carried)
     ring_t, ring_row, reset_t, reset_col = _time_order(M, rings)
-    starts, cols, ends, last = _epochs(state[0].size - M, t0, t1, reset_t, reset_col)
-    fill, state = _ring_fill(M, _ring_pairs(M, state, ring_row.dtype), ring_t, ring_row, starts, cols, last, carry)
-    gained, lost, end, n_events = _window_end(fill, ends, ring_t, reset_t, t0, t1, stop_on_hit)
-    return gained, lost, n_events, _last_rings(M, state) if state is not None and end == t1 else None
+    ends = _epochs(carried.size, t0, t1, reset_t, reset_col)[2]
+    fill = np.concatenate((carried, _ring_fill(M, ring_t, ring_row, reset_t)))
+    gained, lost, _, n_events = _window_end(fill, ends, ring_t, reset_t, t0, t1, stop_on_hit)
+    return gained, lost, n_events
 
 
 def _race_rings(M, race, t1):
@@ -1159,73 +1187,32 @@ def _time_order(M, rings):
     return out
 
 
-def _ring_pairs(M, state, label):
-    """A lambda_m = 0 ``state``, a run's row of ``_RaceBooks.last_at`` and
-    its held entries, as :func:`_ring_fill` takes it: the rows that have
-    rung and their last rings, in time order, the rows as ``label``."""
-    last_at, held = state
-    rows = np.argsort(last_at[:M])[np.count_nonzero(last_at[:M] == -np.inf) :]
-    return last_at[rows], rows.astype(label), last_at[M:], held
+def _ring_fill(M, ring_t, ring_row, starts):
+    """Fill times of the epochs from a lambda_m = 0 window's own resets,
+    which start at ``starts``, from the window's rings in time order.
 
-
-def _last_rings(M, pairs):
-    """The state that :func:`_ring_fill` returns, as ``_RaceBooks`` keeps it."""
-    past_t, past_row, reset_at, held = pairs
-    last_at = np.concatenate((np.full(M, -np.inf), reset_at))
-    last_at[past_row] = past_t
-    return last_at, held
-
-
-def _ring_fill(M, state, ring_t, ring_row, starts, cols, last, carry=True):
-    """Fill times of a window's epochs when only row rings set entries (lambda_m = 0).
-
-    The ``state`` is each row's last ring before the window, as time-sorted
-    ``(time, row)`` pairs, which go in front of the window's rings; each
-    column's last reset (-inf for none), where its carried epoch starts;
-    and a start's entries ``held[j, i]`` or ``None``. The epoch from s
-    fills at the first ring k after which every row has rung since s. Ring
-    j's row rings again at ring ``nxt[j]``, so that holds once k reaches
-    every ``nxt[j]`` with ring j at or before s (a prefix maximum read at s)
-    and every row's first ring. A column not reset since the start waits
-    for its rows not held only, until every row has rung since the start or
-    every column has reset; then ``held`` is dropped. Returns the fill times
-    (before the window for a column full when it begins) and the state at
-    the window's end, under ``carry``, or else ``None``.
+    The epoch from s fills at the first ring k after which every row has
+    rung since s. Ring j's row rings again at ring ``nxt[j]``, so that holds
+    once k reaches every ``nxt[j]`` with ring j at or before s (a prefix
+    maximum read at s) and every row's first ring in the window; never (inf)
+    if a row does not ring in it.
     """
-    past_t, past_row, reset_at, held = state
-    N = reset_at.size
-    ring_t = np.concatenate((past_t, ring_t))
-    ring_row = np.concatenate((past_row, ring_row))
-    starts = np.concatenate((reset_at, starts[N:]))
     n = ring_t.size
     order = np.argsort(ring_row, kind="stable")  # row by row, each in time order
     rows = ring_row[order]
     cut = np.ones(n + 1, dtype=bool)
     np.not_equal(rows[1:], rows[:-1], out=cut[1:n])
     bounds = cut.nonzero()[0]  # rows[bounds[g]:bounds[g + 1]] is one row's rings
-    firsts, lasts, rung = order[bounds[:-1]], order[bounds[1:] - 1], rows[bounds[:-1]]
+    firsts, lasts = order[bounds[:-1]], order[bounds[1:] - 1]
     # waits[a]: the largest nxt[j] over rings j < a (0 for a = 0), where
     # nxt[j] is the next ring of ring j's row, or n if there is none.
     waits = np.zeros(n + 1, dtype=np.intp)
     waits[order[:-1] + 1] = order[1:]
     waits[lasts + 1] = n
     np.maximum.accumulate(waits, out=waits)
-
     ring_at = np.concatenate((ring_t, [np.inf]))
     after = ring_t.searchsorted(starts, "right")  # each epoch's first ring
-    fill = ring_at[np.maximum(waits[after], firsts.max() if rung.size == M else n)]
-    if held is not None:
-        first_at = np.full(M, np.inf)
-        first_at[rung] = ring_t[firsts]
-        fill[:N] = np.where(reset_at == -np.inf, np.where(held, -np.inf, first_at).max(axis=1), fill[:N])
-    if not carry:
-        return fill, None
-    reset_at = np.empty(N)
-    reset_at[cols[last]] = starts[last]
-    if held is not None and (rung.size == M or reset_at.min() > -np.inf):
-        held = None  # every row has rung since the start, or every column reset: held sets no entry
-    past = np.sort(lasts)
-    return fill, (ring_t[past], ring_row[past], reset_at, held)
+    return ring_at[np.maximum(waits[after], firsts.max() if firsts.size == M else n)]
 
 
 def _count_series(initial: int, gains, losses) -> tuple[np.ndarray, np.ndarray]:

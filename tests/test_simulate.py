@@ -1019,13 +1019,20 @@ class TestEpochPath:
         assert p_value > 0.001
 
     def test_ring_fill_matches_a_row_by_row_scan(self):
-        # At lambda_m = 0 the prefix-maximum search must give every epoch the
-        # fill time, and every column the entries at the window's end, that a
-        # scan of each row's first ring after the epoch's start gives. The
-        # state carried in is each row's last ring before t0, each column's
-        # last reset before t0 (-inf for none) and a start's entries, held
-        # in the columns not reset since; entry (i, j) is one iff row i rang
-        # after column j's last reset, or it is held.
+        # At lambda_m = 0 every epoch of a window must fill when a scan of
+        # each row's first ring after the epoch's start says, and the state
+        # at the window's end must give the entries that the scan does. The
+        # state carried in is each row's last ring before t0 and each
+        # column's last reset before t0 (-inf for none), plus a start's
+        # entries, held in the columns not reset since; entry (i, j) is one
+        # iff row i rang after column j's last reset, or it is held. Carried
+        # epochs fill through _carried_fill and, while entries are held,
+        # _held_fill, and the epochs from the window's resets through
+        # _ring_fill over the window's rings: one full as the window begins
+        # at -inf, and one that some row does not ring in at t1 or later.
+        # The state at t1 is each clock's last ring, the window's where it
+        # rang there; held entries are dropped once it shows every row rung
+        # or every column reset, which must leave the entries as they are.
         rng = np.random.default_rng(5)
         t0, t1 = 0.0, 10.0
         for _ in range(300):
@@ -1033,18 +1040,32 @@ class TestEpochPath:
             ring_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 40))))
             ring_row = rng.integers(0, M, ring_t.size).astype(np.uint16)
             reset_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 6))))
+            reset_col = rng.integers(0, N, reset_t.size)
             starts = np.concatenate((np.full(N, t0), reset_t))
-            cols = np.concatenate((np.arange(N), rng.integers(0, N, reset_t.size)))
+            cols = np.concatenate((np.arange(N), reset_col))
             last = np.array([not np.any((cols == c) & (starts > s)) for s, c in zip(starts, cols)])
-            past_row = rng.permutation(M)[: int(rng.integers(0, M + 1))].astype(np.uint16)
+            past_row = rng.permutation(M)[: int(rng.integers(0, M + 1))]
             past_t = np.sort(rng.uniform(t0 - 5.0, t0, past_row.size))
             reset_at = np.where(rng.random(N) < 0.5, rng.uniform(t0 - 5.0, t0, N), -np.inf)
             held = None if rng.random() < 0.5 else rng.random((N, M)) < rng.choice([0.0, 0.5, 1.0])
-            state = (past_t, past_row, reset_at, held)
-            fill, (end_t, end_row, end_reset, end_held) = simulate_module._ring_fill(
-                M, state, ring_t, ring_row, starts, cols, last
-            )
+            last_at = np.concatenate((np.full(M, -np.inf), reset_at))
+            last_at[past_row] = past_t
+            first, last_ring = np.full(M + N, t1), np.full(M + N, t1)  # each clock's in the window
+            clocks = [(ring_t, ring_row, i) for i in range(M)] + [(reset_t, reset_col, j) for j in range(N)]
+            for clock, (times, labels, i) in enumerate(clocks):
+                own = times[labels == i]
+                if own.size:
+                    first[clock], last_ring[clock] = own[0], own[-1]
+            carried = simulate_module._carried_fill(M, last_at[None], first[None])[0]
+            if held is not None:
+                carried = simulate_module._held_fill(M, (last_at, held), first, carried)
+            fill = np.concatenate((carried, simulate_module._ring_fill(M, ring_t, ring_row, reset_t)))
+            end = np.where(first < t1, last_ring, last_at)
+            kept = held
+            if held is not None and (end[:M].min() > -np.inf or end[M:].min() > -np.inf):
+                kept = None
             all_t, all_row = np.concatenate((past_t, ring_t)), np.concatenate((past_row, ring_row))
+            assert all(end[i] == max(all_t[all_row == i], default=-math.inf) for i in range(M))
             for b, (s, c) in enumerate(zip(starts, cols)):
                 if b < N:
                     s = reset_at[b]
@@ -1053,14 +1074,34 @@ class TestEpochPath:
                     else min(all_t[(all_row == i) & (all_t > s)], default=math.inf)
                     for i in range(M)
                 ]
-                assert fill[b] == max(set_at)
+                assert min(fill[b], t1) == min(max(set_at), t1) or fill[b] == -math.inf and max(set_at) < t0
                 if last[b]:
-                    assert end_reset[c] == s
-                    rang = [max(end_t[end_row == i], default=-math.inf) > s for i in range(M)]
-                    kept = [end_held is not None and s == -math.inf and end_held[c, i] for i in range(M)]
-                    assert [r or k for r, k in zip(rang, kept)] == [x < t1 for x in set_at]
-            assert (np.diff(end_t) >= 0).all() and sorted(end_row.tolist()) == sorted(set(all_row.tolist()))
-            assert all(end_t[end_row == i].item() == all_t[all_row == i].max() for i in end_row)
+                    assert end[M + c] == s
+                    entries = [end[i] > s or kept is not None and s == -math.inf and kept[c, i] for i in range(M)]
+                    assert entries == [x < t1 for x in set_at]
+
+    def test_held_fill_matches_a_scan(self):
+        # A run from a start holds its entries in the columns not reset
+        # since the start, so such a column's carried epoch fills at the
+        # latest first ring in the window of the rows neither held in it
+        # nor rung since the start (-inf if there are none); every other
+        # column fills at its _carried_fill. Columns are often never reset,
+        # rows have often rung before the window, a column holds all, some
+        # or none of its entries, and blocks hold 1-6 runs.
+        rng = np.random.default_rng(34)
+        t1 = 10.0
+        for _ in range(300):
+            B, M, N = (int(x) for x in rng.integers(1, 7, 3))
+            last_at = rng.choice([-np.inf, -3.0, -2.0, -1.5, -1.0], size=(B, M + N))
+            first = np.minimum(rng.choice([0.5, 2.0, 4.0, 9.0, 11.0], size=(B, M + N)), t1)
+            held = rng.random((N, M)) < rng.choice([0.0, 0.5, 1.0], size=(N, 1))
+            carried = simulate_module._carried_fill(M, last_at, first)
+            for k in range(B):
+                fill = simulate_module._held_fill(M, (last_at[k], held), first[k], carried[k])
+                rows = last_at[k, :M]
+                for j, c in enumerate(last_at[k, M:]):
+                    waiting = (rows <= c) & ~(held[j] & (c == -math.inf))
+                    assert fill[j] == max(first[k, :M][waiting], default=-math.inf)
 
     def test_empty_start_state_is_dropped_once_every_row_has_rung(self, monkeypatch):
         # At lambda_m = 0 a start's entries matter only in columns not reset
@@ -1070,13 +1111,13 @@ class TestEpochPath:
         # empty matrix as a start gives the run from no start.
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
         held_in = []
-        ring_fill = simulate_module._ring_fill
+        laid_window = simulate_module._laid_window
 
         def recorded(M, state, *args):
-            held_in.append(state[3] is not None)
-            return ring_fill(M, state, *args)
+            held_in.append(state[1] is not None)
+            return laid_window(M, state, *args)
 
-        monkeypatch.setattr(simulate_module, "_ring_fill", recorded)
+        monkeypatch.setattr(simulate_module, "_laid_window", recorded)
         params = MatrixParams(M=6, N=4, p=0.3)
         config = SimulationConfig(master_seed=9, horizon=4.5 * 64, record_series=True)
         plain = simulate_matrix(params, config)
@@ -1087,26 +1128,12 @@ class TestEpochPath:
         for field in dataclasses.fields(Trajectory):
             assert np.array_equal(getattr(started, field.name), getattr(plain, field.name)), field.name
 
-    def test_last_horizon_window_builds_no_state(self, monkeypatch):
-        # At lambda_m = 0 a series run searches every window's epochs, and
-        # only a window that another follows builds the state at its end;
-        # the last one gives the same fill times and None. A run without a
-        # series reads its first fill only, so no window after the one that
-        # holds it searches the epochs.
+    def test_no_epoch_search_after_the_first_fill(self, monkeypatch):
+        # At lambda_m = 0 a run without a series reads its first fill only,
+        # so no window after the one that holds it searches the epochs.
         monkeypatch.setattr(simulate_module, "_WINDOW_CELLS", 64)
-        calls = []
-        ring_fill = simulate_module._ring_fill
-
-        def recorded(*args):
-            fill, state = ring_fill(*args)
-            kept, _ = ring_fill(*args[:-1], True)
-            calls.append((args[-1], state is None, np.array_equal(fill, kept)))
-            return fill, state
-
-        monkeypatch.setattr(simulate_module, "_ring_fill", recorded)
         params = MatrixParams(M=6, N=4, p=0.3)
-        simulate_matrix(params, SimulationConfig(master_seed=9, horizon=4.5 * 64, record_series=True))
-        assert calls == [(True, False, True)] * 4 + [(False, True, True)]
+        ring_fill = simulate_module._ring_fill
         windows = _window_calls(monkeypatch)
         searched = []  # the window of every search
 
@@ -1490,7 +1517,7 @@ class TestEpochPath:
                 assert own[0] == first[offset + i] and own[-1] == last[offset + i]
                 assert (own[1:-1] > own[0]).all() and (own[1:-1] < own[-1]).all()
         books = simulate_module._RaceBooks(1, M, N, None, 0, False)
-        simulate_module._race_window(params, [np.random.default_rng(seed)], books, t0, t1, False, True, False)
+        simulate_module._race_window(params, [np.random.default_rng(seed)], books, t0, t1, False, False)
         assert ring_t.size + reset_t.size == books.events[0]
 
     def test_race_first_ring_counts_are_poisson(self):
@@ -1597,23 +1624,23 @@ class TestRaceBlock:
     def test_carried_fill_matches_a_scan(self):
         # Carried epoch j of a run, from column j's last reset c_j, fills at
         # the latest first ring in the window of the rows whose last ring is
-        # at or before c_j (-inf if there are none), and the run's first
-        # fill is the least of those before their column's first reset. Last
-        # rings and resets share a few values here, so they often tie, and
-        # -inf (never rung, never reset) is common on both sides.
+        # at or before c_j (-inf if there are none), in every column of
+        # every run of the block. Last rings and resets share a few values
+        # here, so they often tie, and -inf (never rung, never reset) is
+        # common on both sides; in some blocks no row has rung at all.
         rng = np.random.default_rng(33)
         t1 = 10.0
         for _ in range(300):
             B, M, N = (int(x) for x in rng.integers(1, 7, 3))
             last_at = rng.choice([-np.inf, -3.0, -2.0, -1.5, -1.0], size=(B, M + N))
+            if rng.random() < 0.2:
+                last_at[:, :M] = -np.inf
             first = np.minimum(rng.choice([0.5, 2.0, 4.0, 9.0, 11.0], size=(B, M + N)), t1)
-            fill, open_ = simulate_module._carried_fill(M, last_at, first, t1)
+            fill = simulate_module._carried_fill(M, last_at, first)
+            assert fill.shape == (B, N)
             for k in range(B):
                 rows, resets = last_at[k, :M], last_at[k, M:]
-                carried = [max(first[k, :M][rows <= c], default=-math.inf) for c in resets]
-                want = min((f for f, end in zip(carried, first[k, M:]) if f < end), default=math.inf)
-                assert fill[k] == want
-                assert open_[k] == (want == math.inf and first[k, :M].max() < t1)
+                assert fill[k].tolist() == [max(first[k, :M][rows <= c], default=-math.inf) for c in resets]
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(

@@ -123,3 +123,32 @@ def test_race_is_drawn_only_by_the_block_window():
                                                           getattr(node.func, "id", None))
 
     assert [found for found in _found(calls_race) if found[0] == "simulate"] == [("simulate", "_race_window")]
+
+
+def test_lambda_zero_state_is_written_only_by_the_block_window():
+    # A lambda_m = 0 run keeps one state, each clock's last ring in the
+    # books' last_at: the books make it and each window of the block moves
+    # it on, so no other function converts it or builds a second one. The
+    # epochs from a window's own resets are searched only where a window
+    # lays its rings out.
+    def written(target) -> set:
+        """The names a target binds or writes into: ``x``, ``a.x``, ``x[...]`` and tuples of them."""
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return set().union(*map(written, target.elts))
+        while isinstance(target, (ast.Subscript, ast.Starred)):
+            target = target.value
+        return {getattr(target, "id", None), getattr(target, "attr", None)}
+
+    def assigns_last_at(node):
+        if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            return False
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return "last_at" in set().union(*map(written, targets))
+
+    def calls_ring_fill(node):
+        return isinstance(node, ast.Call) and "_ring_fill" in (getattr(node.func, "attr", None),
+                                                               getattr(node.func, "id", None))
+
+    assert {found for found in _found(assigns_last_at) if found[0] == "simulate"} == {
+        ("simulate", "__init__"), ("simulate", "_race_window")}
+    assert _found(calls_ring_fill) == [("simulate", "_laid_window")]
