@@ -908,9 +908,9 @@ class _RaceBooks:
     def runs(self, which, M, initial, series, end_time) -> list[Trajectory]:
         """The trajectories of the runs ``which``, ended at ``end_time``
         (``None``: at their first hit)."""
-        state = self.last_at[which]
+        last_at = self.last_at[which]
         # Entry (i, j) is one iff row i rang after column j's last reset.
-        read_off = (state[:, M:] < state[:, :M].min(axis=1, keepdims=True)).sum(axis=1)
+        read_off = (last_at[:, M:] < last_at[:, :M].min(axis=1, keepdims=True)).sum(axis=1)
         out = []
         columns = zip(which.tolist(), self.tau[which].tolist(), self.events[which].tolist(),
                       self.laid[which].tolist(), read_off.tolist())

@@ -1018,23 +1018,30 @@ class TestEpochPath:
         _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
         assert p_value > 0.001
 
-    def test_ring_fill_matches_a_row_by_row_scan(self):
-        # At lambda_m = 0 every epoch of a window must fill when a scan of
-        # each row's first ring after the epoch's start says, and the state
-        # at the window's end must give the entries that the scan does. The
-        # state carried in is each row's last ring before t0 and each
-        # column's last reset before t0 (-inf for none), plus a start's
+    def test_ring_fill_matches_a_row_by_row_scan(self, monkeypatch):
+        # At lambda_m = 0 every epoch of a laid-out window must fill when a
+        # scan of each row's first ring after the epoch's start says, and
+        # the state at the window's end must give the entries that the scan
+        # does. The state carried in is each row's last ring before t0 and
+        # each column's last reset before t0 (-inf for none), plus a start's
         # entries, held in the columns not reset since; entry (i, j) is one
-        # iff row i rang after column j's last reset, or it is held. Carried
-        # epochs fill through _carried_fill and, while entries are held,
-        # _held_fill, and the epochs from the window's resets through
-        # _ring_fill over the window's rings: one full as the window begins
-        # at -inf, and one that some row does not ring in at t1 or later.
-        # The state at t1 is each clock's last ring, the window's where it
-        # rang there; held entries are dropped once it shows every row rung
-        # or every column reset, which must leave the entries as they are.
+        # iff row i rang after column j's last reset, or it is held. The
+        # window is a series run's in a block of one, its clocks the case's
+        # rings; the fills are those the window's end reads, one full as the
+        # window begins at -inf and one that some row does not ring in at t1
+        # or later. The state at t1 is each clock's last ring, and held
+        # entries are dropped once it shows every row rung or every column
+        # reset, which must leave the entries as they are.
         rng = np.random.default_rng(5)
         t0, t1 = 0.0, 10.0
+        window_end = simulate_module._window_end
+        fills = []
+
+        def recorded(fill, *args):
+            fills.append(fill)
+            return window_end(fill, *args)
+
+        monkeypatch.setattr(simulate_module, "_window_end", recorded)
         for _ in range(300):
             M, N = int(rng.integers(1, 8)), int(rng.integers(1, 5))
             ring_t = np.sort(rng.uniform(t0, t1, int(rng.integers(0, 40))))
@@ -1056,14 +1063,16 @@ class TestEpochPath:
                 own = times[labels == i]
                 if own.size:
                     first[clock], last_ring[clock] = own[0], own[-1]
-            carried = simulate_module._carried_fill(M, last_at[None], first[None])[0]
-            if held is not None:
-                carried = simulate_module._held_fill(M, (last_at, held), first, carried)
-            fill = np.concatenate((carried, simulate_module._ring_fill(M, ring_t, ring_row, reset_t)))
-            end = np.where(first < t1, last_ring, last_at)
-            kept = held
-            if held is not None and (end[:M].min() > -np.inf or end[M:].min() > -np.inf):
-                kept = None
+            race = (first[None], last_ring[None], [(np.empty(0), np.empty(0))])
+            rings = [(ring_t, ring_row), (reset_t, reset_col)]
+            monkeypatch.setattr(simulate_module, "_race", lambda *args, race=race: race)
+            monkeypatch.setattr(simulate_module, "_race_rings", lambda *args, rings=rings: rings)
+            books = simulate_module._RaceBooks(1, M, N, held, 0, True)
+            books.last_at = last_at[None].copy()
+            fills.clear()
+            simulate_module._race_window(MatrixParams(M=M, N=N, p=0.5), [None], books, t0, t1, False, True)
+            (fill,), end, kept = fills, books.last_at[0], books.held[0]
+            assert (kept is None) == (held is None or end[:M].min() > -np.inf or end[M:].min() > -np.inf)
             all_t, all_row = np.concatenate((past_t, ring_t)), np.concatenate((past_row, ring_row))
             assert all(end[i] == max(all_t[all_row == i], default=-math.inf) for i in range(M))
             for b, (s, c) in enumerate(zip(starts, cols)):
@@ -1621,15 +1630,26 @@ class TestRaceBlock:
         assert simulate_module._race_block_size(MatrixParams(M=200, N=100, p=0.1)) == 27
         assert simulate_module._race_block_size(MatrixParams(M=6000, N=3000, p=0.1)) == 1
 
-    def test_carried_fill_matches_a_scan(self):
+    def test_carried_fill_matches_a_scan(self, monkeypatch):
         # Carried epoch j of a run, from column j's last reset c_j, fills at
         # the latest first ring in the window of the rows whose last ring is
         # at or before c_j (-inf if there are none), in every column of
-        # every run of the block. Last rings and resets share a few values
-        # here, so they often tie, and -inf (never rung, never reset) is
-        # common on both sides; in some blocks no row has rung at all.
+        # every run of the block. A window of the block reads each run's
+        # first fill as the least of those before their column's first
+        # reset, and leaves it open (nan) where there is none; it lays out
+        # the rings of an open run, to search the epochs from its resets,
+        # only if every row rings in the window. Last rings and resets share
+        # a few values here, so they often tie, and -inf (never rung, never
+        # reset) is common on both sides; in some blocks no row has rung.
         rng = np.random.default_rng(33)
-        t1 = 10.0
+        t0, t1 = 0.0, 10.0
+        laid = []  # the first rings of each run whose rings a window lays out
+
+        def recorded(M, state, first, *args):
+            laid.append(first.copy())
+            return np.empty(0), np.empty(0), 0
+
+        monkeypatch.setattr(simulate_module, "_laid_window", recorded)
         for _ in range(300):
             B, M, N = (int(x) for x in rng.integers(1, 7, 3))
             last_at = rng.choice([-np.inf, -3.0, -2.0, -1.5, -1.0], size=(B, M + N))
@@ -1638,9 +1658,21 @@ class TestRaceBlock:
             first = np.minimum(rng.choice([0.5, 2.0, 4.0, 9.0, 11.0], size=(B, M + N)), t1)
             fill = simulate_module._carried_fill(M, last_at, first)
             assert fill.shape == (B, N)
+            want = []
             for k in range(B):
                 rows, resets = last_at[k, :M], last_at[k, M:]
-                assert fill[k].tolist() == [max(first[k, :M][rows <= c], default=-math.inf) for c in resets]
+                carried = [max(first[k, :M][rows <= c], default=-math.inf) for c in resets]
+                assert fill[k].tolist() == carried
+                want.append(min((f for f, end in zip(carried, first[k, M:]) if f < end), default=math.inf))
+            race = (first.copy(), first.copy(), [(np.empty(0), np.empty(0))] * B)  # each clock rings once
+            monkeypatch.setattr(simulate_module, "_race", lambda *args, race=race: race)
+            books = simulate_module._RaceBooks(B, M, N, None, 0, False)
+            books.last_at = last_at.copy()
+            laid.clear()
+            simulate_module._race_window(MatrixParams(M=M, N=N, p=0.5), [None] * B, books, t0, t1, False, False)
+            assert np.array_equal(books.tau, np.where(np.array(want) == math.inf, np.nan, want), equal_nan=True)
+            opened = [first[k] for k in range(B) if want[k] == math.inf and first[k, :M].max() < t1]
+            assert len(laid) == len(opened) and all(map(np.array_equal, laid, opened))
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(

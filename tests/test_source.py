@@ -16,13 +16,18 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _owners(node: ast.AST, match, owner: str = "<module>"):
-    """The innermost function around each node that ``match`` accepts."""
+def _owners(node: ast.AST, match, owner: str = "<module>", scope: str = ""):
+    """The innermost function around each node that ``match`` accepts, a
+    method named after its class too: ``Class.method``."""
     for child in ast.iter_child_nodes(node):
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        inner, inner_scope = owner, scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner, inner_scope = scope + child.name, ""
+        elif isinstance(child, ast.ClassDef):
+            inner_scope = scope + child.name + "."
         if match(child):
             yield inner
-        yield from _owners(child, match, inner)
+        yield from _owners(child, match, inner, inner_scope)
 
 
 def _found(match) -> list[tuple[str, str]]:
@@ -128,27 +133,25 @@ def test_race_is_drawn_only_by_the_block_window():
 def test_lambda_zero_state_is_written_only_by_the_block_window():
     # A lambda_m = 0 run keeps one state, each clock's last ring in the
     # books' last_at: the books make it and each window of the block moves
-    # it on, so no other function converts it or builds a second one. The
-    # epochs from a window's own resets are searched only where a window
-    # lays its rings out.
-    def written(target) -> set:
-        """The names a target binds or writes into: ``x``, ``a.x``, ``x[...]`` and tuples of them."""
+    # it on, once each, so no other function converts it or builds a second
+    # one. The epochs from a window's own resets are searched only where a
+    # window lays its rings out.
+    def writes(target) -> bool:
+        """Whether a target is an attribute ``last_at`` or writes into one."""
         if isinstance(target, (ast.Tuple, ast.List)):
-            return set().union(*map(written, target.elts))
+            return any(map(writes, target.elts))
         while isinstance(target, (ast.Subscript, ast.Starred)):
             target = target.value
-        return {getattr(target, "id", None), getattr(target, "attr", None)}
+        return isinstance(target, ast.Attribute) and target.attr == "last_at"
 
     def assigns_last_at(node):
         if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             return False
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        return "last_at" in set().union(*map(written, targets))
+        return any(map(writes, node.targets if isinstance(node, ast.Assign) else [node.target]))
 
     def calls_ring_fill(node):
         return isinstance(node, ast.Call) and "_ring_fill" in (getattr(node.func, "attr", None),
                                                                getattr(node.func, "id", None))
 
-    assert {found for found in _found(assigns_last_at) if found[0] == "simulate"} == {
-        ("simulate", "__init__"), ("simulate", "_race_window")}
+    assert _found(assigns_last_at) == [("simulate", "_RaceBooks.__init__"), ("simulate", "_race_window")]
     assert _found(calls_ring_fill) == [("simulate", "_laid_window")]
