@@ -125,7 +125,8 @@ class _SeedWords(ISeedSequence):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the type itself, which is cheaper to compare than np.dtype(dtype).
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("only PCG64's four uint64 seed words are precomputed")
         return self._words
 

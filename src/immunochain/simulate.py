@@ -113,6 +113,7 @@ batch is the run drawn alone, field for field.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -178,13 +179,13 @@ MAX_EXPECTED_EVENTS = 10**8
 # A counted hit of n events draws its time as n exponentials, one per event,
 # while n <= _EXPONENTIAL_EVENTS + _EXPONENTIAL_EVENTS_PER_LEVEL * M, and as
 # one gamma variate per level beyond. Timed on 2 vCPUs with numpy 2.4.6, the
-# gamma draw and its dot cost 8.2-9.1 us at M <= 32, 10.0 at 64, 11.9 at 128,
-# 15.4 at 256 and 21.1 at 512, mostly numpy's per-call checks of the shape
-# array; the exponentials, their dot and the repeat of each level's mean
-# holding time over its visits cost 2.3-3.1 us plus 7-7.5 ns an event. The
-# two break even at n = 869, 891, 970, 1024, 1177, 1728 and 2423 for M = 8,
-# 16, 32, 64, 128, 256 and 512 (a second run: 1047-1143 up to M = 64, then
-# 1669, 2025 and 2771), and 800 + 4M lies between the two runs.
+# gamma draw and its dot cost 8.4-9.3 us at M <= 32, 9.8 at 64, 12.2 at 128,
+# 15.6-16.1 at 256 and 23.7-24.2 at 512, mostly numpy's per-call checks of the
+# shape array; the exponentials, their dot and the repeat of each level's mean
+# holding time over its visits cost 2-3 us plus 6.3-6.6 ns an event. Over six
+# runs the two break even at median n = 852, 935, 928, 1137, 1406, 1930 and
+# 2861 for M = 8, 16, 32, 64, 128, 256 and 512, and 800 + 4M lies within each
+# M's range of runs.
 _EXPONENTIAL_EVENTS = 800
 _EXPONENTIAL_EVENTS_PER_LEVEL = 4
 
@@ -256,10 +257,11 @@ class Trajectory:
 class _ColumnTables:
     """Per-level constants of the single-column chain, shared by both paths.
 
-    ``inv_total[k]`` is the mean holding time at level k (``1/p`` at M) in
-    units of ``unit``, a power of two at least 1 and at most the slowest level
-    below M: a time summed in those units stays in range, and a Python float
-    times ``unit`` is exact, or ``inf`` without a warning where it overflows.
+    ``inv_total[k]`` is the mean holding time at level k (``1/p`` at M; its
+    view ``inv_below`` stops below M) in units of ``unit``, a power of two at
+    least 1 and at most the slowest level below M: a time summed in those
+    units stays in range, and a Python float times ``unit`` is exact, or
+    ``inf`` without a warning where it overflows.
     ``reach[k]`` is the probability that a climb from 0 gets to level k,
     ``neg_reach`` its negation (ascending, for bisection), ``neg_log_reach``
     minus its logarithm, summed level by level so that it stays finite
@@ -271,6 +273,7 @@ class _ColumnTables:
     """
 
     inv_total: np.ndarray
+    inv_below: np.ndarray
     unit: float
     reach: tuple[float, ...]
     neg_reach: tuple[float, ...]
@@ -300,10 +303,10 @@ def _column_tables(params: SingleColumnParams) -> _ColumnTables:
     if fail.sum() > 0:
         fail /= fail.sum()
     fail = np.concatenate(([0.0], fail))
-    inv_total_array, neg_log_reach = np.array(inv_total) / unit, np.cumsum(-np.log([1.0, 1.0, *up_frac]))
-    for array in (inv_total_array, neg_log_reach, fail):
+    inv, neg_log_reach = np.array(inv_total) / unit, np.cumsum(-np.log([1.0, 1.0, *up_frac]))
+    for array in (inv, neg_log_reach, fail):
         array.flags.writeable = False
-    return _ColumnTables(inv_total_array, unit, tuple(reach), tuple(-r for r in reach), neg_log_reach, fail)
+    return _ColumnTables(inv, inv[:M], unit, tuple(reach), tuple(-r for r in reach), neg_log_reach, fail)
 
 
 # O(1), but some 10 us a call: about 5% of a laid-out hit run at M = 64, whose charge reads it.
@@ -333,24 +336,28 @@ def simulate_single_column(
     are built.
     """
     M = params.M
-    if not 0 <= start <= M:
+    if not (isinstance(start, (int, np.integer)) and 0 <= start <= M):
         raise ValueError(f"start must lie in [0, {M}], got {start!r}")
+    start = operator.index(start)  # a bool or numpy integer as a plain int
 
     # The tables hold M + 1 levels, so they are charged, and a run's other
     # charges and a hit run's reach checked, before they are built.
     check_budget(M + 1, "table levels", "shrink M")
     horizon = config.horizon
     hit = horizon is None and start < M
-    if hit and (log_reach := _log_hit_reach(params)) < math.log(MIN_REACH_PROBABILITY):
-        raise _unreachable(params, start, log_reach)
-    counted = hit and not config.record_series
-    if not counted:
+    if hit and not config.record_series:
+        log_reach, tables = _hit_plan(params)
+        if tables is None:
+            raise _unreachable(params, start, log_reach)
+        run = _regenerative_hit(tables, M, start, replicate_rng(config.master_seed, config.replicate_index))
+    else:
+        if hit and (log_reach := _log_hit_reach(params)) < math.log(MIN_REACH_PROBABILITY):
+            raise _unreachable(params, start, log_reach)
         span = _mean_hitting_time(params, start) if horizon is None else horizon
         remedy = "drop the series or give a horizon" if horizon is None else "shorten the run"
         check_budget(span * params.uniformization_rate, "expected events", remedy)
-    rng = replicate_rng(config.master_seed, config.replicate_index)
-    tables = _column_tables(params)
-    run = _regenerative_hit(tables, M, start, rng) if counted else _climbs(params, tables, start, config, rng)
+        rng = replicate_rng(config.master_seed, config.replicate_index)
+        run = _climbs(params, _column_tables(params), start, config, rng)
     if run.tau != math.inf:  # None in a horizon run that never hit
         return run
     raise ValueError(f"{params}: the time to hit M from {start} overflows double precision; it is beyond simulation")
@@ -361,6 +368,13 @@ def _log_hit_reach(params: SingleColumnParams) -> float:
     """Log of ``reach[M]``, the probability that a climb from 0 gets to M: the
     product over j < M of ``j / (j + a)``, the analytics kernel's ``K(M-1, a)``."""
     return analytics._log_gamma_ratio(params.M - 1, params.a)
+
+
+@lru_cache(maxsize=64)
+def _hit_plan(params: SingleColumnParams) -> tuple[float, _ColumnTables | None]:
+    """A counted hit's :func:`_log_hit_reach` and tables, built only where it is not refused, else ``None``."""
+    log_reach = _log_hit_reach(params)
+    return log_reach, (_column_tables(params) if log_reach >= math.log(MIN_REACH_PROBABILITY) else None)
 
 
 def _unreachable(params: SingleColumnParams, start: int, log_reach: float) -> ValueError:
@@ -406,14 +420,14 @@ def _regenerative_hit(
         tops[M - 1] += 1
         if start:
             tops[start - 1] -= 1
-        visits = tops[::-1].cumsum()[::-1]
-        n = int(visits.sum())
+        visits = np.add.accumulate(tops[::-1])[::-1]
+        n = int(np.add.reduce(visits))
         if n > _EXPONENTIAL_EVENTS + _EXPONENTIAL_EVENTS_PER_LEVEL * M:
-            tau = float(rng.standard_gamma(visits).dot(tables.inv_total[:M])) * tables.unit
-            return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=n)
-        held = tables.inv_total[:M].repeat(visits)
+            tau = float(rng.standard_gamma(visits).dot(tables.inv_below)) * tables.unit
+            return Trajectory(tau, tau, M, n)
+        held = tables.inv_below.repeat(visits)
     tau = float(rng.standard_exponential(n).dot(held)) * tables.unit
-    return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=n)
+    return Trajectory(tau, tau, M, n)
 
 
 def _climbs(params, tables: _ColumnTables, start: int, config: SimulationConfig, rng) -> Trajectory:
@@ -707,16 +721,19 @@ def _epochs(N, t0, t1, reset_t, reset_col):
     """A window's epochs: epoch j < N is column j's from ``t0``, epoch N + r
     the one from reset r. Returns their starts, columns and ends, and which
     of them are their column's last."""
-    starts = np.concatenate((np.full(N, t0), reset_t))
     cols = np.concatenate((np.arange(N), reset_col))
+    ends = _epoch_ends(cols, reset_t, np.inf)
+    last = ends == np.inf
+    return np.concatenate((np.full(N, t0), reset_t)), cols, np.where(last, t1, ends), last
+
+
+def _epoch_ends(cols, reset_t, t1):
+    """Where the epochs of :func:`_epochs` of columns ``cols`` end: at their column's next reset, or ``t1``."""
     order = np.argsort(cols, kind="stable")  # column by column, each in time order
     succ = cols[order[1:]] == cols[order[:-1]]
-    before, after = order[:-1][succ], order[1:][succ]  # an epoch and the next of its column
-    ends = np.full(starts.size, t1)
-    ends[before] = starts[after]
-    last = np.ones(starts.size, dtype=bool)
-    last[before] = False
-    return starts, cols, ends, last
+    ends = np.full(cols.size, t1)
+    ends[order[:-1][succ]] = reset_t[order[1:][succ] - (cols.size - reset_t.size)]  # the next epoch's start
+    return ends
 
 
 @lru_cache(maxsize=64)
@@ -1144,7 +1161,7 @@ def _laid_window(M, state, first, carried, rings, t0, t1, stop_on_hit):
     if state[1] is not None:
         carried = _held_fill(M, state, first, carried)
     ring_t, ring_row, reset_t, reset_col = _time_order(M, rings)
-    ends = _epochs(carried.size, t0, t1, reset_t, reset_col)[2]
+    ends = _epoch_ends(np.concatenate((np.arange(carried.size), reset_col)), reset_t, t1)
     fill = np.concatenate((carried, _ring_fill(M, ring_t, ring_row, reset_t)))
     gained, lost, _, n_events = _window_end(fill, ends, ring_t, reset_t, t0, t1, stop_on_hit)
     return gained, lost, n_events
@@ -1254,11 +1271,12 @@ def replicate_runs(params: SingleColumnParams | MatrixParams, n_replicates: int,
         return _race_batch(params, n_replicates, master_seed, horizon, record_series, start)
     run = simulate_matrix
     if isinstance(params, SingleColumnParams):
-        run, start = simulate_single_column, start or 0
+        run, start = simulate_single_column, 0 if start is None else start
     return (run(params, SimulationConfig(master_seed, r, horizon, record_series), start=start)
             for r in range(n_replicates))
 
 
 def hitting_time_batch(params: SingleColumnParams | MatrixParams, n_replicates: int, master_seed: int, start=None):
     """The first-hit times of :func:`replicate_runs`, as an array in replicate order."""
-    return np.array([run.tau for run in replicate_runs(params, n_replicates, master_seed, start=start)])
+    runs = replicate_runs(params, n_replicates, master_seed, start=start)
+    return np.fromiter((run.tau for run in runs), float, n_replicates)

@@ -73,6 +73,21 @@ def test_cached_key_blocks_are_read_only():
         seed_seq.generate_state(8, np.uint32)
 
 
+def test_seed_words_answer_pcg64s_request_however_its_dtype_is_named():
+    # PCG64 asks for its words with the type np.uint64; the same request
+    # spelt as a dtype gets the same words, and every other one is refused.
+    seed_seq = replicate_rng(11, 5).bit_generator.seed_seq
+    words = seed_seq.generate_state(4, np.uint64)
+    assert np.array_equal(words, seed_seq.generate_state(4, np.dtype("uint64")))
+    assert np.array_equal(words, seed_seq.generate_state(4, "uint64"))
+    for n_words, dtype in [(4, np.uint32), (4, np.dtype("uint32")), (4, np.int64), (3, np.uint64),
+                           (8, np.uint64), (8, np.dtype("uint64"))]:
+        with pytest.raises(ValueError, match="only PCG64's four uint64 seed words"):
+            seed_seq.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="only PCG64's four uint64 seed words"):
+        seed_seq.generate_state(4)  # SeedSequence's default, uint32
+
+
 @pytest.mark.parametrize("master_seed, replicate_index, message", [
     (0, -1, "replicate_index must be a nonnegative integer, got -1"),
     (2**64, 0, "master_seed must be a 64-bit unsigned integer, got 18446744073709551616"),

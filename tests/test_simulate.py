@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,30 @@ def _use_kernel(monkeypatch, kernel):
     exponential per event) or to 0 ("gamma": one gamma variate per level)."""
     monkeypatch.setattr(simulate_module, "_EXPONENTIAL_EVENTS", sys.maxsize if kernel == "exponential" else 0)
     monkeypatch.setattr(simulate_module, "_EXPONENTIAL_EVENTS_PER_LEVEL", 0)
+
+
+def _reference_regenerative_hit(tables, M, start, rng):
+    """A plain copy of ``simulate._regenerative_hit``, the reference its
+    trimmed bookkeeping is checked against: the same draws in the same order,
+    under the module's crossover read at call time."""
+    reach = tables.reach
+    x = rng.random() * reach[start]
+    if x < reach[M]:
+        n, held = M - start, tables.inv_total[start:M]
+    else:
+        tops = rng.multinomial(int(rng.geometric(reach[M])) - 1, tables.fail_law)
+        tops[bisect_left(tables.neg_reach, -x) - 1] += 1
+        tops[M - 1] += 1
+        if start:
+            tops[start - 1] -= 1
+        visits = tops[::-1].cumsum()[::-1]
+        n = int(visits.sum())
+        if n > simulate_module._EXPONENTIAL_EVENTS + simulate_module._EXPONENTIAL_EVENTS_PER_LEVEL * M:
+            tau = float(rng.standard_gamma(visits).dot(tables.inv_total[:M])) * tables.unit
+            return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=n)
+        held = tables.inv_total[:M].repeat(visits)
+    tau = float(rng.standard_exponential(n).dot(held)) * tables.unit
+    return Trajectory(tau=tau, end_time=tau, end_value=M, n_events=n)
 
 
 def test_the_horizon_decides_the_run():
@@ -239,6 +264,30 @@ class TestSingleColumn:
         traj = simulate_single_column(params, hit_config(42), start=3)
         assert traj.tau == 0.0
         assert traj.n_events == 0
+
+    @pytest.mark.parametrize("start", [2.0, 0.0, 2.5, "2", None, np.float64(2.0), -1, 5, np.int64(-1)])
+    def test_a_start_that_is_no_level_is_refused(self, start):
+        # Every kind of run, and a batch, refuses a start that is not an
+        # integer in [0, M] with one message, before any draw.
+        params = SingleColumnParams(M=4, alpha=1.0, p=0.3)
+        message = re.escape(f"start must lie in [0, 4], got {start!r}")
+        for kw in ({}, {"horizon": 5.0}, {"record_series": True}):
+            with pytest.raises(ValueError, match=message):
+                simulate_single_column(params, hit_config(1, **kw), start=start)
+        if start is not None:  # None starts a batch at level 0
+            with pytest.raises(ValueError, match=message):
+                hitting_time_batch(params, 3, 1, start=start)
+
+    @pytest.mark.parametrize("start, level", [(True, 1), (False, 0), (np.int64(2), 2), (np.uint8(3), 3)])
+    def test_a_bool_or_numpy_integer_start_is_its_level(self, start, level):
+        params = SingleColumnParams(M=4, alpha=1.0, p=0.3)
+        for kw in ({}, {"horizon": 5.0}, {"record_series": True}):
+            got, want = (simulate_single_column(params, hit_config(1, **kw), start=s) for s in (start, level))
+            assert (got.tau, got.end_time, got.end_value, got.n_events) == (
+                want.tau, want.end_time, want.end_value, want.n_events)
+            for a, b in ((got.series_times, want.series_times), (got.series_values, want.series_values)):
+                assert (a is None and b is None) or np.array_equal(a, b)
+        assert hitting_time_batch(params, 3, 1, start=start).tolist() == hitting_time_batch(params, 3, 1, level).tolist()
 
     def test_deterministic_given_seed_and_replicate(self):
         params = SingleColumnParams(M=4, alpha=1.2, p=0.4)
@@ -506,6 +555,32 @@ class TestRegenerativeHit:
             226.4814762727533, 96.60119440840624, 201.87487064706016, 454.0723396260427,
             572.488181211357, 35.42820633857747, 263.025077995328, 237.38768715721056,
         ]
+
+    @pytest.mark.parametrize("kernel", [None, *KERNELS])
+    @pytest.mark.parametrize("M", [1, 2, 16, 64])
+    def test_counted_hits_equal_the_reference_kernel(self, monkeypatch, kernel, M):
+        # Replicate r of the production path and of the reference kernel draw
+        # on the same stream, so every field agrees exactly: under the default
+        # crossover and under each kernel alone, from 0, 1 and M - 1, with
+        # runs whose first climb succeeds (n_events == M - start) and fails.
+        if kernel:
+            _use_kernel(monkeypatch, kernel)
+        params = SingleColumnParams.with_a(M, 1.0)
+        tables = simulate_module._column_tables(params)
+        first = set()
+        for start in sorted({0, 1, M - 1} - {M}):
+            runs = [simulate_single_column(params, hit_config(35, r), start=start) for r in range(300)]
+            for r, run in enumerate(runs):
+                ref = _reference_regenerative_hit(tables, M, start, rng_module.replicate_rng(35, r))
+                got = (run.tau, run.end_time, run.end_value, run.n_events)
+                assert got == (ref.tau, ref.end_time, ref.end_value, ref.n_events)
+                assert type(run.n_events) is int and type(run.tau) is float
+                first.add(run.n_events == M - start)
+            batch = hitting_time_batch(params, 300, 35, start=start)
+            assert batch.dtype == np.float64 and batch.shape == (300,)
+            assert batch.tolist() == [run.tau for run in runs]
+        # At M = 1 every first climb succeeds; above, some fail.
+        assert first == ({True} if M == 1 else {True, False})
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
