@@ -677,7 +677,9 @@ def _epoch_window(
     reset_t = t0 + span * np.sort(rng.random(rng.poisson(params.p * span)))
     reset_col = (rng.random(reset_t.size) * N).astype(np.intp)
 
-    starts, cols, ends, last = _epochs(N, t0, t1, reset_t, reset_col)
+    cols = np.concatenate((np.arange(N), reset_col))  # the epochs' columns (see _epoch_ends)
+    last = (later := _epoch_ends(cols, reset_t, np.inf)) == np.inf  # no later reset of its column
+    starts, ends = np.concatenate((np.full(N, t0), reset_t)), np.where(last, t1, later)
     fill, drawn, undrawn, kept = _entry_fill(
         params, rng, filled, ring_t, ring_row, starts, ends, last if carry else None, t0, stop_on_hit
     )
@@ -717,18 +719,10 @@ def _window_end(fill, ends, ring_t, reset_t, t0, t1, stop_on_hit):
     return gained, lost, end, n_events
 
 
-def _epochs(N, t0, t1, reset_t, reset_col):
-    """A window's epochs: epoch j < N is column j's from ``t0``, epoch N + r
-    the one from reset r. Returns their starts, columns and ends, and which
-    of them are their column's last."""
-    cols = np.concatenate((np.arange(N), reset_col))
-    ends = _epoch_ends(cols, reset_t, np.inf)
-    last = ends == np.inf
-    return np.concatenate((np.full(N, t0), reset_t)), cols, np.where(last, t1, ends), last
-
-
 def _epoch_ends(cols, reset_t, t1):
-    """Where the epochs of :func:`_epochs` of columns ``cols`` end: at their column's next reset, or ``t1``."""
+    """When a window's epochs end, ``cols`` being their columns: epoch j < N
+    is column j's from the window's start and epoch N + r the one from reset
+    r, and each ends at its column's next reset, or at ``t1``."""
     order = np.argsort(cols, kind="stable")  # column by column, each in time order
     succ = cols[order[1:]] == cols[order[:-1]]
     ends = np.full(cols.size, t1)
@@ -1193,7 +1187,7 @@ def _race_rings(M, race, t1):
 
 
 def _time_order(M, rings):
-    """:func:`_race_rings` as :func:`_ring_fill` and :func:`_epochs` take
+    """:func:`_race_rings` as :func:`_ring_fill` and :func:`_epoch_ends` take
     them: ``(ring_t, ring_row, reset_t, reset_col)``, each in time order.
     Row labels go in 16 bits where M allows, which numpy radix-sorts when
     :func:`_ring_fill` groups the rings by row."""
