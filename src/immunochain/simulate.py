@@ -95,19 +95,18 @@ Randomness is fully reproducible: in :func:`replicate_runs`, every batch
 of runs, replicate ``r`` draws from the stream keyed by ``(master_seed,
 r)``, so batch output is independent of execution order.
 
-A lambda_m = 0 matrix batch goes through its windows a block of replicates
-at a time (27 at M + N = 300; a run alone is a block of one), the block
-sized so that its stacked first and last rings stay within
-``_WINDOW_CELLS`` cells. Each replicate still draws alone, on its own
-stream: every window, one ``standard_exponential((2, M + N))``, then its
-rows' Poisson count and uniforms, then its columns'. Scaling and clipping
-the waits, summing the gaps, the carried epochs' fills, the first-fill read,
-the event counts, the state and the end count run as arrays over the
-block. A series run, a run from a start, a window whose carried epochs
-leave the first fill open and a window that stops at its hit lay their
-rings out one replicate at a time, and search only that window's own
-resets' epochs; a hit run leaves the block at its hit. So every run of a
-batch is the run drawn alone, field for field.
+Every matrix batch, at every lambda_m, goes through its windows a block of
+replicates at a time (a run alone is a block of one): ``_WINDOW_CELLS // c``
+runs, one at least, for c cells carried per run, 2(M + N) first and last
+rings at lambda_m = 0 (27 runs at M + N = 300) or the N*M state with entry
+clocks (one at N*M = 20,000). Each replicate draws alone, on its own stream,
+and a hit run leaves the block at its hit. At lambda_m = 0 every window
+draws one ``standard_exponential((2, M + N))``, then its rows' Poisson count
+and uniforms, then its columns'; the rest runs as arrays over the block, but
+for the windows that lay their rings out, one replicate at a time. With
+entry clocks each run draws its windows alone and, leaving the block, one
+Poisson count of its uncounted entry rings. So every run of a batch is the
+run drawn alone, field for field.
 """
 
 from __future__ import annotations
@@ -148,8 +147,9 @@ __all__ = [
 # run's first window holds max(_FIRST_WINDOW_CELLS, N*M) cells
 # (_FIRST_WINDOW_CELLS at lambda_m = 0), a single-column run's first window
 # _FIRST_WINDOW_CELLS, and each next one twice as many, up to the full width.
-# A block of lambda_m = 0 runs stacks two M + N rows of first and last rings
-# per run, so it holds _WINDOW_CELLS // (2 * (M + N)) runs, one at least.
+# A block of matrix runs holds _WINDOW_CELLS // c runs, one at least, where a
+# run carries c cells: two M + N rows of first and last rings at lambda_m = 0,
+# its N x M state with entry clocks.
 _WINDOW_CELLS = 1 << 14
 _FIRST_WINDOW_CELLS = 1 << 10
 
@@ -518,10 +518,10 @@ def simulate_matrix(
     its carried epochs leave open or that stops at its hit, and a run with a
     series or a start in every window it runs; such a window searches only
     the epochs from its own resets. A window spans at least ``M + N`` rings
-    and resets there, and a run is a block of one (see
-    :func:`replicate_runs`). A run that needs the events themselves or the
-    final matrix is a job for the Gillespie reference,
-    :func:`immunochain.reference.matrix_gillespie`. A run without a
+    and resets there. At every lambda_m a run is a block of one of the core
+    that draws every matrix batch (see :func:`replicate_runs`). A run that
+    needs the events or the final matrix is a job for the Gillespie
+    reference, :func:`immunochain.reference.matrix_gillespie`. A run without a
     horizon and no full column at its start raises ``ValueError`` when one
     reset epoch fills its column with probability below
     ``MIN_REACH_PROBABILITY``: no run could count that many epochs.
@@ -534,49 +534,7 @@ def simulate_matrix(
     """
     _check_matrix_run(params, config.horizon, start)
     rng = replicate_rng(config.master_seed, config.replicate_index)
-    if params.lambda_m == 0:
-        return _race_runs(params, [rng], config.horizon, config.record_series, start)[0]
-    M, N = params.M, params.N
-    horizon = config.horizon
-    if start is None:
-        held, initial = np.zeros((N, M), dtype=bool), 0
-    else:
-        held, initial = start.entries.T.astype(bool), start.all_ones_count  # held[j, i]: entry (i, j) is one
-    stop_on_hit = horizon is None
-    tau = 0.0 if initial else None
-    t = 0.0
-    n_events = 0
-    spare_time = 0.0
-    state = held
-    gains: list[np.ndarray] = []
-    losses: list[np.ndarray] = []
-
-    if not (stop_on_hit and tau is not None):
-        for t0, t1 in _windows(params, horizon):
-            gained, lost, events, spare, state = _epoch_window(
-                params, rng, state, t0, t1, stop_on_hit, carry=t1 != horizon
-            )
-            n_events += events
-            spare_time += spare
-            gains.append(gained)
-            losses.append(lost)
-            t = t1
-            if tau is None and gained.size:
-                tau = float(gained.min())
-                if stop_on_hit:
-                    t = tau
-                    break
-    if spare_time > 0:
-        n_events += int(rng.poisson(params.lambda_m / M * spare_time))
-    end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses)
-
-    times = values = None
-    if config.record_series:
-        times, values = _count_series(initial, gains, losses)
-    return Trajectory(
-        tau=tau, end_time=t, end_value=end_value, n_events=n_events,
-        series_times=times, series_values=values,
-    )
+    return _matrix_runs(params, [rng], config.horizon, config.record_series, start)[0]
 
 
 def _check_matrix_run(params: MatrixParams, horizon: float | None, start: MatrixState | None) -> None:
@@ -585,7 +543,7 @@ def _check_matrix_run(params: MatrixParams, horizon: float | None, start: Matrix
     if start is not None and (start.M != M or start.N != N):
         raise ValueError("start state shape does not match parameters")
     # Every window holds the N x M state at lambda_m > 0, where the first one
-    # builds a cell per entry, and from a start; else M + N (see _race_runs).
+    # builds a cell per entry, and from a start; else M + N (see _matrix_runs).
     check_budget(M * N if params.lambda_m > 0 or start is not None else M + N, "cells in the state alone", "shrink M or N")
     cells_per_time = _cells_per_time(params)
     if horizon is not None:
@@ -883,32 +841,37 @@ def _ring_terms(ends, first):
     return int(np.count_nonzero(gap >= 0)), float(np.maximum(gap, 0.0, out=gap).sum())
 
 
-def _race_block_size(params: MatrixParams) -> int:
-    """How many lambda_m = 0 runs share a block: as many as keep the block's
-    stacked per-clock arrays, two of M + N cells per run, within
-    ``_WINDOW_CELLS`` cells (27 at M + N = 300), and one at least."""
-    return max(1, _WINDOW_CELLS // (2 * (params.M + params.N)))
+def _block_size(params: MatrixParams) -> int:
+    """How many matrix runs share a block (see ``_WINDOW_CELLS``)."""
+    cells = 2 * (params.M + params.N) if params.lambda_m == 0 else params.N * params.M
+    return max(1, _WINDOW_CELLS // cells)
 
 
-class _RaceBooks:
-    """What the running lambda_m = 0 runs of a block carry from window to
-    window, a row per run: its place in the block; its state, each row's
-    last ring and then each column's last reset (-inf for none), as a row of
-    ``last_at``; a start's entries ``held[j, i]`` or ``None``; whether it
-    lays its rings out (a series, or start entries held), and so sums its
-    end count from the times its full count rose and fell in those windows
+class _MatrixBooks:
+    """What the running matrix runs of a block carry from window to window, a
+    row per run: its place in the block; at lambda_m = 0 its state, each
+    row's last ring and then each column's last reset (-inf for none), as a
+    row of ``last_at``, and a start's entries ``held[j, i]`` or ``None``;
+    with entry clocks its N x M ``state`` (``[j, i]``) and ``spare`` time
+    (see :func:`_epoch_window`); whether it lays its rings out (always with
+    entry clocks, else a series or start entries held), and so sums its end
+    count from the times its full count rose and fell in those windows
     instead of reading it off ``last_at``; its first hit (nan for none yet)
     and events; and those rises and falls."""
 
-    def __init__(self, size, M, N, held, initial, series):
-        self.index = np.arange(size)
-        self.last_at = np.full((size, M + N), -np.inf)
-        self.held = [held] * size
-        self.laid = np.full(size, series or held is not None)
+    def __init__(self, size, params: MatrixParams, held, initial, series):
+        self.index = list(range(size))
         self.tau = np.full(size, 0.0 if initial else np.nan)
         self.events = np.zeros(size, dtype=np.int64)
         self.gains = [[] for _ in range(size)]
         self.losses = [[] for _ in range(size)]
+        if params.lambda_m == 0:
+            self.last_at = np.full((size, params.M + params.N), -np.inf)
+            self.held = [held] * size
+        else:
+            self.state = [np.zeros((params.N, params.M), dtype=bool) if held is None else held] * size
+            self.spare = [0.0] * size
+        self.laid = np.full(size, params.lambda_m > 0 or series or held is not None)
 
     def keep(self, kept: np.ndarray) -> None:
         """Keep the runs where ``kept`` holds, in order."""
@@ -916,72 +879,94 @@ class _RaceBooks:
             setattr(self, name, value[kept] if isinstance(value, np.ndarray) else
                     [x for x, k in zip(value, kept.tolist()) if k])
 
-    def runs(self, which, M, initial, series, end_time) -> list[Trajectory]:
-        """The trajectories of the runs ``which``, ended at ``end_time``
-        (``None``: at their first hit)."""
-        last_at = self.last_at[which]
-        # Entry (i, j) is one iff row i rang after column j's last reset.
-        read_off = (last_at[:, M:] < last_at[:, :M].min(axis=1, keepdims=True)).sum(axis=1)
-        out = []
-        columns = zip(which.tolist(), self.tau[which].tolist(), self.events[which].tolist(),
-                      self.laid[which].tolist(), read_off.tolist())
-        for k, tau, events, laid, count in columns:
-            gains, losses = self.gains[k], self.losses[k]
-            end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses) if laid else count
+    def finish(self, which, out, M, initial, series, end_time) -> None:
+        """Put the trajectories of the runs at rows ``which`` (a list or range),
+        ended at ``end_time`` (``None``: at their first hit), in their places
+        in ``out``."""
+        index, taus, events, laid = self.index, self.tau.tolist(), self.events.tolist(), self.laid.tolist()
+        if not all(laid[k] for k in which):
+            last_at = self.last_at[which]
+            # Entry (i, j) is one iff row i rang after column j's last reset.
+            read_off = (last_at[:, M:] < last_at[:, :M].min(axis=1, keepdims=True)).sum(axis=1).tolist()
+        for n, k in enumerate(which):
+            gains, losses, tau = self.gains[k], self.losses[k], taus[k]
+            end_value = initial + sum(g.size for g in gains) - sum(l.size for l in losses) if laid[k] else read_off[n]
             times = values = None
             if series:
                 times, values = _count_series(initial, gains, losses)
-            out.append(Trajectory(
+            out[index[k]] = Trajectory(
                 tau=None if math.isnan(tau) else tau, end_time=tau if end_time is None else end_time,
-                end_value=end_value, n_events=events, series_times=times, series_values=values,
-            ))
-        return out
+                end_value=end_value, n_events=events[k], series_times=times, series_values=values,
+            )
 
 
-def _race_runs(params: MatrixParams, rngs, horizon, series: bool, start: MatrixState | None) -> list[Trajectory]:
-    """The lambda_m = 0 runs of one block of replicates, one per generator in
+def _matrix_runs(params: MatrixParams, rngs, horizon, series: bool, start: MatrixState | None) -> list[Trajectory]:
+    """The matrix runs of one block of replicates, one per generator in
     ``rngs``, in order; :func:`_check_matrix_run` has passed them.
 
-    The runs share their windows, and a run leaves the block at its hit.
-    Each window draws every run's clocks on the run's own stream
-    (:func:`_race`), and reads what it can as arrays over the block
-    (:func:`_race_window`).
+    The runs share their windows (:func:`_windows`), and a run leaves the
+    block at its hit. At lambda_m = 0 each window draws every run's clocks
+    on the run's own stream (:func:`_race`), and reads what it can as arrays
+    over the block (:func:`_race_window`); with entry clocks each run draws
+    its window alone, on its own stream (:func:`_entry_window`).
     """
-    M, N = params.M, params.N
+    M = params.M
     held, initial = (None, 0) if start is None else (start.entries.T.astype(bool), start.all_ones_count)
-    books = _RaceBooks(len(rngs), M, N, held, initial, series)
+    books = _MatrixBooks(len(rngs), params, held, initial, series)
     runs = [None] * len(rngs)
     end_time = None
     if horizon is not None or not initial:
         for t0, end_time in _windows(params, horizon):
-            ended = _race_window(params, rngs, books, t0, end_time, horizon is None, series)
+            if params.lambda_m == 0:
+                ended = _race_window(params, rngs, books, t0, end_time, horizon is None, series)
+            else:
+                ended = _entry_window(params, rngs, books, t0, end_time, horizon)
             if ended.any():
-                done = np.flatnonzero(ended)
-                for b, run in zip(books.index[done], books.runs(done, M, initial, series, None)):
-                    runs[b] = run
+                books.finish(ended.nonzero()[0].tolist(), runs, M, initial, series, None)
+                if ended.all():
+                    return runs
                 books.keep(~ended)
                 rngs = [rng for rng, gone in zip(rngs, ended.tolist()) if not gone]
-                if not rngs:
-                    break
-    running = np.arange(len(books.index))
-    for b, run in zip(books.index, books.runs(running, M, initial, series, None if horizon is None else end_time)):
-        runs[b] = run
+    books.finish(range(len(books.index)), runs, M, initial, series, None if horizon is None else end_time)
     return runs
 
 
-def _race_batch(params: MatrixParams, n_replicates: int, master_seed: int, horizon, series: bool, start):
-    """Runs ``0 .. n_replicates - 1`` of a lambda_m = 0 batch, drawn block by
-    block (see :func:`_race_block_size`), each on its own stream. Refused,
-    as each run alone would be, at the first run."""
+def _matrix_batch(params: MatrixParams, n_replicates: int, master_seed: int, horizon, series: bool, start):
+    """Runs ``0 .. n_replicates - 1`` of a matrix batch, drawn block by block
+    (see :func:`_block_size`), each on its own stream. Refused, as each run
+    alone would be, at the first run."""
     SimulationConfig(master_seed, 0, horizon, series)  # refuses a horizon as each run's config would
     _check_matrix_run(params, horizon, start)
-    size = _race_block_size(params)
+    size = _block_size(params)
     for lo in range(0, n_replicates, size):
         rngs = [replicate_rng(master_seed, r) for r in range(lo, min(lo + size, n_replicates))]
-        yield from _race_runs(params, rngs, horizon, series, start)
+        yield from _matrix_runs(params, rngs, horizon, series, start)
 
 
-def _race_window(params, rngs, books: _RaceBooks, t0: float, t1: float,
+def _entry_window(params, rngs, books: _MatrixBooks, t0: float, t1: float, horizon) -> np.ndarray:
+    """One window ``[t0, t1)`` of the running runs of a block with entry
+    clocks, each drawn alone (:func:`_epoch_window`); returns which of them
+    stopped at their hit. A run leaving the block, at its hit or at the
+    horizon, draws one Poisson count of its uncounted entry rings."""
+    stop_on_hit = horizon is None
+    ended = np.zeros(len(rngs), dtype=bool)
+    for k, rng in enumerate(rngs):
+        gained, lost, events, spare, books.state[k] = _epoch_window(
+            params, rng, books.state[k], t0, t1, stop_on_hit, carry=t1 != horizon
+        )
+        books.gains[k].append(gained)
+        books.losses[k].append(lost)
+        books.spare[k] = spare = books.spare[k] + spare
+        if gained.size and math.isnan(books.tau[k]):
+            books.tau[k] = gained.min()
+            ended[k] = stop_on_hit
+        if (ended[k] or t1 == horizon) and spare > 0:
+            events += int(rng.poisson(params.lambda_m / params.M * spare))
+        books.events[k] += events
+    return ended
+
+
+def _race_window(params, rngs, books: _MatrixBooks, t0: float, t1: float,
                  stop_on_hit: bool, series: bool) -> np.ndarray:
     """One window ``[t0, t1)`` of the running lambda_m = 0 runs of a block,
     one per generator in ``rngs``, from their ``books`` at ``t0``; returns
@@ -1131,7 +1116,7 @@ def _carried_fill(M, last_at, first):
 
 def _held_fill(M, state, first, carried):
     """The carried fills of one run that holds a start's entries, ``state``
-    being its row of ``_RaceBooks.last_at`` and its ``held[j, i]``, from its
+    being its row of ``_MatrixBooks.last_at`` and its ``held[j, i]``, from its
     :func:`_carried_fill` and its window's ``first`` rings.
 
     Entry (i, j) of a column not reset since the start is one if it is held
@@ -1146,7 +1131,7 @@ def _held_fill(M, state, first, carried):
 
 def _laid_window(M, state, first, carried, rings, t0, t1, stop_on_hit):
     """A lambda_m = 0 window of one run from its ``state`` (its row of
-    ``_RaceBooks.last_at`` and its held entries or ``None``): its carried
+    ``_MatrixBooks.last_at`` and its held entries or ``None``): its carried
     epochs fill at ``carried`` (:func:`_carried_fill`, or
     :func:`_held_fill` while it holds entries), and its :func:`_race_rings`
     are put in time order to search the epochs from its own resets
@@ -1255,18 +1240,16 @@ def replicate_runs(params: SingleColumnParams | MatrixParams, n_replicates: int,
     A batch that :func:`check_batch_size` refuses raises ``ValueError`` at the
     call; one whose runs are refused, at its first run.
 
-    A lambda_m = 0 matrix batch is drawn in blocks of replicates (27 at
-    M + N = 300, see the module docstring): each replicate draws on its own
-    stream with the calls, sizes and order it makes alone, and the block
-    reads the rest as arrays, so run ``r`` is field for field the run drawn
-    alone. Every other batch draws its runs one at a time."""
+    Every matrix batch goes through one block core, ``_WINDOW_CELLS // c``
+    replicates at a time for c cells carried per run (see the module
+    docstring): each replicate draws on its own stream with the calls, sizes
+    and order it makes alone, so run ``r`` is field for field the run drawn
+    alone. A single-column batch draws its runs one at a time."""
     check_batch_size(n_replicates)
-    if isinstance(params, MatrixParams) and params.lambda_m == 0:
-        return _race_batch(params, n_replicates, master_seed, horizon, record_series, start)
-    run = simulate_matrix
-    if isinstance(params, SingleColumnParams):
-        run, start = simulate_single_column, 0 if start is None else start
-    return (run(params, SimulationConfig(master_seed, r, horizon, record_series), start=start)
+    if isinstance(params, MatrixParams):
+        return _matrix_batch(params, n_replicates, master_seed, horizon, record_series, start)
+    start = 0 if start is None else start
+    return (simulate_single_column(params, SimulationConfig(master_seed, r, horizon, record_series), start=start)
             for r in range(n_replicates))
 
 

@@ -1093,6 +1093,47 @@ class TestEpochPath:
         _, p_value = ks_2samp([t.tau for t in fast], [t.tau for t in slow])
         assert p_value > 0.001
 
+    PINNED = {
+        0.0: {
+            "hit": [(11.433863281684417, 11.433863281684417, 1, 12, None, None),
+                    (41.767796445875504, 41.767796445875504, 1, 50, None, None),
+                    (7.802077761002243, 7.802077761002243, 3, 11, None, None)],
+            "horizon": [(11.433863281684417, 15.0, 1, 18, None, None), (None, 15.0, 0, 19, None, None),
+                        (7.802077761002243, 15.0, 1, 20, None, None)],
+            "series": [(11.433863281684417, 15.0, 1, 18, 2, 1), (None, 15.0, 0, 19, 1, 0),
+                       (7.802077761002243, 15.0, 1, 20, 4, 6)],
+            "start": [(0.9247977497415218, 15.0, 1, 18, None, None), (8.333240474504738, 15.0, 0, 19, None, None),
+                      (4.476325279816517, 15.0, 1, 20, None, None)],
+        },
+        1.0: {
+            "hit": [(4.067816554817212, 4.067816554817212, 1, 26, None, None),
+                    (2.883239055181946, 2.883239055181946, 1, 22, None, None),
+                    (7.907823147267454, 7.907823147267454, 1, 42, None, None)],
+            "horizon": [(5.261279756879161, 15.0, 1, 66, None, None), (6.425200218473567, 15.0, 3, 74, None, None),
+                        (5.36818399914241, 15.0, 1, 72, None, None)],
+            "series": [(5.261279756879161, 15.0, 1, 66, 8, 14), (6.425200218473567, 15.0, 3, 74, 4, 6),
+                       (5.36818399914241, 15.0, 1, 72, 4, 4)],
+            "start": [(0.6283266178907879, 15.0, 1, 66, None, None), (6.425200218473567, 15.0, 4, 74, None, None),
+                      (3.9749253846488024, 15.0, 2, 72, None, None)],
+        },
+    }
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_draws_are_pinned(self, lam):
+        # Recorded at d62cbd0 (seed 2025): a batch of three hit, horizon,
+        # series and start runs, each run's tau, end_time, end_value,
+        # n_events, series length and the sum of its values. A change to the
+        # matrix draws must change these on purpose.
+        start = MatrixState.from_index(6, 4, 0b101101110011010111001101)
+        cases = {"hit": (None, False, None), "horizon": (self.T, False, None), "series": (self.T, True, None),
+                 "start": (self.T, False, start)}
+        for name, (horizon, series, begin) in cases.items():
+            got = []
+            for t in replicate_runs(self.point(lam), 3, 2025, horizon, series, begin):
+                shown = (None, None) if t.series_values is None else (t.series_values.size, int(t.series_values.sum()))
+                got.append((t.tau, t.end_time, t.end_value, t.n_events, *shown))
+            assert got == self.PINNED[lam][name], name
+
     def test_ring_fill_matches_a_row_by_row_scan(self, monkeypatch):
         # At lambda_m = 0 every epoch of a laid-out window must fill when a
         # scan of each row's first ring after the epoch's start says, and
@@ -1142,7 +1183,7 @@ class TestEpochPath:
             rings = [(ring_t, ring_row), (reset_t, reset_col)]
             monkeypatch.setattr(simulate_module, "_race", lambda *args, race=race: race)
             monkeypatch.setattr(simulate_module, "_race_rings", lambda *args, rings=rings: rings)
-            books = simulate_module._RaceBooks(1, M, N, held, 0, True)
+            books = simulate_module._MatrixBooks(1, MatrixParams(M=M, N=N, p=0.5), held, 0, True)
             books.last_at = last_at[None].copy()
             fills.clear()
             simulate_module._race_window(MatrixParams(M=M, N=N, p=0.5), [None], books, t0, t1, False, True)
@@ -1600,7 +1641,7 @@ class TestEpochPath:
                     continue
                 assert own[0] == first[offset + i] and own[-1] == last[offset + i]
                 assert (own[1:-1] > own[0]).all() and (own[1:-1] < own[-1]).all()
-        books = simulate_module._RaceBooks(1, M, N, None, 0, False)
+        books = simulate_module._MatrixBooks(1, params, None, 0, False)
         simulate_module._race_window(params, [np.random.default_rng(seed)], books, t0, t1, False, False)
         assert ring_t.size + reset_t.size == books.events[0]
 
@@ -1686,9 +1727,9 @@ class TestEpochPath:
 
 
 class TestRaceBlock:
-    """lambda_m = 0 batches are drawn in blocks of runs, each run on its own
-    stream with the draws it makes alone, so every run of a batch is the run
-    drawn alone, field for field."""
+    """Matrix batches are drawn in blocks of runs, each run on its own stream
+    with the draws it makes alone, so every run of a batch is the run drawn
+    alone, field for field."""
 
     @staticmethod
     def assert_same(got, want):
@@ -1701,9 +1742,12 @@ class TestRaceBlock:
 
     def test_block_size_holds_the_stacked_clocks_within_a_window(self):
         # Two (runs, M + N) arrays of first and last rings stay within
-        # _WINDOW_CELLS cells: 27 runs at M + N = 300, and one at least.
-        assert simulate_module._race_block_size(MatrixParams(M=200, N=100, p=0.1)) == 27
-        assert simulate_module._race_block_size(MatrixParams(M=6000, N=3000, p=0.1)) == 1
+        # _WINDOW_CELLS cells: 27 runs at M + N = 300, and one at least. With
+        # entry clocks each run's N x M state does: one run at N*M = 20,000.
+        assert simulate_module._block_size(MatrixParams(M=200, N=100, p=0.1)) == 27
+        assert simulate_module._block_size(MatrixParams(M=6000, N=3000, p=0.1)) == 1
+        assert simulate_module._block_size(MatrixParams(M=200, N=100, p=0.1, lambda_m=1.0)) == 1
+        assert simulate_module._block_size(MatrixParams(M=6, N=4, p=0.3, lambda_m=0.5)) == 682
 
     def test_carried_fill_matches_a_scan(self, monkeypatch):
         # Carried epoch j of a run, from column j's last reset c_j, fills at
@@ -1741,7 +1785,7 @@ class TestRaceBlock:
                 want.append(min((f for f, end in zip(carried, first[k, M:]) if f < end), default=math.inf))
             race = (first.copy(), first.copy(), [(np.empty(0), np.empty(0))] * B)  # each clock rings once
             monkeypatch.setattr(simulate_module, "_race", lambda *args, race=race: race)
-            books = simulate_module._RaceBooks(B, M, N, None, 0, False)
+            books = simulate_module._MatrixBooks(B, MatrixParams(M=M, N=N, p=0.5), None, 0, False)
             books.last_at = last_at.copy()
             laid.clear()
             simulate_module._race_window(MatrixParams(M=M, N=N, p=0.5), [None] * B, books, t0, t1, False, False)
@@ -1756,20 +1800,22 @@ class TestRaceBlock:
         p=st.one_of(
             st.floats(0, 1e-9, exclude_min=True), st.floats(1 - 1e-9, 1, exclude_max=True), st.floats(0.05, 0.95)
         ),
+        lambda_m=st.one_of(st.just(0.0), st.floats(0.3, 5.0)),
         block=st.integers(2, 6),
         horizon=st.one_of(st.none(), st.floats(0.5, 300.0)),
         series=st.booleans(),
         start=st.one_of(st.none(), st.integers(0, 2**100 - 1)),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_block_runs_equal_runs_alone(self, M, N, p, block, horizon, series, start, seed):
+    def test_block_runs_equal_runs_alone(self, M, N, p, lambda_m, block, horizon, series, start, seed):
         # Blocks of 2-6 runs, batches of 1, the block size, one either side
         # of it and two blocks and three; windows of 64 cells (the first hit
-        # window 16), 64 time units here, so a horizon run takes one to five
-        # windows and a hit run often several. Rates at the edges, and from
-        # the empty matrix or a start of any entries. A run refused alone is
-        # refused in the batch with the same message.
-        params = MatrixParams(M=M, N=N, p=p)
+        # window 16), 64 time units here at lambda_m = 0, so a horizon run
+        # takes one to five windows and a hit run often several. Rates at the
+        # edges, with and without entry clocks, and from the empty matrix or
+        # a start of any entries. A run refused alone is refused in the batch
+        # with the same message.
+        params = MatrixParams(M=M, N=N, p=p, lambda_m=lambda_m)
         if start is not None:
             start = MatrixState.from_index(M, N, start % (1 << (M * N)))
         if horizon is None and (start is None or start.all_ones_count == 0):
@@ -1778,7 +1824,7 @@ class TestRaceBlock:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate_module, "_WINDOW_CELLS", 64)
             patch.setattr(simulate_module, "_FIRST_WINDOW_CELLS", 16)
-            patch.setattr(simulate_module, "_race_block_size", lambda params: block)
+            patch.setattr(simulate_module, "_block_size", lambda params: block)
             for n in sorted({1, block - 1, block, block + 1, 2 * block + 3}):
                 try:
                     alone = [

@@ -130,6 +130,18 @@ def test_race_is_drawn_only_by_the_block_window():
     assert [found for found in _found(calls_race) if found[0] == "simulate"] == [("simulate", "_race_window")]
 
 
+def test_matrix_windows_are_walked_only_by_the_block_core():
+    # Every matrix run, at every lambda_m, is a run of a block: simulate_matrix
+    # is a block of one and every batch goes through the same core, so no
+    # second run loop walks the windows or draws an entry-clock window.
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                                                    getattr(node.func, "id", None))
+
+    assert _found(calls("_windows")) == [("simulate", "_matrix_runs")]
+    assert _found(calls("_epoch_window")) == [("simulate", "_entry_window")]
+
+
 def test_lambda_zero_state_is_written_only_by_the_block_window():
     # A lambda_m = 0 run keeps one state, each clock's last ring in the
     # books' last_at: the books make it and each window of the block moves
@@ -153,5 +165,5 @@ def test_lambda_zero_state_is_written_only_by_the_block_window():
         return isinstance(node, ast.Call) and "_ring_fill" in (getattr(node.func, "attr", None),
                                                                getattr(node.func, "id", None))
 
-    assert _found(assigns_last_at) == [("simulate", "_RaceBooks.__init__"), ("simulate", "_race_window")]
+    assert _found(assigns_last_at) == [("simulate", "_MatrixBooks.__init__"), ("simulate", "_race_window")]
     assert _found(calls_ring_fill) == [("simulate", "_laid_window")]
